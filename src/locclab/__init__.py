@@ -95,7 +95,6 @@ from .protocols import (
 )
 from .worlds import (
     BoundaryPair,
-    HamiltonianDecomposition,
     World,
     build_epr_world,
     build_er_world,

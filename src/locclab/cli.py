@@ -6,8 +6,9 @@ built-in assertions whose pass/fail lines go to the diagnostic stream.
 Payload bytes depend only on the configuration and seed, never on the
 parallelism width or timing.
 
-Exit codes: 0 success, 2 configuration error, 3 capacity error, 4 built-in
-assertion failure, 5 empty-cell estimation error.
+Exit codes: 0 success, 2 configuration error (including an input file that
+cannot be read or parsed and an output file that cannot be written), 3
+capacity error, 4 built-in assertion failure, 5 empty-cell estimation error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,13 @@ from .distinguish import (
     total_variation,
 )
 from .errors import CapacityError, ConfigError, EmptyCellError
-from .instruments import identity_instrument, load_instrument, measure_x, measure_z
+from .instruments import (
+    identity_instrument,
+    load_instrument,
+    measure_x,
+    measure_z,
+    validate_instrument,
+)
 from .protocols import (
     ProtocolRound,
     bundled_corpus,
@@ -232,6 +239,11 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError("seed must be nonnegative", key="seed")
     if cfg.mode not in ("er", "epr"):
         raise ConfigError(f"mode must be 'er' or 'epr', got {cfg.mode!r}", key="mode")
+    reals = [("lambda", cfg.lam), ("offset", cfg.offset), ("evolution_time", cfg.evolution_time)]
+    reals += [("lambda_grid", x) for x in cfg.lambda_grid or ()]
+    for key, value in reals:
+        if not math.isfinite(value):
+            raise ConfigError(f"must be finite, got {value}", key=key)
     if cfg.lam < 0:
         raise ConfigError(f"must be nonnegative, got {cfg.lam}", key="lambda")
     if cfg.trials < 1:
@@ -252,6 +264,13 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
             raise ConfigError("grid values must be nonnegative", key="lambda_grid")
     if cfg.experiment == "qecc" and any(d < 2 for d in cfg.q_dims):
         raise ConfigError("every channel size must be >= 2", key="q_dims")
+    epr = cfg.experiment in ("sweep", "distinguish") or (
+        cfg.experiment in ("chsh", "nosignal") and cfg.mode == "epr"
+    )
+    if epr and cfg.q_dim < 2:
+        raise ConfigError(f"an EPR world needs >= 2 channel qubits, got {cfg.q_dim}", key="q_dim")
+    if (epr or cfg.experiment == "qecc") and cfg.qbar_dim < 1:
+        raise ConfigError(f"an EPR world needs >= 1 rest qubit, got {cfg.qbar_dim}", key="qbar_dim")
     return cfg
 
 
@@ -263,12 +282,28 @@ def _world_from_config(cfg: RunConfig) -> World:
     )
 
 
+def _load_file(loader, path: str, key: str):
+    """``loader(path)``, with an unreadable or malformed file reported as a config error."""
+    try:
+        return loader(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load {path!r}: {type(exc).__name__}: {exc}", key=key) from exc
+
+
 def _resolve_script(name_or_path: str | None):
     if name_or_path is None:
         return canonical_chsh_script()
     if name_or_path in bundled_script_names():
         return load_bundled_script(name_or_path)
-    return load_script(name_or_path)
+    return _load_file(load_script, name_or_path, "script")
+
+
+def _write_file(path: str, text: str, key: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}", key=key) from exc
 
 
 def _chsh_result_dict(res: CHSHResult) -> dict:
@@ -306,8 +341,7 @@ def _run_chsh(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
             world, CHSHConfig(trials=cfg.trials, seed=cfg.seed), cfg.parallel
         )
         if cfg.transcript:
-            with open(cfg.transcript, "w", encoding="utf-8") as fh:
-                fh.write(format_transcript(transcript))
+            _write_file(cfg.transcript, format_transcript(transcript), "transcript")
         res = estimate_from_transcript(transcript)
     criteria = [
         (
@@ -351,6 +385,14 @@ def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]
     return payload, "\n".join(lines) + "\n", criteria
 
 
+def _load_alice_instrument(path: str):
+    name, inst = load_instrument(path)
+    report = validate_instrument(inst)
+    if inst.dimension != 2 or not report.passed:
+        raise ValueError(f"not a valid one-qubit instrument: {report.violations}")
+    return name, inst
+
+
 def _default_alice_variants() -> list:
     return [measure_z(), measure_x(), identity_instrument()]
 
@@ -358,7 +400,8 @@ def _default_alice_variants() -> list:
 def _run_nosignal(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
     world = _world_from_config(cfg)
     if cfg.alice_instruments:
-        loaded = [load_instrument(p) for p in cfg.alice_instruments]
+        key = "alice_instruments"
+        loaded = [_load_file(_load_alice_instrument, p, key) for p in cfg.alice_instruments]
         names = [name for name, _ in loaded]
         variants = [inst for _, inst in loaded]
     else:
@@ -531,6 +574,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = parse_config(args.experiment, args.config, overrides)
         report = run(cfg)
+        if cfg.out != "-":
+            _write_file(cfg.out, report.payload_text, "out")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -543,9 +588,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if cfg.out == "-":
         sys.stdout.write(report.payload_text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(report.payload_text)
 
     for name, ok in report.criteria:
         print(f"criterion {name}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)

@@ -86,9 +86,13 @@ class OutcomeDistribution:
 
 
 def total_variation(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
-    """``0.5 * sum |p_i - q_i|`` over the union of supports."""
+    """``0.5 * sum |p_i - q_i|`` over the union of supports.
+
+    The sum runs over the sorted union: set order follows string hashing,
+    which changes between processes, and so would the rounding of the sum.
+    """
     pd, qd = p.as_dict(), q.as_dict()
-    keys = set(pd) | set(qd)
+    keys = sorted(set(pd) | set(qd))
     return 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in keys)
 
 

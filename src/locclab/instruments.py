@@ -107,13 +107,6 @@ class InstrumentBranch:
     def effective_weights(self) -> tuple[float, ...]:
         return self.weights if self.weights is not None else (1.0,) * len(self.kraus)
 
-    def apply_raw(self, m: np.ndarray) -> np.ndarray:
-        """Unnormalized branch action ``sum_k w_k K_k m K_k^dag``."""
-        out = np.zeros_like(m)
-        for w, k in zip(self.effective_weights(), self.kraus):
-            out += w * (k @ m @ k.conj().T)
-        return out
-
     def completeness_term(self) -> np.ndarray:
         """``sum_k w_k K_k^dag K_k`` for this branch."""
         d = self.dimension

@@ -174,13 +174,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def relabeled(self, labels: Sequence[str]) -> "DensityMatrix":
-        """Same matrix with factors renamed (dimensions unchanged)."""
-        dims = self.layout.dims
-        if len(labels) != len(dims):
-            raise LayoutError(f"expected {len(dims)} labels, got {len(labels)}")
-        return DensityMatrix(self.matrix, SubsystemLayout(tuple(zip(labels, dims))), self.tol)
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -294,11 +287,13 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     """``exp(scale * h)`` for Hermitian ``h`` via eigendecomposition.
 
-    Eigendecomposition is exact for Hermitian input up to roundoff and keeps
-    the result unitary when ``scale`` is imaginary.
+    ``h`` may also be a stack of matrices over its leading axes; each is
+    exponentiated on its own.  Eigendecomposition is exact for Hermitian
+    input up to roundoff and keeps the result unitary when ``scale`` is
+    imaginary.
     """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def evolve(rho: DensityMatrix, h: HermitianOperator, t: float) -> DensityMatrix:

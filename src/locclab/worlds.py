@@ -3,14 +3,33 @@
 An **ER world** hands the agents a boundary qubit pair that is directly
 identified across their locations: the exact singlet, with zero environment
 channel degrees of freedom.  An **EPR world** routes the same pair through
-``q_dim`` explicit channel qubits inside the environment, whose complement
-(``qbar_dim`` qubits) couples to them with strength ``lam``.  The internal
-environment Hamiltonian decomposes as channel + rest + coupling; with the
-coupling at zero the two worlds present identical pairs, and any nonzero
-coupling dephases the delivered pair.
+``q_dim`` channel qubits inside the environment, whose complement
+(``qbar_dim`` rest qubits) couples to them with strength ``lam``.
 
-Coupling form: each channel qubit couples to every rest qubit through a
-``Z (x) Z`` term with staggered weights ``+1/4, -1/4, +1/4, ...`` down the
+The environment Hamiltonian is stored in factored form, because each of its
+parts is local or diagonal::
+
+    H = 0 (channel)  +  sum_j h_j (rest qubit j)  +  lam * sum_{i,j} w_i Z_i Z_j
+
+with one seeded 2x2 Hermitian term ``h_j`` per rest qubit and one coupling
+weight ``w_i`` per channel qubit.  The coupling is diagonal on the channel,
+so a channel basis string ``z`` (``Z = +1`` on ``|0>``) is conserved and
+imprints the field ``f(z) = lam * sum_i w_i z_i`` on every rest qubit, which
+then evolves on its own under ``h_j + f(z) Z``.  The pair starts as the
+singlet on channel qubits 0 and 1, with the spare channel qubits in ``|0>``
+and the rest qubits in ``|+>``, so only the carrier strings ``01`` and ``10``
+carry amplitude.  The delivered pair is therefore the singlet with its
+coherence scaled by a product of 2x2 overlaps,
+
+    c = prod_j <phi_j(10)|phi_j(01)>,   phi_j(z) = exp(-i t (h_j + f(z) Z)) |+>,
+
+the decoherence factor of the spin-environment model (Zurek, PRD 26, 1862,
+1982; Cucchietti, Paz and Zurek, PRA 72, 052113, 2005).  No matrix larger
+than the 4x4 pair is formed.  At zero coupling both branches see the same
+field, so ``c`` is 1 to rounding and the two worlds present the same pair;
+any nonzero coupling dephases it.
+
+Coupling form: the weights are staggered, ``+1/4, -1/4, +1/4, ...`` down the
 channel.  A *uniform* collective coupling would be blind to the singlet
 (both of its branches carry total-Z charge zero, so the environment cannot
 distinguish them and no dephasing occurs); staggering the signs makes the
@@ -24,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,27 +54,31 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     PAULI_Z,
-    SubsystemLayout,
-    embed_operator,
     hermitian_exponential,
+    plus_ket,
     purity,
     qubits,
 )
 
 __all__ = [
     "PAIR_LABELS",
-    "HamiltonianDecomposition",
+    "QUBIT_CAP",
     "World",
     "BoundaryPair",
     "singlet_density",
     "build_er_world",
     "build_epr_world",
     "deliver_pair",
+    "pair_coherence",
     "channel_purity_profile",
 ]
 
 #: Labels of the boundary pair as seen by Alice and Bob.
 PAIR_LABELS = ("q_A", "q_B")
+
+#: Largest EPR world, in qubits (boundary + channel + rest), that may be built:
+#: the qubit count of the package-wide ``DIMENSION_CAP``.
+QUBIT_CAP = DIMENSION_CAP.bit_length() - 1
 
 
 def singlet_density(labels: Sequence[str] = PAIR_LABELS) -> DensityMatrix:
@@ -73,73 +97,69 @@ def _random_single_qubit_hermitian(rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class HamiltonianDecomposition:
-    """Environment Hamiltonian split into channel, rest, and coupling parts.
-
-    ``total = h_channel (x) I + I (x) h_rest + lam * h_coupling`` on the
-    channel+rest layout.  With ``lam == 0`` the coupling term is the exact
-    zero matrix, so channel and rest evolve independently.
-    """
-
-    h_channel: HermitianOperator
-    h_rest: HermitianOperator
-    h_coupling: HermitianOperator
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"coupling scale must be nonnegative, got {self.lam}")
-        if self.lam == 0 and np.any(self.h_coupling.matrix != 0):
-            raise ValueError("zero coupling scale requires an exactly zero coupling term")
-
-    @property
-    def layout(self) -> SubsystemLayout:
-        return self.h_coupling.layout
-
-    def total_operator(self) -> HermitianOperator:
-        layout = self.layout
-        h = embed_operator(self.h_channel.matrix, layout, self.h_channel.layout.labels)
-        h = h + embed_operator(self.h_rest.matrix, layout, self.h_rest.layout.labels)
-        h = h + self.lam * self.h_coupling.matrix
-        return HermitianOperator(h, layout)
-
-
-@dataclass(frozen=True, eq=False)
 class World:
     """A complete experimental configuration delivering one boundary pair.
 
+    An EPR world holds its environment Hamiltonian in factored form: one
+    single-qubit term per rest qubit in ``rest_terms`` and the staggered
+    ``coupling_weights`` of its ``q_dim`` channel qubits, scaled by ``lam``.
     ``location_labels`` are opaque coordinates carried for bookkeeping only;
     they never influence any numerical output.
     """
 
     mode: str  # "ER" | "EPR"
     q_dim: int
-    qbar_dim: int
-    decomposition: HamiltonianDecomposition | None
     evolution_time: float
+    lam: float = 0.0
+    rest_terms: tuple[HermitianOperator, ...] = ()
     location_labels: tuple[str, str] = ("x_A", "x_B")
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "rest_terms", tuple(self.rest_terms))
         if self.mode not in ("ER", "EPR"):
             raise ValueError(f"mode must be 'ER' or 'EPR', got {self.mode!r}")
-        if self.mode == "ER" and self.q_dim != 0:
-            raise ValueError("ER worlds have zero channel qubits")
+        if self.mode == "ER" and (self.q_dim, self.qbar_dim, self.lam) != (0, 0, 0.0):
+            raise ValueError("ER worlds have no channel, no rest qubits and no coupling")
         if self.mode == "EPR" and self.q_dim < 2:
-            raise ValueError("EPR worlds need at least two channel qubits to carry the pair")
-        if self.mode == "EPR" and self.decomposition is None:
-            raise ValueError("EPR worlds need a Hamiltonian decomposition")
-        if self.evolution_time <= 0:
-            raise ValueError(f"evolution time must be positive, got {self.evolution_time}")
+            raise ValueError(f"EPR worlds need q_dim >= 2 to carry the pair, got {self.q_dim}")
+        if self.mode == "EPR" and self.qbar_dim < 1:
+            raise ValueError("EPR worlds need at least one rest qubit (qbar_dim >= 1)")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if any(term.matrix.shape != (2, 2) for term in self.rest_terms):
+            raise ValueError("each rest term must act on a single qubit")
+        if not 0 < self.evolution_time < math.inf:
+            raise ValueError(f"evolution time must be finite and > 0, got {self.evolution_time}")
 
     @property
-    def lam(self) -> float:
-        return 0.0 if self.decomposition is None else self.decomposition.lam
+    def qbar_dim(self) -> int:
+        return len(self.rest_terms)
+
+    @property
+    def coupling_weights(self) -> tuple[float, ...]:
+        """Staggered ``+1/4, -1/4, ...`` weight of each channel qubit's coupling."""
+        return tuple(0.25 if i % 2 == 0 else -0.25 for i in range(self.q_dim))
 
     @property
     def total_dim(self) -> int:
         """Full simulated dimension including the boundary pair."""
         return 2 ** (2 + self.q_dim + self.qbar_dim)
+
+    @cached_property
+    def pair(self) -> BoundaryPair:
+        """The delivered pair; see :func:`deliver_pair`."""
+        if self.mode == "ER":
+            return BoundaryPair(singlet_density(), provenance="ER")
+        c = pair_coherence(self)
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[1, 1] = rho[2, 2] = 0.5
+        rho[1, 2] = -0.5 * c
+        rho[2, 1] = -0.5 * np.conj(c)
+        return BoundaryPair(
+            DensityMatrix(rho, qubits(*PAIR_LABELS)),
+            provenance=f"EPR(lam={self.lam}, seed={self.seed}, t={self.evolution_time})",
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,27 +176,7 @@ class BoundaryPair:
 
 def build_er_world(location_labels: tuple[str, str] = ("x_A", "x_B")) -> World:
     """A world where the measured locations are directly identified: no channel."""
-    return World(
-        mode="ER",
-        q_dim=0,
-        qbar_dim=0,
-        decomposition=None,
-        evolution_time=1.0,
-        location_labels=location_labels,
-    )
-
-
-def _channel_labels(q_dim: int) -> tuple[str, ...]:
-    return tuple(f"ch{i}" for i in range(q_dim))
-
-
-def _rest_labels(qbar_dim: int) -> tuple[str, ...]:
-    return tuple(f"env{j}" for j in range(qbar_dim))
-
-
-def _coupling_weight(i: int) -> float:
-    # staggered half-difference weights; see module docstring
-    return 0.25 if i % 2 == 0 else -0.25
+    return World(mode="ER", q_dim=0, evolution_time=1.0, location_labels=location_labels)
 
 
 def build_epr_world(
@@ -186,106 +186,70 @@ def build_epr_world(
     seed: int,
     *,
     evolution_time: float = 1.0,
-    dimension_cap: int = DIMENSION_CAP,
     location_labels: tuple[str, str] = ("x_A", "x_B"),
 ) -> World:
     """A world whose pair is delivered through ``q_dim`` environment channel qubits.
 
     The channel part of the Hamiltonian is zero (channel qubits idle), the
-    rest part is a sum of seeded random single-qubit terms, and the coupling
-    is the staggered dephasing form scaled by ``lam``.
+    rest part is one seeded random single-qubit term per rest qubit (per
+    qubit: two diagonal entries from U(-1, 1), then the real and imaginary
+    off-diagonal parts from U(-0.7, 0.7)), and the coupling is the staggered
+    dephasing form scaled by ``lam``.  Worlds of more than ``QUBIT_CAP``
+    qubits, the two boundary qubits included, are refused.
     """
-    if q_dim < 2:
-        raise ValueError(f"q_dim must be >= 2, got {q_dim}")
-    if qbar_dim < 1:
-        raise ValueError(f"qbar_dim must be >= 1, got {qbar_dim}")
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    total = 2 ** (2 + q_dim + qbar_dim)
-    if total > dimension_cap:
+    if 2 + q_dim + qbar_dim > QUBIT_CAP:
         raise CapacityError(
-            f"world dimension {total} (2 boundary + {q_dim} channel + {qbar_dim} rest qubits) "
-            f"exceeds cap {dimension_cap}"
+            f"world of {2 + q_dim + qbar_dim} qubits (2 boundary + {q_dim} channel + "
+            f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {DIMENSION_CAP})"
         )
-
-    ch = _channel_labels(q_dim)
-    env = _rest_labels(qbar_dim)
-    ch_layout = qubits(*ch)
-    env_layout = qubits(*env)
-    full_layout = ch_layout.concat(env_layout)
-
-    h_channel = HermitianOperator(np.zeros((2**q_dim, 2**q_dim), dtype=complex), ch_layout)
-
     rng = np.random.default_rng(seed)
-    h_rest_m = np.zeros((2**qbar_dim, 2**qbar_dim), dtype=complex)
-    for j, label in enumerate(env):
-        h_rest_m += embed_operator(_random_single_qubit_hermitian(rng), env_layout, (label,))
-    h_rest = HermitianOperator(h_rest_m, env_layout)
-
-    dim = full_layout.total_dim
-    coupling_m = np.zeros((dim, dim), dtype=complex)
-    if lam > 0:
-        zz = np.kron(PAULI_Z, PAULI_Z)
-        for i, ci in enumerate(ch):
-            for ej in env:
-                coupling_m += _coupling_weight(i) * embed_operator(zz, full_layout, (ci, ej))
-    h_coupling = HermitianOperator(coupling_m, full_layout)
-
+    terms = tuple(
+        HermitianOperator(_random_single_qubit_hermitian(rng), qubits(f"env{j}"))
+        for j in range(qbar_dim)
+    )
     return World(
         mode="EPR",
         q_dim=q_dim,
-        qbar_dim=qbar_dim,
-        decomposition=HamiltonianDecomposition(h_channel, h_rest, h_coupling, float(lam)),
         evolution_time=float(evolution_time),
+        lam=float(lam),
+        rest_terms=terms,
         location_labels=location_labels,
         seed=seed,
     )
 
 
-def _initial_environment_vector(q_dim: int, qbar_dim: int) -> np.ndarray:
-    """Singlet on the first two channel qubits, |0..0> on the rest, |+..+> on env."""
-    singlet = np.zeros(4, dtype=complex)
-    singlet[1] = 1 / math.sqrt(2)
-    singlet[2] = -1 / math.sqrt(2)
-    v = singlet
-    if q_dim > 2:
-        spare = np.zeros(2 ** (q_dim - 2), dtype=complex)
-        spare[0] = 1.0
-        v = np.kron(v, spare)
-    plus = np.full(2**qbar_dim, 2 ** (-qbar_dim / 2), dtype=complex)
-    return np.kron(v, plus)
+def pair_coherence(world: World) -> complex:
+    """``c = prod_j <phi_j(10)|phi_j(01)>`` of an EPR world, from 2x2 evolutions.
+
+    Carrier branch ``01`` has ``z_0 = +1, z_1 = -1`` and ``10`` the reverse;
+    the spare channel qubits sit in ``|0>`` (``z = +1``) in both.  Each rest
+    qubit starts in ``|+>`` and evolves for ``evolution_time`` under
+    ``h_j + f Z`` with its branch's field ``f``.
+    """
+    w = world.coupling_weights
+    spare = sum(w[2:])
+    fields = world.lam * np.array([w[0] - w[1] + spare, w[1] - w[0] + spare])
+    h = np.stack([term.matrix for term in world.rest_terms])
+    h = h + fields[:, None, None, None] * PAULI_Z  # (branch, rest qubit, 2, 2)
+    phi = hermitian_exponential(h, -1j * world.evolution_time) @ plus_ket()
+    return complex(np.prod(np.sum(phi[1].conj() * phi[0], axis=-1)))
 
 
 def deliver_pair(world: World) -> BoundaryPair:
-    """Run the world once and return the pair state on ``(q_A, q_B)``.
+    """Run the world and return the pair state on ``(q_A, q_B)``.
 
-    In an EPR world the pair is prepared on the two designated channel
-    qubits, the whole environment evolves under its internal Hamiltonian for
-    ``evolution_time``, and everything but those two carriers is traced out;
-    the carriers are then handed over to the boundary.  With ``lam == 0``
-    the coupling term is identically zero, so the channel factors commute
-    with the evolution and the handover returns the exact singlet without
-    numerical error.
+    An ER world delivers the exact singlet.  In an EPR world the singlet is
+    prepared on the two carrier channel qubits, the environment evolves for
+    ``evolution_time``, and everything but the carriers is traced out.  By
+    the factored form of the Hamiltonian (see the module docstring) this
+    leaves the singlet with its coherence block scaled by
+    :func:`pair_coherence`: diagonal ``1/2`` on ``|01>`` and ``|10>`` and
+    ``rho[01, 10] = -c/2``.  Nothing is assumed at zero coupling: there
+    ``c`` is computed like any other and comes out as 1 to rounding.
+
+    The pair is computed once per world and shared by every later call.
     """
-    if world.mode == "ER":
-        return BoundaryPair(singlet_density(), provenance="ER")
-
-    if world.lam == 0.0:
-        return BoundaryPair(singlet_density(), provenance=f"EPR(lam=0, seed={world.seed})")
-
-    decomp = world.decomposition
-    h = decomp.total_operator().matrix
-    psi0 = _initial_environment_vector(world.q_dim, world.qbar_dim)
-    u = hermitian_exponential(h, -1j * world.evolution_time)
-    psi_t = u @ psi0
-    # the two carriers are the leading factors, so one reshape exposes them
-    m = psi_t.reshape(4, -1)
-    pair = m @ m.conj().T
-    pair = pair / np.real(np.trace(pair))
-    state = DensityMatrix(pair, qubits(*PAIR_LABELS))
-    return BoundaryPair(
-        state, provenance=f"EPR(lam={world.lam}, seed={world.seed}, t={world.evolution_time})"
-    )
+    return world.pair
 
 
 def channel_purity_profile(

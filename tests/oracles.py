@@ -64,20 +64,23 @@ def index_of(digits, dims) -> int:
 
 
 def embed_by_loops(op: np.ndarray, dims, positions) -> np.ndarray:
-    """Operator on the named positions, identity elsewhere, by explicit loops."""
+    """Operator on the named positions, identity elsewhere, by explicit loops.
+
+    Row ``r`` reaches only the columns that agree with it off the target
+    positions, so for each row the loop runs over the target digits of the
+    column alone.
+    """
     total = math.prod(dims)
     target_dims = [dims[p] for p in positions]
-    rest = [i for i in range(len(dims)) if i not in positions]
     out = np.zeros((total, total), dtype=complex)
     for r in range(total):
         rd = digits_of(r, dims)
-        for c in range(total):
-            cd = digits_of(c, dims)
-            if any(rd[i] != cd[i] for i in rest):
-                continue
-            tr = index_of([rd[p] for p in positions], target_dims)
-            tc = index_of([cd[p] for p in positions], target_dims)
-            out[r, c] = op[tr, tc]
+        tr = index_of([rd[p] for p in positions], target_dims)
+        for tc, target_digits in enumerate(product(*(range(d) for d in target_dims))):
+            cd = list(rd)
+            for p, g in zip(positions, target_digits):
+                cd[p] = g
+            out[r, index_of(cd, dims)] = op[tr, tc]
     return out
 
 
@@ -85,18 +88,31 @@ def ptrace_by_loops(rho: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace by explicit summation over the traced indices."""
     keep = list(keep)
     traced = [i for i in range(len(dims)) if i not in keep]
-    keep_dims = [dims[i] for i in keep]
-    dk = math.prod(keep_dims)
-    out = np.zeros((dk, dk), dtype=complex)
-    for r in range(rho.shape[0]):
-        rd = digits_of(r, dims)
-        for c in range(rho.shape[1]):
-            cd = digits_of(c, dims)
-            if any(rd[i] != cd[i] for i in traced):
-                continue
-            rk = index_of([rd[i] for i in keep], keep_dims)
-            ck = index_of([cd[i] for i in keep], keep_dims)
-            out[rk, ck] += rho[r, c]
+    kept_states = list(product(*(range(dims[i]) for i in keep)))
+    out = np.zeros((len(kept_states), len(kept_states)), dtype=complex)
+
+    def index(kept_digits, traced_digits):
+        digits = [0] * len(dims)
+        for i, g in zip(keep, kept_digits):
+            digits[i] = g
+        for i, g in zip(traced, traced_digits):
+            digits[i] = g
+        return index_of(digits, dims)
+
+    for traced_digits in product(*(range(dims[i]) for i in traced)):
+        for rk, row_digits in enumerate(kept_states):
+            r = index(row_digits, traced_digits)
+            for ck, col_digits in enumerate(kept_states):
+                out[rk, ck] += rho[r, index(col_digits, traced_digits)]
+    return out
+
+
+def rest_hamiltonian(terms) -> np.ndarray:
+    """Sum of single-qubit terms, term ``j`` on qubit ``j``, embedded by loops."""
+    n = len(terms)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for j, term in enumerate(terms):
+        out += embed_by_loops(np.asarray(term, dtype=complex), [2] * n, [j])
     return out
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,41 @@ class TestParseConfig:
     def test_negative_lambda_rejected_by_name(self):
         with pytest.raises(ConfigError, match="lambda"):
             parse_config("chsh", None, {"seed": 1, "lambda": -0.5})
+
+    @pytest.mark.parametrize(
+        "experiment,key,value",
+        [
+            ("distinguish", "lambda", math.nan),
+            ("distinguish", "lambda", math.inf),
+            ("sweep", "lambda_grid", (0.0, math.inf)),
+            ("sweep", "lambda_grid", (0.0, math.nan)),
+            ("frames", "offset", math.nan),
+            ("distinguish", "evolution_time", math.inf),
+            ("distinguish", "evolution_time", math.nan),
+        ],
+    )
+    def test_non_finite_values_rejected_by_name(self, experiment, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(experiment, None, {"seed": 1, key: value})
+
+    @pytest.mark.parametrize(
+        "experiment,overrides,key",
+        [
+            ("chsh", {"mode": "epr", "q_dim": 1}, "q_dim"),
+            ("chsh", {"mode": "epr", "qbar_dim": 0}, "qbar_dim"),
+            ("nosignal", {"mode": "epr", "q_dim": 0}, "q_dim"),
+            ("distinguish", {"q_dim": 1}, "q_dim"),
+            ("sweep", {"lambda_grid": (0.0, 0.5), "qbar_dim": -1}, "qbar_dim"),
+            ("qecc", {"qbar_dim": 0}, "qbar_dim"),
+        ],
+    )
+    def test_epr_world_sizes_rejected_by_name(self, experiment, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(experiment, None, {"seed": 1, **overrides})
+
+    def test_world_sizes_unused_by_er_runs_are_not_checked(self):
+        cfg = parse_config("chsh", None, {"seed": 1, "mode": "er", "q_dim": 1, "qbar_dim": 0})
+        assert cfg.q_dim == 1
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -154,6 +193,64 @@ class TestMain:
         assert code == EXIT_CAPACITY
         assert "capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["distinguish", "--lambda", "nan"], "lambda"),
+            (["frames", "--offset", "nan"], "offset"),
+            (["distinguish", "--lambda", "0.3", "--evolution-time", "inf"], "evolution_time"),
+            (["sweep", "--lambda-grid", "0,inf"], "lambda_grid"),
+            (["chsh", "--mode", "epr", "--q-dim", "1", "--exact"], "q_dim"),
+            (["chsh", "--mode", "epr", "--qbar-dim", "0", "--exact"], "qbar_dim"),
+        ],
+    )
+    def test_bad_values_exit_code(self, capsys, args, key):
+        assert main(args + ["--seed", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and key in err
+
+    @pytest.mark.parametrize(
+        "flag,experiment,key",
+        [
+            ("--script", ["sweep", "--lambda-grid", "0,0.5"], "script"),
+            ("--alice-instrument", ["nosignal"], "alice_instruments"),
+        ],
+    )
+    def test_unreadable_input_file_exit_code(self, tmp_path, capsys, flag, experiment, key):
+        missing = tmp_path / "missing"
+        assert main(experiment + [flag, str(missing), "--seed", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err and "missing" in err
+
+    @pytest.mark.parametrize(
+        "flag,experiment,text,key",
+        [
+            ("--script", ["sweep", "--lambda-grid", "0,0.5"], "not json", "script"),
+            ("--script", ["sweep", "--lambda-grid", "0,0.5"], '{"name": "no rounds"}', "script"),
+            ("--alice-instrument", ["nosignal"], "not an instrument", "alice_instruments"),
+            (
+                "--alice-instrument",
+                ["nosignal"],
+                "instrument lossy\ndimension 2\nbranch 0\nop\n1+0i 0+0i\n0+0i 0+0i\nend\n",
+                "alice_instruments",
+            ),
+        ],
+    )
+    def test_malformed_input_file_exit_code(self, tmp_path, capsys, flag, experiment, text, key):
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert main(experiment + [flag, str(path), "--seed", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--transcript"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, flag):
+        target = tmp_path / "no-such-dir" / "file"
+        code = main(["chsh", "--mode", "er", "--trials", "100", "--seed", "1", flag, str(target)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag.lstrip("-") in err
+
     def test_config_exit_code(self, capsys):
         code = main(["chsh", "--trials", "100"])  # no seed anywhere
         assert code == EXIT_CONFIG
@@ -194,6 +291,34 @@ class TestMain:
             assert "example: locclab " + experiment in capsys.readouterr().out
 
 
+class TestSingleDelivery:
+    """Each world's pair is computed once per run, however many times it is read."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        from locclab import worlds
+
+        calls = []
+        kernel = worlds.pair_coherence
+        monkeypatch.setattr(worlds, "pair_coherence", lambda w: calls.append(w) or kernel(w))
+        return calls
+
+    @pytest.mark.parametrize(
+        "args,worlds_built",
+        [
+            (["distinguish", "--lambda", "0.4"], 1),
+            (["distinguish", "--lambda", "0"], 1),
+            (["sweep", "--lambda-grid", "0,0.3,0.6"], 3),
+            (["nosignal", "--mode", "epr", "--lambda", "0.8"], 1),
+            (["qecc", "--q-dims", "2,3,4", "--lambda", "0.5"], 3),
+        ],
+    )
+    def test_one_kernel_call_per_epr_world(self, kernel_calls, capsys, args, worlds_built):
+        assert main(args + ["--seed", "3"]) == EXIT_OK
+        assert len(kernel_calls) == worlds_built
+        assert len({id(w) for w in kernel_calls}) == worlds_built
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["chsh", "--mode", "er", "--trials", "5000", "--seed", "7"]
@@ -215,6 +340,22 @@ class TestDeterminism:
             assert code == EXIT_OK
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_payload_bytes_independent_of_hash_seed(self):
+        # transcript keys are string tuples, whose set order follows the
+        # per-process string hash; the payload must not
+        src = Path(__file__).resolve().parents[1] / "src"
+        args = ["distinguish", "--seed", "1", "--q-dim", "2", "--qbar-dim", "1",
+                "--lambda", "1.1", "--format", "columnar"]
+        outs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            proc = subprocess.run(
+                [sys.executable, "-m", "locclab.cli", *args],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1] == outs[2]
 
     def test_structured_payload_excludes_timing_and_width(self):
         cfg = parse_config("chsh", None, {"seed": 1, "mode": "er", "exact": True})

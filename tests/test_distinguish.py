@@ -65,9 +65,8 @@ class TestAccessibleDistribution:
         script = canonical_chsh_script()
         ours = accessible_distribution(world, script).as_dict()
 
-        pair = oracles.dense_world_pair(
-            world.decomposition.h_rest.matrix, 2, 2, 0.6, world.evolution_time
-        )
+        h_rest = oracles.rest_hamiltonian([term.matrix for term in world.rest_terms])
+        pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, world.evolution_time)
         rounds = []
         for party, rnd in zip((0, 1), script.rounds):
             branches = [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches]

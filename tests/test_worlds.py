@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locclab import (
     CapacityError,
@@ -17,9 +18,22 @@ from locclab import (
     singlet_density,
     trace_distance,
 )
-from locclab.worlds import HamiltonianDecomposition, World
+from locclab import worlds
+from locclab.worlds import QUBIT_CAP, World, pair_coherence
 
 import oracles
+from helpers import random_hermitian
+
+
+def dense_rest(world):
+    """The world's rest Hamiltonian on all rest qubits, assembled by the oracle."""
+    return oracles.rest_hamiltonian([term.matrix for term in world.rest_terms])
+
+
+def idle_world(qbar_dim, lam, t, q_dim=2):
+    """An EPR world whose rest qubits have zero Hamiltonian terms."""
+    zero = HermitianOperator(np.zeros((2, 2)), qubits("env"))
+    return World(mode="EPR", q_dim=q_dim, evolution_time=t, lam=lam, rest_terms=[zero] * qbar_dim)
 
 
 class TestErWorld:
@@ -36,9 +50,12 @@ class TestErWorld:
 
 class TestEprConstruction:
     def test_zero_coupling_term_is_exactly_zero(self):
+        # both carrier branches then see the same rest Hamiltonian, so every
+        # overlap is a squared norm: 1 to rounding
         world = build_epr_world(2, 1, 0.0, seed=3)
-        assert not np.any(world.decomposition.h_coupling.matrix)
-        assert world.decomposition.lam == 0.0
+        assert world.lam == 0.0
+        assert world.coupling_weights == (0.25, -0.25)
+        assert abs(pair_coherence(world) - 1.0) < 1e-14
 
     def test_total_dimension_includes_boundary(self):
         world = build_epr_world(2, 2, 0.5, seed=3)
@@ -47,12 +64,19 @@ class TestEprConstruction:
     def test_assembled_hamiltonian_is_hermitian(self):
         for seed in range(5):
             world = build_epr_world(2, 2, 0.7, seed=seed)
-            h = world.decomposition.total_operator().matrix
+            assert len(world.rest_terms) == world.qbar_dim == 2
+            for term in world.rest_terms:
+                assert term.matrix.shape == (2, 2)
+                assert np.max(np.abs(term.matrix - term.matrix.conj().T)) < 1e-10
+            h = dense_rest(world)
             assert np.max(np.abs(h - h.conj().T)) < 1e-10
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             build_epr_world(8, 8, 0.1, seed=0)
+        with pytest.raises(CapacityError):
+            build_epr_world(2, QUBIT_CAP - 3, 0.1, seed=0)
+        assert build_epr_world(2, QUBIT_CAP - 4, 0.1, seed=0).total_dim == 2**QUBIT_CAP
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -61,10 +85,25 @@ class TestEprConstruction:
             build_epr_world(2, 0, 0.0, seed=0)
         with pytest.raises(ValueError):
             build_epr_world(2, 1, -0.5, seed=0)
+        with pytest.raises(ValueError):
+            build_epr_world(2, 1, math.nan, seed=0)
+        with pytest.raises(ValueError):
+            build_epr_world(2, 1, 0.5, seed=0, evolution_time=math.inf)
 
     def test_rest_hamiltonian_entries_bounded(self):
         world = build_epr_world(2, 3, 0.5, seed=11)
-        assert np.max(np.abs(world.decomposition.h_rest.matrix)) <= 3.0 + 1e-12
+        for term in world.rest_terms:
+            assert np.max(np.abs(term.matrix)) <= 1.0
+        assert np.max(np.abs(dense_rest(world))) <= 3.0 + 1e-12
+
+    def test_rest_terms_drawn_in_documented_order(self):
+        # per rest qubit: a, d from U(-1, 1), then x, y from U(-0.7, 0.7)
+        world = build_epr_world(3, 2, 0.5, seed=17)
+        rng = np.random.default_rng(17)
+        for term in world.rest_terms:
+            a, d = rng.uniform(-1.0, 1.0, size=2)
+            x, y = rng.uniform(-0.7, 0.7, size=2)
+            assert np.array_equal(term.matrix, [[a, x + 1j * y], [x - 1j * y, d]])
 
 
 class TestDeliverPair:
@@ -82,9 +121,7 @@ class TestDeliverPair:
         reference = None
         for seed in (1, 2, 3):
             world = build_epr_world(2, 2, 0.0, seed=seed)
-            pair = oracles.dense_world_pair(
-                world.decomposition.h_rest.matrix, 2, 2, 0.0, world.evolution_time
-            )
+            pair = oracles.dense_world_pair(dense_rest(world), 2, 2, 0.0, world.evolution_time)
             assert np.max(np.abs(pair - singlet_density().matrix)) < 1e-10
             if reference is not None:
                 assert np.max(np.abs(pair - reference)) < 1e-10
@@ -98,9 +135,45 @@ class TestDeliverPair:
         world = build_epr_world(q_dim, qbar_dim, lam, seed=seed)
         ours = deliver_pair(world).state.matrix
         oracle = oracles.dense_world_pair(
-            world.decomposition.h_rest.matrix, q_dim, qbar_dim, lam, world.evolution_time
+            dense_rest(world), q_dim, qbar_dim, lam, world.evolution_time
         )
         assert np.max(np.abs(ours - oracle)) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        q_dim=st.integers(2, 4),
+        qbar_dim=st.integers(1, 3),
+        lam=st.floats(0.0, 2.0),
+        t=st.floats(0.0, 2.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle_everywhere(self, q_dim, qbar_dim, lam, t, seed):
+        world = build_epr_world(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
+        oracle = oracles.dense_world_pair(dense_rest(world), q_dim, qbar_dim, lam, t)
+        assert np.max(np.abs(deliver_pair(world).state.matrix - oracle)) < 1e-12
+
+    def test_world_beyond_dense_reach(self):
+        # 2 boundary + 3 channel + 12 rest qubits: 2**17 dimensions, past the
+        # cap of build_epr_world and far past the dense oracle
+        rng = np.random.default_rng(12)
+        terms = [random_hermitian(rng, 1, [f"env{j}"]) for j in range(12)]
+        for lam in (0.0, 0.3, 1.7):
+            world = World(mode="EPR", q_dim=3, evolution_time=1.0, lam=lam, rest_terms=terms)
+            pair = deliver_pair(world).state.matrix
+            # |c| <= 1 up to the rounding of a 12-factor product
+            assert abs(pair_coherence(world)) <= 1.0 + 1e-12
+            if lam == 0.0:
+                assert np.max(np.abs(pair - singlet_density().matrix)) < 1e-12
+            else:
+                assert purity(deliver_pair(world).state) < 1.0 - 1e-6
+
+    def test_pair_computed_once_per_world(self, monkeypatch):
+        calls = []
+        kernel = worlds.pair_coherence
+        monkeypatch.setattr(worlds, "pair_coherence", lambda w: calls.append(w) or kernel(w))
+        world = build_epr_world(2, 2, 0.4, seed=1)
+        assert deliver_pair(world) is deliver_pair(world)
+        assert calls == [world]
 
     def test_coupling_decoheres(self):
         pair = deliver_pair(build_epr_world(2, 2, 0.8, seed=5))
@@ -118,42 +191,15 @@ class TestDeliverPair:
         # with the rest Hamiltonian zero, each rest qubit contributes a
         # cos(lam*t) factor to the pair coherence
         for qbar_dim, lam, t in ((1, 0.7, 1.0), (2, 0.45, 1.3), (3, 1.2, 0.5)):
-            world = build_epr_world(2, qbar_dim, lam, seed=0, evolution_time=t)
-            idle = HamiltonianDecomposition(
-                world.decomposition.h_channel,
-                HermitianOperator(
-                    np.zeros_like(world.decomposition.h_rest.matrix),
-                    world.decomposition.h_rest.layout,
-                ),
-                world.decomposition.h_coupling,
-                lam,
-            )
-            custom = World(
-                mode="EPR",
-                q_dim=2,
-                qbar_dim=qbar_dim,
-                decomposition=idle,
-                evolution_time=t,
-            )
-            ours = deliver_pair(custom).state.matrix
+            ours = deliver_pair(idle_world(qbar_dim, lam, t)).state.matrix
             expected = oracles.dephased_singlet(math.cos(lam * t) ** qbar_dim)
             assert np.max(np.abs(ours - expected)) < 1e-10
 
     def test_exact_dephasing_floor(self):
         # coherence cos(lam*t) vanishes at lam*t = pi/2: maximally mixed on
         # the pair's support, purity exactly 1/2
-        world = build_epr_world(2, 1, math.pi / 2, seed=0, evolution_time=1.0)
-        idle = HamiltonianDecomposition(
-            world.decomposition.h_channel,
-            HermitianOperator(
-                np.zeros_like(world.decomposition.h_rest.matrix),
-                world.decomposition.h_rest.layout,
-            ),
-            world.decomposition.h_coupling,
-            math.pi / 2,
-        )
-        custom = World(mode="EPR", q_dim=2, qbar_dim=1, decomposition=idle, evolution_time=1.0)
-        assert abs(purity(deliver_pair(custom).state) - 0.5) < 1e-10
+        world = idle_world(1, math.pi / 2, 1.0)
+        assert abs(purity(deliver_pair(world).state) - 0.5) < 1e-10
 
     def test_location_labels_never_touch_numbers(self):
         a = deliver_pair(build_epr_world(2, 2, 0.6, seed=8, location_labels=("here", "there")))
@@ -177,9 +223,7 @@ class TestPurityProfile:
         profile = channel_purity_profile([0.0, 0.5, 1.0], qbar_dim=2, seed=6, evolution_time=0.5)
         for lam, p in profile[1:]:
             world = build_epr_world(2, 2, lam, seed=6, evolution_time=0.5)
-            pair = oracles.dense_world_pair(
-                world.decomposition.h_rest.matrix, 2, 2, lam, 0.5
-            )
+            pair = oracles.dense_world_pair(dense_rest(world), 2, 2, lam, 0.5)
             assert abs(p - float(np.trace(pair @ pair).real)) < 1e-10
 
     def test_large_coupling_approaches_half_purity_floor(self):
