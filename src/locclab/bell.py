@@ -7,15 +7,24 @@ independently and uniformly per trial (free choice), apply projective
 instruments, and estimate each correlation from its conditioned subsample.
 
 Randomness is counter-based: trial ``i`` owns Philox counter block ``i``
-under the master seed, so any partition of trials into chunks reproduces the
-same transcript bit for bit, whatever the parallelism width.
+under the master seed, so trials can be drawn in any grouping and still
+reproduce the same transcript bit for bit.  The sampler draws them in fixed
+blocks of ``BLOCK_TRIALS``, whose edges do not depend on the parallelism
+width.  Each block becomes one compact outcome code per trial and is then
+reduced to a ``(2, 2, 2)`` tally: trials per setting pair, split by the sign
+of ``a*b``.  The estimate comes from the summed tallies, so memory is set by
+the block size and never grows with the trial count.  A transcript export is
+written block by block as the trials are drawn.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -38,6 +47,7 @@ __all__ = [
     "estimate_from_transcript",
     "sample_chsh",
     "estimate_decoherence",
+    "BLOCK_TRIALS",
     "TRANSCRIPT_HEADER",
     "format_transcript",
 ]
@@ -46,6 +56,9 @@ TSIRELSON_BOUND = 2 * math.sqrt(2)
 
 #: 45-degree-separated angles attaining the quantum maximum on the singlet.
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+
+#: Trials per sampler block.  Block edges never depend on the parallel width.
+BLOCK_TRIALS = 1 << 16
 
 _CELL_NAMES = {(0, 0): "(a, b)", (0, 1): "(a, b')", (1, 0): "(a', b)", (1, 1): "(a', b')"}
 
@@ -174,61 +187,73 @@ def _joint_cells(pair: BoundaryPair, config: CHSHConfig) -> np.ndarray:
     return cells
 
 
-def _run_chunk(start: int, stop: int, seed: int, cells: np.ndarray) -> np.ndarray:
-    """Trials [start, stop) as transcript rows; trial i uses Philox block i."""
-    n = stop - start
-    bitgen = np.random.Philox(key=seed, counter=start)
-    u = np.random.Generator(bitgen).random(4 * n).reshape(n, 4)
-    x = (u[:, 0] >= 0.5).astype(np.int64)
-    y = (u[:, 1] >= 0.5).astype(np.int64)
-    p_a_plus = cells[x, y, 0, 0] + cells[x, y, 0, 1]
-    a_idx = (u[:, 2] >= p_a_plus).astype(np.int64)  # 0 -> +1 outcome
-    p_a = np.where(a_idx == 0, p_a_plus, 1.0 - p_a_plus)
-    p_b_plus_joint = cells[x, y, a_idx, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_b_plus = np.where(p_a > 0, p_b_plus_joint / np.where(p_a > 0, p_a, 1.0), 0.0)
-    b_idx = (u[:, 3] >= p_b_plus).astype(np.int64)
-    rows = np.empty((n, 5), dtype=np.int64)
-    rows[:, 0] = np.arange(start, stop)
-    rows[:, 1] = x
-    rows[:, 2] = y
-    rows[:, 3] = 1 - 2 * a_idx
-    rows[:, 4] = 1 - 2 * b_idx
-    return rows
+def _outcome_thresholds(world: World, config: CHSHConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``a_plus[2x+y] = P(A=+1 | x, y)`` and ``b_plus[2(2x+y)+i] = P(B=+1 | x, y, A=i)``."""
+    cells = _joint_cells(deliver_pair(world), config).reshape(4, 2, 2)
+    a_plus = cells[:, 0, 0] + cells[:, 0, 1]
+    p_a = np.stack([a_plus, 1.0 - a_plus], axis=1)
+    b_plus = np.where(p_a > 0, cells[:, :, 0] / np.where(p_a > 0, p_a, 1.0), 0.0)
+    return a_plus, b_plus.ravel()
 
 
-def chsh_transcript(world: World, config: CHSHConfig, parallel_width: int = 1) -> np.ndarray:
-    """Per-trial records ``(trial, x, y, a, b)`` with outcomes in {-1, +1}.
+def _block_codes(start: int, stop: int, seed: int, a_plus, b_plus) -> np.ndarray:
+    """Codes ``8x + 4y + 2i + j`` of trials [start, stop); trial t draws Philox block t.
 
-    Bit-identical for every ``parallel_width`` and chunking.
+    ``x, y`` are the settings and ``i, j`` the outcome indices, 0 for the +1 outcome.
+    """
+    u = np.random.Generator(np.random.Philox(key=seed, counter=start)).random((stop - start, 4))
+    xy = 2 * (u[:, 0] >= 0.5) + (u[:, 1] >= 0.5)
+    i = u[:, 2] >= a_plus[xy]
+    j = u[:, 3] >= b_plus[2 * xy + i]
+    return 4 * xy + 2 * i + j
+
+
+def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block) -> Iterator:
+    """``per_block(start, codes)`` for each block of trials, yielded in trial order.
+
+    Blocks are ``BLOCK_TRIALS`` long whatever the width, and at most
+    ``min(parallel_width, cpu count, blocks)`` threads run them.
     """
     if parallel_width < 1:
         raise ValueError(f"parallel width must be >= 1, got {parallel_width}")
-    pair = deliver_pair(world)
-    cells = _joint_cells(pair, config)
-    n = config.trials
-    bounds = np.linspace(0, n, parallel_width + 1).astype(int)
-    chunks = [(int(s), int(e)) for s, e in zip(bounds, bounds[1:]) if e > s]
-    if parallel_width == 1 or len(chunks) == 1:
-        parts = [_run_chunk(s, e, config.seed, cells) for s, e in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel_width) as pool:
-            parts = list(pool.map(lambda se: _run_chunk(se[0], se[1], config.seed, cells), chunks))
-    return np.concatenate(parts, axis=0)
+    a_plus, b_plus = _outcome_thresholds(world, config)
+
+    def run(start: int):
+        stop = min(start + BLOCK_TRIALS, config.trials)
+        return per_block(start, _block_codes(start, stop, config.seed, a_plus, b_plus))
+
+    starts = range(0, config.trials, BLOCK_TRIALS)
+    workers = min(parallel_width, os.cpu_count() or 1, len(starts))
+    if workers == 1:
+        return map(run, starts)
+    return _threaded(run, starts, workers)
 
 
-def estimate_from_transcript(transcript: np.ndarray) -> CHSHResult:
-    """Correlations from integer counts per setting pair; order-independent."""
-    counts = np.zeros((2, 2), dtype=np.int64)
-    products = np.zeros((2, 2), dtype=np.int64)
-    x, y = transcript[:, 1], transcript[:, 2]
-    ab = transcript[:, 3] * transcript[:, 4]
-    np.add.at(counts, (x, y), 1)
-    np.add.at(products, (x, y), ab)
+def _threaded(fn, starts: range, workers: int) -> Iterator:
+    """``fn`` over ``starts`` in order, one window of ``workers`` blocks in flight at a time."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for k in range(0, len(starts), workers):
+            yield from pool.map(fn, starts[k : k + workers])
+
+
+def _codes_of(transcript: np.ndarray) -> np.ndarray:
+    """The outcome code ``8x + 4y + 2i + j`` of each transcript row."""
+    t = transcript
+    return 8 * t[:, 1] + 4 * t[:, 2] + 2 * (t[:, 3] < 0) + (t[:, 4] < 0)
+
+
+def _tally(codes: np.ndarray) -> np.ndarray:
+    """``tally[x, y, s]``: trials with settings ``(x, y)`` and ``a*b`` +1 (s = 0) or -1 (s = 1)."""
+    c = np.bincount(codes, minlength=16).reshape(2, 2, 2, 2)
+    return np.stack([c[..., 0, 0] + c[..., 1, 1], c[..., 0, 1] + c[..., 1, 0]], axis=-1)
+
+
+def _estimate(tally: np.ndarray) -> CHSHResult:
+    counts = tally.sum(axis=-1)
     for cell, name in _CELL_NAMES.items():
         if counts[cell] == 0:
             raise EmptyCellError(name)
-    e = products / counts
+    e = (tally[..., 0] - tally[..., 1]) / counts
     var = np.maximum(1.0 - e**2, 0.0)
     se = math.sqrt(float(np.sum(var / counts)))
     return _result_from_correlations(
@@ -236,9 +261,49 @@ def estimate_from_transcript(transcript: np.ndarray) -> CHSHResult:
     )
 
 
-def sample_chsh(world: World, config: CHSHConfig, parallel_width: int = 1) -> CHSHResult:
-    """Sampled CHSH experiment; deterministic given ``config.seed``."""
-    return estimate_from_transcript(chsh_transcript(world, config, parallel_width))
+def chsh_transcript(world: World, config: CHSHConfig, parallel_width: int = 1) -> np.ndarray:
+    """Per-trial records ``(trial, x, y, a, b)`` with outcomes in {-1, +1}.
+
+    Bit-identical for every ``parallel_width``.
+    """
+    codes = np.concatenate(list(_run_blocks(world, config, parallel_width, lambda _, c: c)))
+    x, y, i, j = codes >> 3, codes >> 2 & 1, codes >> 1 & 1, codes & 1
+    return np.column_stack([np.arange(config.trials), x, y, 1 - 2 * i, 1 - 2 * j])
+
+
+def estimate_from_transcript(transcript: np.ndarray) -> CHSHResult:
+    """Correlations from integer counts per setting pair; order-independent."""
+    return _estimate(_tally(_codes_of(transcript)))
+
+
+def sample_chsh(
+    world: World,
+    config: CHSHConfig,
+    parallel_width: int = 1,
+    transcript_out: BinaryIO | None = None,
+) -> CHSHResult:
+    """Sampled CHSH experiment; deterministic given ``config.seed``.
+
+    Each block of trials is reduced to its tally as it is drawn, so memory
+    does not grow with ``config.trials``.  With ``transcript_out``, a binary
+    file, the transcript text is written to it in trial order as it is
+    drawn: the bytes of ``format_transcript(chsh_transcript(...))``.
+    """
+
+    def per_block(start: int, codes: np.ndarray):
+        if transcript_out is None:
+            return _tally(codes), None
+        return _tally(codes), _format_rows(np.arange(start, start + len(codes)), codes)
+
+    blocks = _run_blocks(world, config, parallel_width, per_block)
+    tally = np.zeros((2, 2, 2), dtype=np.int64)
+    if transcript_out is not None:
+        transcript_out.write(_HEADER_LINE)
+    for part, text in blocks:
+        tally += part
+        if text is not None:
+            transcript_out.write(text)
+    return _estimate(tally)
 
 
 def estimate_decoherence(result: CHSHResult) -> DecoherenceEstimate:
@@ -250,10 +315,50 @@ def estimate_decoherence(result: CHSHResult) -> DecoherenceEstimate:
 #: Column layout of the exported transcript text format.
 TRANSCRIPT_HEADER = "trial alice_setting bob_setting alice_outcome bob_outcome"
 
+_HEADER_LINE = (TRANSCRIPT_HEADER + "\n").encode("ascii")
+
+#: ``" x y +a +b\n"`` of each outcome code ``8x + 4y + 2i + j``.
+_ROW_TAILS = np.array(
+    [
+        list(f" {x} {y} {1 - 2 * i:+d} {1 - 2 * j:+d}\n".encode("ascii"))
+        for x, y, i, j in product((0, 1), repeat=4)
+    ],
+    dtype=np.uint8,
+)
+
+
+#: 10, 100, ..., 10**18: where the trial numbers of each digit count above one start.
+_DIGIT_EDGES = 10 ** np.arange(1, 19)
+
+
+def _format_rows(trials: np.ndarray, codes: np.ndarray) -> bytes:
+    """Transcript rows as ASCII, for nonnegative ascending ``trials``.
+
+    Rows whose trial numbers have ``d`` digits are contiguous, and each such
+    group is built as one ``(rows, d + 11)`` byte array: the digits, then
+    the row tail of the outcome code.
+    """
+    edges = [0, *np.searchsorted(trials, _DIGIT_EDGES), len(trials)]
+    parts = []
+    for d, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+        if lo == hi:
+            continue
+        text = np.empty((hi - lo, d + _ROW_TAILS.shape[1]), dtype=np.uint8)
+        q = trials[lo:hi].copy()
+        for k in reversed(range(d)):
+            text[:, k] = q % 10 + ord("0")
+            q //= 10
+        text[:, d:] = _ROW_TAILS[codes[lo:hi]]
+        parts.append(text.tobytes())
+    return b"".join(parts)
+
 
 def format_transcript(transcript: np.ndarray) -> str:
-    """Columnar text export: one record per trial under a fixed header."""
-    lines = [TRANSCRIPT_HEADER]
-    for row in transcript:
-        lines.append(f"{row[0]} {row[1]} {row[2]} {row[3]:+d} {row[4]:+d}")
-    return "\n".join(lines) + "\n"
+    """Columnar text export: one record per trial under a fixed header.
+
+    The trial column must be nonnegative and ascending, as ``chsh_transcript`` makes it.
+    """
+    trials = transcript[:, 0]
+    if trials.size and (trials[0] < 0 or np.any(trials[1:] < trials[:-1])):
+        raise ValueError("transcript trial numbers must be nonnegative and ascending")
+    return (_HEADER_LINE + _format_rows(trials, _codes_of(transcript))).decode("ascii")

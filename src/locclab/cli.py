@@ -14,6 +14,7 @@ capacity error, 4 built-in assertion failure, 5 empty-cell estimation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,10 +29,8 @@ from .bell import (
     CHSHConfig,
     CHSHResult,
     TSIRELSON_BOUND,
-    chsh_transcript,
-    estimate_from_transcript,
     exact_chsh,
-    format_transcript,
+    sample_chsh,
 )
 from .distinguish import (
     EprParams,
@@ -254,6 +253,10 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError(f"must be 'columnar' or 'structured', got {cfg.fmt!r}", key="format")
     if cfg.evolution_time <= 0:
         raise ConfigError("must be positive", key="evolution_time")
+    # the phases of pair_coherence are at most evolution_time * (lambda + 2) in size
+    for key, lam in (("lambda", cfg.lam), ("lambda_grid", max(cfg.lambda_grid or (0.0,)))):
+        if not math.isfinite((lam + 2) * cfg.evolution_time):
+            raise ConfigError(f"phase {lam} * {cfg.evolution_time} overflows", key=key)
     if cfg.experiment == "sweep":
         grid = cfg.lambda_grid
         if not grid:
@@ -332,17 +335,24 @@ def _chsh_columnar(res: CHSHResult) -> str:
     return _CHSH_HEADER + "\n" + row + "\n"
 
 
+def _sample_chsh(world: World, cfg: RunConfig) -> CHSHResult:
+    """Sampled CHSH, streaming the transcript to ``cfg.transcript`` when one is asked for."""
+    config = CHSHConfig(trials=cfg.trials, seed=cfg.seed)
+    if not cfg.transcript:
+        return sample_chsh(world, config, cfg.parallel)
+    try:
+        with open(cfg.transcript, "wb") as fh:
+            return sample_chsh(world, config, cfg.parallel, fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.transcript!r}: {exc}", key="transcript") from exc
+
+
 def _run_chsh(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
     world = _world_from_config(cfg)
     if cfg.exact:
         res = exact_chsh(deliver_pair(world))
     else:
-        transcript = chsh_transcript(
-            world, CHSHConfig(trials=cfg.trials, seed=cfg.seed), cfg.parallel
-        )
-        if cfg.transcript:
-            _write_file(cfg.transcript, format_transcript(transcript), "transcript")
-        res = estimate_from_transcript(transcript)
+        res = _sample_chsh(world, cfg)
     criteria = [
         (
             "s_abs within quantum bound",
@@ -500,6 +510,7 @@ def run(cfg: RunConfig) -> RunReport:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locclab",
@@ -557,7 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("columnar", "structured"),
                        help="payload format (default structured)")
         p.add_argument("--parallel", type=int,
-                       help="execution width; payload bytes do not depend on it")
+                       help="sampler threads, at most the core count; "
+                       "payload bytes do not depend on it")
     return parser
 
 

@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch against plain numpy:
 matrix exponentials by scaled Taylor series instead of eigendecomposition,
 operator embedding and partial traces by explicit index loops instead of
-reshapes, and transcript distributions by direct recursion over embedded
-Kraus operators.  These functions trade speed for obviousness; they must
-never import from the package under test.
+reshapes, transcript distributions by direct recursion over embedded
+Kraus operators, and CHSH transcript text and counts one row at a time.
+These functions trade speed for obviousness; they must never import from
+the package under test.
 """
 
 from __future__ import annotations
@@ -207,3 +208,22 @@ def transcript_distribution(pair: np.ndarray, rounds) -> dict[tuple[str, ...], f
 def tvd(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def format_transcript_rows(rows) -> str:
+    """CHSH transcript text, one Python f-string per row under the fixed header."""
+    lines = ["trial alice_setting bob_setting alice_outcome bob_outcome"]
+    for row in rows:
+        lines.append(f"{row[0]} {row[1]} {row[2]} {row[3]:+d} {row[4]:+d}")
+    return "\n".join(lines) + "\n"
+
+
+def chsh_counts(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """Trials and summed outcome products ``a*b`` per setting pair, one row at a time."""
+    counts = [[0, 0], [0, 0]]
+    products = [[0, 0], [0, 0]]
+    for row in rows:
+        x, y = int(row[1]), int(row[2])
+        counts[x][y] += 1
+        products[x][y] += int(row[3]) * int(row[4])
+    return counts, products

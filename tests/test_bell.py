@@ -1,6 +1,10 @@
 """Tests for CHSH machinery: exact values, sampling, determinism."""
 
+import io
 import math
+import os
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from locclab import (
     chsh_transcript,
     deliver_pair,
     estimate_decoherence,
+    estimate_from_transcript,
     exact_chsh,
     exact_correlation,
     format_transcript,
@@ -24,7 +29,9 @@ from locclab import (
     sample_chsh,
     singlet_density,
 )
-from locclab.bell import TRANSCRIPT_HEADER
+from locclab import bell
+from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
+from locclab.cli import main
 from locclab.worlds import BoundaryPair
 
 import helpers
@@ -212,3 +219,76 @@ class TestEstimates:
         assert len(parts) == 5
         assert int(parts[0]) == 0
         assert int(parts[3]) in (-1, 1)
+
+
+B = BLOCK_TRIALS
+EPR_WORLD = build_epr_world(3, 2, 0.7, seed=5)
+
+
+class TestBlockSampler:
+    """The fixed-block sampler against row-at-a-time oracles and its own transcript."""
+
+    @pytest.mark.parametrize("trials", [1, 10, 11, 12, B - 1, B, B + 1, 100001, 3 * B + 7])
+    def test_export_matches_row_oracle(self, trials):
+        cfg = CHSHConfig(trials=trials, seed=trials % 5)
+        t = chsh_transcript(EPR_WORLD, cfg)
+        want = oracles.format_transcript_rows(t)
+        assert format_transcript(t) == want
+        out = io.BytesIO()
+        try:
+            sample_chsh(EPR_WORLD, cfg, transcript_out=out)
+        except EmptyCellError:
+            assert trials < 12
+        assert out.getvalue() == want.encode("ascii")
+
+    def test_export_of_a_slice(self):
+        t = chsh_transcript(build_er_world(), CHSHConfig(trials=120, seed=3))
+        assert format_transcript(t[7:103]) == oracles.format_transcript_rows(t[7:103])
+        assert format_transcript(t[:0]) == TRANSCRIPT_HEADER + "\n"
+
+    @pytest.mark.parametrize("trial_column", [[0, 2, 1], [-1, 0, 1]])
+    def test_export_refuses_unordered_trials(self, trial_column):
+        t = chsh_transcript(build_er_world(), CHSHConfig(trials=3, seed=3))
+        t[:, 0] = trial_column
+        with pytest.raises(ValueError, match="ascending"):
+            format_transcript(t)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("world", [build_er_world(), EPR_WORLD], ids=["er", "epr"])
+    def test_streamed_estimate_equals_transcript_estimate(self, world, width):
+        cfg = CHSHConfig(trials=3 * B + 7, seed=width)
+        t = chsh_transcript(world, cfg, parallel_width=width)
+        assert np.array_equal(t, chsh_transcript(world, cfg))
+        res = sample_chsh(world, cfg, parallel_width=width)
+        assert res == estimate_from_transcript(t)
+        counts, products = oracles.chsh_counts(t)
+        e = [products[x][y] / counts[x][y] for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        assert list(res.correlations) == e
+
+    def test_memory_independent_of_trial_count(self):
+        world = build_er_world()
+        sample_chsh(world, CHSHConfig(trials=10, seed=1))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            res = sample_chsh(world, CHSHConfig(trials=2 * 10**6, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(res.s_abs - TSIRELSON_BOUND) <= 5 * res.standard_error
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("trials,expected", [(3 * B, [2]), (1000, [])])
+    def test_threads_clamped_to_cores_and_blocks(self, monkeypatch, trials, expected):
+        seen = []
+
+        class SpyPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(bell, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code = main(["chsh", "--mode", "er", "--trials", str(trials), "--seed", "1",
+                     "--parallel", "64", "--out", os.devnull])
+        assert code == 0
+        assert seen == expected

@@ -202,6 +202,8 @@ class TestMain:
             (["sweep", "--lambda-grid", "0,inf"], "lambda_grid"),
             (["chsh", "--mode", "epr", "--q-dim", "1", "--exact"], "q_dim"),
             (["chsh", "--mode", "epr", "--qbar-dim", "0", "--exact"], "qbar_dim"),
+            (["distinguish", "--lambda", "1e300", "--evolution-time", "1e10"], "lambda"),
+            (["sweep", "--lambda-grid", "0,1e300", "--evolution-time", "1e10"], "lambda_grid"),
         ],
     )
     def test_bad_values_exit_code(self, capsys, args, key):
@@ -282,6 +284,35 @@ class TestMain:
         lines = spot.read_text().strip().split("\n")
         assert lines[0].startswith("trial")
         assert len(lines) == 201
+
+    def test_largest_finite_phase_still_runs(self, capsys):
+        args = ["distinguish", "--lambda", "1e300", "--evolution-time", "1e8", "--seed", "1"]
+        assert main(args) == EXIT_OK
+
+    def test_parser_built_once(self, capsys):
+        from locclab import cli
+
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["frames", "--seed", "1"]) == EXIT_OK
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_cached_parser_recovers_from_bad_argv(self, capsys):
+        from locclab import cli
+
+        good = ["chsh", "--mode", "er", "--exact", "--seed", "3"]
+        cli._build_parser.cache_clear()
+        assert main(good) == EXIT_OK
+        fresh = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["chsh", "--trials", "many", "--alice-instrument", "x", "--seed", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(good) == EXIT_OK
+        assert capsys.readouterr().out == fresh
+        assert json.loads(fresh)["config"] == {
+            "experiment": "chsh", "seed": 3, "format": "structured", "mode": "er", "exact": True
+        }
 
     def test_help_has_runnable_examples(self, capsys):
         for experiment in ("chsh", "sweep", "distinguish", "nosignal", "qecc", "frames"):
