@@ -12,7 +12,6 @@ from .bell import (
     CHSHConfig,
     CHSHResult,
     DecoherenceEstimate,
-    MeasurementSetting,
     OPTIMAL_ANGLES,
     TSIRELSON_BOUND,
     chsh_transcript,
@@ -21,7 +20,6 @@ from .bell import (
     exact_chsh,
     exact_correlation,
     format_transcript,
-    observable_at,
     sample_chsh,
 )
 from .distinguish import (
@@ -89,7 +87,6 @@ from .protocols import (
     bundled_corpus,
     bundled_script_names,
     canonical_chsh_script,
-    classify_locc_depth,
     load_bundled_script,
     load_script,
 )

@@ -30,17 +30,15 @@ import numpy as np
 
 from .errors import EmptyCellError
 from .instruments import apply_instrument, measure_angle
-from .linalg import HermitianOperator, PAULI_X, PAULI_Z, SubsystemLayout, expectation
+from .linalg import HermitianOperator, PAULI_X, PAULI_Z, expectation
 from .worlds import BoundaryPair, World, deliver_pair
 
 __all__ = [
     "TSIRELSON_BOUND",
     "OPTIMAL_ANGLES",
-    "MeasurementSetting",
     "CHSHConfig",
     "CHSHResult",
     "DecoherenceEstimate",
-    "observable_at",
     "exact_correlation",
     "exact_chsh",
     "chsh_transcript",
@@ -61,20 +59,6 @@ OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 BLOCK_TRIALS = 1 << 16
 
 _CELL_NAMES = {(0, 0): "(a, b)", (0, 1): "(a, b')", (1, 0): "(a', b)", (1, 1): "(a', b')"}
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One party's dialed angle; the observable is cos(a)Z + sin(a)X."""
-
-    angle: float
-    party: str  # "A" | "B"
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError("angle must be finite")
-        if self.party not in ("A", "B"):
-            raise ValueError(f"party must be 'A' or 'B', got {self.party!r}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +129,6 @@ def _result_from_correlations(e: tuple[float, float, float, float], se: float) -
         tsirelson_gap=TSIRELSON_BOUND - abs(s),
         standard_error=se,
     )
-
-
-def observable_at(angle: float, label: str = "q") -> HermitianOperator:
-    """Single-qubit observable cos(a)Z + sin(a)X; eigenvalues are +/-1."""
-    m = math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
-    return HermitianOperator(m, SubsystemLayout(((label, 2),)))
 
 
 def exact_correlation(pair: BoundaryPair, angle_a: float, angle_b: float) -> float:

@@ -49,7 +49,6 @@ from .instruments import (
     load_instrument,
     measure_x,
     measure_z,
-    validate_instrument,
 )
 from .protocols import (
     ProtocolRound,
@@ -397,9 +396,8 @@ def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]
 
 def _load_alice_instrument(path: str):
     name, inst = load_instrument(path)
-    report = validate_instrument(inst)
-    if inst.dimension != 2 or not report.passed:
-        raise ValueError(f"not a valid one-qubit instrument: {report.violations}")
+    if inst.dimension != 2 or not inst.report.passed:
+        raise ValueError(f"not a valid one-qubit instrument: {inst.report.violations}")
     return name, inst
 
 

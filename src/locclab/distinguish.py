@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bell import CHSHConfig, CHSHResult, exact_chsh
 from .errors import LocalityViolationError
-from .instruments import PROB_FLOOR, QuantumInstrument, apply_instrument
-from .linalg import DensityMatrix, purity
+from .instruments import PROB_FLOOR, QuantumInstrument, apply_branches
+from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
 from .worlds import World, build_epr_world, build_er_world, deliver_pair
 
@@ -119,28 +121,42 @@ def accessible_distribution(
     a conditioned round may see: ``"full"`` models an open classical
     channel, ``"own-party"`` withholds it.
     """
-    if not script.rounds:
-        raise ValueError("script has no rounds")
     pair = deliver_pair(world)
-    branches: list[tuple[tuple[str, ...], float, DensityMatrix | None]] = [
-        ((), 1.0, pair.state)
+    layout = pair.state.layout
+    # (transcript, probability, post-state or None) of every branch so far
+    branches: list[tuple[tuple[str, ...], float, np.ndarray | None]] = [
+        ((), 1.0, pair.state.matrix)
     ]
     for r, rnd in enumerate(script.rounds):
-        target = "q_A" if rnd.party == "A" else "q_B"
-        grown: list[tuple[tuple[str, ...], float, DensityMatrix | None]] = []
-        for transcript, prob, state in branches:
-            inst = rnd.resolve(_visible(transcript, script, r, condition_visibility))
+        target = ("q_A",) if rnd.party == "A" else ("q_B",)
+        insts = [rnd.resolve(_visible(t, script, r, condition_visibility)) for t, _, _ in branches]
+        for inst in insts:
             if inst.dimension != 2:
                 raise LocalityViolationError(
                     f"round {r} instrument has dimension {inst.dimension}; "
-                    f"it may only touch {target}"
+                    f"it may only touch {target[0]}"
                 )
-            if state is None or prob <= PROB_FLOOR:
-                for outcome in inst.outcomes:
-                    grown.append((transcript + (outcome,), 0.0, None))
+        # live branches grouped by instrument, each group run as one stack
+        groups: dict[QuantumInstrument, list[int]] = {}
+        for k, ((_, prob, state), inst) in enumerate(zip(branches, insts)):
+            if state is not None and prob > PROB_FLOOR:
+                groups.setdefault(inst, []).append(k)
+        applied = {}
+        live_posts = []
+        for inst, ks in groups.items():
+            probs, posts = apply_branches(inst, layout, target, np.stack([branches[k][2] for k in ks]))
+            live_posts.append(posts[probs > PROB_FLOOR])
+            for col, k in enumerate(ks):
+                applied[k] = (probs[:, col].tolist(), posts[:, col])
+        if live_posts:
+            check_density_stack(np.concatenate(live_posts), pair.state.tol)
+        grown = []
+        for k, ((transcript, prob, _), inst) in enumerate(zip(branches, insts)):
+            if k not in applied:
+                grown.extend((transcript + (o,), 0.0, None) for o in inst.outcomes)
                 continue
-            for rec in apply_instrument(inst, state, (target,)):
-                grown.append((transcript + (rec.outcome,), prob * rec.probability, rec.post_state))
+            for o, p, post in zip(inst.outcomes, *applied[k]):
+                grown.append((transcript + (o,), prob * p, post if p > PROB_FLOOR else None))
         branches = grown
     return OutcomeDistribution(tuple((t, p) for t, p, _ in branches))
 

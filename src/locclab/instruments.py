@@ -3,7 +3,12 @@
 An instrument maps a density operator to a list of classical outcomes, each
 with its probability and normalized post-measurement state.  Branches are
 stored in Kraus form because Kraus collections compose and coarse-grain
-cheaply; the Choi matrix of a branch is computed on demand for validation.
+cheaply.  An instrument is validated once per instrument: the report of
+:func:`validate_instrument` (complete positivity from the branch Choi
+matrices, trace preservation from the completeness sum) is kept with the
+frozen instrument, and so are its Kraus operators extended to each layout it
+is applied on.  :func:`apply_branches` applies every branch to a whole stack
+of states at once; :func:`apply_instrument` is that kernel on one state.
 
 Branches optionally carry signed real weights on their Kraus terms.  With
 all weights +1 (the default) a branch is automatically completely positive;
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +49,7 @@ __all__ = [
     "ValidationReport",
     "branch_choi",
     "validate_instrument",
+    "apply_branches",
     "apply_instrument",
     "one_way_local_instrument",
     "coarse_grain",
@@ -73,6 +80,8 @@ def _as_operator_tuple(ops: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
         m = np.array(op, dtype=complex, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Kraus operator must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("Kraus operator contains non-finite entries")
         m.setflags(write=False)
         out.append(m)
     if not out:
@@ -118,9 +127,16 @@ class InstrumentBranch:
 
 @dataclass(frozen=True, eq=False)
 class QuantumInstrument:
-    """A finite family of CP branch maps whose sum is trace preserving."""
+    """A finite family of CP branch maps whose sum is trace preserving.
+
+    ``report`` validates the instrument on first use and keeps the result.
+    ``embedded`` is a cache filled by :func:`apply_branches`: it maps
+    ``(layout factors, targets)`` to the Kraus operators extended to that
+    layout.
+    """
 
     branches: tuple[InstrumentBranch, ...]
+    embedded: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         branches = tuple(self.branches)
@@ -142,6 +158,11 @@ class QuantumInstrument:
     @property
     def outcomes(self) -> tuple[str, ...]:
         return tuple(b.outcome for b in self.branches)
+
+    @cached_property
+    def report(self) -> "ValidationReport":
+        """:func:`validate_instrument` at the default tolerances, run once."""
+        return validate_instrument(self)
 
     def branch(self, outcome: str) -> InstrumentBranch:
         for b in self.branches:
@@ -231,9 +252,9 @@ def validate_instrument(
     """
     violations: list[Violation] = []
     d = inst.dimension
+    min_eigs = np.linalg.eigvalsh(np.stack([branch_choi(b) for b in inst.branches]))[:, 0]
     total = np.zeros((d, d), dtype=complex)
-    for b in inst.branches:
-        min_eig = float(np.linalg.eigvalsh(branch_choi(b))[0])
+    for b, min_eig in zip(inst.branches, min_eigs.tolist()):
         if min_eig < -cp_atol:
             violations.append(Violation(b.outcome, "cp", -min_eig))
         total += b.completeness_term()
@@ -243,13 +264,84 @@ def validate_instrument(
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
+def _extended(ks: np.ndarray, layout: SubsystemLayout, targets: tuple[str, ...]) -> np.ndarray:
+    """The stack ``ks`` of operators on ``targets``, each extended by the identity to ``layout``."""
+    if layout.dims == (2, 2) and len(targets) == 1:
+        # the products np.kron(k, I) or np.kron(I, k) forms, so embed_operator's entries
+        if layout.position(targets[0]) == 0:
+            out = ks[:, :, None, :, None] * ID2[None, None, :, None, :]
+        else:
+            out = ID2[None, :, None, :, None] * ks[:, None, :, None, :]
+        return out.reshape(-1, 4, 4)
+    return np.stack([embed_operator(k, layout, targets) for k in ks])
+
+
+def _weighted_terms(inst: QuantumInstrument, layout: SubsystemLayout, targets: tuple[str, ...]):
+    """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to ``layout``.
+
+    ``rows`` selects the branches that have a ``k``-th Kraus operator, and
+    ``E`` stacks those operators as ``(rows, 1, d, d)``, ready to broadcast
+    over a stack of states.  Built on the first call for each
+    ``(layout, targets)`` and kept with ``inst``.
+    """
+    key = (layout.factors, targets)
+    if key not in inst.embedded:
+        branches = inst.branches
+        terms = []
+        for k in range(max(len(b.kraus) for b in branches)):
+            rows = [j for j, b in enumerate(branches) if len(b.kraus) > k]
+            e = _extended(np.stack([branches[j].kraus[k] for j in rows]), layout, targets)[:, None]
+            w = np.array([branches[j].effective_weights()[k] for j in rows])[:, None, None, None]
+            if len(rows) == len(branches):
+                rows = slice(None)
+            terms.append((rows, e, e.conj().swapaxes(-1, -2), w))
+        inst.embedded[key] = terms
+    return inst.embedded[key]
+
+
+def apply_branches(
+    inst: QuantumInstrument,
+    layout: SubsystemLayout,
+    targets: tuple[str, ...],
+    states: np.ndarray,
+    *,
+    prob_floor: float = PROB_FLOOR,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every branch of ``inst``, on the ``targets`` factors, applied to a stack of states.
+
+    ``states`` is an ``(n, d, d)`` stack of density matrices on ``layout``.
+    Returns ``probs`` of shape ``(branches, n)`` and the normalized
+    ``posts`` of shape ``(branches, n, d, d)``.  A probability at or below
+    ``prob_floor`` has no post-state: it is clamped to be nonnegative and
+    its post-state is left zero.  The post-states are not checked here;
+    :func:`~locclab.linalg.check_density_stack` checks them.  Raises
+    :class:`ContractError` if ``inst`` failed its validation.
+    """
+    target_dim = layout.dimension_of(targets)
+    if inst.dimension != target_dim:
+        raise LayoutError(
+            f"instrument dimension {inst.dimension} != target dimension {target_dim}"
+        )
+    if not inst.report.passed:
+        raise ContractError(
+            "invalid instrument: " + "; ".join(str(v) for v in inst.report.violations)
+        )
+    out = np.zeros((len(inst.branches),) + states.shape, dtype=complex)
+    for rows, e, e_dag, w in _weighted_terms(inst, layout, targets):
+        out[rows] += w * (e @ states @ e_dag)
+    probs = np.trace(out, axis1=-2, axis2=-1).real
+    live = probs > prob_floor
+    posts = np.zeros_like(out)
+    posts[live] = out[live] / probs[live][:, None, None]
+    return np.where(live, probs, np.maximum(probs, 0.0)), posts
+
+
 def apply_instrument(
     inst: QuantumInstrument,
     rho: DensityMatrix,
     targets: Sequence[str],
     *,
     prob_floor: float = PROB_FLOOR,
-    validate: bool = True,
 ) -> list[InstrumentOutcomeRecord]:
     """Apply ``inst`` to the ``targets`` factors of ``rho``.
 
@@ -257,33 +349,16 @@ def apply_instrument(
     normalized post-state embedded on the full layout (identity elsewhere).
     Probabilities sum to 1 for a valid instrument.
     """
-    if isinstance(targets, str):
-        targets = (targets,)
-    target_dim = rho.layout.dimension_of(targets)
-    if inst.dimension != target_dim:
-        raise LayoutError(
-            f"instrument dimension {inst.dimension} != target dimension {target_dim}"
+    targets = (targets,) if isinstance(targets, str) else tuple(targets)
+    probs, posts = apply_branches(
+        inst, rho.layout, targets, rho.matrix[None], prob_floor=prob_floor
+    )
+    return [
+        InstrumentOutcomeRecord(
+            b.outcome, p, DensityMatrix(post, rho.layout, rho.tol) if p > prob_floor else None
         )
-    if validate:
-        report = validate_instrument(inst)
-        if not report.passed:
-            raise ContractError(
-                "invalid instrument: " + "; ".join(str(v) for v in report.violations)
-            )
-    records = []
-    for b in inst.branches:
-        out = np.zeros_like(rho.matrix)
-        for w, k in zip(b.effective_weights(), b.kraus):
-            big = embed_operator(k, rho.layout, targets)
-            out += w * (big @ rho.matrix @ big.conj().T)
-        p = float(np.real(np.trace(out)))
-        if p > prob_floor:
-            post = DensityMatrix(out / p, rho.layout, rho.tol)
-        else:
-            post = None
-            p = max(p, 0.0)
-        records.append(InstrumentOutcomeRecord(b.outcome, p, post))
-    return records
+        for b, p, post in zip(inst.branches, probs[:, 0].tolist(), posts[:, 0])
+    ]
 
 
 def one_way_local_instrument(
@@ -312,9 +387,10 @@ def one_way_local_instrument(
         raise LayoutError(
             f"local instrument dimension {local.dimension} does not match factor {party!r}"
         )
-    report = validate_instrument(local)
-    if not report.passed:
-        raise ContractError("invalid local instrument: " + "; ".join(map(str, report.violations)))
+    if not local.report.passed:
+        raise ContractError(
+            "invalid local instrument: " + "; ".join(map(str, local.report.violations))
+        )
     checked_others: dict[str, tuple[np.ndarray, ...]] = {}
     for l, ops in others_tp.items():
         ops = _as_operator_tuple(ops)
@@ -505,9 +581,10 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
     if not lines or not lines[0].startswith("instrument"):
         raise ValueError("file must start with 'instrument <name>'")
     name = lines[0].split(maxsplit=1)[1] if " " in lines[0] else "instrument"
-    if len(lines) < 2 or not lines[1].startswith("dimension"):
+    parts = lines[1].split() if len(lines) > 1 else []
+    if len(parts) != 2 or parts[0] != "dimension":
         raise ValueError("second line must be 'dimension <d>'")
-    dim = int(lines[1].split()[1])
+    dim = int(parts[1])
     if lines[-1] != "end":
         raise ValueError("file must end with 'end'")
 

@@ -27,6 +27,7 @@ __all__ = [
     "DIMENSION_CAP",
     "SubsystemLayout",
     "DensityMatrix",
+    "check_density_stack",
     "PureState",
     "HermitianOperator",
     "tensor_product",
@@ -82,7 +83,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
 
 
@@ -138,6 +139,28 @@ def qubits(*labels: str) -> SubsystemLayout:
     return SubsystemLayout(tuple((l, 2) for l in labels))
 
 
+def check_density_stack(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """Raise ``ValueError`` unless every matrix of the stack ``m`` is a density matrix.
+
+    ``m`` is one square matrix or a stack of them over its leading axes.  The
+    checks are finiteness, then the Hermiticity defect, the trace defect and
+    the minimum eigenvalue against ``tol``; a failure reports the worst
+    matrix's defect.
+    """
+    if m.size == 0:
+        return
+    _require_finite(m, "density matrix")
+    herm_defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+    if herm_defect > tol.herm:
+        raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
+    tr_defect = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max()
+    if tr_defect > tol.trace:
+        raise ValueError(f"density matrix trace != 1 (defect {tr_defect:.3e})")
+    min_eig = float(np.linalg.eigvalsh(m)[..., 0].min())
+    if min_eig < -tol.psd:
+        raise ValueError(f"density matrix not PSD (min eigenvalue {min_eig:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density operator together with its subsystem layout.
@@ -159,16 +182,7 @@ class DensityMatrix:
             raise LayoutError(
                 f"matrix dimension {m.shape[0]} != layout dimension {self.layout.total_dim}"
             )
-        _require_finite(m, "density matrix")
-        herm_defect = np.max(np.abs(m - m.conj().T))
-        if herm_defect > self.tol.herm:
-            raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
-        tr_defect = abs(np.trace(m) - 1.0)
-        if tr_defect > self.tol.trace:
-            raise ValueError(f"density matrix trace != 1 (defect {tr_defect:.3e})")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -self.tol.psd:
-            raise ValueError(f"density matrix not PSD (min eigenvalue {min_eig:.3e})")
+        check_density_stack(m, self.tol)
 
     @property
     def dim(self) -> int:

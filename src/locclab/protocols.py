@@ -36,7 +36,6 @@ from .instruments import (
 __all__ = [
     "ProtocolRound",
     "ProtocolScript",
-    "classify_locc_depth",
     "instrument_from_spec",
     "script_from_dict",
     "load_script",
@@ -87,13 +86,19 @@ class ProtocolRound:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolScript:
-    """An ordered sequence of one-way-local rounds."""
+    """A nonempty ordered sequence of one-way-local rounds.
+
+    Its LOCC depth is ``len(rounds)``: depth 1 is a single local round with
+    broadcast.
+    """
 
     name: str
     rounds: tuple[ProtocolRound, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", tuple(self.rounds))
+        if not self.rounds:
+            raise ValueError("script has no rounds")
         for i, r in enumerate(self.rounds):
             if r.condition is not None:
                 for key in r.condition:
@@ -106,13 +111,6 @@ class ProtocolScript:
     @property
     def parties(self) -> tuple[str, ...]:
         return tuple(r.party for r in self.rounds)
-
-
-def classify_locc_depth(script: ProtocolScript) -> int:
-    """Number of one-way-local rounds; depth 1 is a single local round with broadcast."""
-    if not script.rounds:
-        raise ValueError("empty protocol has no LOCC depth")
-    return len(script.rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from locclab import (
     exact_chsh,
     exact_correlation,
     format_transcript,
-    observable_at,
     qubits,
     sample_chsh,
     singlet_density,
@@ -32,6 +31,8 @@ from locclab import (
 from locclab import bell
 from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
 from locclab.cli import main
+from locclab.instruments import measure_angle, projector
+from locclab.protocols import ProtocolRound
 from locclab.worlds import BoundaryPair
 
 import helpers
@@ -45,17 +46,22 @@ def pair_of(matrix) -> BoundaryPair:
 SINGLET = BoundaryPair(singlet_density(), "test")
 
 
+def observable(angle: float) -> np.ndarray:
+    """The dialed observable cos(a)Z + sin(a)X, as the difference of its two projectors."""
+    return projector(angle, +1) - projector(angle, -1)
+
+
 class TestObservable:
     def test_zero_angle_is_z(self):
-        assert_allclose(observable_at(0.0).matrix, np.diag([1.0, -1.0]), atol=1e-15)
+        assert_allclose(observable(0.0), np.diag([1.0, -1.0]), atol=1e-15)
 
     def test_right_angle_is_x(self):
-        assert_allclose(observable_at(math.pi / 2).matrix, np.array([[0, 1], [1, 0]]), atol=1e-15)
+        assert_allclose(observable(math.pi / 2), np.array([[0, 1], [1, 0]]), atol=1e-15)
 
     def test_diagonal_angle_eigenvalues(self):
-        obs = observable_at(math.pi / 4)
-        assert_allclose(obs.matrix, (np.diag([1.0, -1.0]) + np.array([[0, 1], [1, 0]])) / math.sqrt(2), atol=1e-15)
-        assert_allclose(np.linalg.eigvalsh(obs.matrix), [-1.0, 1.0], atol=1e-12)
+        obs = observable(math.pi / 4)
+        assert_allclose(obs, (np.diag([1.0, -1.0]) + np.array([[0, 1], [1, 0]])) / math.sqrt(2), atol=1e-15)
+        assert_allclose(np.linalg.eigvalsh(obs), [-1.0, 1.0], atol=1e-12)
 
 
 class TestExactCorrelation:
@@ -174,13 +180,12 @@ class TestSampling:
 
 class TestEstimates:
     def test_measurement_setting_validation(self):
-        from locclab import MeasurementSetting
-
-        assert MeasurementSetting(0.3, "A").party == "A"
+        assert ProtocolRound("A", measure_angle(0.3)).party == "A"
+        for angle in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                measure_angle(angle)
         with pytest.raises(ValueError):
-            MeasurementSetting(math.inf, "A")
-        with pytest.raises(ValueError):
-            MeasurementSetting(0.0, "X")
+            ProtocolRound("X", measure_angle(0.0))
 
     def test_noise_can_push_visibility_above_one(self):
         from locclab.bell import CHSHResult

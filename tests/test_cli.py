@@ -22,6 +22,17 @@ from locclab.cli import (
 )
 
 
+#: An instrument file whose second line is ``dimension`` without a value.
+NO_DIMENSION = "instrument bare\ndimension\nbranch 0\nop\n1+0i 0+0i\n0+0i 1+0i\nend\n"
+#: A script file with an empty round list.
+NO_ROUNDS = '{"name": "empty", "rounds": []}'
+#: A script file whose measurement angle is NaN (Python's json reads it).
+NAN_ANGLE = (
+    '{"name": "nan", "rounds": [{"party": "A", '
+    '"instrument": {"kind": "measure_angle", "angle": NaN}}]}'
+)
+
+
 class TestParseConfig:
     def test_minimal_chsh(self):
         cfg = parse_config("chsh", None, {"mode": "er", "trials": 1000, "seed": 1})
@@ -236,6 +247,11 @@ class TestMain:
                 "instrument lossy\ndimension 2\nbranch 0\nop\n1+0i 0+0i\n0+0i 0+0i\nend\n",
                 "alice_instruments",
             ),
+            ("--alice-instrument", ["nosignal"], NO_DIMENSION, "alice_instruments"),
+            ("--script", ["distinguish"], NO_ROUNDS, "script"),
+            ("--script", ["sweep", "--lambda-grid", "0,0.5"], NO_ROUNDS, "script"),
+            ("--script", ["qecc"], NO_ROUNDS, "script"),
+            ("--script", ["distinguish"], NAN_ANGLE, "script"),
         ],
     )
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, flag, experiment, text, key):

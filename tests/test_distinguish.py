@@ -30,9 +30,10 @@ from locclab import (
     indistinguishability_sweep,
     total_variation,
 )
+from locclab import ContractError, distinguish, instruments
 from locclab.distinguish import SWEEP_HEADER
-from locclab.protocols import classify_locc_depth
 
+import helpers
 import oracles
 
 
@@ -87,6 +88,56 @@ class TestAccessibleDistribution:
     def test_empty_script_rejected(self):
         with pytest.raises(ValueError):
             accessible_distribution(build_er_world(), ProtocolScript("none", ()))
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_negative_weight_instrument_rejected(self, conditioned):
+        bad = helpers.sign_flip_one_term(measure_x())
+        if conditioned:
+            bob = ProtocolRound("B", measure_z(), {("1",): bad})
+        else:
+            bob = ProtocolRound("B", bad)
+        script = ProtocolScript("bad", (ProtocolRound("A", measure_z()), bob))
+        with pytest.raises(ContractError, match="invalid instrument"):
+            accessible_distribution(build_er_world(), script)
+
+    def test_instrument_on_dead_branches_only_is_not_applied(self):
+        # Alice "0" steers Bob to |1>, so Bob's "0" branch is dead and the
+        # invalid instrument conditioned on it never acts, as before
+        bad = helpers.sign_flip_one_term(measure_x())
+        script = ProtocolScript(
+            "dead", (
+                ProtocolRound("A", measure_z()),
+                ProtocolRound("B", measure_z()),
+                ProtocolRound("A", measure_z(), {("0", "0"): bad}),
+            ),
+        )
+        dist = accessible_distribution(build_er_world(), script).as_dict()
+        assert dist[("0", "0", "0")] == dist[("0", "0", "1")] == 0.0
+
+    def test_each_round_checked_in_one_batch_and_each_instrument_validated_once(
+        self, monkeypatch
+    ):
+        checked, validated = [], []
+        check_density_stack = distinguish.check_density_stack
+        validate_instrument = instruments.validate_instrument
+
+        def check(m, tol):
+            checked.append(m.shape)
+            return check_density_stack(m, tol)
+
+        def validate(inst):
+            validated.append(inst)
+            return validate_instrument(inst)
+
+        monkeypatch.setattr(distinguish, "check_density_stack", check)
+        monkeypatch.setattr(instruments, "validate_instrument", validate)
+        script = load_bundled_script("adaptive_three")
+        world = build_epr_world(2, 2, 0.7, seed=3)
+        accessible_distribution(world, script)
+        accessible_distribution(world, script)
+        assert len(checked) == 2 * len(script.rounds)
+        assert all(c[0] >= 1 and c[1:] == (4, 4) for c in checked)
+        assert len(validated) == len(set(map(id, validated))) >= 3
 
     def test_distribution_normalized_across_corpus(self):
         er = build_er_world()
@@ -151,7 +202,7 @@ class TestIndistinguishabilitySweep:
         corpus = bundled_corpus()
         assert len(corpus) >= 10
         for script in corpus:
-            assert classify_locc_depth(script) <= 3
+            assert len(script.rounds) <= 3
             tvd = total_variation(
                 accessible_distribution(epr, script), accessible_distribution(er, script)
             )

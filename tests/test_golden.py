@@ -1,7 +1,11 @@
-"""Sampled CHSH payloads and transcripts compared byte for byte with recorded files.
+"""CLI payloads and transcripts compared byte for byte with recorded files.
 
-The files in ``golden/`` were written by the exporter that built the whole
-transcript and formatted it one row at a time, before the block sampler.
+The sampled CHSH files in ``golden/`` were written by the exporter that
+built the whole transcript and formatted it one row at a time, before the
+block sampler.  The payloads of the five other experiments were written by
+the enumeration that applied each instrument to one validated
+``DensityMatrix`` at a time, before the stacked transcript kernel; each of
+their configurations is recorded in both payload formats.
 """
 
 import hashlib
@@ -26,6 +30,52 @@ PAYLOADS = {
         "--evolution-time", "0.7", "--trials", "131072",
     ],
 }
+
+
+#: Exact experiments: file stem -> argv, each recorded as ``.json`` and ``.txt``.
+EXACT = {
+    "chsh_exact_er": ["chsh", "--seed", "1", "--mode", "er", "--exact"],
+    "chsh_exact_epr": [
+        "chsh", "--seed", "2", "--mode", "epr", "--q-dim", "3", "--qbar-dim", "2",
+        "--lambda", "0.7", "--evolution-time", "1.3", "--exact",
+    ],
+    "sweep_adaptive_three": [
+        "sweep", "--seed", "3", "--lambda-grid", "0,0.35,0.9", "--script", "adaptive_three",
+        "--q-dim", "2", "--qbar-dim", "2",
+    ],
+    "distinguish_lam0": [
+        "distinguish", "--seed", "4", "--lambda", "0", "--q-dim", "2", "--qbar-dim", "2",
+    ],
+    "distinguish_lam08": [
+        "distinguish", "--seed", "5", "--lambda", "0.8", "--q-dim", "3", "--qbar-dim", "2",
+        "--evolution-time", "0.9",
+    ],
+    "nosignal_default": ["nosignal", "--seed", "6"],
+    "nosignal_files": [
+        "nosignal", "--seed", "7", "--mode", "epr", "--lambda", "0.5",
+        "--alice-instrument", str(GOLDEN / "alice_random3.inst"),
+        "--alice-instrument", str(GOLDEN / "alice_unsharp.inst"),
+    ],
+    "qecc": [
+        "qecc", "--seed", "8", "--q-dims", "2,3,4", "--qbar-dim", "2", "--lambda", "0.6",
+        "--script", "chsh_rotated",
+    ],
+    "frames": ["frames", "--seed", "9", "--offset", "0.5"],
+}
+
+FORMATS = {".json": "structured", ".txt": "columnar"}
+
+
+def exact_argv(stem: str, suffix: str, out: Path) -> list[str]:
+    return [*EXACT[stem], "--format", FORMATS[suffix], "--out", str(out)]
+
+
+@pytest.mark.parametrize("suffix", sorted(FORMATS))
+@pytest.mark.parametrize("stem", sorted(EXACT))
+def test_exact_payload_bytes(tmp_path, capsys, stem, suffix):
+    out = tmp_path / (stem + suffix)
+    assert main(exact_argv(stem, suffix, out)) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / (stem + suffix)).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))

@@ -23,13 +23,18 @@ from locclab import (
     serialize_instrument,
     validate_instrument,
 )
+from locclab import instruments
 from locclab.instruments import (
+    PROB_FLOOR,
     InstrumentBranch,
     QuantumInstrument,
+    apply_branches,
     branch_choi,
+    measure_angle,
     settings_choice_instrument,
     unsharp_z,
 )
+from locclab.linalg import check_density_stack, embed_operator
 from locclab.worlds import singlet_density
 
 import helpers
@@ -150,6 +155,110 @@ class TestApply:
             for r in records:
                 if r.probability > 1e-12:
                     assert r.post_state is not None  # construction validates it
+
+
+class TestBranchKernel:
+    """``apply_branches``: validation and embedding once per instrument, states as one stack."""
+
+    PAIR = qubits("q_A", "q_B")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"validate": 0, "embed": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            instruments, "validate_instrument", counting("validate", instruments.validate_instrument)
+        )
+        monkeypatch.setattr(instruments, "embed_operator", counting("embed", embed_operator))
+        return counts
+
+    def test_validated_once_per_instrument(self, calls):
+        inst = helpers.random_instrument(np.random.default_rng(4), 2, 3)
+        rho = singlet_density()
+        for target in ("q_A", "q_B", "q_A"):
+            apply_instrument(inst, rho, (target,))
+        apply_branches(inst, rho.layout, ("q_B",), np.stack([rho.matrix] * 3))
+        assert calls["validate"] == 1
+        assert inst.report is inst.report and inst.report.passed
+
+    def test_failed_report_raises_on_every_use(self, calls):
+        bad = helpers.sign_flip_one_term(measure_z())
+        for _ in range(2):
+            with pytest.raises(ContractError, match="cp defect"):
+                apply_instrument(bad, singlet_density(), ("q_A",))
+        with pytest.raises(ContractError):
+            apply_branches(bad, self.PAIR, ("q_B",), singlet_density().matrix[None])
+        assert calls["validate"] == 1
+
+    @pytest.mark.parametrize("target", ["q_A", "q_B"])
+    def test_pair_embedding_has_embed_operator_entries(self, calls, target):
+        rng = np.random.default_rng(5)
+        inst = helpers.random_instrument(rng, 2, 2, kraus_per_branch=2)
+        apply_branches(inst, self.PAIR, (target,), singlet_density().matrix[None])
+        assert calls["embed"] == 0
+        (terms,) = inst.embedded.values()
+        assert len(terms) == 2  # two Kraus positions, each present in both branches
+        for k, (rows, e, e_dag, w) in enumerate(terms):
+            assert rows == slice(None) and w.ravel().tolist() == [1.0, 1.0]
+            for branch, ext, ext_dag in zip(inst.branches, e[:, 0], e_dag[:, 0]):
+                assert ext.tobytes() == embed_operator(branch.kraus[k], self.PAIR, (target,)).tobytes()
+                assert np.array_equal(ext_dag, ext.conj().T)
+
+    def test_embedded_once_per_layout_and_targets(self, calls):
+        rng = np.random.default_rng(6)
+        inst = helpers.random_instrument(rng, 2, 2, kraus_per_branch=2)
+        rho = helpers.random_density(rng, 3)
+        for _ in range(3):
+            apply_instrument(inst, rho, ("q1",))
+        assert calls["embed"] == 4
+        apply_instrument(inst, rho, ("q2",))
+        assert calls["embed"] == 8
+        assert set(inst.embedded) == {(rho.layout.factors, ("q1",)), (rho.layout.factors, ("q2",))}
+
+    def test_stack_matches_one_state_at_a_time_bytes(self):
+        rng = np.random.default_rng(7)
+        inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=2)
+        rhos = [helpers.random_density(rng, 2, ["q_A", "q_B"]) for _ in range(6)]
+        probs, posts = apply_branches(inst, self.PAIR, ("q_B",), np.stack([r.matrix for r in rhos]))
+        for n, rho in enumerate(rhos):
+            for j, rec in enumerate(apply_instrument(inst, rho, ("q_B",))):
+                assert probs[j, n] == rec.probability
+                assert posts[j, n].tobytes() == rec.post_state.matrix.tobytes()
+
+    def test_dead_branch_has_no_post_state(self):
+        up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), self.PAIR)
+        probs, posts = apply_branches(measure_z(), self.PAIR, ("q_A",), up.matrix[None])
+        assert probs[:, 0].tolist() == [1.0, 0.0]
+        assert not posts[1].any()
+        (_, dead) = apply_instrument(measure_z(), up, ("q_A",))
+        assert dead.probability == 0.0 and dead.post_state is None
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(LayoutError):
+            apply_branches(measure_z(), self.PAIR, ("q_A", "q_B"), singlet_density().matrix[None])
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "not PSD"),
+            (np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 0.1), 1), "not Hermitian"),
+        ],
+    )
+    def test_batched_check_rejects_bad_post_states(self, bad, message):
+        # the kernel does not check; a bad input state passes through the identity branch
+        states = np.stack([singlet_density().matrix, bad.astype(complex)])
+        probs, posts = apply_branches(identity_instrument(), self.PAIR, ("q_A",), states)
+        live = posts[probs > PROB_FLOOR]
+        assert len(live) == 2
+        check_density_stack(live[:1])
+        with pytest.raises(ValueError, match=message):
+            check_density_stack(live)
 
 
 class TestOneWayLocal:
@@ -296,6 +405,18 @@ class TestFileFormat:
         good = serialize_instrument(measure_z())
         with pytest.raises(ValueError, match="complex entry"):
             parse_instrument(good.replace("1+0i", "1:0i", 1))
+
+    @pytest.mark.parametrize("line", ["dimension", "dimension 2 3", "dimensions 2"])
+    def test_bad_dimension_line_rejected(self, line):
+        good = serialize_instrument(measure_z())
+        with pytest.raises(ValueError, match="dimension <d>"):
+            parse_instrument(good.replace("dimension 2", line))
+
+    @pytest.mark.parametrize("entry", ["1e999+0i", "1-1e999i"])
+    def test_non_finite_entry_rejected(self, entry):
+        good = serialize_instrument(measure_z())
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_instrument(good.replace("1+0i", entry, 1))
 
     def test_missing_end_rejected(self):
         good = serialize_instrument(measure_z())

@@ -22,7 +22,14 @@ from locclab import (
     tensor_product,
     trace_distance,
 )
-from locclab.linalg import PAULI_X, PAULI_Z, basis_ket, hermitian_exponential
+from locclab.linalg import (
+    PAULI_X,
+    PAULI_Z,
+    Tolerances,
+    basis_ket,
+    check_density_stack,
+    hermitian_exponential,
+)
 
 import helpers
 import oracles
@@ -78,6 +85,29 @@ class TestValidation:
         m = np.diag([np.nan, 1.0]).astype(complex)
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(m, qubits("q"))
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
+            (np.eye(2), "trace"),
+            (np.diag([1.5, -0.5]), "PSD"),
+            (np.diag([np.inf, 1.0]), "finite"),
+        ],
+    )
+    def test_stack_check_finds_one_bad_matrix(self, bad, message):
+        good = np.diag([0.25, 0.75])
+        stack = np.stack([good, good, bad, good]).astype(complex)
+        check_density_stack(stack[:2])
+        check_density_stack(stack[:0])
+        with pytest.raises(ValueError, match=message):
+            check_density_stack(stack)
+
+    def test_stack_check_reports_worst_defect_at_given_tolerance(self):
+        stack = np.stack([np.diag([1 + d, -d]) for d in (1e-10, 3e-3, 2e-3)]).astype(complex)
+        with pytest.raises(ValueError, match="-3.000e-03"):
+            check_density_stack(stack)
+        check_density_stack(stack, Tolerances(psd=4e-3))
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError, match="normalized"):

@@ -7,9 +7,10 @@ from locclab import (
     LocalityViolationError,
     ProtocolRound,
     ProtocolScript,
+    accessible_distribution,
+    build_er_world,
     bundled_corpus,
     bundled_script_names,
-    classify_locc_depth,
     load_bundled_script,
     measure_x,
     measure_z,
@@ -19,24 +20,35 @@ from locclab.instruments import InstrumentBranch, QuantumInstrument
 from locclab.protocols import canonical_chsh_script, script_from_dict
 
 
+def transcript_lengths(script: ProtocolScript) -> set[int]:
+    """Lengths of the transcripts ``script`` can produce: one outcome per round."""
+    dist = accessible_distribution(build_er_world(), script)
+    return {len(t) for t, _ in dist.entries}
+
+
 class TestDepth:
+    """A script's LOCC depth is its round count, and each round adds one outcome."""
+
     def test_single_round_is_depth_one(self):
         script = ProtocolScript("one", (ProtocolRound("A", measure_z()),))
-        assert classify_locc_depth(script) == 1
+        assert len(script.rounds) == 1
+        assert transcript_lengths(script) == {1}
 
     def test_chsh_script_is_depth_two(self):
-        assert classify_locc_depth(canonical_chsh_script()) == 2
+        assert transcript_lengths(canonical_chsh_script()) == {2}
 
     def test_alternating_rounds_count(self):
         for k in range(1, 6):
             rounds = tuple(
                 ProtocolRound("A" if i % 2 == 0 else "B", measure_z()) for i in range(k)
             )
-            assert classify_locc_depth(ProtocolScript(f"alt{k}", rounds)) == k
+            assert transcript_lengths(ProtocolScript(f"alt{k}", rounds)) == {k}
 
     def test_empty_script_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            classify_locc_depth(ProtocolScript("none", ()))
+        with pytest.raises(ValueError, match="no rounds"):
+            ProtocolScript("none", ())
+        with pytest.raises(ValueError, match="no rounds"):
+            script_from_dict({"name": "none", "rounds": []})
 
 
 class TestRounds:
@@ -69,8 +81,7 @@ class TestCorpus:
 
     def test_scripts_are_wellformed_two_party(self):
         for script in bundled_corpus():
-            depth = classify_locc_depth(script)
-            assert 1 <= depth <= 3
+            assert 1 <= len(script.rounds) <= 3
             assert set(script.parties) <= {"A", "B"}
             for rnd in script.rounds:
                 assert rnd.instrument.dimension == 2
