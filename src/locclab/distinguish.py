@@ -18,7 +18,7 @@ import numpy as np
 
 from .bell import CHSHConfig, CHSHResult, exact_chsh
 from .errors import LocalityViolationError
-from .instruments import PROB_FLOOR, QuantumInstrument, apply_branches
+from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches
 from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
 from .worlds import World, build_epr_world, build_er_world, deliver_pair
@@ -144,7 +144,7 @@ def accessible_distribution(
         applied = {}
         live_posts = []
         for inst, ks in groups.items():
-            probs, posts = apply_branches(inst, layout, target, np.stack([branches[k][2] for k in ks]))
+            probs, posts = _apply_branches(inst, layout, target, np.stack([branches[k][2] for k in ks]))
             live_posts.append(posts[probs > PROB_FLOOR])
             for col, k in enumerate(ks):
                 applied[k] = (probs[:, col].tolist(), posts[:, col])

@@ -7,8 +7,9 @@ cheaply.  An instrument is validated once per instrument: the report of
 :func:`validate_instrument` (complete positivity from the branch Choi
 matrices, trace preservation from the completeness sum) is kept with the
 frozen instrument, and so are its Kraus operators extended to each layout it
-is applied on.  :func:`apply_branches` applies every branch to a whole stack
-of states at once; :func:`apply_instrument` is that kernel on one state.
+is applied on.  One private kernel applies every branch to a whole stack of
+states at once; :func:`apply_instrument` is that kernel on one state, and
+transcript enumeration in :mod:`locclab.distinguish` runs it on each round.
 
 Branches optionally carry signed real weights on their Kraus terms.  With
 all weights +1 (the default) a branch is automatically completely positive;
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -49,7 +50,6 @@ __all__ = [
     "ValidationReport",
     "branch_choi",
     "validate_instrument",
-    "apply_branches",
     "apply_instrument",
     "one_way_local_instrument",
     "coarse_grain",
@@ -129,14 +129,12 @@ class InstrumentBranch:
 class QuantumInstrument:
     """A finite family of CP branch maps whose sum is trace preserving.
 
-    ``report`` validates the instrument on first use and keeps the result.
-    ``embedded`` is a cache filled by :func:`apply_branches`: it maps
-    ``(layout factors, targets)`` to the Kraus operators extended to that
-    layout.
+    ``report`` validates the instrument on first use and keeps the result;
+    the Kraus operators extended to each layout they are applied on are
+    kept the same way.
     """
 
     branches: tuple[InstrumentBranch, ...]
-    embedded: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         branches = tuple(self.branches)
@@ -163,6 +161,11 @@ class QuantumInstrument:
     def report(self) -> "ValidationReport":
         """:func:`validate_instrument` at the default tolerances, run once."""
         return validate_instrument(self)
+
+    @cached_property
+    def _embedded(self) -> dict:
+        """Extended Kraus terms keyed by ``(layout factors, targets)``."""
+        return {}
 
     def branch(self, outcome: str) -> InstrumentBranch:
         for b in self.branches:
@@ -264,58 +267,49 @@ def validate_instrument(
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
-def _extended(ks: np.ndarray, layout: SubsystemLayout, targets: tuple[str, ...]) -> np.ndarray:
-    """The stack ``ks`` of operators on ``targets``, each extended by the identity to ``layout``."""
-    if layout.dims == (2, 2) and len(targets) == 1:
-        # the products np.kron(k, I) or np.kron(I, k) forms, so embed_operator's entries
-        if layout.position(targets[0]) == 0:
-            out = ks[:, :, None, :, None] * ID2[None, None, :, None, :]
-        else:
-            out = ID2[None, :, None, :, None] * ks[:, None, :, None, :]
-        return out.reshape(-1, 4, 4)
-    return np.stack([embed_operator(k, layout, targets) for k in ks])
-
-
 def _weighted_terms(inst: QuantumInstrument, layout: SubsystemLayout, targets: tuple[str, ...]):
     """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to ``layout``.
 
     ``rows`` selects the branches that have a ``k``-th Kraus operator, and
     ``E`` stacks those operators as ``(rows, 1, d, d)``, ready to broadcast
-    over a stack of states.  Built on the first call for each
-    ``(layout, targets)`` and kept with ``inst``.
+    over a stack of states.  Built with one :func:`embed_operator` call on
+    the first use of each ``(layout, targets)`` and kept with ``inst``.
     """
     key = (layout.factors, targets)
-    if key not in inst.embedded:
+    if key not in inst._embedded:
         branches = inst.branches
+        flat = iter(embed_operator(np.stack([k for b in branches for k in b.kraus]), layout, targets))
+        extended = [[next(flat) for _ in b.kraus] for b in branches]
         terms = []
         for k in range(max(len(b.kraus) for b in branches)):
             rows = [j for j, b in enumerate(branches) if len(b.kraus) > k]
-            e = _extended(np.stack([branches[j].kraus[k] for j in rows]), layout, targets)[:, None]
+            e = np.stack([extended[j][k] for j in rows])[:, None]
             w = np.array([branches[j].effective_weights()[k] for j in rows])[:, None, None, None]
             if len(rows) == len(branches):
                 rows = slice(None)
             terms.append((rows, e, e.conj().swapaxes(-1, -2), w))
-        inst.embedded[key] = terms
-    return inst.embedded[key]
+        inst._embedded[key] = terms
+    return inst._embedded[key]
 
 
-def apply_branches(
+def _apply_branches(
     inst: QuantumInstrument,
     layout: SubsystemLayout,
     targets: tuple[str, ...],
     states: np.ndarray,
-    *,
-    prob_floor: float = PROB_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every branch of ``inst``, on the ``targets`` factors, applied to a stack of states.
 
     ``states`` is an ``(n, d, d)`` stack of density matrices on ``layout``.
     Returns ``probs`` of shape ``(branches, n)`` and the normalized
     ``posts`` of shape ``(branches, n, d, d)``.  A probability at or below
-    ``prob_floor`` has no post-state: it is clamped to be nonnegative and
-    its post-state is left zero.  The post-states are not checked here;
-    :func:`~locclab.linalg.check_density_stack` checks them.  Raises
-    :class:`ContractError` if ``inst`` failed its validation.
+    :data:`PROB_FLOOR` has no post-state: it is clamped to be nonnegative
+    and its post-state is left zero.  Raises :class:`ContractError` if
+    ``inst`` failed its validation.  The post-states are not checked here,
+    so every caller must check the live ones:
+    :func:`apply_instrument` builds a :class:`DensityMatrix` from each, and
+    :func:`~locclab.distinguish.accessible_distribution` passes each
+    round's to :func:`~locclab.linalg.check_density_stack`.
     """
     target_dim = layout.dimension_of(targets)
     if inst.dimension != target_dim:
@@ -330,18 +324,14 @@ def apply_branches(
     for rows, e, e_dag, w in _weighted_terms(inst, layout, targets):
         out[rows] += w * (e @ states @ e_dag)
     probs = np.trace(out, axis1=-2, axis2=-1).real
-    live = probs > prob_floor
+    live = probs > PROB_FLOOR
     posts = np.zeros_like(out)
     posts[live] = out[live] / probs[live][:, None, None]
     return np.where(live, probs, np.maximum(probs, 0.0)), posts
 
 
 def apply_instrument(
-    inst: QuantumInstrument,
-    rho: DensityMatrix,
-    targets: Sequence[str],
-    *,
-    prob_floor: float = PROB_FLOOR,
+    inst: QuantumInstrument, rho: DensityMatrix, targets: Sequence[str]
 ) -> list[InstrumentOutcomeRecord]:
     """Apply ``inst`` to the ``targets`` factors of ``rho``.
 
@@ -350,12 +340,10 @@ def apply_instrument(
     Probabilities sum to 1 for a valid instrument.
     """
     targets = (targets,) if isinstance(targets, str) else tuple(targets)
-    probs, posts = apply_branches(
-        inst, rho.layout, targets, rho.matrix[None], prob_floor=prob_floor
-    )
+    probs, posts = _apply_branches(inst, rho.layout, targets, rho.matrix[None])
     return [
         InstrumentOutcomeRecord(
-            b.outcome, p, DensityMatrix(post, rho.layout, rho.tol) if p > prob_floor else None
+            b.outcome, p, DensityMatrix(post, rho.layout, rho.tol) if p > PROB_FLOOR else None
         )
         for b, p, post in zip(inst.branches, probs[:, 0].tolist(), posts[:, 0])
     ]

@@ -13,6 +13,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -344,7 +345,8 @@ def expectation(rho: DensityMatrix, obs: HermitianOperator) -> float:
     return float(np.real(val))
 
 
-def _digit_map(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _digit_map(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
     """Map original linear indices to indices of the basis permuted by ``perm``."""
     n = len(dims)
     total = math.prod(dims)
@@ -360,35 +362,37 @@ def _digit_map(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     out = np.zeros(total, dtype=np.int64)
     for j, p in enumerate(perm):
         out += digits[p] * pstrides[j]
+    out.setflags(write=False)
     return out
 
 
 def embed_operator(op: np.ndarray, layout: SubsystemLayout, targets: Sequence[str]) -> np.ndarray:
     """Extend ``op`` (acting on ``targets``, in that order) by identity elsewhere.
 
-    ``op`` must be square with dimension equal to the product of the target
-    factor dimensions.
+    ``op`` is one square operator or a stack of them over its leading axes,
+    with dimension equal to the product of the target factor dimensions.
+    Each entry of the result is an entry of ``op`` times 1 or 0, as in
+    ``numpy.kron(op, I)`` followed by a basis permutation.
     """
     positions = [layout.position(l) for l in targets]
     if len(set(positions)) != len(positions):
         raise LayoutError(f"repeated target labels in {targets}")
     dims = layout.dims
     target_dim = math.prod(dims[p] for p in positions)
-    if op.shape != (target_dim, target_dim):
+    if op.shape[-2:] != (target_dim, target_dim):
         raise LayoutError(
             f"operator shape {op.shape} does not match target dimension {target_dim}"
         )
     rest = [i for i in range(len(dims)) if i not in positions]
-    rest_dim = math.prod([dims[i] for i in rest]) if rest else 1
-    if not rest:
-        # targets may still be permuted relative to the layout
-        perm = positions
-        q = _digit_map(dims, perm)
-        return np.ascontiguousarray(op[np.ix_(q, q)])
-    full_permuted = np.kron(op, np.eye(rest_dim, dtype=complex))
-    perm = positions + rest
-    q = _digit_map(dims, perm)
-    return np.ascontiguousarray(full_permuted[np.ix_(q, q)])
+    full = op
+    if rest:
+        # kron(op, I) over the last two axes: [i*r + k, j*r + l] = op[i, j] * I[k, l]
+        rest_dim = math.prod(dims[i] for i in rest)
+        full = op[..., :, None, :, None] * np.eye(rest_dim, dtype=complex)[:, None, :]
+        full = full.reshape(op.shape[:-2] + (target_dim * rest_dim,) * 2)
+    # targets may still be permuted relative to the layout
+    q = _digit_map(dims, tuple(positions + rest))
+    return np.ascontiguousarray(full[..., q[:, None], q])
 
 
 def basis_ket(bits: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for quantum instruments, coarse-graining, and the file format."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from locclab.instruments import (
     PROB_FLOOR,
     InstrumentBranch,
     QuantumInstrument,
-    apply_branches,
+    _apply_branches,
     branch_choi,
     measure_angle,
     settings_choice_instrument,
@@ -157,8 +158,32 @@ class TestApply:
                     assert r.post_state is not None  # construction validates it
 
 
+def per_operator_oracle(inst, rho, targets):
+    """Each branch one Kraus operator at a time, each extended on its own."""
+    probs, posts = [], []
+    for b in inst.branches:
+        out = np.zeros_like(rho.matrix)
+        for w, k in zip(b.effective_weights(), b.kraus):
+            big = embed_operator(k, rho.layout, targets)
+            out += w * (big @ rho.matrix @ big.conj().T)
+        probs.append(float(np.real(np.trace(out))))
+        posts.append(out / probs[-1])
+    return probs, posts
+
+
+def uneven_instrument(p: float = 0.3) -> QuantumInstrument:
+    """Valid two-branch instrument whose branches hold one and two Kraus operators."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return QuantumInstrument(
+        (
+            InstrumentBranch("0", (math.sqrt(p) * p0,)),
+            InstrumentBranch("1", (math.sqrt(p) * p1, math.sqrt(1 - p) * np.eye(2))),
+        )
+    )
+
+
 class TestBranchKernel:
-    """``apply_branches``: validation and embedding once per instrument, states as one stack."""
+    """The branch kernel: validation and embedding once per instrument, states as one stack."""
 
     PAIR = qubits("q_A", "q_B")
 
@@ -183,7 +208,7 @@ class TestBranchKernel:
         rho = singlet_density()
         for target in ("q_A", "q_B", "q_A"):
             apply_instrument(inst, rho, (target,))
-        apply_branches(inst, rho.layout, ("q_B",), np.stack([rho.matrix] * 3))
+        _apply_branches(inst, rho.layout, ("q_B",), np.stack([rho.matrix] * 3))
         assert calls["validate"] == 1
         assert inst.report is inst.report and inst.report.passed
 
@@ -193,22 +218,31 @@ class TestBranchKernel:
             with pytest.raises(ContractError, match="cp defect"):
                 apply_instrument(bad, singlet_density(), ("q_A",))
         with pytest.raises(ContractError):
-            apply_branches(bad, self.PAIR, ("q_B",), singlet_density().matrix[None])
+            _apply_branches(bad, self.PAIR, ("q_B",), singlet_density().matrix[None])
         assert calls["validate"] == 1
 
+    @pytest.mark.parametrize("kraus_per_branch", [1, 2])
     @pytest.mark.parametrize("target", ["q_A", "q_B"])
-    def test_pair_embedding_has_embed_operator_entries(self, calls, target):
+    def test_pair_matches_per_operator_embedding_bytes(self, kraus_per_branch, target):
         rng = np.random.default_rng(5)
-        inst = helpers.random_instrument(rng, 2, 2, kraus_per_branch=2)
-        apply_branches(inst, self.PAIR, (target,), singlet_density().matrix[None])
-        assert calls["embed"] == 0
-        (terms,) = inst.embedded.values()
-        assert len(terms) == 2  # two Kraus positions, each present in both branches
-        for k, (rows, e, e_dag, w) in enumerate(terms):
-            assert rows == slice(None) and w.ravel().tolist() == [1.0, 1.0]
-            for branch, ext, ext_dag in zip(inst.branches, e[:, 0], e_dag[:, 0]):
-                assert ext.tobytes() == embed_operator(branch.kraus[k], self.PAIR, (target,)).tobytes()
-                assert np.array_equal(ext_dag, ext.conj().T)
+        inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=kraus_per_branch)
+        rho = helpers.random_density(rng, 2, ["q_A", "q_B"])
+        probs, posts = _apply_branches(inst, self.PAIR, (target,), rho.matrix[None])
+        oracle_probs, oracle_posts = per_operator_oracle(inst, rho, (target,))
+        assert probs[:, 0].tolist() == oracle_probs
+        for post, oracle in zip(posts[:, 0], oracle_posts):
+            assert post.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("targets", [("q0",), ("q2",), ("q2", "q0")])
+    def test_three_qubits_match_per_operator_embedding(self, targets):
+        rng = np.random.default_rng(8)
+        rho = helpers.random_density(rng, 3)
+        inst = uneven_instrument() if len(targets) == 1 else helpers.random_instrument(rng, 4, 2, 3)
+        records = apply_instrument(inst, rho, targets)
+        oracle_probs, oracle_posts = per_operator_oracle(inst, rho, targets)
+        for rec, p, post in zip(records, oracle_probs, oracle_posts):
+            assert rec.probability == p
+            assert rec.post_state.matrix.tobytes() == post.tobytes()
 
     def test_embedded_once_per_layout_and_targets(self, calls):
         rng = np.random.default_rng(6)
@@ -216,16 +250,21 @@ class TestBranchKernel:
         rho = helpers.random_density(rng, 3)
         for _ in range(3):
             apply_instrument(inst, rho, ("q1",))
-        assert calls["embed"] == 4
+        assert calls["embed"] == 1
         apply_instrument(inst, rho, ("q2",))
-        assert calls["embed"] == 8
-        assert set(inst.embedded) == {(rho.layout.factors, ("q1",)), (rho.layout.factors, ("q2",))}
+        _apply_branches(inst, self.PAIR, ("q_A",), singlet_density().matrix[None])
+        assert calls["embed"] == 3
+        apply_instrument(inst, rho, ("q2",))
+        assert calls["embed"] == 3
+
+    def test_extension_cache_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(QuantumInstrument)] == ["branches"]
 
     def test_stack_matches_one_state_at_a_time_bytes(self):
         rng = np.random.default_rng(7)
         inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=2)
         rhos = [helpers.random_density(rng, 2, ["q_A", "q_B"]) for _ in range(6)]
-        probs, posts = apply_branches(inst, self.PAIR, ("q_B",), np.stack([r.matrix for r in rhos]))
+        probs, posts = _apply_branches(inst, self.PAIR, ("q_B",), np.stack([r.matrix for r in rhos]))
         for n, rho in enumerate(rhos):
             for j, rec in enumerate(apply_instrument(inst, rho, ("q_B",))):
                 assert probs[j, n] == rec.probability
@@ -233,7 +272,7 @@ class TestBranchKernel:
 
     def test_dead_branch_has_no_post_state(self):
         up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), self.PAIR)
-        probs, posts = apply_branches(measure_z(), self.PAIR, ("q_A",), up.matrix[None])
+        probs, posts = _apply_branches(measure_z(), self.PAIR, ("q_A",), up.matrix[None])
         assert probs[:, 0].tolist() == [1.0, 0.0]
         assert not posts[1].any()
         (_, dead) = apply_instrument(measure_z(), up, ("q_A",))
@@ -241,7 +280,7 @@ class TestBranchKernel:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(LayoutError):
-            apply_branches(measure_z(), self.PAIR, ("q_A", "q_B"), singlet_density().matrix[None])
+            _apply_branches(measure_z(), self.PAIR, ("q_A", "q_B"), singlet_density().matrix[None])
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -253,7 +292,7 @@ class TestBranchKernel:
     def test_batched_check_rejects_bad_post_states(self, bad, message):
         # the kernel does not check; a bad input state passes through the identity branch
         states = np.stack([singlet_density().matrix, bad.astype(complex)])
-        probs, posts = apply_branches(identity_instrument(), self.PAIR, ("q_A",), states)
+        probs, posts = _apply_branches(identity_instrument(), self.PAIR, ("q_A",), states)
         live = posts[probs > PROB_FLOOR]
         assert len(live) == 2
         check_density_stack(live[:1])

@@ -342,6 +342,20 @@ class TestEmbedOperator:
             oracle = oracles.embed_by_loops(sub, [2, 2, 2, 2], positions)
             assert_allclose(ours, oracle, atol=0)
 
+    @pytest.mark.parametrize("targets", [("a",), ("b",), ("c", "a"), ("b", "c", "a")])
+    def test_stack_matches_one_operator_at_a_time_bytes(self, targets):
+        rng = np.random.default_rng(13)
+        lay = SubsystemLayout((("a", 2), ("b", 3), ("c", 2)))
+        d = math.prod(lay.dims[lay.position(t)] for t in targets)
+        ops = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+        ops[0, 0, 0, 0] = complex(-0.0, -1.0)  # the sign of a zero survives too
+        stacked = embed_operator(ops, lay, targets)
+        assert stacked.shape == (2, 3, 12, 12)
+        for idx in np.ndindex(2, 3):
+            oracle = oracles.embed_by_loops(ops[idx], [2, 3, 2], [lay.position(t) for t in targets])
+            assert stacked[idx].tobytes() == embed_operator(ops[idx], lay, targets).tobytes()
+            assert_allclose(stacked[idx], oracle, atol=0)
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(LayoutError):
             embed_operator(np.eye(4), qubits("a", "b"), ("a",))
