@@ -28,6 +28,7 @@ from .distinguish import (
     OutcomeDistribution,
     SweepRow,
     accessible_distribution,
+    accessible_distributions,
     channel_size_check,
     frame_misalignment_demo,
     indistinguishability_sweep,

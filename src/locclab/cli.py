@@ -34,7 +34,7 @@ from .bell import (
 )
 from .distinguish import (
     EprParams,
-    accessible_distribution,
+    accessible_distributions,
     channel_size_check,
     frame_misalignment_demo,
     indistinguishability_sweep,
@@ -383,9 +383,7 @@ def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]
     results = []
     criteria = []
     for script in scripts:
-        tvd = total_variation(
-            accessible_distribution(epr, script), accessible_distribution(er, script)
-        )
+        tvd = total_variation(*accessible_distributions([epr, er], script))
         results.append({"script": script.name, "tvd_vs_er": tvd})
         if cfg.lam == 0.0:
             criteria.append((f"script {script.name} indistinguishable", tvd <= _ZERO_ATOL))

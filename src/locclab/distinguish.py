@@ -29,6 +29,7 @@ __all__ = [
     "EprParams",
     "NoSignalingReport",
     "accessible_distribution",
+    "accessible_distributions",
     "total_variation",
     "indistinguishability_sweep",
     "channel_size_check",
@@ -107,58 +108,78 @@ def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int, mode: 
     raise ValueError(f"unknown condition visibility {mode!r}")
 
 
-def accessible_distribution(
-    world: World,
+def accessible_distributions(
+    worlds: Sequence[World],
     script: ProtocolScript,
     *,
     condition_visibility: str = "full",
-) -> OutcomeDistribution:
-    """Exact transcript distribution of ``script`` run against ``world``.
+) -> list[OutcomeDistribution]:
+    """Exact transcript distribution of ``script`` run against each of ``worlds``.
 
     Each round's instrument acts on the acting party's own boundary qubit;
     enumeration follows every branch, so zero-probability transcripts stay
     in the support.  ``condition_visibility`` controls which prior outcomes
     a conditioned round may see: ``"full"`` models an open classical
     channel, ``"own-party"`` withholds it.
+
+    The worlds share one enumeration, since a branch's instrument depends on
+    its transcript alone.  Each round applies each instrument once, to the
+    stack of its live ``(branch, world)`` states, and checks all live
+    post-states in one batch.  A branch dead in a world (probability at most
+    :data:`PROB_FLOOR`) is not applied there and its descendants get 0.0, so
+    each world gets the result it would get alone.  Bundled scripts are
+    cached, shared and immutable (see :mod:`locclab.protocols`), so each of
+    their instruments is validated once per process.
     """
-    pair = deliver_pair(world)
-    layout = pair.state.layout
-    # (transcript, probability, post-state or None) of every branch so far
-    branches: list[tuple[tuple[str, ...], float, np.ndarray | None]] = [
-        ((), 1.0, pair.state.matrix)
-    ]
+    pairs = [deliver_pair(world).state for world in worlds]
+    if not pairs:
+        return []
+    layout, tol = pairs[0].layout, pairs[0].tol
+    # (transcript, ((probability, post-state or None) per world)) of every branch so far
+    branches = [((), [(1.0, pair.matrix) for pair in pairs])]
     for r, rnd in enumerate(script.rounds):
         target = ("q_A",) if rnd.party == "A" else ("q_B",)
-        insts = [rnd.resolve(_visible(t, script, r, condition_visibility)) for t, _, _ in branches]
+        insts = [rnd.resolve(_visible(t, script, r, condition_visibility)) for t, _ in branches]
         for inst in insts:
             if inst.dimension != 2:
                 raise LocalityViolationError(
                     f"round {r} instrument has dimension {inst.dimension}; "
                     f"it may only touch {target[0]}"
                 )
-        # live branches grouped by instrument, each group run as one stack
-        groups: dict[QuantumInstrument, list[int]] = {}
-        for k, ((_, prob, state), inst) in enumerate(zip(branches, insts)):
-            if state is not None and prob > PROB_FLOOR:
-                groups.setdefault(inst, []).append(k)
-        applied = {}
+        # live (branch, world) entries grouped by instrument, each group run as one stack
+        groups: dict[QuantumInstrument, list[tuple[int, int]]] = {}
+        for k, ((_, cells), inst) in enumerate(zip(branches, insts)):
+            for w, (prob, state) in enumerate(cells):
+                if state is not None and prob > PROB_FLOOR:
+                    groups.setdefault(inst, []).append((k, w))
+        children = {}  # (branch, world) -> a (probability, post-state) per outcome
         live_posts = []
-        for inst, ks in groups.items():
-            probs, posts = _apply_branches(inst, layout, target, np.stack([branches[k][2] for k in ks]))
+        for inst, entries in groups.items():
+            states = np.stack([branches[k][1][w][1] for k, w in entries])
+            probs, posts = _apply_branches(inst, layout, target, states)
             live_posts.append(posts[probs > PROB_FLOOR])
-            for col, k in enumerate(ks):
-                applied[k] = (probs[:, col].tolist(), posts[:, col])
+            for col, (k, w) in enumerate(entries):
+                prob = branches[k][1][w][0]
+                children[k, w] = [
+                    (prob * p, post if p > PROB_FLOOR else None)
+                    for p, post in zip(probs[:, col].tolist(), posts[:, col])
+                ]
         if live_posts:
-            check_density_stack(np.concatenate(live_posts), pair.state.tol)
+            check_density_stack(np.concatenate(live_posts), tol)
         grown = []
-        for k, ((transcript, prob, _), inst) in enumerate(zip(branches, insts)):
-            if k not in applied:
-                grown.extend((transcript + (o,), 0.0, None) for o in inst.outcomes)
-                continue
-            for o, p, post in zip(inst.outcomes, *applied[k]):
-                grown.append((transcript + (o,), prob * p, post if p > PROB_FLOOR else None))
+        for k, ((transcript, cells), inst) in enumerate(zip(branches, insts)):
+            dead = [(0.0, None)] * len(inst.outcomes)
+            per_outcome = zip(*(children.get((k, w), dead) for w in range(len(cells))))
+            grown.extend(zip((transcript + (o,) for o in inst.outcomes), per_outcome))
         branches = grown
-    return OutcomeDistribution(tuple((t, p) for t, p, _ in branches))
+    return [OutcomeDistribution(tuple((t, c[w][0]) for t, c in branches)) for w in range(len(pairs))]
+
+
+def accessible_distribution(
+    world: World, script: ProtocolScript, *, condition_visibility: str = "full"
+) -> OutcomeDistribution:
+    """:func:`accessible_distributions` of ``script`` on ``world`` alone."""
+    return accessible_distributions([world], script, condition_visibility=condition_visibility)[0]
 
 
 @dataclass(frozen=True)
@@ -200,11 +221,10 @@ def indistinguishability_sweep(
         raise ValueError("lambda grid must start at 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
-    er_dist = accessible_distribution(build_er_world(), script)
+    worlds = [params.world(lam) for lam in grid]
+    *dists, er_dist = accessible_distributions(worlds + [build_er_world()], script)
     rows = []
-    for lam in grid:
-        world = params.world(lam)
-        dist = accessible_distribution(world, script)
+    for lam, world, dist in zip(grid, worlds, dists):
         pair = deliver_pair(world)
         rows.append(
             SweepRow(
@@ -236,12 +256,8 @@ def channel_size_check(
     dims = [int(d) for d in q_dims]
     if any(d < 2 for d in dims):
         raise ValueError("every channel size must be >= 2")
-    dists = [
-        accessible_distribution(
-            build_epr_world(d, qbar_dim, lam, seed, evolution_time=evolution_time), script
-        )
-        for d in dims
-    ]
+    worlds = [build_epr_world(d, qbar_dim, lam, seed, evolution_time=evolution_time) for d in dims]
+    dists = accessible_distributions(worlds, script)
     worst = 0.0
     for i in range(len(dists)):
         for j in range(i + 1, len(dists)):

@@ -8,7 +8,10 @@ prior outcomes a round can see is decided at execution time, which is how
 the classical channel is withheld in no-signaling checks.
 
 Scripts are plain data and can be serialized to JSON; a corpus of scripts
-ships with the package under ``data/scripts``.
+ships with the package under ``data/scripts``.  Scripts are immutable: each
+round's ``condition`` is a read-only mapping.  A bundled script is parsed
+once per process and then shared by every caller, so each of its instruments
+is validated once per process.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import LocalityViolationError
@@ -53,7 +58,7 @@ class ProtocolRound:
 
     ``condition`` maps a tuple of previously visible outcomes to an
     instrument variant; when the visible transcript has no entry, the
-    default ``instrument`` is used.
+    default ``instrument`` is used.  It is stored as a read-only mapping.
     """
 
     party: str
@@ -75,7 +80,7 @@ class ProtocolRound:
                     raise LocalityViolationError(
                         f"conditioned instrument for {key} acts on dimension {inst.dimension}"
                     )
-            object.__setattr__(self, "condition", cond)
+            object.__setattr__(self, "condition", MappingProxyType(cond))
 
     def resolve(self, visible: tuple[str, ...]) -> QuantumInstrument:
         """Instrument to run given the outcomes visible to this round."""
@@ -181,13 +186,16 @@ def _script_dir():
     return resources.files("locclab").joinpath("data/scripts")
 
 
-def bundled_script_names() -> list[str]:
-    return sorted(
+@cache
+def bundled_script_names() -> tuple[str, ...]:
+    return tuple(sorted(
         p.name.removesuffix(".json") for p in _script_dir().iterdir() if p.name.endswith(".json")
-    )
+    ))
 
 
+@cache
 def load_bundled_script(name: str) -> ProtocolScript:
+    """The bundled script ``name``, parsed on the first call and shared after it."""
     text = _script_dir().joinpath(f"{name}.json").read_text(encoding="utf-8")
     return script_from_dict(json.loads(text))
 

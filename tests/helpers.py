@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import numpy as np
 
 from locclab import DensityMatrix, HermitianOperator, qubits
@@ -46,3 +48,8 @@ def sign_flip_one_term(inst: QuantumInstrument) -> QuantumInstrument:
     weights[0] = -weights[0]
     bad = InstrumentBranch(first.outcome, first.kraus, tuple(weights))
     return QuantumInstrument((bad,) + inst.branches[1:])
+
+
+def bundled_script_text(name: str) -> str:
+    """JSON text of the script ``name`` shipped with the package."""
+    return resources.files("locclab").joinpath(f"data/scripts/{name}.json").read_text("utf-8")

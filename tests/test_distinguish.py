@@ -1,8 +1,10 @@
 """Tests for transcript distributions, sweeps, no-signaling, and frames."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locclab import (
     CHSHConfig,
@@ -12,15 +14,18 @@ from locclab import (
     ProtocolScript,
     TSIRELSON_BOUND,
     accessible_distribution,
+    accessible_distributions,
     build_epr_world,
     build_er_world,
     bundled_corpus,
+    bundled_script_names,
     canonical_chsh_script,
     channel_size_check,
     deliver_pair,
     frame_misalignment_demo,
     identity_instrument,
     load_bundled_script,
+    measure_angle,
     measure_x,
     measure_z,
     no_signaling_check,
@@ -30,8 +35,10 @@ from locclab import (
     indistinguishability_sweep,
     total_variation,
 )
-from locclab import ContractError, distinguish, instruments
+from locclab import ContractError, distinguish, instruments, protocols
+from locclab.cli import EXIT_OK, main
 from locclab.distinguish import SWEEP_HEADER
+from locclab.protocols import script_from_dict
 
 import helpers
 import oracles
@@ -131,7 +138,8 @@ class TestAccessibleDistribution:
 
         monkeypatch.setattr(distinguish, "check_density_stack", check)
         monkeypatch.setattr(instruments, "validate_instrument", validate)
-        script = load_bundled_script("adaptive_three")
+        # parsed afresh: the shared bundled script was validated earlier in the session
+        script = script_from_dict(json.loads(helpers.bundled_script_text("adaptive_three")))
         world = build_epr_world(2, 2, 0.7, seed=3)
         accessible_distribution(world, script)
         accessible_distribution(world, script)
@@ -247,6 +255,179 @@ class TestChannelSizeCheck:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             channel_size_check([1, 2], canonical_chsh_script())
+
+
+def bits(dist: OutcomeDistribution) -> list:
+    """Entries with each probability as its exact bits, so that -0.0 differs from 0.0."""
+    return [(t, p.hex()) for t, p in dist.entries]
+
+
+def make_world(spec):
+    return build_er_world() if spec is None else build_epr_world(*spec)
+
+
+#: An ER world or ``(q_dim, qbar_dim, lam, seed)`` of an EPR world.
+WORLD_SPECS = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        st.integers(0, 2**16),
+    ),
+)
+
+
+class TestStackedWorlds:
+    @pytest.mark.parametrize("visibility", ["full", "own-party"])
+    def test_each_world_gets_its_own_bytes_across_the_corpus(self, visibility):
+        worlds = [build_er_world(), build_epr_world(2, 2, 0.0, seed=21),
+                  build_epr_world(2, 2, 0.8, seed=21)]
+        names = bundled_script_names()
+        assert len(names) == 13
+        for name in names:
+            script = load_bundled_script(name)
+            stacked = accessible_distributions(worlds, script, condition_visibility=visibility)
+            assert len(stacked) == len(worlds)
+            for world, dist in zip(worlds, stacked):
+                alone = accessible_distributions([world], script, condition_visibility=visibility)
+                assert bits(dist) == bits(alone[0]), name
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(WORLD_SPECS, min_size=1, max_size=4),
+        name=st.sampled_from(bundled_script_names()),
+        visibility=st.sampled_from(["full", "own-party"]),
+    )
+    def test_stack_of_random_worlds_equals_each_world_alone(self, specs, name, visibility):
+        worlds = [make_world(spec) for spec in specs]
+        script = load_bundled_script(name)
+        stacked = accessible_distributions(worlds, script, condition_visibility=visibility)
+        for world, dist in zip(worlds, stacked):
+            alone = accessible_distribution(world, script, condition_visibility=visibility)
+            assert bits(dist) == bits(alone)
+
+    def test_branches_dead_only_in_er(self):
+        # X outcomes of the singlet anticorrelate, so "00" and "11" are dead
+        # in ER (at most PROB_FLOOR, never negative) and live in a dephased world
+        world = build_epr_world(2, 2, 0.8, seed=5)
+        script = load_bundled_script("xx")
+        er, epr = accessible_distributions([build_er_world(), world], script)
+        for t in (("0", "0"), ("1", "1")):
+            assert math.copysign(1.0, er.as_dict()[t]) == 1.0
+            assert er.as_dict()[t] <= instruments.PROB_FLOOR
+            assert epr.as_dict()[t] > 1e-3
+
+        # a dead branch's descendants get +0.0 in ER only
+        longer = ProtocolScript("xx then z", script.rounds + (ProtocolRound("A", measure_z()),))
+        er3, epr3 = accessible_distributions([build_er_world(), world], longer)
+        for t in (("0", "0", "0"), ("0", "0", "1"), ("1", "1", "0"), ("1", "1", "1")):
+            assert er3.as_dict()[t].hex() == "0x0.0p+0"
+            assert epr3.as_dict()[t] > 1e-3
+
+        h_rest = oracles.rest_hamiltonian([term.matrix for term in world.rest_terms])
+        pair = oracles.dense_world_pair(h_rest, 2, 2, 0.8, world.evolution_time)
+        rounds = [
+            (party, [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches])
+            for party, rnd in zip((0, 1), script.rounds)
+        ]
+        oracle = oracles.transcript_distribution(pair, rounds)
+        assert set(oracle) == set(epr.as_dict())
+        for t, p in epr.entries:
+            assert abs(p - oracle[t]) <= 1e-12, t
+
+    @staticmethod
+    def conditioned_on_00(instrument):
+        bad = helpers.sign_flip_one_term(measure_x())
+        return ProtocolScript(
+            "bad after 00", (
+                ProtocolRound("A", instrument),
+                ProtocolRound("B", instrument),
+                ProtocolRound("A", measure_z(), {("0", "0"): bad}),
+            ),
+        )
+
+    def test_invalid_instrument_on_branches_dead_in_every_world_is_not_applied(self):
+        # Z outcomes of a dephased singlet stay anticorrelated: "00" is dead everywhere
+        script = self.conditioned_on_00(measure_z())
+        worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
+        for dist in accessible_distributions(worlds, script):
+            assert dist.as_dict()[("0", "0", "0")] == dist.as_dict()[("0", "0", "1")] == 0.0
+
+    def test_branch_whose_product_falls_below_the_floor_is_dead(self):
+        # each step of "001" has probability about 1e-7, above PROB_FLOOR, but
+        # their product is about 5e-15: the branch is dead and its instrument never acts
+        tilt = measure_angle(6.3e-4)
+        bad = helpers.sign_flip_one_term(measure_x())
+        script = ProtocolScript(
+            "tiny product", (
+                ProtocolRound("A", measure_z()),
+                ProtocolRound("B", tilt),
+                ProtocolRound("A", tilt),
+                ProtocolRound("B", measure_z(), {("0", "0", "1"): bad}),
+            ),
+        )
+        worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
+        prefix = ProtocolScript("prefix", script.rounds[:3])
+        for dist in accessible_distributions(worlds, prefix):
+            assert 0.0 < dist.as_dict()[("0", "0", "1")] <= instruments.PROB_FLOOR
+        for dist in accessible_distributions(worlds, script):
+            probs = dist.as_dict()
+            assert probs[("0", "0", "1", "0")] == probs[("0", "0", "1", "1")] == 0.0
+
+    def test_invalid_instrument_on_a_branch_live_in_one_world_raises(self):
+        # X outcomes: "00" is dead in ER and live in the dephased world
+        script = self.conditioned_on_00(measure_x())
+        accessible_distributions([build_er_world()], script)
+        with pytest.raises(ContractError, match="invalid instrument"):
+            accessible_distributions([build_er_world(), build_epr_world(2, 2, 0.8, seed=5)], script)
+
+    def test_no_worlds_no_distributions(self):
+        assert accessible_distributions([], canonical_chsh_script()) == []
+
+
+class TestCallCounts:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        check_density_stack = distinguish.check_density_stack
+
+        def check(m, tol):
+            calls.append(m.shape)
+            return check_density_stack(m, tol)
+
+        monkeypatch.setattr(distinguish, "check_density_stack", check)
+        return calls
+
+    def test_corpus_distinguish_checks_each_round_once(self, checked, capsys):
+        argv = ["distinguish", "--seed", "3", "--lambda", "0.8", "--q-dim", "3"]
+        assert main(argv) == EXIT_OK
+        assert len(checked) == sum(len(s.rounds) for s in bundled_corpus())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seed", "3", "--lambda-grid", "0,0.4,0.9,1.3"],
+        ["qecc", "--seed", "3", "--q-dims", "2,3,4", "--lambda", "0.7"],
+    ])
+    def test_sweep_and_qecc_check_each_round_once(self, checked, capsys, argv):
+        assert main([*argv, "--script", "adaptive_three"]) == EXIT_OK
+        assert len(checked) == len(load_bundled_script("adaptive_three").rounds)
+
+    def test_second_run_validates_nothing(self, monkeypatch, capsys):
+        protocols.load_bundled_script.cache_clear()
+        validated = []
+        validate_instrument = instruments.validate_instrument
+
+        def validate(inst):
+            validated.append(inst)
+            return validate_instrument(inst)
+
+        monkeypatch.setattr(instruments, "validate_instrument", validate)
+        argv = ["distinguish", "--seed", "4", "--lambda", "0.5"]
+        assert main(argv) == EXIT_OK
+        first = len(validated)
+        assert first == len(set(map(id, validated))) > 0
+        assert main(argv) == EXIT_OK
+        assert len(validated) == first
 
 
 class TestNoSignaling:

@@ -5,7 +5,10 @@ built the whole transcript and formatted it one row at a time, before the
 block sampler.  The payloads of the five other experiments were written by
 the enumeration that applied each instrument to one validated
 ``DensityMatrix`` at a time, before the stacked transcript kernel; each of
-their configurations is recorded in both payload formats.
+their configurations is recorded in both payload formats.  The two ``xx``
+files were written by the enumeration that ran one world at a time, before
+a sweep or channel-size check ran all its worlds as one stack; ``xx`` has
+branches that are dead in ER and live in a dephased world.
 """
 
 import hashlib
@@ -61,6 +64,8 @@ EXACT = {
         "--script", "chsh_rotated",
     ],
     "frames": ["frames", "--seed", "9", "--offset", "0.5"],
+    "sweep_xx": ["sweep", "--seed", "16", "--lambda-grid", "0,0.5,1.1", "--script", "xx"],
+    "qecc_xx": ["qecc", "--seed", "17", "--q-dims", "2,3,4", "--lambda", "0.7", "--script", "xx"],
 }
 
 FORMATS = {".json": "structured", ".txt": "columnar"}

@@ -90,6 +90,15 @@ class TestCorpus:
                     for variant in rnd.condition.values():
                         assert validate_instrument(variant).passed
 
+    def test_bundled_scripts_are_shared_and_read_only(self):
+        for name in bundled_script_names():
+            assert load_bundled_script(name) is load_bundled_script(name)
+        script = load_bundled_script("adaptive_bob")
+        with pytest.raises(TypeError):
+            script.rounds[1].condition[("0",)] = measure_x()
+        with pytest.raises(TypeError):
+            bundled_script_names()[0] = "other"
+
     def test_adaptive_script_parses_conditions(self):
         script = load_bundled_script("adaptive_bob")
         assert script.rounds[1].condition is not None
