@@ -3,22 +3,25 @@ Delivering the pair through an explicit environment
 ===================================================
 
 Instead of handing the agents a pair directly, an EPR-style world prepares
-it on two designated channel qubits inside the environment, lets the whole
-environment evolve internally, and only then hands the carriers over.  The
+it on two designated channel qubits inside the environment, lets the
+environment's own dynamics run, and only then hands the carriers over.  The
 environment splits into the channel qubits, the remaining qubits, and a
 coupling between the two scaled by a single knob ``lam``.
 
 With the coupling off the delivered pair is the exact singlet no matter
 what the rest of the environment does.  Turning it up dephases the pair:
 purity drops, and the attainable CHSH statistic decays with it.  The
-coherence responds monotonically over the sweep range used here.
+coherence responds monotonically over the sweep range used here; the table
+is one coupling sweep of the canonical CHSH script.
 """
 
 from locclab import (
+    EprParams,
     build_epr_world,
-    channel_purity_profile,
+    canonical_chsh_script,
     deliver_pair,
     exact_chsh,
+    indistinguishability_sweep,
     purity,
     singlet_density,
     trace_distance,
@@ -35,15 +38,15 @@ def main():
     print("\ncoupling strength vs delivered-pair purity and CHSH statistic")
     print("  lam    purity    |S|")
     grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
-    for lam, p in channel_purity_profile(grid, q_dim=2, qbar_dim=2, seed=0):
-        pair = deliver_pair(build_epr_world(2, 2, lam, seed=0))
-        s = exact_chsh(pair).s_abs
-        print(f"  {lam:.1f}    {p:.4f}    {s:.4f}")
+    params = EprParams(q_dim=2, qbar_dim=2, seed=0)
+    for row in indistinguishability_sweep(grid, canonical_chsh_script(), params):
+        print(f"  {row.lam:.1f}    {row.pair_purity:.4f}    {row.s_abs:.4f}")
 
     print("\nthe environment size matters only through the coupling:")
     for qbar_dim in (1, 2, 3):
         pair = deliver_pair(build_epr_world(2, qbar_dim, 0.8, seed=0))
-        print(f"  qbar_dim={qbar_dim}: purity = {purity(pair.state):.4f}")
+        s = exact_chsh(pair).s_abs
+        print(f"  qbar_dim={qbar_dim}: purity = {purity(pair.state):.4f}, |S| = {s:.4f}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Two-agent LOCC protocol laboratory.
 
-A dense-linear-algebra simulator for experiments two separated agents can
-run over a shared pair of boundary qubits: quantum instruments and their
-coarse-grainings, CHSH experiments against the quantum bound, worlds that
-deliver the pair either by direct identification or through explicit
-environment channel qubits, and exact transcript-distribution comparisons
-between the two.
+A simulator for experiments two separated agents can run over a shared
+pair of boundary qubits, with no state larger than the 4x4 pair: quantum
+instruments whose Kraus operators are extended to the pair by
+``embed_operator``, their coarse-grainings, CHSH experiments against the
+quantum bound, worlds that deliver the pair either by direct identification
+or through explicit environment channel qubits, and exact
+transcript-distribution comparisons between the two.
 """
 
 from .bell import (
@@ -59,7 +60,6 @@ from .instruments import (
     measure_angle,
     measure_x,
     measure_z,
-    one_way_local_instrument,
     parse_instrument,
     save_instrument,
     serialize_instrument,
@@ -70,16 +70,12 @@ from .instruments import (
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
-    PureState,
     SubsystemLayout,
     Tolerances,
     embed_operator,
-    evolve,
     expectation,
-    partial_trace,
     purity,
     qubits,
-    tensor_product,
     trace_distance,
 )
 from .protocols import (
@@ -96,7 +92,6 @@ from .worlds import (
     World,
     build_epr_world,
     build_er_world,
-    channel_purity_profile,
     deliver_pair,
     singlet_density,
 )

@@ -23,8 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "branch_choi",
     "validate_instrument",
     "apply_instrument",
-    "one_way_local_instrument",
     "coarse_grain",
     "measure_z",
     "measure_x",
@@ -347,65 +345,6 @@ def apply_instrument(
         )
         for b, p, post in zip(inst.branches, probs[:, 0].tolist(), posts[:, 0])
     ]
-
-
-def one_way_local_instrument(
-    layout: SubsystemLayout,
-    party: str,
-    local: QuantumInstrument,
-    others_tp: Mapping[str, Sequence[np.ndarray]],
-) -> QuantumInstrument:
-    """Joint instrument for one party acting locally while the rest apply TP maps.
-
-    ``local`` acts on the ``party`` factor; ``others_tp`` maps every other
-    factor label to the Kraus operators of a single-branch trace-preserving
-    map.  Each joint branch operator is the tensor product of the others'
-    Kraus operators with the local branch's, ordered by ``layout``.
-    """
-    labels = layout.labels
-    if party not in labels:
-        raise LayoutError(f"party {party!r} not in layout {labels}")
-    missing = [l for l in labels if l != party and l not in others_tp]
-    if missing:
-        raise LayoutError(f"missing TP maps for factors {missing}")
-    extra = [l for l in others_tp if l not in labels or l == party]
-    if extra:
-        raise LayoutError(f"unexpected TP map labels {extra}")
-    if local.dimension != layout.dims[layout.position(party)]:
-        raise LayoutError(
-            f"local instrument dimension {local.dimension} does not match factor {party!r}"
-        )
-    if not local.report.passed:
-        raise ContractError(
-            "invalid local instrument: " + "; ".join(map(str, local.report.violations))
-        )
-    checked_others: dict[str, tuple[np.ndarray, ...]] = {}
-    for l, ops in others_tp.items():
-        ops = _as_operator_tuple(ops)
-        d = layout.dims[layout.position(l)]
-        if ops[0].shape[0] != d:
-            raise LayoutError(f"TP map for {l!r} has dimension {ops[0].shape[0]}, expected {d}")
-        tp = validate_instrument(QuantumInstrument((InstrumentBranch("tp", ops),)))
-        if not tp.passed:
-            raise ContractError(
-                f"map for factor {l!r} is not trace preserving: "
-                + "; ".join(map(str, tp.violations))
-            )
-        checked_others[l] = ops
-
-    branches = []
-    for b in local.branches:
-        if b.weights is not None:
-            raise ContractError("weighted branches are not supported in joint products")
-        pools = [checked_others[l] if l != party else b.kraus for l in labels]
-        joint = []
-        for combo in product(*pools):
-            op = combo[0]
-            for piece in combo[1:]:
-                op = np.kron(op, piece)
-            joint.append(op)
-        branches.append(InstrumentBranch(b.outcome, tuple(joint)))
-    return QuantumInstrument(tuple(branches))
 
 
 def coarse_grain(inst: QuantumInstrument, partition: CoarseGrainingPartition) -> QuantumInstrument:

@@ -1,10 +1,13 @@
-"""Dense complex linear algebra over multi-qubit Hilbert spaces.
+"""Complex linear algebra sized for the two-qubit pair.
 
-States and operators are plain ``numpy`` arrays wrapped together with a
-:class:`SubsystemLayout` that records the tensor factorization.  The layout
-convention is fixed once, here: **factor 0 is the most significant index**,
-i.e. the basis state ``|k_0 k_1 ... k_{n-1}>`` has linear index
-``k_0 * d_1 * ... * d_{n-1} + ... + k_{n-1}``, matching ``numpy.kron`` order.
+Alice and Bob only ever hold a two-qubit pair, so every state the package
+builds is a 4x4 density matrix on the pair.  Values are plain ``numpy``
+arrays wrapped together with a :class:`SubsystemLayout` that records the
+tensor factorization.  The layout convention is fixed once, here: **factor 0
+is the most significant index**, i.e. the basis state ``|k_0 k_1 ... k_{n-1}>``
+has linear index ``k_0 * d_1 * ... * d_{n-1} + ... + k_{n-1}``, matching
+``numpy.kron`` order.  A Kraus operator acting on some factors is extended to
+the whole layout by :func:`embed_operator`.
 
 All values are validated on construction and immutable afterwards; every
 operation is a pure function of its inputs, so values can be shared freely
@@ -20,20 +23,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, LayoutError
+from .errors import LayoutError
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
-    "DIMENSION_CAP",
     "SubsystemLayout",
     "DensityMatrix",
     "check_density_stack",
-    "PureState",
     "HermitianOperator",
-    "tensor_product",
-    "partial_trace",
-    "evolve",
     "trace_distance",
     "purity",
     "expectation",
@@ -43,29 +41,23 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "basis_ket",
     "plus_ket",
     "qubits",
 ]
-
-#: Default total-dimension cap; dense storage beyond this is refused.
-DIMENSION_CAP = 2**14
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances used by the state/operator validity checks.
 
-    ``herm``/``trace``/``norm`` bound the Hermiticity, unit-trace, and
-    unit-norm defects; ``psd`` bounds how far below zero an eigenvalue may
-    sit before a matrix is rejected as non-positive.  Double-precision dense
-    algebra on the system sizes this package targets stays far below the
-    defaults.
+    ``herm`` and ``trace`` bound the Hermiticity and unit-trace defects;
+    ``psd`` bounds how far below zero an eigenvalue may sit before a matrix
+    is rejected as non-positive.  Double-precision algebra on a pair stays
+    far below the defaults.
     """
 
     herm: float = 1e-10
     trace: float = 1e-10
-    norm: float = 1e-10
     psd: float = 1e-9
 
 
@@ -131,8 +123,6 @@ class SubsystemLayout:
     def dimension_of(self, labels: Iterable[str]) -> int:
         return math.prod(self.dims[self.position(l)] for l in labels)
 
-    def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        return SubsystemLayout(self.factors + other.factors)
 
 
 def qubits(*labels: str) -> SubsystemLayout:
@@ -191,31 +181,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """A state vector with unit 2-norm and a subsystem layout."""
-
-    amplitudes: np.ndarray
-    layout: SubsystemLayout
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False, compare=False)
-
-    def __post_init__(self):
-        v = _freeze(self.amplitudes).reshape(-1)
-        object.__setattr__(self, "amplitudes", v)
-        if v.shape[0] != self.layout.total_dim:
-            raise LayoutError(
-                f"vector dimension {v.shape[0]} != layout dimension {self.layout.total_dim}"
-            )
-        _require_finite(v, "state vector")
-        norm_defect = abs(np.linalg.norm(v) - 1.0)
-        if norm_defect > self.tol.norm:
-            raise ValueError(f"state vector not normalized (defect {norm_defect:.3e})")
-
-    def to_density(self) -> DensityMatrix:
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()), self.layout, self.tol)
-
-
-@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian operator (observable or Hamiltonian) with a layout."""
 
@@ -242,63 +207,6 @@ def _same_layout(a: SubsystemLayout, b: SubsystemLayout) -> bool:
     return a.factors == b.factors
 
 
-def tensor_product(a, b, *, dimension_cap: int = DIMENSION_CAP):
-    """Tensor product of two values of the same kind.
-
-    Accepts two :class:`DensityMatrix`, two :class:`HermitianOperator`, two
-    :class:`PureState`, or two bare ``numpy`` arrays.  For layout-carrying
-    kinds the result layout is the concatenation of the factor lists; label
-    collisions are rejected.  The product dimension must stay within
-    ``dimension_cap``.
-    """
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        if a.shape[-1] * b.shape[-1] > dimension_cap:
-            raise CapacityError(
-                f"product dimension {a.shape[-1] * b.shape[-1]} exceeds cap {dimension_cap}"
-            )
-        return np.kron(a, b)
-    pairs = (
-        (DensityMatrix, lambda m, lay: DensityMatrix(m, lay)),
-        (HermitianOperator, lambda m, lay: HermitianOperator(m, lay)),
-    )
-    for kind, make in pairs:
-        if isinstance(a, kind) and isinstance(b, kind):
-            total = a.layout.total_dim * b.layout.total_dim
-            if total > dimension_cap:
-                raise CapacityError(f"product dimension {total} exceeds cap {dimension_cap}")
-            return make(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        total = a.layout.total_dim * b.layout.total_dim
-        if total > dimension_cap:
-            raise CapacityError(f"product dimension {total} exceeds cap {dimension_cap}")
-        return PureState(np.kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out all factors not named in ``keep``.
-
-    The result's layout is the kept factors in their original order; the
-    total trace is preserved exactly up to floating point.
-    """
-    keep = list(keep)
-    if not keep:
-        raise LayoutError("must keep at least one factor")
-    positions = {rho.layout.position(l) for l in keep}
-    dims = rho.layout.dims
-    n = len(dims)
-    kept = sorted(positions)
-    tensor = rho.matrix.reshape(dims + dims)
-    # einsum integer subscripts: traced factors share the row/column axis id
-    row = list(range(n))
-    col = [n + i if i in positions else i for i in range(n)]
-    out = [i for i in kept] + [n + i for i in kept]
-    reduced = np.einsum(tensor, row + col, out)
-    kept_dim = math.prod(dims[i] for i in kept)
-    reduced = reduced.reshape(kept_dim, kept_dim)
-    return DensityMatrix(reduced, SubsystemLayout(tuple(rho.layout.factors[i] for i in kept)), rho.tol)
-
-
 def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     """``exp(scale * h)`` for Hermitian ``h`` via eigendecomposition.
 
@@ -309,16 +217,6 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     """
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def evolve(rho: DensityMatrix, h: HermitianOperator, t: float) -> DensityMatrix:
-    """Conjugate ``rho`` by ``exp(-i h t)``; trace and spectrum are preserved."""
-    if not _same_layout(rho.layout, h.layout):
-        raise LayoutError(
-            f"state layout {rho.layout.factors} != Hamiltonian layout {h.layout.factors}"
-        )
-    u = hermitian_exponential(h.matrix, -1j * float(t))
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.layout, rho.tol)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -393,14 +291,6 @@ def embed_operator(op: np.ndarray, layout: SubsystemLayout, targets: Sequence[st
     # targets may still be permuted relative to the layout
     q = _digit_map(dims, tuple(positions + rest))
     return np.ascontiguousarray(full[..., q[:, None], q])
-
-
-def basis_ket(bits: str) -> np.ndarray:
-    """Computational-basis vector for a bit string, qubit 0 most significant."""
-    n = len(bits)
-    v = np.zeros(2**n, dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
 
 
 def plus_ket(n: int = 1) -> np.ndarray:

@@ -9,9 +9,9 @@ the classical channel is withheld in no-signaling checks.
 
 Scripts are plain data and can be serialized to JSON; a corpus of scripts
 ships with the package under ``data/scripts``.  Scripts are immutable: each
-round's ``condition`` is a read-only mapping.  A bundled script is parsed
-once per process and then shared by every caller, so each of its instruments
-is validated once per process.
+round's ``condition`` is a read-only mapping.  A bundled script, like the
+canonical CHSH script, is built once per process and then shared by every
+caller, so each of its instruments is validated once per process.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "bundled_script_names",
     "load_bundled_script",
     "bundled_corpus",
+    "canonical_chsh_script",
 ]
 
 PARTIES = ("A", "B")
@@ -205,8 +206,9 @@ def bundled_corpus() -> list[ProtocolScript]:
     return [load_bundled_script(n) for n in bundled_script_names()]
 
 
+@cache
 def canonical_chsh_script() -> ProtocolScript:
-    """Two rounds of randomized setting choice at the optimal CHSH angles."""
+    """Two rounds of randomized setting choice at the optimal CHSH angles, built once."""
     return ProtocolScript(
         "chsh_canonical",
         (

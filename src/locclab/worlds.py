@@ -50,13 +50,11 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import (
-    DIMENSION_CAP,
     DensityMatrix,
     HermitianOperator,
     PAULI_Z,
     hermitian_exponential,
     plus_ket,
-    purity,
     qubits,
 )
 
@@ -70,15 +68,13 @@ __all__ = [
     "build_epr_world",
     "deliver_pair",
     "pair_coherence",
-    "channel_purity_profile",
 ]
 
 #: Labels of the boundary pair as seen by Alice and Bob.
 PAIR_LABELS = ("q_A", "q_B")
 
-#: Largest EPR world, in qubits (boundary + channel + rest), that may be built:
-#: the qubit count of the package-wide ``DIMENSION_CAP``.
-QUBIT_CAP = DIMENSION_CAP.bit_length() - 1
+#: Largest EPR world, in qubits (boundary + channel + rest), that may be built.
+QUBIT_CAP = 14
 
 
 def singlet_density(labels: Sequence[str] = PAIR_LABELS) -> DensityMatrix:
@@ -103,8 +99,6 @@ class World:
     An EPR world holds its environment Hamiltonian in factored form: one
     single-qubit term per rest qubit in ``rest_terms`` and the staggered
     ``coupling_weights`` of its ``q_dim`` channel qubits, scaled by ``lam``.
-    ``location_labels`` are opaque coordinates carried for bookkeeping only;
-    they never influence any numerical output.
     """
 
     mode: str  # "ER" | "EPR"
@@ -112,7 +106,6 @@ class World:
     evolution_time: float
     lam: float = 0.0
     rest_terms: tuple[HermitianOperator, ...] = ()
-    location_labels: tuple[str, str] = ("x_A", "x_B")
     seed: int | None = None
 
     def __post_init__(self):
@@ -140,11 +133,6 @@ class World:
     def coupling_weights(self) -> tuple[float, ...]:
         """Staggered ``+1/4, -1/4, ...`` weight of each channel qubit's coupling."""
         return tuple(0.25 if i % 2 == 0 else -0.25 for i in range(self.q_dim))
-
-    @property
-    def total_dim(self) -> int:
-        """Full simulated dimension including the boundary pair."""
-        return 2 ** (2 + self.q_dim + self.qbar_dim)
 
     @cached_property
     def pair(self) -> BoundaryPair:
@@ -174,9 +162,9 @@ class BoundaryPair:
             raise ValueError(f"boundary pair must live on {PAIR_LABELS}")
 
 
-def build_er_world(location_labels: tuple[str, str] = ("x_A", "x_B")) -> World:
+def build_er_world() -> World:
     """A world where the measured locations are directly identified: no channel."""
-    return World(mode="ER", q_dim=0, evolution_time=1.0, location_labels=location_labels)
+    return World(mode="ER", q_dim=0, evolution_time=1.0)
 
 
 def build_epr_world(
@@ -186,7 +174,6 @@ def build_epr_world(
     seed: int,
     *,
     evolution_time: float = 1.0,
-    location_labels: tuple[str, str] = ("x_A", "x_B"),
 ) -> World:
     """A world whose pair is delivered through ``q_dim`` environment channel qubits.
 
@@ -200,7 +187,7 @@ def build_epr_world(
     if 2 + q_dim + qbar_dim > QUBIT_CAP:
         raise CapacityError(
             f"world of {2 + q_dim + qbar_dim} qubits (2 boundary + {q_dim} channel + "
-            f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {DIMENSION_CAP})"
+            f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {2**QUBIT_CAP})"
         )
     rng = np.random.default_rng(seed)
     terms = tuple(
@@ -213,7 +200,6 @@ def build_epr_world(
         evolution_time=float(evolution_time),
         lam=float(lam),
         rest_terms=terms,
-        location_labels=location_labels,
         seed=seed,
     )
 
@@ -250,24 +236,3 @@ def deliver_pair(world: World) -> BoundaryPair:
     The pair is computed once per world and shared by every later call.
     """
     return world.pair
-
-
-def channel_purity_profile(
-    lambdas: Sequence[float],
-    *,
-    q_dim: int = 2,
-    qbar_dim: int = 1,
-    seed: int = 0,
-    evolution_time: float = 1.0,
-) -> list[tuple[float, float]]:
-    """Pair purity as a function of coupling strength over an ascending grid."""
-    grid = [float(x) for x in lambdas]
-    if not grid:
-        raise ValueError("lambda grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly ascending")
-    out = []
-    for lam in grid:
-        world = build_epr_world(q_dim, qbar_dim, lam, seed, evolution_time=evolution_time)
-        out.append((lam, purity(deliver_pair(world).state)))
-    return out

@@ -200,6 +200,8 @@ class TestIndistinguishabilitySweep:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
+            indistinguishability_sweep([], canonical_chsh_script())
+        with pytest.raises(ValueError):
             indistinguishability_sweep([0.1, 0.5], canonical_chsh_script())
         with pytest.raises(ValueError):
             indistinguishability_sweep([0.0, 0.5, 0.5], canonical_chsh_script())
@@ -428,6 +430,25 @@ class TestCallCounts:
         assert first == len(set(map(id, validated))) > 0
         assert main(argv) == EXIT_OK
         assert len(validated) == first
+
+    def test_canonical_script_validated_once(self, monkeypatch, capsys):
+        # sweep without --script runs the canonical CHSH script: its two
+        # settings_choice instruments are validated on the first run only
+        assert canonical_chsh_script() is canonical_chsh_script()
+        protocols.canonical_chsh_script.cache_clear()
+        validated = []
+        validate_instrument = instruments.validate_instrument
+
+        def validate(inst):
+            validated.append(inst)
+            return validate_instrument(inst)
+
+        monkeypatch.setattr(instruments, "validate_instrument", validate)
+        argv = ["sweep", "--seed", "5", "--lambda-grid", "0,0.5"]
+        assert main(argv) == EXIT_OK
+        assert len(validated) == 2
+        assert main(argv) == EXIT_OK
+        assert len(validated) == 2
 
 
 class TestNoSignaling:

@@ -18,7 +18,6 @@ from locclab import (
     identity_instrument,
     measure_x,
     measure_z,
-    one_way_local_instrument,
     parse_instrument,
     qubits,
     serialize_instrument,
@@ -39,6 +38,7 @@ from locclab.linalg import check_density_stack, embed_operator
 from locclab.worlds import singlet_density
 
 import helpers
+import oracles
 
 
 def plus_density(label="q") -> DensityMatrix:
@@ -123,16 +123,14 @@ class TestApply:
 
     def test_z_on_alice_half_of_singlet(self):
         # Alice's outcome steers Bob's marginal to the opposite basis state
-        from locclab import partial_trace
-
         rho = singlet_density()
         records = apply_instrument(measure_z(), rho, ("q_A",))
         for record, bob_bit in zip(records, ("1", "0")):
             assert abs(record.probability - 0.5) < 1e-12
-            bob = partial_trace(record.post_state, {"q_B"})
+            bob = oracles.ptrace_by_loops(record.post_state.matrix, [2, 2], [1])
             expected = np.zeros((2, 2))
             expected[int(bob_bit), int(bob_bit)] = 1.0
-            assert_allclose(bob.matrix, expected, atol=1e-12)
+            assert_allclose(bob, expected, atol=1e-12)
 
     def test_invalid_instrument_rejected(self):
         inst = QuantumInstrument(
@@ -301,55 +299,19 @@ class TestBranchKernel:
 
 
 class TestOneWayLocal:
-    def test_alice_measurement_with_identity_bob(self):
-        layout = qubits("q_A", "q_B")
-        joint = one_way_local_instrument(
-            layout, "q_A", measure_z(), {"q_B": (np.eye(2, dtype=complex),)}
-        )
-        assert joint.outcomes == ("0", "1")
-        assert joint.dimension == 4
-        rho = singlet_density()
-        joint_records = apply_instrument(joint, rho, ("q_A", "q_B"))
-        local_records = apply_instrument(measure_z(), rho, ("q_A",))
-        for jr, lr in zip(joint_records, local_records):
-            assert abs(jr.probability - lr.probability) < 1e-12
-            assert_allclose(jr.post_state.matrix, lr.post_state.matrix, atol=1e-12)
-
-    def test_identity_local_gives_single_outcome(self):
-        layout = qubits("q_A", "q_B")
-        joint = one_way_local_instrument(
-            layout, "q_B", identity_instrument(), {"q_A": (np.eye(2, dtype=complex),)}
-        )
-        assert joint.outcomes == ("id",)
-        assert validate_instrument(joint).passed
-
     def test_tp_map_does_not_alter_outcome_probabilities(self):
         # marginalization oracle: a TP map on Bob cannot move Alice's probabilities
-        layout = qubits("q_A", "q_B")
-        joint = one_way_local_instrument(
-            layout, "q_A", measure_x(), {"q_B": depolarizing_kraus(0.2)}
-        )
+        bob_tp = QuantumInstrument((InstrumentBranch("tp", depolarizing_kraus(0.2)),))
+        assert validate_instrument(bob_tp).passed
         rng = np.random.default_rng(4)
         for _ in range(5):
             rho = helpers.random_density(rng, 2, labels=["q_A", "q_B"])
-            joint_probs = [r.probability for r in apply_instrument(joint, rho, ("q_A", "q_B"))]
-            local_probs = [r.probability for r in apply_instrument(measure_x(), rho, ("q_A",))]
-            assert_allclose(joint_probs, local_probs, atol=1e-10)
-
-    def test_output_is_valid_randomized(self):
-        rng = np.random.default_rng(5)
-        layout = qubits("a", "b")
-        for _ in range(10):
-            local = helpers.random_instrument(rng, 2, int(rng.integers(1, 4)))
-            joint = one_way_local_instrument(layout, "a", local, {"b": depolarizing_kraus(0.5)})
-            assert validate_instrument(joint).passed
-
-    def test_non_tp_other_rejected(self):
-        layout = qubits("a", "b")
-        with pytest.raises(ContractError):
-            one_way_local_instrument(
-                layout, "a", measure_z(), {"b": (0.5 * np.eye(2, dtype=complex),)}
-            )
+            (after,) = apply_instrument(bob_tp, rho, ("q_B",))
+            assert abs(after.probability - 1.0) < 1e-12
+            assert np.max(np.abs(after.post_state.matrix - rho.matrix)) > 1e-3
+            before = [r.probability for r in apply_instrument(measure_x(), rho, ("q_A",))]
+            moved = [r.probability for r in apply_instrument(measure_x(), after.post_state, ("q_A",))]
+            assert_allclose(moved, before, atol=1e-10)
 
 
 class TestCoarseGrain:

@@ -1,4 +1,4 @@
-"""Tests for the dense linear algebra core."""
+"""Tests for the pair-sized linear algebra core."""
 
 import math
 
@@ -7,26 +7,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from locclab import (
-    CapacityError,
     DensityMatrix,
     HermitianOperator,
     LayoutError,
-    PureState,
     SubsystemLayout,
     embed_operator,
-    evolve,
     expectation,
-    partial_trace,
     purity,
     qubits,
-    tensor_product,
     trace_distance,
 )
 from locclab.linalg import (
     PAULI_X,
     PAULI_Z,
     Tolerances,
-    basis_ket,
     check_density_stack,
     hermitian_exponential,
 )
@@ -40,7 +34,7 @@ def dm(matrix, *labels) -> DensityMatrix:
 
 
 def ket_density(bits: str, *labels) -> DensityMatrix:
-    v = basis_ket(bits)
+    v = oracles.kron_chain([np.eye(2)[int(b)] for b in bits])
     return DensityMatrix(np.outer(v, v.conj()), qubits(*labels))
 
 
@@ -109,168 +103,52 @@ class TestValidation:
             check_density_stack(stack)
         check_density_stack(stack, Tolerances(psd=4e-3))
 
-    def test_pure_state_norm(self):
-        with pytest.raises(ValueError, match="normalized"):
-            PureState(np.array([1.0, 1.0]), qubits("q"))
-
-    def test_pure_state_to_density(self):
-        v = np.array([1.0, 1.0]) / math.sqrt(2)
-        rho = PureState(v, qubits("q")).to_density()
-        assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
-        assert abs(purity(rho) - 1.0) < 1e-12
-
     def test_matrices_are_frozen(self):
         rho = ket_density("0", "q")
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
 
-class TestTensorProduct:
-    def test_basis_states(self):
-        out = tensor_product(ket_density("0", "a"), ket_density("1", "b"))
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert_allclose(out.matrix, expected)
-        assert out.layout.labels == ("a", "b")
-
-    def test_identity_case(self):
-        out = tensor_product(dm(np.eye(2) / 2, "a"), dm(np.eye(2) / 2, "b"))
-        assert_allclose(out.matrix, np.eye(4) / 4)
-
-    def test_round_trip_with_index_oracle(self):
-        # Bell pair (x) |0><0|, then trace the third factor back out
-        bell = singlet("a", "b")
-        product = tensor_product(bell, ket_density("0", "c"))
-        assert product.matrix.shape == (8, 8)
-        # oracle: entry (r, c) = bell[r >> 1, c >> 1] when both third bits are 0
-        direct = np.zeros((8, 8), dtype=complex)
-        for r in range(8):
-            for c in range(8):
-                if r % 2 == 0 and c % 2 == 0:
-                    direct[r, c] = bell.matrix[r // 2, c // 2]
-        assert_allclose(product.matrix, direct, atol=0)
-        back = partial_trace(product, {"a", "b"})
-        assert_allclose(back.matrix, bell.matrix, atol=1e-15)
-
-    def test_label_collision_rejected(self):
-        with pytest.raises(LayoutError):
-            tensor_product(ket_density("0", "a"), ket_density("0", "a"))
-
-    def test_capacity_error(self):
-        rng = np.random.default_rng(0)
-        a = helpers.random_density(rng, 7, labels=[f"x{i}" for i in range(7)])
-        b = helpers.random_density(rng, 8, labels=[f"y{i}" for i in range(8)])
-        with pytest.raises(CapacityError):
-            tensor_product(a, b)
-
-    def test_associative_up_to_flattening(self):
-        # dyadic entries make float multiplication exact, so the two
-        # association orders must agree bit for bit; this pins down the
-        # index arithmetic, not float rounding
-        rng = np.random.default_rng(42)
-        pool = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0])
-        mats = [rng.choice(pool, size=(2, 2)) + 1j * rng.choice(pool, size=(2, 2)) for _ in range(3)]
-        left = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        right = np.kron(mats[0], np.kron(mats[1], mats[2]))
-        ours_left = tensor_product(tensor_product(mats[0], mats[1]), mats[2])
-        assert np.array_equal(ours_left, left)
-        assert np.array_equal(left, right)
-
-
-class TestPartialTrace:
-    def test_singlet_marginal_is_maximally_mixed(self):
-        out = partial_trace(singlet("A", "B"), {"A"})
-        assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-15)
-
-    def test_product_state_recovers_factor(self):
-        rng = np.random.default_rng(3)
-        a = helpers.random_density(rng, 1, labels=["A"])
-        b = helpers.random_density(rng, 2, labels=["B0", "B1"])
-        joint = tensor_product(a, b)
-        assert_allclose(partial_trace(joint, {"A"}).matrix, a.matrix, atol=1e-14)
-
-    def test_kept_factors_stay_in_original_order(self):
-        rng = np.random.default_rng(4)
-        rho = helpers.random_density(rng, 3, labels=["a", "b", "c"])
-        out = partial_trace(rho, ["c", "a"])  # request order must not matter
-        assert out.layout.labels == ("a", "c")
-
-    def test_matches_loop_oracle_after_evolution(self):
-        # entangle three qubits, then check against explicit index summation
-        rng = np.random.default_rng(11)
-        h = helpers.random_hermitian(rng, 3, labels=["a", "b", "e"])
-        rho0 = helpers.random_density(rng, 3, labels=["a", "b", "e"])
-        rho = evolve(rho0, h, 0.9)
-        ours = partial_trace(rho, {"a", "b"})
-        oracle = oracles.ptrace_by_loops(rho.matrix, [2, 2, 2], [0, 1])
-        assert_allclose(ours.matrix, oracle, atol=1e-12)
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(LayoutError):
-            partial_trace(singlet("A", "B"), {"X"})
-
-    def test_trace_preserved_randomized(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            na, nb = rng.integers(1, 4), rng.integers(1, 4)
-            a = helpers.random_density(rng, int(na), labels=[f"a{i}" for i in range(na)])
-            b = helpers.random_density(rng, int(nb), labels=[f"b{i}" for i in range(nb)])
-            joint = tensor_product(a, b)
-            back = partial_trace(joint, [f"a{i}" for i in range(na)])
-            assert_allclose(back.matrix, a.matrix, atol=1e-12)
-            assert abs(np.trace(back.matrix) - 1.0) < 1e-10
-
-
 class TestEvolve:
+    """Time evolution by ``hermitian_exponential``, the propagator of each rest qubit."""
+
     def test_pauli_x_half_turn(self):
-        h = HermitianOperator(PAULI_X, qubits("q"))
-        out = evolve(ket_density("0", "q"), h, math.pi / 2)
-        assert_allclose(out.matrix, ket_density("1", "q").matrix, atol=1e-14)
+        u = hermitian_exponential(PAULI_X, -1j * math.pi / 2)
+        assert_allclose(u @ [1, 0], [0, -1j], atol=1e-15)
 
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(6)
-        rho = helpers.random_density(rng, 2)
-        h = helpers.random_hermitian(rng, 2)
-        assert_allclose(evolve(rho, h, 0.0).matrix, rho.matrix, atol=1e-14)
+        h = helpers.random_hermitian(rng, 2).matrix
+        assert_allclose(hermitian_exponential(h, 0.0), np.eye(4), atol=1e-14)
 
     def test_diagonal_hamiltonian_phases(self):
-        # Z(x)Z is diagonal: coherences rotate by the eigenvalue differences,
-        # phase 2t between opposite-parity index pairs
+        # Z(x)Z is diagonal: its propagator is the diagonal of phases
+        # exp(-i t parity), and the whole unitary agrees with the
+        # series-expansion oracle
         t = 0.7
-        zz = HermitianOperator(np.kron(PAULI_Z, PAULI_Z), qubits("a", "b"))
-        plus2 = np.full(4, 0.5, dtype=complex)
-        rho = DensityMatrix(np.outer(plus2, plus2.conj()), qubits("a", "b"))
-        out = evolve(rho, zz, t)
-        parity = [1, -1, -1, 1]
-        expected = np.array(
-            [
-                [0.25 * np.exp(-1j * t * (parity[r] - parity[c])) for c in range(4)]
-                for r in range(4)
-            ]
-        )
-        assert_allclose(out.matrix, expected, atol=1e-12)
-        # and the whole unitary against the series-expansion oracle
-        u_ours = hermitian_exponential(zz.matrix, -1j * t)
-        u_oracle = oracles.series_expm(-1j * t * zz.matrix)
-        assert_allclose(u_ours, u_oracle, atol=1e-12)
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        u = hermitian_exponential(zz, -1j * t)
+        assert_allclose(u, np.diag(np.exp(-1j * t * np.array([1, -1, -1, 1]))), atol=1e-14)
+        assert_allclose(u, oracles.series_expm(-1j * t * zz), atol=1e-12)
 
-    def test_layout_mismatch_rejected(self):
-        rho = ket_density("0", "q")
-        h = HermitianOperator(PAULI_X, qubits("other"))
-        with pytest.raises(LayoutError):
-            evolve(rho, h, 1.0)
+    def test_matches_series_oracle(self):
+        rng = np.random.default_rng(14)
+        for n_qubits in (1, 2, 3):
+            h = helpers.random_hermitian(rng, n_qubits).matrix
+            t = float(rng.uniform(0, 3))
+            assert_allclose(
+                hermitian_exponential(h, -1j * t), oracles.series_expm(-1j * t * h), atol=1e-11
+            )
 
     def test_trace_and_spectrum_preserved(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            rho = helpers.random_density(rng, 2)
-            h = helpers.random_hermitian(rng, 2)
-            t = float(rng.uniform(0, 5))
-            out = evolve(rho, h, t)
-            assert abs(np.trace(out.matrix) - 1.0) < 1e-10
-            assert_allclose(
-                np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-9
-            )
+            rho = helpers.random_density(rng, 2).matrix
+            h = helpers.random_hermitian(rng, 2).matrix
+            u = hermitian_exponential(h, -1j * rng.uniform(0, 5))
+            out = u @ rho @ u.conj().T
+            assert abs(np.trace(out) - 1.0) < 1e-10
+            assert_allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-9)
 
     def test_unitarity_three_qubits(self):
         rng = np.random.default_rng(8)
@@ -282,6 +160,16 @@ class TestEvolve:
             u = hermitian_exponential(m, -1j * t)
             ub = hermitian_exponential(m, 1j * t)
             assert np.max(np.abs(u @ ub - np.eye(8))) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stack_matches_one_call_per_matrix(self, n):
+        # the (branch, rest qubit, 2, 2) stack that pair_coherence exponentiates
+        rng = np.random.default_rng(15 + n)
+        h = np.stack([[helpers.random_hermitian(rng, 1).matrix for _ in range(n)] for _ in range(2)])
+        stacked = hermitian_exponential(h, -1j * 0.9)
+        assert stacked.shape == (2, n, 2, 2)
+        for idx in np.ndindex(2, n):
+            assert stacked[idx].tobytes() == hermitian_exponential(h[idx], -1j * 0.9).tobytes()
 
 
 class TestMetrics:
@@ -359,3 +247,7 @@ class TestEmbedOperator:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(LayoutError):
             embed_operator(np.eye(4), qubits("a", "b"), ("a",))
+
+    def test_repeated_targets_rejected(self):
+        with pytest.raises(LayoutError, match="repeated"):
+            embed_operator(np.eye(4), qubits("a", "b"), ("a", "a"))

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from locclab import (
     CapacityError,
+    EprParams,
     HermitianOperator,
     build_epr_world,
     build_er_world,
-    channel_purity_profile,
+    canonical_chsh_script,
     deliver_pair,
+    indistinguishability_sweep,
     purity,
     qubits,
     singlet_density,
@@ -57,10 +59,6 @@ class TestEprConstruction:
         assert world.coupling_weights == (0.25, -0.25)
         assert abs(pair_coherence(world) - 1.0) < 1e-14
 
-    def test_total_dimension_includes_boundary(self):
-        world = build_epr_world(2, 2, 0.5, seed=3)
-        assert world.total_dim == 64
-
     def test_assembled_hamiltonian_is_hermitian(self):
         for seed in range(5):
             world = build_epr_world(2, 2, 0.7, seed=seed)
@@ -72,11 +70,14 @@ class TestEprConstruction:
             assert np.max(np.abs(h - h.conj().T)) < 1e-10
 
     def test_capacity_error(self):
+        # the cap counts every qubit: 2 boundary + channel + rest
+        assert QUBIT_CAP == 14
         with pytest.raises(CapacityError):
             build_epr_world(8, 8, 0.1, seed=0)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"15 qubits .* cap of 14 qubits \(dimension 16384\)"):
             build_epr_world(2, QUBIT_CAP - 3, 0.1, seed=0)
-        assert build_epr_world(2, QUBIT_CAP - 4, 0.1, seed=0).total_dim == 2**QUBIT_CAP
+        world = build_epr_world(2, QUBIT_CAP - 4, 0.1, seed=0)
+        assert 2 + world.q_dim + world.qbar_dim == QUBIT_CAP
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -201,40 +202,33 @@ class TestDeliverPair:
         world = idle_world(1, math.pi / 2, 1.0)
         assert abs(purity(deliver_pair(world).state) - 0.5) < 1e-10
 
-    def test_location_labels_never_touch_numbers(self):
-        a = deliver_pair(build_epr_world(2, 2, 0.6, seed=8, location_labels=("here", "there")))
-        b = deliver_pair(build_epr_world(2, 2, 0.6, seed=8, location_labels=("x1", "x2")))
-        assert np.array_equal(a.state.matrix, b.state.matrix)
+
+def purity_profile(grid, **params):
+    """The sweep's ``pair_purity`` column over ``grid`` for the canonical CHSH script."""
+    rows = indistinguishability_sweep(grid, canonical_chsh_script(), EprParams(**params))
+    assert [row.lam for row in rows] == grid
+    return [row.pair_purity for row in rows]
 
 
 class TestPurityProfile:
     def test_single_zero_grid(self):
-        assert channel_purity_profile([0.0]) == [(0.0, pytest.approx(1.0, abs=1e-10))]
+        assert purity_profile([0.0], qbar_dim=1) == [pytest.approx(1.0, abs=1e-10)]
 
     def test_strictly_decreasing_in_regime(self):
-        profile = channel_purity_profile(
-            [0.0, 0.4, 0.8], q_dim=2, qbar_dim=2, seed=3, evolution_time=0.5
-        )
-        values = [p for _, p in profile]
+        values = purity_profile([0.0, 0.4, 0.8], q_dim=2, qbar_dim=2, seed=3, evolution_time=0.5)
         assert abs(values[0] - 1.0) < 1e-10
         assert values[0] > values[1] > values[2]
 
     def test_profile_matches_dense_oracle(self):
-        profile = channel_purity_profile([0.0, 0.5, 1.0], qbar_dim=2, seed=6, evolution_time=0.5)
-        for lam, p in profile[1:]:
+        grid = [0.0, 0.5, 1.0]
+        values = purity_profile(grid, qbar_dim=2, seed=6, evolution_time=0.5)
+        for lam, p in zip(grid[1:], values[1:]):
             world = build_epr_world(2, 2, lam, seed=6, evolution_time=0.5)
             pair = oracles.dense_world_pair(dense_rest(world), 2, 2, lam, 0.5)
             assert abs(p - float(np.trace(pair @ pair).real)) < 1e-10
 
     def test_large_coupling_approaches_half_purity_floor(self):
         grid = [0.0] + [1.2 + 0.15 * k for k in range(12)]
-        profile = channel_purity_profile(grid, q_dim=2, qbar_dim=2, seed=1)
-        values = [p for _, p in profile]
+        values = purity_profile(grid, q_dim=2, qbar_dim=2, seed=1)
         assert min(values) >= 0.5 - 1e-9
         assert min(values) < 0.56
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            channel_purity_profile([])
-        with pytest.raises(ValueError):
-            channel_purity_profile([0.0, 0.5, 0.5])
