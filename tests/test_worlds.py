@@ -214,6 +214,12 @@ class TestPurityProfile:
     def test_single_zero_grid(self):
         assert purity_profile([0.0], qbar_dim=1) == [pytest.approx(1.0, abs=1e-10)]
 
+    def test_grid_validation(self):
+        with pytest.raises(ValueError):
+            purity_profile([])
+        with pytest.raises(ValueError):
+            purity_profile([0.0, 0.5, 0.5])
+
     def test_strictly_decreasing_in_regime(self):
         values = purity_profile([0.0, 0.4, 0.8], q_dim=2, qbar_dim=2, seed=3, evolution_time=0.5)
         assert abs(values[0] - 1.0) < 1e-10
