@@ -32,7 +32,7 @@ def main():
     print("zero coupling: the internal environment dynamics are invisible")
     for seed in (0, 1, 2):
         pair = deliver_pair(build_epr_world(q_dim=2, qbar_dim=2, lam=0.0, seed=seed))
-        dist = trace_distance(pair.state, singlet_density())
+        dist = trace_distance(pair, singlet_density())
         print(f"  seed {seed}: trace distance to the singlet = {dist:.2e}")
 
     print("\ncoupling strength vs delivered-pair purity and CHSH statistic")
@@ -46,7 +46,7 @@ def main():
     for qbar_dim in (1, 2, 3):
         pair = deliver_pair(build_epr_world(2, qbar_dim, 0.8, seed=0))
         s = exact_chsh(pair).s_abs
-        print(f"  qbar_dim={qbar_dim}: purity = {purity(pair.state):.4f}, |S| = {s:.4f}")
+        print(f"  qbar_dim={qbar_dim}: purity = {purity(pair):.4f}, |S| = {s:.4f}")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ Quantum instruments: validation, application, coarse-graining, files
 An instrument is a finite family of completely positive branch maps whose
 sum preserves trace; applying one yields classical outcomes paired with
 probabilities and post-measurement states.  This tour builds a few,
-validates them (including a deliberately broken one), coarse-grains a
-measurement into full dephasing, and round-trips an instrument through
-the textual definition format.
+validates them (including a deliberately broken one), applies them to
+Alice's qubit of the pair state |+>|0>, coarse-grains a measurement into
+full dephasing, and round-trips an instrument through the textual
+definition format.
 """
 
 import math
@@ -25,20 +26,20 @@ from locclab import (
     validate_instrument,
 )
 from locclab.instruments import InstrumentBranch, QuantumInstrument
-from locclab.linalg import DensityMatrix, qubits
+from locclab.linalg import DensityMatrix
 
 
 def main():
     plus = np.full((2, 2), 0.5, dtype=complex)
-    rho = DensityMatrix(plus, qubits("q"))
+    rho = DensityMatrix(np.kron(plus, np.diag([1.0, 0.0])))  # |+>|0> on (q_A, q_B)
 
-    print("sharp Z measurement on |+>:")
-    for rec in apply_instrument(measure_z(), rho, ("q",)):
+    print("sharp Z measurement on q_A of |+>|0>:")
+    for rec in apply_instrument(measure_z(), rho, "q_A"):
         print(f"  outcome {rec.outcome}: p = {rec.probability:.3f}")
 
     print("\nunsharp Z (sharpness 0.8) keeps some coherence in the post-state:")
-    for rec in apply_instrument(unsharp_z(0.8), rho, ("q",)):
-        off_diag = abs(rec.post_state.matrix[0, 1])
+    for rec in apply_instrument(unsharp_z(0.8), rho, "q_A"):
+        off_diag = abs(rec.post_state.matrix[0, 2])  # <00|post|10>: q_A's coherence
         print(f"  outcome {rec.outcome}: p = {rec.probability:.3f}, |coherence| = {off_diag:.3f}")
 
     print("\nvalidation catches a broken instrument:")
@@ -53,8 +54,8 @@ def main():
     print("\ngrouping both outcomes of a Z measurement gives pure dephasing:")
     part = CoarseGrainingPartition((("all", ("0", "1")),))
     dephase = coarse_grain(measure_z(), part)
-    (rec,) = apply_instrument(dephase, rho, ("q",))
-    print(f"  post-state of |+>:\n{np.round(rec.post_state.matrix.real, 3)}")
+    (rec,) = apply_instrument(dephase, rho, "q_A")
+    print(f"  post-state of |+>|0>:\n{np.round(rec.post_state.matrix.real, 3)}")
 
     print("\ninstrument file format round-trip (17 significant digits, lossless):")
     text = serialize_instrument(unsharp_z(0.8), "unsharp-z")

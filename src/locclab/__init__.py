@@ -1,11 +1,12 @@
 """Two-agent LOCC protocol laboratory.
 
 A simulator for experiments two separated agents can run over a shared
-pair of boundary qubits, with no state larger than the 4x4 pair: quantum
-instruments whose Kraus operators are extended to the pair by
-``embed_operator``, their coarse-grainings, CHSH experiments against the
+pair of boundary qubits ``(q_A, q_B)``.  The pair is the only state: every
+state is a 4x4 ``DensityMatrix``.  The package holds one-qubit quantum
+instruments, whose Kraus operators act on ``q_A`` or ``q_B`` through
+``extend_to_pair``, their coarse-grainings, CHSH experiments against the
 quantum bound, worlds that deliver the pair either by direct identification
-or through explicit environment channel qubits, and exact
+or through an environment of independent qubits, and exact
 transcript-distribution comparisons between the two.
 """
 
@@ -68,14 +69,11 @@ from .instruments import (
     validate_instrument,
 )
 from .linalg import (
+    PAIR_LABELS,
     DensityMatrix,
-    HermitianOperator,
-    SubsystemLayout,
-    Tolerances,
-    embed_operator,
     expectation,
+    extend_to_pair,
     purity,
-    qubits,
     trace_distance,
 )
 from .protocols import (
@@ -88,7 +86,6 @@ from .protocols import (
     load_script,
 )
 from .worlds import (
-    BoundaryPair,
     World,
     build_epr_world,
     build_er_world,

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EmptyCellError
 from .instruments import apply_instrument, measure_angle
-from .linalg import HermitianOperator, PAULI_X, PAULI_Z, expectation
-from .worlds import BoundaryPair, World, deliver_pair
+from .linalg import DensityMatrix, PAULI_X, PAULI_Z, expectation
+from .worlds import World, deliver_pair
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -131,15 +131,14 @@ def _result_from_correlations(e: tuple[float, float, float, float], se: float) -
     )
 
 
-def exact_correlation(pair: BoundaryPair, angle_a: float, angle_b: float) -> float:
+def exact_correlation(pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
     """``Tr(rho O(angle_a) (x) O(angle_b))`` on the boundary pair."""
     oa = math.cos(angle_a) * PAULI_Z + math.sin(angle_a) * PAULI_X
     ob = math.cos(angle_b) * PAULI_Z + math.sin(angle_b) * PAULI_X
-    joint = HermitianOperator(np.kron(oa, ob), pair.state.layout)
-    return expectation(pair.state, joint)
+    return expectation(pair, np.kron(oa, ob))
 
 
-def exact_chsh(pair: BoundaryPair, config: CHSHConfig = CHSHConfig()) -> CHSHResult:
+def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHResult:
     """CHSH statistic computed from exact expectations; no sampling error."""
     e = (
         exact_correlation(pair, config.a, config.b),
@@ -150,16 +149,17 @@ def exact_chsh(pair: BoundaryPair, config: CHSHConfig = CHSHConfig()) -> CHSHRes
     return _result_from_correlations(e, 0.0)
 
 
-def _joint_cells(pair: BoundaryPair, config: CHSHConfig) -> np.ndarray:
+def _joint_cells(pair: DensityMatrix, config: CHSHConfig) -> np.ndarray:
     """``cells[x, y, i, j] = P(A=i, B=j | settings x, y)`` with 0 the +1 outcome."""
     cells = np.zeros((2, 2, 2, 2))
+    bob_insts = [measure_angle(angle_b) for angle_b in config.bob_angles()]
     for x, angle_a in enumerate(config.alice_angles()):
-        alice = apply_instrument(measure_angle(angle_a), pair.state, ("q_A",))
+        alice = apply_instrument(measure_angle(angle_a), pair, "q_A")
         for i, rec in enumerate(alice):
             if rec.post_state is None:
                 continue
-            for y, angle_b in enumerate(config.bob_angles()):
-                bob = apply_instrument(measure_angle(angle_b), rec.post_state, ("q_B",))
+            for y, bob_inst in enumerate(bob_insts):
+                bob = apply_instrument(bob_inst, rec.post_state, "q_B")
                 for j, brec in enumerate(bob):
                     cells[x, y, i, j] = rec.probability * brec.probability
     return cells

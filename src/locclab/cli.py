@@ -452,7 +452,7 @@ def _run_qecc(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
 def _run_frames(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
     raw = frame_misalignment_demo(cfg.offset)
     fixed = frame_misalignment_demo(cfg.offset, corrected=True)
-    expected_raw = TSIRELSON_BOUND * abs(math.cos(cfg.offset))
+    expected_raw = TSIRELSON_BOUND * abs(math.cos(math.remainder(cfg.offset, math.tau)))
     payload = {
         "kind": "frames",
         "offset": cfg.offset,

@@ -11,13 +11,13 @@ measurement-frame misalignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bell import CHSHConfig, CHSHResult, exact_chsh
-from .errors import LocalityViolationError
 from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches
 from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
@@ -47,8 +47,7 @@ _NORMALIZATION_ATOL = 1e-10
 class OutcomeDistribution:
     """Exact probabilities over classical transcripts.
 
-    Transcripts are tuples of per-round outcome strings; the exported
-    ``support`` concatenates each tuple into a single string.  Entries with
+    Transcripts are tuples of per-round outcome strings.  Entries with
     probability zero are kept so that supports stay comparable across
     worlds.
     """
@@ -66,10 +65,6 @@ class OutcomeDistribution:
         total = sum(p for _, p in entries)
         if abs(total - 1.0) > _NORMALIZATION_ATOL:
             raise ValueError(f"distribution not normalized (sum {total!r})")
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple("".join(t) for t, _ in self.entries)
 
     @property
     def probabilities(self) -> tuple[float, ...]:
@@ -131,21 +126,12 @@ def accessible_distributions(
     cached, shared and immutable (see :mod:`locclab.protocols`), so each of
     their instruments is validated once per process.
     """
-    pairs = [deliver_pair(world).state for world in worlds]
-    if not pairs:
-        return []
-    layout, tol = pairs[0].layout, pairs[0].tol
+    pairs = [deliver_pair(world) for world in worlds]
     # (transcript, ((probability, post-state or None) per world)) of every branch so far
     branches = [((), [(1.0, pair.matrix) for pair in pairs])]
     for r, rnd in enumerate(script.rounds):
-        target = ("q_A",) if rnd.party == "A" else ("q_B",)
+        target = "q_A" if rnd.party == "A" else "q_B"
         insts = [rnd.resolve(_visible(t, script, r, condition_visibility)) for t, _ in branches]
-        for inst in insts:
-            if inst.dimension != 2:
-                raise LocalityViolationError(
-                    f"round {r} instrument has dimension {inst.dimension}; "
-                    f"it may only touch {target[0]}"
-                )
         # live (branch, world) entries grouped by instrument, each group run as one stack
         groups: dict[QuantumInstrument, list[tuple[int, int]]] = {}
         for k, ((_, cells), inst) in enumerate(zip(branches, insts)):
@@ -156,7 +142,7 @@ def accessible_distributions(
         live_posts = []
         for inst, entries in groups.items():
             states = np.stack([branches[k][1][w][1] for k, w in entries])
-            probs, posts = _apply_branches(inst, layout, target, states)
+            probs, posts = _apply_branches(inst, target, states)
             live_posts.append(posts[probs > PROB_FLOOR])
             for col, (k, w) in enumerate(entries):
                 prob = branches[k][1][w][0]
@@ -165,7 +151,7 @@ def accessible_distributions(
                     for p, post in zip(probs[:, col].tolist(), posts[:, col])
                 ]
         if live_posts:
-            check_density_stack(np.concatenate(live_posts), tol)
+            check_density_stack(np.concatenate(live_posts))
         grown = []
         for k, ((transcript, cells), inst) in enumerate(zip(branches, insts)):
             dead = [(0.0, None)] * len(inst.outcomes)
@@ -231,7 +217,7 @@ def indistinguishability_sweep(
                 lam=lam,
                 tvd_vs_er=total_variation(dist, er_dist),
                 s_abs=exact_chsh(pair).s_abs,
-                pair_purity=purity(pair.state),
+                pair_purity=purity(pair),
             )
         )
     return rows
@@ -323,20 +309,18 @@ def frame_misalignment_demo(
     """Exact CHSH when Bob's z-axis is rotated by ``relative_angle``.
 
     Bob's dialed angles are shifted by the frame offset before they act.
-    Uncorrected, the statistic degrades (to ``2*sqrt(2)*|cos(offset)|`` at
-    the optimal angles); with a classical description of the offset Bob
-    pre-compensates his dials and the maximum is restored.
+    The offset acts as an angle, so it is first reduced to
+    ``r = math.remainder(relative_angle, 2*pi)`` in ``[-pi, pi]``; a huge
+    offset would otherwise swamp the dials in rounding.  Uncorrected, the
+    statistic degrades (to ``2*sqrt(2)*|cos(r)|`` at the optimal angles);
+    with a classical description of the offset Bob pre-compensates his
+    dials, so they act as ``config.b`` and ``config.b_prime`` themselves
+    and the maximum is restored.
     """
-    dial_shift = -relative_angle if corrected else 0.0
-    effective = CHSHConfig(
-        a=config.a,
-        a_prime=config.a_prime,
-        b=config.b + dial_shift + relative_angle,
-        b_prime=config.b_prime + dial_shift + relative_angle,
-        trials=config.trials,
-        seed=config.seed,
-    )
-    return exact_chsh(deliver_pair(build_er_world()), effective)
+    if not corrected:
+        r = math.remainder(relative_angle, math.tau)
+        config = replace(config, b=config.b + r, b_prime=config.b_prime + r)
+    return exact_chsh(deliver_pair(build_er_world()), config)
 
 
 #: Header of the columnar sweep export.

@@ -12,7 +12,7 @@ class CapacityError(Exception):
 
 
 class LayoutError(ValueError):
-    """Subsystem labels or dimensions are inconsistent with the operation."""
+    """A state is not the 4x4 pair, or an operator or target does not fit it."""
 
 
 class ContractError(Exception):

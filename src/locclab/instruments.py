@@ -6,10 +6,12 @@ stored in Kraus form because Kraus collections compose and coarse-grain
 cheaply.  An instrument is validated once per instrument: the report of
 :func:`validate_instrument` (complete positivity from the branch Choi
 matrices, trace preservation from the completeness sum) is kept with the
-frozen instrument, and so are its Kraus operators extended to each layout it
-is applied on.  One private kernel applies every branch to a whole stack of
-states at once; :func:`apply_instrument` is that kernel on one state, and
-transcript enumeration in :mod:`locclab.distinguish` runs it on each round.
+frozen instrument, and so are its Kraus operators extended to each pair
+qubit it is applied on.  One private kernel applies every branch to a whole
+stack of pair states at once; :func:`apply_instrument` is that kernel on one
+state, and transcript enumeration in :mod:`locclab.distinguish` runs it on
+each round.  Instruments, their validation and their file format work in
+any dimension; only application needs a one-qubit (2x2) instrument.
 
 Branches optionally carry signed real weights on their Kraus terms.  With
 all weights +1 (the default) a branch is automatically completely positive;
@@ -23,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SubsystemLayout,
-    embed_operator,
+    extend_to_pair,
 )
 
 __all__ = [
@@ -128,7 +129,7 @@ class QuantumInstrument:
     """A finite family of CP branch maps whose sum is trace preserving.
 
     ``report`` validates the instrument on first use and keeps the result;
-    the Kraus operators extended to each layout they are applied on are
+    the Kraus operators extended to each pair qubit they are applied on are
     kept the same way.
     """
 
@@ -157,12 +158,12 @@ class QuantumInstrument:
 
     @cached_property
     def report(self) -> "ValidationReport":
-        """:func:`validate_instrument` at the default tolerances, run once."""
+        """:func:`validate_instrument`, run once."""
         return validate_instrument(self)
 
     @cached_property
     def _embedded(self) -> dict:
-        """Extended Kraus terms keyed by ``(layout factors, targets)``."""
+        """Extended Kraus terms keyed by target qubit."""
         return {}
 
     def branch(self, outcome: str) -> InstrumentBranch:
@@ -239,44 +240,38 @@ def branch_choi(branch: InstrumentBranch) -> np.ndarray:
     return choi
 
 
-def validate_instrument(
-    inst: QuantumInstrument,
-    *,
-    cp_atol: float = CP_ATOL,
-    tp_atol: float = TP_ATOL,
-) -> ValidationReport:
+def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
     """Check complete positivity per branch and total trace preservation.
 
-    Passes iff every branch's Choi matrix is PSD within ``cp_atol`` and the
-    summed completeness term equals the identity within ``tp_atol`` (spectral
-    norm).  Violations name the failing branch and the defect magnitude.
+    Passes iff every branch's Choi matrix is PSD within :data:`CP_ATOL` and
+    the summed completeness term equals the identity within :data:`TP_ATOL`
+    (spectral norm).  Violations name the failing branch and the defect magnitude.
     """
     violations: list[Violation] = []
     d = inst.dimension
     min_eigs = np.linalg.eigvalsh(np.stack([branch_choi(b) for b in inst.branches]))[:, 0]
     total = np.zeros((d, d), dtype=complex)
     for b, min_eig in zip(inst.branches, min_eigs.tolist()):
-        if min_eig < -cp_atol:
+        if min_eig < -CP_ATOL:
             violations.append(Violation(b.outcome, "cp", -min_eig))
         total += b.completeness_term()
     defect = float(np.linalg.norm(total - np.eye(d), ord=2))
-    if defect > tp_atol:
+    if defect > TP_ATOL:
         violations.append(Violation(None, "completeness", defect))
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
-def _weighted_terms(inst: QuantumInstrument, layout: SubsystemLayout, targets: tuple[str, ...]):
-    """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to ``layout``.
+def _weighted_terms(inst: QuantumInstrument, target: str):
+    """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to the pair.
 
     ``rows`` selects the branches that have a ``k``-th Kraus operator, and
-    ``E`` stacks those operators as ``(rows, 1, d, d)``, ready to broadcast
-    over a stack of states.  Built with one :func:`embed_operator` call on
-    the first use of each ``(layout, targets)`` and kept with ``inst``.
+    ``E`` stacks those operators as ``(rows, 1, 4, 4)``, ready to broadcast
+    over a stack of pair states.  Built with one :func:`extend_to_pair` call
+    on the first use of each target and kept with ``inst``.
     """
-    key = (layout.factors, targets)
-    if key not in inst._embedded:
+    if target not in inst._embedded:
         branches = inst.branches
-        flat = iter(embed_operator(np.stack([k for b in branches for k in b.kraus]), layout, targets))
+        flat = iter(extend_to_pair(np.stack([k for b in branches for k in b.kraus]), target))
         extended = [[next(flat) for _ in b.kraus] for b in branches]
         terms = []
         for k in range(max(len(b.kraus) for b in branches)):
@@ -286,40 +281,34 @@ def _weighted_terms(inst: QuantumInstrument, layout: SubsystemLayout, targets: t
             if len(rows) == len(branches):
                 rows = slice(None)
             terms.append((rows, e, e.conj().swapaxes(-1, -2), w))
-        inst._embedded[key] = terms
-    return inst._embedded[key]
+        inst._embedded[target] = terms
+    return inst._embedded[target]
 
 
 def _apply_branches(
-    inst: QuantumInstrument,
-    layout: SubsystemLayout,
-    targets: tuple[str, ...],
-    states: np.ndarray,
+    inst: QuantumInstrument, target: str, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every branch of ``inst``, on the ``targets`` factors, applied to a stack of states.
+    """Every branch of ``inst``, on the ``target`` qubit, applied to a stack of pair states.
 
-    ``states`` is an ``(n, d, d)`` stack of density matrices on ``layout``.
+    ``states`` is an ``(n, 4, 4)`` stack of density matrices on the pair.
     Returns ``probs`` of shape ``(branches, n)`` and the normalized
-    ``posts`` of shape ``(branches, n, d, d)``.  A probability at or below
+    ``posts`` of shape ``(branches, n, 4, 4)``.  A probability at or below
     :data:`PROB_FLOOR` has no post-state: it is clamped to be nonnegative
-    and its post-state is left zero.  Raises :class:`ContractError` if
-    ``inst`` failed its validation.  The post-states are not checked here,
-    so every caller must check the live ones:
-    :func:`apply_instrument` builds a :class:`DensityMatrix` from each, and
-    :func:`~locclab.distinguish.accessible_distribution` passes each
-    round's to :func:`~locclab.linalg.check_density_stack`.
+    and its post-state is left zero.  Raises :class:`LayoutError` unless
+    ``inst`` is a one-qubit instrument and ``target`` is ``"q_A"`` or
+    ``"q_B"``, and :class:`ContractError` if ``inst`` failed its validation.
+    The post-states are not checked here, so every caller must check the
+    live ones: :func:`apply_instrument` builds a :class:`DensityMatrix` from
+    each, and :func:`~locclab.distinguish.accessible_distribution` passes
+    each round's to :func:`~locclab.linalg.check_density_stack`.
     """
-    target_dim = layout.dimension_of(targets)
-    if inst.dimension != target_dim:
-        raise LayoutError(
-            f"instrument dimension {inst.dimension} != target dimension {target_dim}"
-        )
+    terms = _weighted_terms(inst, target)
     if not inst.report.passed:
         raise ContractError(
             "invalid instrument: " + "; ".join(str(v) for v in inst.report.violations)
         )
     out = np.zeros((len(inst.branches),) + states.shape, dtype=complex)
-    for rows, e, e_dag, w in _weighted_terms(inst, layout, targets):
+    for rows, e, e_dag, w in terms:
         out[rows] += w * (e @ states @ e_dag)
     probs = np.trace(out, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
@@ -329,20 +318,17 @@ def _apply_branches(
 
 
 def apply_instrument(
-    inst: QuantumInstrument, rho: DensityMatrix, targets: Sequence[str]
+    inst: QuantumInstrument, rho: DensityMatrix, target: str
 ) -> list[InstrumentOutcomeRecord]:
-    """Apply ``inst`` to the ``targets`` factors of ``rho``.
+    """Apply the one-qubit ``inst`` to the ``target`` qubit (``"q_A"`` or ``"q_B"``) of ``rho``.
 
     Returns one record per branch: probability ``Tr(E_j(rho))`` and the
-    normalized post-state embedded on the full layout (identity elsewhere).
+    normalized post-state on the pair (identity on the other qubit).
     Probabilities sum to 1 for a valid instrument.
     """
-    targets = (targets,) if isinstance(targets, str) else tuple(targets)
-    probs, posts = _apply_branches(inst, rho.layout, targets, rho.matrix[None])
+    probs, posts = _apply_branches(inst, target, rho.matrix[None])
     return [
-        InstrumentOutcomeRecord(
-            b.outcome, p, DensityMatrix(post, rho.layout, rho.tol) if p > PROB_FLOOR else None
-        )
+        InstrumentOutcomeRecord(b.outcome, p, DensityMatrix(post) if p > PROB_FLOOR else None)
         for b, p, post in zip(inst.branches, probs[:, 0].tolist(), posts[:, 0])
     ]
 
@@ -404,8 +390,8 @@ def measure_x() -> QuantumInstrument:
     return measure_angle(math.pi / 2)
 
 
-def identity_instrument(dim: int = 2) -> QuantumInstrument:
-    return QuantumInstrument((InstrumentBranch("id", (np.eye(dim, dtype=complex),)),))
+def identity_instrument() -> QuantumInstrument:
+    return QuantumInstrument((InstrumentBranch("id", (ID2,)),))
 
 
 def depolarizing_kraus(p: float) -> tuple[np.ndarray, ...]:

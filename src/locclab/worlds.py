@@ -42,27 +42,17 @@ sweeps use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import (
-    DensityMatrix,
-    HermitianOperator,
-    PAULI_Z,
-    hermitian_exponential,
-    plus_ket,
-    qubits,
-)
+from .linalg import HERM_ATOL, DensityMatrix, PAULI_Z, _freeze, hermitian_exponential, plus_ket
 
 __all__ = [
-    "PAIR_LABELS",
     "QUBIT_CAP",
     "World",
-    "BoundaryPair",
     "singlet_density",
     "build_er_world",
     "build_epr_world",
@@ -70,19 +60,16 @@ __all__ = [
     "pair_coherence",
 ]
 
-#: Labels of the boundary pair as seen by Alice and Bob.
-PAIR_LABELS = ("q_A", "q_B")
-
 #: Largest EPR world, in qubits (boundary + channel + rest), that may be built.
 QUBIT_CAP = 14
 
 
-def singlet_density(labels: Sequence[str] = PAIR_LABELS) -> DensityMatrix:
+def singlet_density() -> DensityMatrix:
     """The canonical maximally entangled pair ``(|01> - |10>)/sqrt(2)``."""
     v = np.zeros(4, dtype=complex)
     v[1] = 1 / math.sqrt(2)
     v[2] = -1 / math.sqrt(2)
-    return DensityMatrix(np.outer(v, v.conj()), qubits(*labels))
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def _random_single_qubit_hermitian(rng: np.random.Generator) -> np.ndarray:
@@ -96,20 +83,27 @@ def _random_single_qubit_hermitian(rng: np.random.Generator) -> np.ndarray:
 class World:
     """A complete experimental configuration delivering one boundary pair.
 
-    An EPR world holds its environment Hamiltonian in factored form: one
-    single-qubit term per rest qubit in ``rest_terms`` and the staggered
-    ``coupling_weights`` of its ``q_dim`` channel qubits, scaled by ``lam``.
+    An EPR world holds its environment Hamiltonian in factored form: a
+    read-only ``(qbar_dim, 2, 2)`` array ``rest_terms`` of one Hermitian
+    term per rest qubit, and the staggered ``coupling_weights`` of its
+    ``q_dim`` channel qubits, scaled by ``lam``.
     """
 
     mode: str  # "ER" | "EPR"
     q_dim: int
     evolution_time: float
     lam: float = 0.0
-    rest_terms: tuple[HermitianOperator, ...] = ()
-    seed: int | None = None
+    rest_terms: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
 
     def __post_init__(self):
-        object.__setattr__(self, "rest_terms", tuple(self.rest_terms))
+        terms = _freeze(self.rest_terms)
+        object.__setattr__(self, "rest_terms", terms)
+        if terms.ndim != 3 or terms.shape[1:] != (2, 2):
+            raise ValueError(f"rest terms must have shape (qbar_dim, 2, 2), got {terms.shape}")
+        if not np.isfinite(terms).all():
+            raise ValueError("rest terms contain non-finite entries")
+        if np.abs(terms - terms.conj().swapaxes(-1, -2)).max(initial=0.0) > HERM_ATOL:
+            raise ValueError("rest terms must be Hermitian")
         if self.mode not in ("ER", "EPR"):
             raise ValueError(f"mode must be 'ER' or 'EPR', got {self.mode!r}")
         if self.mode == "ER" and (self.q_dim, self.qbar_dim, self.lam) != (0, 0, 0.0):
@@ -120,8 +114,6 @@ class World:
             raise ValueError("EPR worlds need at least one rest qubit (qbar_dim >= 1)")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if any(term.matrix.shape != (2, 2) for term in self.rest_terms):
-            raise ValueError("each rest term must act on a single qubit")
         if not 0 < self.evolution_time < math.inf:
             raise ValueError(f"evolution time must be finite and > 0, got {self.evolution_time}")
 
@@ -135,31 +127,16 @@ class World:
         return tuple(0.25 if i % 2 == 0 else -0.25 for i in range(self.q_dim))
 
     @cached_property
-    def pair(self) -> BoundaryPair:
+    def pair(self) -> DensityMatrix:
         """The delivered pair; see :func:`deliver_pair`."""
         if self.mode == "ER":
-            return BoundaryPair(singlet_density(), provenance="ER")
+            return singlet_density()
         c = pair_coherence(self)
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 1] = rho[2, 2] = 0.5
         rho[1, 2] = -0.5 * c
         rho[2, 1] = -0.5 * np.conj(c)
-        return BoundaryPair(
-            DensityMatrix(rho, qubits(*PAIR_LABELS)),
-            provenance=f"EPR(lam={self.lam}, seed={self.seed}, t={self.evolution_time})",
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryPair:
-    """The two-qubit state a world presents to Alice and Bob."""
-
-    state: DensityMatrix
-    provenance: str
-
-    def __post_init__(self):
-        if self.state.layout.labels != PAIR_LABELS:
-            raise ValueError(f"boundary pair must live on {PAIR_LABELS}")
+        return DensityMatrix(rho)
 
 
 def build_er_world() -> World:
@@ -190,17 +167,13 @@ def build_epr_world(
             f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {2**QUBIT_CAP})"
         )
     rng = np.random.default_rng(seed)
-    terms = tuple(
-        HermitianOperator(_random_single_qubit_hermitian(rng), qubits(f"env{j}"))
-        for j in range(qbar_dim)
-    )
+    terms = [_random_single_qubit_hermitian(rng) for _ in range(qbar_dim)]
     return World(
         mode="EPR",
         q_dim=q_dim,
         evolution_time=float(evolution_time),
         lam=float(lam),
-        rest_terms=terms,
-        seed=seed,
+        rest_terms=np.reshape(terms, (-1, 2, 2)),
     )
 
 
@@ -215,13 +188,12 @@ def pair_coherence(world: World) -> complex:
     w = world.coupling_weights
     spare = sum(w[2:])
     fields = world.lam * np.array([w[0] - w[1] + spare, w[1] - w[0] + spare])
-    h = np.stack([term.matrix for term in world.rest_terms])
-    h = h + fields[:, None, None, None] * PAULI_Z  # (branch, rest qubit, 2, 2)
+    h = world.rest_terms + fields[:, None, None, None] * PAULI_Z  # (branch, rest qubit, 2, 2)
     phi = hermitian_exponential(h, -1j * world.evolution_time) @ plus_ket()
     return complex(np.prod(np.sum(phi[1].conj() * phi[0], axis=-1)))
 
 
-def deliver_pair(world: World) -> BoundaryPair:
+def deliver_pair(world: World) -> DensityMatrix:
     """Run the world and return the pair state on ``(q_A, q_B)``.
 
     An ER world delivers the exact singlet.  In an EPR world the singlet is

@@ -6,24 +6,27 @@ from importlib import resources
 
 import numpy as np
 
-from locclab import DensityMatrix, HermitianOperator, qubits
+from locclab import PAIR_LABELS, DensityMatrix
 from locclab.instruments import InstrumentBranch, QuantumInstrument
 
 
-def random_density(rng: np.random.Generator, n_qubits: int, labels=None) -> DensityMatrix:
-    dim = 2**n_qubits
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank state of the pair ``(q_A, q_B)``."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    layout = qubits(*(labels or [f"q{i}" for i in range(n_qubits)]))
-    return DensityMatrix(m, layout)
+    return DensityMatrix(m)
 
 
-def random_hermitian(rng: np.random.Generator, n_qubits: int, labels=None) -> HermitianOperator:
+def random_target(rng: np.random.Generator) -> str:
+    """``"q_A"`` or ``"q_B"``, uniformly."""
+    return PAIR_LABELS[int(rng.integers(2))]
+
+
+def random_hermitian(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    layout = qubits(*(labels or [f"q{i}" for i in range(n_qubits)]))
-    return HermitianOperator((g + g.conj().T) / 2, layout)
+    return (g + g.conj().T) / 2
 
 
 def random_instrument(

@@ -82,7 +82,7 @@ def test_criterion_2_state_level_indistinguishability():
     for q_dim in (2, 3):
         for seed in (0, 1, 2, 3, 4):
             pair = deliver_pair(build_epr_world(q_dim, 2, 0.0, seed=seed))
-            worst = max(worst, trace_distance(pair.state, target))
+            worst = max(worst, trace_distance(pair, target))
             cases += 1
     elapsed = time.perf_counter() - t0
     check(
@@ -187,8 +187,8 @@ def test_criterion_8_instrument_law_suite():
         if not validate_instrument(inst).passed:
             failures.append(f"{i}: valid instrument rejected")
             continue
-        rho = helpers.random_density(rng, 1, labels=["q"])
-        records = apply_instrument(inst, rho, ("q",))
+        rho, target = helpers.random_density(rng), helpers.random_target(rng)
+        records = apply_instrument(inst, rho, target)
         if abs(sum(r.probability for r in records) - 1.0) > 1e-10:
             failures.append(f"{i}: probabilities do not sum to 1")
         # post-state validity is enforced by the DensityMatrix constructor;
@@ -203,7 +203,7 @@ def test_criterion_8_instrument_law_suite():
                     ("g1", tuple(str(k) for k in range(cut, n_out))),
                 )
             )
-            merged = apply_instrument(coarse_grain(inst, part), rho, ("q",))
+            merged = apply_instrument(coarse_grain(inst, part), rho, target)
             p0 = sum(r.probability for r in records if int(r.outcome) < cut)
             if abs(merged[0].probability - p0) > 1e-10:
                 failures.append(f"{i}: coarse-graining broke additivity")

@@ -24,26 +24,20 @@ from locclab import (
     exact_chsh,
     exact_correlation,
     format_transcript,
-    qubits,
     sample_chsh,
     singlet_density,
 )
-from locclab import bell
+from locclab import bell, instruments
 from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
 from locclab.cli import main
 from locclab.instruments import measure_angle, projector
 from locclab.protocols import ProtocolRound
-from locclab.worlds import BoundaryPair
 
 import helpers
 import oracles
 
 
-def pair_of(matrix) -> BoundaryPair:
-    return BoundaryPair(DensityMatrix(matrix, qubits("q_A", "q_B")), "test")
-
-
-SINGLET = BoundaryPair(singlet_density(), "test")
+SINGLET = singlet_density()
 
 
 def observable(angle: float) -> np.ndarray:
@@ -89,13 +83,13 @@ class TestExactChsh:
     def test_product_state_gives_sqrt_two(self):
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
-        res = exact_chsh(pair_of(np.outer(v, v)))
+        res = exact_chsh(DensityMatrix(np.outer(v, v)))
         oracle = abs(oracles.chsh_from_correlation(oracles.product_00_correlation))
         assert abs(oracle - math.sqrt(2)) < 1e-12
         assert abs(res.s_abs - math.sqrt(2)) < 1e-10
 
     def test_maximally_mixed_gives_zero(self):
-        res = exact_chsh(pair_of(np.eye(4, dtype=complex) / 4))
+        res = exact_chsh(DensityMatrix(np.eye(4, dtype=complex) / 4))
         assert abs(res.s_abs) < 1e-12
         for e in res.correlations:
             assert abs(e) < 1e-12
@@ -103,10 +97,10 @@ class TestExactChsh:
     def test_quantum_bound_is_a_hard_ceiling(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            rho = helpers.random_density(rng, 2, labels=["q_A", "q_B"])
+            rho = helpers.random_density(rng)
             angles = rng.uniform(-math.pi, math.pi, size=4)
             cfg = CHSHConfig(*[float(a) for a in angles], trials=1, seed=0)
-            res = exact_chsh(BoundaryPair(rho, "random"), cfg)
+            res = exact_chsh(rho, cfg)
             assert res.s_abs <= TSIRELSON_BOUND + 1e-9
 
     def test_monotone_decoherence_in_coupling(self):
@@ -205,7 +199,7 @@ class TestEstimates:
         assert abs(est.visibility - 1.0) < 1e-10
         assert not est.exceeds_quantum_bound
 
-        flat = exact_chsh(pair_of(np.eye(4, dtype=complex) / 4))
+        flat = exact_chsh(DensityMatrix(np.eye(4, dtype=complex) / 4))
         assert abs(estimate_decoherence(flat).visibility) < 1e-12
 
     def test_classical_bound_visibility(self):
@@ -281,6 +275,17 @@ class TestBlockSampler:
             tracemalloc.stop()
         assert abs(res.s_abs - TSIRELSON_BOUND) <= 5 * res.standard_error
         assert peak < 32 * 2**20
+
+    def test_sampled_run_validates_each_measurement_once(self, monkeypatch):
+        # two dials per party: four measure_angle instruments per run, each validated once
+        calls = []
+        validate = instruments.validate_instrument
+        monkeypatch.setattr(
+            instruments, "validate_instrument", lambda inst: calls.append(inst) or validate(inst)
+        )
+        code = main(["chsh", "--mode", "epr", "--trials", "1000", "--seed", "1", "--out", os.devnull])
+        assert code == 0
+        assert len(calls) == 4 and len(set(map(id, calls))) == 4
 
     @pytest.mark.parametrize("trials,expected", [(3 * B, [2]), (1000, [])])
     def test_threads_clamped_to_cores_and_blocks(self, monkeypatch, trials, expected):

@@ -305,6 +305,16 @@ class TestMain:
         args = ["distinguish", "--lambda", "1e300", "--evolution-time", "1e8", "--seed", "1"]
         assert main(args) == EXIT_OK
 
+    @pytest.mark.parametrize("offset", [1e17, 1e300, -1e300, 1.797e308])
+    def test_frames_at_huge_offsets(self, capsys, offset):
+        # the offset is reduced mod 2*pi before it meets the dials, so neither
+        # criterion drowns in the rounding of b + offset
+        assert main(["frames", "--seed", "0", f"--offset={offset!r}"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["corrected"]["s_abs"] == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+        expected = TSIRELSON_BOUND * abs(math.cos(math.remainder(offset, math.tau)))
+        assert doc["results"]["uncorrected"]["s_abs"] == pytest.approx(expected, abs=1e-12)
+
     def test_parser_built_once(self, capsys):
         from locclab import cli
 

@@ -73,7 +73,7 @@ class TestAccessibleDistribution:
         script = canonical_chsh_script()
         ours = accessible_distribution(world, script).as_dict()
 
-        h_rest = oracles.rest_hamiltonian([term.matrix for term in world.rest_terms])
+        h_rest = oracles.rest_hamiltonian(list(world.rest_terms))
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, world.evolution_time)
         rounds = []
         for party, rnd in zip((0, 1), script.rounds):
@@ -128,9 +128,9 @@ class TestAccessibleDistribution:
         check_density_stack = distinguish.check_density_stack
         validate_instrument = instruments.validate_instrument
 
-        def check(m, tol):
+        def check(m):
             checked.append(m.shape)
-            return check_density_stack(m, tol)
+            return check_density_stack(m)
 
         def validate(inst):
             validated.append(inst)
@@ -327,7 +327,7 @@ class TestStackedWorlds:
             assert er3.as_dict()[t].hex() == "0x0.0p+0"
             assert epr3.as_dict()[t] > 1e-3
 
-        h_rest = oracles.rest_hamiltonian([term.matrix for term in world.rest_terms])
+        h_rest = oracles.rest_hamiltonian(list(world.rest_terms))
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.8, world.evolution_time)
         rounds = [
             (party, [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches])
@@ -394,9 +394,9 @@ class TestCallCounts:
         calls = []
         check_density_stack = distinguish.check_density_stack
 
-        def check(m, tol):
+        def check(m):
             calls.append(m.shape)
-            return check_density_stack(m, tol)
+            return check_density_stack(m)
 
         monkeypatch.setattr(distinguish, "check_density_stack", check)
         return calls

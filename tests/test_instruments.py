@@ -19,7 +19,6 @@ from locclab import (
     measure_x,
     measure_z,
     parse_instrument,
-    qubits,
     serialize_instrument,
     validate_instrument,
 )
@@ -34,16 +33,20 @@ from locclab.instruments import (
     settings_choice_instrument,
     unsharp_z,
 )
-from locclab.linalg import check_density_stack, embed_operator
+from locclab.linalg import check_density_stack
 from locclab.worlds import singlet_density
 
 import helpers
 import oracles
 
 
-def plus_density(label="q") -> DensityMatrix:
+ZERO = np.diag([1.0, 0.0])  # |0><0|
+
+
+def plus_density() -> DensityMatrix:
+    """``|+>|0>`` on the pair: ``q_A`` in ``|+>``, ``q_B`` in ``|0>``."""
     v = np.full(2, 1 / math.sqrt(2), dtype=complex)
-    return DensityMatrix(np.outer(v, v), qubits(label))
+    return DensityMatrix(np.kron(np.outer(v, v), ZERO))
 
 
 class TestValidate:
@@ -105,18 +108,18 @@ class TestValidate:
 
 class TestApply:
     def test_z_on_plus(self):
-        records = apply_instrument(measure_z(), plus_density(), ("q",))
+        records = apply_instrument(measure_z(), plus_density(), "q_A")
         assert [r.outcome for r in records] == ["0", "1"]
         for r, bits in zip(records, ("0", "1")):
             assert abs(r.probability - 0.5) < 1e-12
             expected = np.zeros((2, 2))
             expected[int(bits), int(bits)] = 1.0
-            assert_allclose(r.post_state.matrix, expected, atol=1e-12)
+            assert_allclose(r.post_state.matrix, np.kron(expected, ZERO), atol=1e-12)
 
     def test_identity_instrument(self):
         rng = np.random.default_rng(2)
-        rho = helpers.random_density(rng, 2)
-        (record,) = apply_instrument(identity_instrument(), rho, (rho.layout.labels[0],))
+        rho = helpers.random_density(rng)
+        (record,) = apply_instrument(identity_instrument(), rho, "q_A")
         assert record.outcome == "id"
         assert abs(record.probability - 1.0) < 1e-12
         assert_allclose(record.post_state.matrix, rho.matrix, atol=1e-12)
@@ -124,7 +127,7 @@ class TestApply:
     def test_z_on_alice_half_of_singlet(self):
         # Alice's outcome steers Bob's marginal to the opposite basis state
         rho = singlet_density()
-        records = apply_instrument(measure_z(), rho, ("q_A",))
+        records = apply_instrument(measure_z(), rho, "q_A")
         for record, bob_bit in zip(records, ("1", "0")):
             assert abs(record.probability - 0.5) < 1e-12
             bob = oracles.ptrace_by_loops(record.post_state.matrix, [2, 2], [1])
@@ -137,32 +140,34 @@ class TestApply:
             (InstrumentBranch("only", (math.sqrt(0.5) * np.eye(2, dtype=complex),)),)
         )
         with pytest.raises(ContractError):
-            apply_instrument(inst, plus_density(), ("q",))
+            apply_instrument(inst, plus_density(), "q_A")
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(LayoutError):
-            apply_instrument(measure_z(), plus_density(), ("nope",))
+        for target in ("nope", "q", ("q_A",)):
+            with pytest.raises(LayoutError):
+                apply_instrument(measure_z(), plus_density(), target)
 
     def test_probabilities_sum_to_one_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n_out = int(rng.integers(1, 5))
             inst = helpers.random_instrument(rng, 2, n_out, kraus_per_branch=2)
-            rho = helpers.random_density(rng, 2)
-            records = apply_instrument(inst, rho, (rho.layout.labels[0],))
+            rho = helpers.random_density(rng)
+            records = apply_instrument(inst, rho, helpers.random_target(rng))
             assert abs(sum(r.probability for r in records) - 1.0) < 1e-10
             for r in records:
                 if r.probability > 1e-12:
                     assert r.post_state is not None  # construction validates it
 
 
-def per_operator_oracle(inst, rho, targets):
-    """Each branch one Kraus operator at a time, each extended on its own."""
+def per_operator_oracle(inst, rho, target):
+    """Each branch one Kraus operator at a time, each extended on its own by loops."""
+    position = ("q_A", "q_B").index(target)
     probs, posts = [], []
     for b in inst.branches:
         out = np.zeros_like(rho.matrix)
         for w, k in zip(b.effective_weights(), b.kraus):
-            big = embed_operator(k, rho.layout, targets)
+            big = oracles.embed_by_loops(k, [2, 2], [position])
             out += w * (big @ rho.matrix @ big.conj().T)
         probs.append(float(np.real(np.trace(out))))
         posts.append(out / probs[-1])
@@ -183,8 +188,6 @@ def uneven_instrument(p: float = 0.3) -> QuantumInstrument:
 class TestBranchKernel:
     """The branch kernel: validation and embedding once per instrument, states as one stack."""
 
-    PAIR = qubits("q_A", "q_B")
-
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {"validate": 0, "embed": 0}
@@ -198,15 +201,17 @@ class TestBranchKernel:
         monkeypatch.setattr(
             instruments, "validate_instrument", counting("validate", instruments.validate_instrument)
         )
-        monkeypatch.setattr(instruments, "embed_operator", counting("embed", embed_operator))
+        monkeypatch.setattr(
+            instruments, "extend_to_pair", counting("embed", instruments.extend_to_pair)
+        )
         return counts
 
     def test_validated_once_per_instrument(self, calls):
         inst = helpers.random_instrument(np.random.default_rng(4), 2, 3)
         rho = singlet_density()
         for target in ("q_A", "q_B", "q_A"):
-            apply_instrument(inst, rho, (target,))
-        _apply_branches(inst, rho.layout, ("q_B",), np.stack([rho.matrix] * 3))
+            apply_instrument(inst, rho, target)
+        _apply_branches(inst, "q_B", np.stack([rho.matrix] * 3))
         assert calls["validate"] == 1
         assert inst.report is inst.report and inst.report.passed
 
@@ -214,9 +219,9 @@ class TestBranchKernel:
         bad = helpers.sign_flip_one_term(measure_z())
         for _ in range(2):
             with pytest.raises(ContractError, match="cp defect"):
-                apply_instrument(bad, singlet_density(), ("q_A",))
+                apply_instrument(bad, singlet_density(), "q_A")
         with pytest.raises(ContractError):
-            _apply_branches(bad, self.PAIR, ("q_B",), singlet_density().matrix[None])
+            _apply_branches(bad, "q_B", singlet_density().matrix[None])
         assert calls["validate"] == 1
 
     @pytest.mark.parametrize("kraus_per_branch", [1, 2])
@@ -224,36 +229,37 @@ class TestBranchKernel:
     def test_pair_matches_per_operator_embedding_bytes(self, kraus_per_branch, target):
         rng = np.random.default_rng(5)
         inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=kraus_per_branch)
-        rho = helpers.random_density(rng, 2, ["q_A", "q_B"])
-        probs, posts = _apply_branches(inst, self.PAIR, (target,), rho.matrix[None])
-        oracle_probs, oracle_posts = per_operator_oracle(inst, rho, (target,))
+        rho = helpers.random_density(rng)
+        probs, posts = _apply_branches(inst, target, rho.matrix[None])
+        oracle_probs, oracle_posts = per_operator_oracle(inst, rho, target)
         assert probs[:, 0].tolist() == oracle_probs
         for post, oracle in zip(posts[:, 0], oracle_posts):
             assert post.tobytes() == oracle.tobytes()
 
-    @pytest.mark.parametrize("targets", [("q0",), ("q2",), ("q2", "q0")])
-    def test_three_qubits_match_per_operator_embedding(self, targets):
-        rng = np.random.default_rng(8)
-        rho = helpers.random_density(rng, 3)
-        inst = uneven_instrument() if len(targets) == 1 else helpers.random_instrument(rng, 4, 2, 3)
-        records = apply_instrument(inst, rho, targets)
-        oracle_probs, oracle_posts = per_operator_oracle(inst, rho, targets)
+    @pytest.mark.parametrize("target", ["q_A", "q_B"])
+    def test_uneven_branches_match_per_operator_embedding(self, target):
+        # branches of one and two Kraus operators: the second position runs on one row only
+        rho = helpers.random_density(np.random.default_rng(8))
+        records = apply_instrument(uneven_instrument(), rho, target)
+        oracle_probs, oracle_posts = per_operator_oracle(uneven_instrument(), rho, target)
         for rec, p, post in zip(records, oracle_probs, oracle_posts):
             assert rec.probability == p
             assert rec.post_state.matrix.tobytes() == post.tobytes()
 
-    def test_embedded_once_per_layout_and_targets(self, calls):
+    def test_embedded_once_per_target(self, calls):
         rng = np.random.default_rng(6)
         inst = helpers.random_instrument(rng, 2, 2, kraus_per_branch=2)
-        rho = helpers.random_density(rng, 3)
+        rho = helpers.random_density(rng)
         for _ in range(3):
-            apply_instrument(inst, rho, ("q1",))
+            apply_instrument(inst, rho, "q_A")
         assert calls["embed"] == 1
-        apply_instrument(inst, rho, ("q2",))
-        _apply_branches(inst, self.PAIR, ("q_A",), singlet_density().matrix[None])
-        assert calls["embed"] == 3
-        apply_instrument(inst, rho, ("q2",))
-        assert calls["embed"] == 3
+        apply_instrument(inst, rho, "q_B")
+        _apply_branches(inst, "q_A", singlet_density().matrix[None])
+        assert calls["embed"] == 2
+        with pytest.raises(LayoutError):
+            apply_instrument(inst, rho, "q_C")
+        apply_instrument(inst, rho, "q_B")
+        assert sorted(inst._embedded) == ["q_A", "q_B"]
 
     def test_extension_cache_is_not_a_field(self):
         assert [f.name for f in dataclasses.fields(QuantumInstrument)] == ["branches"]
@@ -261,24 +267,26 @@ class TestBranchKernel:
     def test_stack_matches_one_state_at_a_time_bytes(self):
         rng = np.random.default_rng(7)
         inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=2)
-        rhos = [helpers.random_density(rng, 2, ["q_A", "q_B"]) for _ in range(6)]
-        probs, posts = _apply_branches(inst, self.PAIR, ("q_B",), np.stack([r.matrix for r in rhos]))
+        rhos = [helpers.random_density(rng) for _ in range(6)]
+        probs, posts = _apply_branches(inst, "q_B", np.stack([r.matrix for r in rhos]))
         for n, rho in enumerate(rhos):
-            for j, rec in enumerate(apply_instrument(inst, rho, ("q_B",))):
+            for j, rec in enumerate(apply_instrument(inst, rho, "q_B")):
                 assert probs[j, n] == rec.probability
                 assert posts[j, n].tobytes() == rec.post_state.matrix.tobytes()
 
     def test_dead_branch_has_no_post_state(self):
-        up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), self.PAIR)
-        probs, posts = _apply_branches(measure_z(), self.PAIR, ("q_A",), up.matrix[None])
+        up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+        probs, posts = _apply_branches(measure_z(), "q_A", up.matrix[None])
         assert probs[:, 0].tolist() == [1.0, 0.0]
         assert not posts[1].any()
-        (_, dead) = apply_instrument(measure_z(), up, ("q_A",))
+        (_, dead) = apply_instrument(measure_z(), up, "q_A")
         assert dead.probability == 0.0 and dead.post_state is None
 
     def test_wrong_dimension_rejected(self):
+        two_qubit = QuantumInstrument((InstrumentBranch("id", (np.eye(4, dtype=complex),)),))
+        assert two_qubit.report.passed
         with pytest.raises(LayoutError):
-            _apply_branches(measure_z(), self.PAIR, ("q_A", "q_B"), singlet_density().matrix[None])
+            _apply_branches(two_qubit, "q_A", singlet_density().matrix[None])
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -290,7 +298,7 @@ class TestBranchKernel:
     def test_batched_check_rejects_bad_post_states(self, bad, message):
         # the kernel does not check; a bad input state passes through the identity branch
         states = np.stack([singlet_density().matrix, bad.astype(complex)])
-        probs, posts = _apply_branches(identity_instrument(), self.PAIR, ("q_A",), states)
+        probs, posts = _apply_branches(identity_instrument(), "q_A", states)
         live = posts[probs > PROB_FLOOR]
         assert len(live) == 2
         check_density_stack(live[:1])
@@ -305,12 +313,12 @@ class TestOneWayLocal:
         assert validate_instrument(bob_tp).passed
         rng = np.random.default_rng(4)
         for _ in range(5):
-            rho = helpers.random_density(rng, 2, labels=["q_A", "q_B"])
-            (after,) = apply_instrument(bob_tp, rho, ("q_B",))
+            rho = helpers.random_density(rng)
+            (after,) = apply_instrument(bob_tp, rho, "q_B")
             assert abs(after.probability - 1.0) < 1e-12
             assert np.max(np.abs(after.post_state.matrix - rho.matrix)) > 1e-3
-            before = [r.probability for r in apply_instrument(measure_x(), rho, ("q_A",))]
-            moved = [r.probability for r in apply_instrument(measure_x(), after.post_state, ("q_A",))]
+            before = [r.probability for r in apply_instrument(measure_x(), rho, "q_A")]
+            moved = [r.probability for r in apply_instrument(measure_x(), after.post_state, "q_A")]
             assert_allclose(moved, before, atol=1e-10)
 
 
@@ -321,18 +329,18 @@ class TestCoarseGrain:
         rng = np.random.default_rng(6)
         out = coarse_grain(inst, part)
         for _ in range(5):
-            rho = helpers.random_density(rng, 1, labels=["q"])
-            a = apply_instrument(inst, rho, ("q",))
-            b = apply_instrument(out, rho, ("q",))
+            rho, target = helpers.random_density(rng), helpers.random_target(rng)
+            a = apply_instrument(inst, rho, target)
+            b = apply_instrument(out, rho, target)
             for ra, rb in zip(a, b):
                 assert abs(ra.probability - rb.probability) < 1e-12
 
     def test_full_group_is_dephasing(self):
         part = CoarseGrainingPartition((("all", ("0", "1")),))
         out = coarse_grain(measure_z(), part)
-        (record,) = apply_instrument(out, plus_density(), ("q",))
+        (record,) = apply_instrument(out, plus_density(), "q_A")
         assert abs(record.probability - 1.0) < 1e-12
-        assert_allclose(record.post_state.matrix, np.eye(2) / 2, atol=1e-12)
+        assert_allclose(record.post_state.matrix, np.kron(np.eye(2) / 2, ZERO), atol=1e-12)
 
     def test_probabilities_add_on_three_outcomes(self):
         rng = np.random.default_rng(7)
@@ -340,9 +348,9 @@ class TestCoarseGrain:
         part = CoarseGrainingPartition((("01", ("0", "1")), ("2", ("2",))))
         grouped = coarse_grain(inst, part)
         for _ in range(10):
-            rho = helpers.random_density(rng, 1, labels=["q"])
-            fine = apply_instrument(inst, rho, ("q",))
-            coarse = apply_instrument(grouped, rho, ("q",))
+            rho, target = helpers.random_density(rng), helpers.random_target(rng)
+            fine = apply_instrument(inst, rho, target)
+            coarse = apply_instrument(grouped, rho, target)
             assert abs(coarse[0].probability - (fine[0].probability + fine[1].probability)) < 1e-10
             assert abs(coarse[1].probability - fine[2].probability) < 1e-10
 
@@ -351,10 +359,8 @@ class TestCoarseGrain:
         rng = np.random.default_rng(8)
         for _ in range(10):
             n_out = int(rng.integers(2, 5))
-            n_qubits = int(rng.integers(1, 3))
-            inst = helpers.random_instrument(rng, 2**n_qubits, n_out)
-            labels = [f"q{i}" for i in range(n_qubits)]
-            rho = helpers.random_density(rng, n_qubits, labels=labels)
+            inst = helpers.random_instrument(rng, 2, n_out)
+            rho, target = helpers.random_density(rng), helpers.random_target(rng)
             cut = int(rng.integers(1, n_out)) if n_out > 1 else 1
             part = CoarseGrainingPartition(
                 (
@@ -362,8 +368,8 @@ class TestCoarseGrain:
                     ("g1", tuple(str(i) for i in range(cut, n_out))),
                 )
             )
-            coarse = apply_instrument(coarse_grain(inst, part), rho, labels)
-            fine = apply_instrument(inst, rho, labels)
+            coarse = apply_instrument(coarse_grain(inst, part), rho, target)
+            fine = apply_instrument(inst, rho, target)
             for rec, (_, members) in zip(coarse, part.groups):
                 chunk = [r for r in fine if r.outcome in members]
                 p = sum(r.probability for r in chunk)

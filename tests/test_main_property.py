@@ -27,7 +27,9 @@ RUN_LINE = re.compile(r"criterion .+: (PASS|FAIL)|done in \d+\.\d+s \(.+\)")
 
 REALS = st.one_of(
     st.floats(-3.0, 3.0),
-    st.sampled_from([0.0, -0.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.sampled_from(
+        [0.0, -0.0, -1.0, 1e17, 1e300, -1e300, 1.797e308, math.inf, -math.inf, math.nan]
+    ),
 )
 
 

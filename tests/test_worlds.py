@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from locclab import (
     CapacityError,
     EprParams,
-    HermitianOperator,
     build_epr_world,
     build_er_world,
     canonical_chsh_script,
     deliver_pair,
     indistinguishability_sweep,
     purity,
-    qubits,
     singlet_density,
     trace_distance,
 )
@@ -29,13 +27,13 @@ from helpers import random_hermitian
 
 def dense_rest(world):
     """The world's rest Hamiltonian on all rest qubits, assembled by the oracle."""
-    return oracles.rest_hamiltonian([term.matrix for term in world.rest_terms])
+    return oracles.rest_hamiltonian(list(world.rest_terms))
 
 
 def idle_world(qbar_dim, lam, t, q_dim=2):
     """An EPR world whose rest qubits have zero Hamiltonian terms."""
-    zero = HermitianOperator(np.zeros((2, 2)), qubits("env"))
-    return World(mode="EPR", q_dim=q_dim, evolution_time=t, lam=lam, rest_terms=[zero] * qbar_dim)
+    zero = np.zeros((qbar_dim, 2, 2))
+    return World(mode="EPR", q_dim=q_dim, evolution_time=t, lam=lam, rest_terms=zero)
 
 
 class TestErWorld:
@@ -46,8 +44,8 @@ class TestErWorld:
 
     def test_delivers_exact_singlet(self):
         pair = deliver_pair(build_er_world())
-        assert trace_distance(pair.state, singlet_density()) == 0.0
-        assert abs(purity(pair.state) - 1.0) < 1e-10
+        assert trace_distance(pair, singlet_density()) == 0.0
+        assert abs(purity(pair) - 1.0) < 1e-10
 
 
 class TestEprConstruction:
@@ -62,10 +60,9 @@ class TestEprConstruction:
     def test_assembled_hamiltonian_is_hermitian(self):
         for seed in range(5):
             world = build_epr_world(2, 2, 0.7, seed=seed)
-            assert len(world.rest_terms) == world.qbar_dim == 2
+            assert world.rest_terms.shape == (world.qbar_dim, 2, 2) == (2, 2, 2)
             for term in world.rest_terms:
-                assert term.matrix.shape == (2, 2)
-                assert np.max(np.abs(term.matrix - term.matrix.conj().T)) < 1e-10
+                assert np.max(np.abs(term - term.conj().T)) < 1e-10
             h = dense_rest(world)
             assert np.max(np.abs(h - h.conj().T)) < 1e-10
 
@@ -94,17 +91,38 @@ class TestEprConstruction:
     def test_rest_hamiltonian_entries_bounded(self):
         world = build_epr_world(2, 3, 0.5, seed=11)
         for term in world.rest_terms:
-            assert np.max(np.abs(term.matrix)) <= 1.0
+            assert np.max(np.abs(term)) <= 1.0
         assert np.max(np.abs(dense_rest(world))) <= 3.0 + 1e-12
 
     def test_rest_terms_drawn_in_documented_order(self):
         # per rest qubit: a, d from U(-1, 1), then x, y from U(-0.7, 0.7)
         world = build_epr_world(3, 2, 0.5, seed=17)
         rng = np.random.default_rng(17)
+        assert world.rest_terms.shape == (2, 2, 2) and world.rest_terms.dtype == complex
         for term in world.rest_terms:
             a, d = rng.uniform(-1.0, 1.0, size=2)
             x, y = rng.uniform(-0.7, 0.7, size=2)
-            assert np.array_equal(term.matrix, [[a, x + 1j * y], [x - 1j * y, d]])
+            assert np.array_equal(term, [[a, x + 1j * y], [x - 1j * y, d]])
+
+    def test_rest_terms_are_read_only(self):
+        world = build_epr_world(2, 2, 0.5, seed=3)
+        with pytest.raises(ValueError):
+            world.rest_terms[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            (np.zeros((2, 2)), "shape"),
+            (np.zeros((1, 3, 3)), "shape"),
+            (np.zeros((1, 4)), "shape"),
+            (np.array([[[0.0, 1.0], [0.0, 0.0]]]), "Hermitian"),
+            (np.array([[[np.nan, 0.0], [0.0, 0.0]]]), "finite"),
+            (np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1j], [1j, 0.0]]]), "Hermitian"),
+        ],
+    )
+    def test_bad_rest_terms_rejected(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            World(mode="EPR", q_dim=2, evolution_time=1.0, lam=0.5, rest_terms=terms)
 
 
 class TestDeliverPair:
@@ -112,8 +130,8 @@ class TestDeliverPair:
         states = []
         for q_dim in (2, 3, 4):
             pair = deliver_pair(build_epr_world(q_dim, 2, 0.0, seed=9))
-            assert trace_distance(pair.state, singlet_density()) <= 1e-10
-            states.append(pair.state.matrix)
+            assert trace_distance(pair, singlet_density()) <= 1e-10
+            states.append(pair.matrix)
         assert np.array_equal(states[0], states[1])
         assert np.array_equal(states[1], states[2])
 
@@ -134,7 +152,7 @@ class TestDeliverPair:
     )
     def test_matches_brute_force_dense_oracle(self, q_dim, qbar_dim, lam, seed):
         world = build_epr_world(q_dim, qbar_dim, lam, seed=seed)
-        ours = deliver_pair(world).state.matrix
+        ours = deliver_pair(world).matrix
         oracle = oracles.dense_world_pair(
             dense_rest(world), q_dim, qbar_dim, lam, world.evolution_time
         )
@@ -151,22 +169,22 @@ class TestDeliverPair:
     def test_matches_dense_oracle_everywhere(self, q_dim, qbar_dim, lam, t, seed):
         world = build_epr_world(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
         oracle = oracles.dense_world_pair(dense_rest(world), q_dim, qbar_dim, lam, t)
-        assert np.max(np.abs(deliver_pair(world).state.matrix - oracle)) < 1e-12
+        assert np.max(np.abs(deliver_pair(world).matrix - oracle)) < 1e-12
 
     def test_world_beyond_dense_reach(self):
         # 2 boundary + 3 channel + 12 rest qubits: 2**17 dimensions, past the
         # cap of build_epr_world and far past the dense oracle
         rng = np.random.default_rng(12)
-        terms = [random_hermitian(rng, 1, [f"env{j}"]) for j in range(12)]
+        terms = np.stack([random_hermitian(rng, 1) for _ in range(12)])
         for lam in (0.0, 0.3, 1.7):
             world = World(mode="EPR", q_dim=3, evolution_time=1.0, lam=lam, rest_terms=terms)
-            pair = deliver_pair(world).state.matrix
+            pair = deliver_pair(world).matrix
             # |c| <= 1 up to the rounding of a 12-factor product
             assert abs(pair_coherence(world)) <= 1.0 + 1e-12
             if lam == 0.0:
                 assert np.max(np.abs(pair - singlet_density().matrix)) < 1e-12
             else:
-                assert purity(deliver_pair(world).state) < 1.0 - 1e-6
+                assert purity(deliver_pair(world)) < 1.0 - 1e-6
 
     def test_pair_computed_once_per_world(self, monkeypatch):
         calls = []
@@ -178,21 +196,21 @@ class TestDeliverPair:
 
     def test_coupling_decoheres(self):
         pair = deliver_pair(build_epr_world(2, 2, 0.8, seed=5))
-        assert purity(pair.state) < 1.0 - 1e-6
+        assert purity(pair) < 1.0 - 1e-6
 
     def test_decoherence_detectable_iff_coupled(self):
         for lam in (0.1, 0.4, 0.9):
             for seed in (0, 1):
                 pair = deliver_pair(build_epr_world(2, 2, lam, seed=seed))
-                assert purity(pair.state) < 1.0 - 1e-6
+                assert purity(pair) < 1.0 - 1e-6
         pair = deliver_pair(build_epr_world(2, 2, 0.0, seed=0))
-        assert abs(purity(pair.state) - 1.0) < 1e-12
+        assert abs(purity(pair) - 1.0) < 1e-12
 
     def test_closed_form_with_idle_rest(self):
         # with the rest Hamiltonian zero, each rest qubit contributes a
         # cos(lam*t) factor to the pair coherence
         for qbar_dim, lam, t in ((1, 0.7, 1.0), (2, 0.45, 1.3), (3, 1.2, 0.5)):
-            ours = deliver_pair(idle_world(qbar_dim, lam, t)).state.matrix
+            ours = deliver_pair(idle_world(qbar_dim, lam, t)).matrix
             expected = oracles.dephased_singlet(math.cos(lam * t) ** qbar_dim)
             assert np.max(np.abs(ours - expected)) < 1e-10
 
@@ -200,7 +218,7 @@ class TestDeliverPair:
         # coherence cos(lam*t) vanishes at lam*t = pi/2: maximally mixed on
         # the pair's support, purity exactly 1/2
         world = idle_world(1, math.pi / 2, 1.0)
-        assert abs(purity(deliver_pair(world).state) - 0.5) < 1e-10
+        assert abs(purity(deliver_pair(world)) - 0.5) < 1e-10
 
 
 def purity_profile(grid, **params):
