@@ -45,7 +45,6 @@ from .errors import (
     ContractError,
     EmptyCellError,
     LayoutError,
-    LocalityViolationError,
 )
 from .instruments import (
     CoarseGrainingPartition,

@@ -14,6 +14,7 @@ capacity error, 4 built-in assertion failure, 5 empty-cell estimation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -233,8 +234,8 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
 
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}", key="experiment")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative", key="seed")
+    if not 0 <= cfg.seed < 2**128:
+        raise ConfigError(f"must be in [0, 2**128), got {cfg.seed}", key="seed")
     if cfg.mode not in ("er", "epr"):
         raise ConfigError(f"mode must be 'er' or 'epr', got {cfg.mode!r}", key="mode")
     reals = [("lambda", cfg.lam), ("offset", cfg.offset), ("evolution_time", cfg.evolution_time)]
@@ -308,29 +309,11 @@ def _write_file(path: str, text: str, key: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}", key=key) from exc
 
 
-def _chsh_result_dict(res: CHSHResult) -> dict:
-    return {
-        "e_ab": res.e_ab,
-        "e_ab_prime": res.e_ab_prime,
-        "e_a_prime_b": res.e_a_prime_b,
-        "e_a_prime_b_prime": res.e_a_prime_b_prime,
-        "s_value": res.s_value,
-        "s_abs": res.s_abs,
-        "tsirelson_gap": res.tsirelson_gap,
-        "standard_error": res.standard_error,
-    }
-
-
-_CHSH_HEADER = (
-    "e_ab e_ab_prime e_a_prime_b e_a_prime_b_prime s_value s_abs tsirelson_gap standard_error"
-)
+_CHSH_HEADER = " ".join(f.name for f in dataclasses.fields(CHSHResult))
 
 
 def _chsh_columnar(res: CHSHResult) -> str:
-    row = (
-        f"{res.e_ab!r} {res.e_ab_prime!r} {res.e_a_prime_b!r} {res.e_a_prime_b_prime!r} "
-        f"{res.s_value!r} {res.s_abs!r} {res.tsirelson_gap!r} {res.standard_error!r}"
-    )
+    row = " ".join(repr(x) for x in dataclasses.astuple(res))
     return _CHSH_HEADER + "\n" + row + "\n"
 
 
@@ -363,7 +346,7 @@ def _run_chsh(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
             ("exact identified-world run attains the quantum maximum",
              abs(res.s_abs - TSIRELSON_BOUND) <= _ZERO_ATOL)
         )
-    return {"result": _chsh_result_dict(res)}, _chsh_columnar(res), criteria
+    return {"result": dataclasses.asdict(res)}, _chsh_columnar(res), criteria
 
 
 def _run_sweep(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
@@ -394,8 +377,8 @@ def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]
 
 def _load_alice_instrument(path: str):
     name, inst = load_instrument(path)
-    if inst.dimension != 2 or not inst.report.passed:
-        raise ValueError(f"not a valid one-qubit instrument: {inst.report.violations}")
+    if not inst.report.passed:
+        raise ValueError("invalid instrument: " + "; ".join(map(str, inst.report.violations)))
     return name, inst
 
 
@@ -456,8 +439,8 @@ def _run_frames(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
     payload = {
         "kind": "frames",
         "offset": cfg.offset,
-        "uncorrected": _chsh_result_dict(raw),
-        "corrected": _chsh_result_dict(fixed),
+        "uncorrected": dataclasses.asdict(raw),
+        "corrected": dataclasses.asdict(fixed),
     }
     lines = [
         "variant s_abs",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 
 class CapacityError(Exception):
-    """Requested Hilbert-space dimension exceeds the configured cap."""
+    """A requested world has more qubits, the boundary pair included, than the qubit cap."""
 
 
 class LayoutError(ValueError):
@@ -17,10 +17,6 @@ class LayoutError(ValueError):
 
 class ContractError(Exception):
     """A value violating its own invariants was passed where a valid one is required."""
-
-
-class LocalityViolationError(Exception):
-    """A protocol round tries to act outside the acting party's subsystem."""
 
 
 class EmptyCellError(Exception):

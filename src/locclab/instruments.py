@@ -10,11 +10,11 @@ frozen instrument, and so are its Kraus operators extended to each pair
 qubit it is applied on.  One private kernel applies every branch to a whole
 stack of pair states at once; :func:`apply_instrument` is that kernel on one
 state, and transcript enumeration in :mod:`locclab.distinguish` runs it on
-each round.  Instruments, their validation and their file format work in
-any dimension; only application needs a one-qubit (2x2) instrument.
+each round.  Every instrument acts on one qubit: a branch refuses any Kraus
+operator that is not 2x2 when it is built, so no caller checks for one.
 
-Branches optionally carry signed real weights on their Kraus terms.  With
-all weights +1 (the default) a branch is automatically completely positive;
+Branches carry signed real weights on their Kraus terms.  With all weights
++1 (the default) a branch is automatically completely positive;
 negative weights let callers construct *invalid* instruments on purpose,
 which is what makes the validator's CP check falsifiable.
 """
@@ -77,49 +77,39 @@ def _as_operator_tuple(ops: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
     out = []
     for op in ops:
         m = np.array(op, dtype=complex, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Kraus operator must be square, got shape {m.shape}")
+        if m.shape != (2, 2):
+            raise LayoutError(f"a Kraus operator acts on one qubit and is 2x2, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("Kraus operator contains non-finite entries")
         m.setflags(write=False)
         out.append(m)
     if not out:
         raise ValueError("branch needs at least one Kraus operator")
-    d = out[0].shape[0]
-    for m in out[1:]:
-        if m.shape[0] != d:
-            raise ValueError("Kraus operators in a branch must share one dimension")
     return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class InstrumentBranch:
-    """One outcome of an instrument: a CP map in (optionally weighted) Kraus form."""
+    """One outcome of an instrument: a CP map in weighted Kraus form on one qubit.
+
+    ``weights`` holds one float per Kraus operator; left empty, every weight is +1.
+    """
 
     outcome: str
     kraus: tuple[np.ndarray, ...]
-    weights: tuple[float, ...] | None = None
+    weights: tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "kraus", _as_operator_tuple(self.kraus))
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(self.kraus):
-                raise ValueError("weights length must match Kraus operator count")
-            object.__setattr__(self, "weights", w)
-
-    @property
-    def dimension(self) -> int:
-        return self.kraus[0].shape[0]
-
-    def effective_weights(self) -> tuple[float, ...]:
-        return self.weights if self.weights is not None else (1.0,) * len(self.kraus)
+        w = tuple(float(x) for x in self.weights) or (1.0,) * len(self.kraus)
+        if len(w) != len(self.kraus):
+            raise ValueError("weights length must match Kraus operator count")
+        object.__setattr__(self, "weights", w)
 
     def completeness_term(self) -> np.ndarray:
         """``sum_k w_k K_k^dag K_k`` for this branch."""
-        d = self.dimension
-        out = np.zeros((d, d), dtype=complex)
-        for w, k in zip(self.effective_weights(), self.kraus):
+        out = np.zeros((2, 2), dtype=complex)
+        for w, k in zip(self.weights, self.kraus):
             out += w * (k.conj().T @ k)
         return out
 
@@ -140,17 +130,9 @@ class QuantumInstrument:
         object.__setattr__(self, "branches", branches)
         if not branches:
             raise ValueError("instrument needs at least one branch")
-        d = branches[0].dimension
-        for b in branches[1:]:
-            if b.dimension != d:
-                raise LayoutError("all branches must act on the same dimension")
         outcomes = [b.outcome for b in branches]
         if len(set(outcomes)) != len(outcomes):
             raise ValueError(f"duplicate outcome labels: {outcomes}")
-
-    @property
-    def dimension(self) -> int:
-        return self.branches[0].dimension
 
     @property
     def outcomes(self) -> tuple[str, ...]:
@@ -216,7 +198,7 @@ class Violation:
     """One named defect found by the validator, with its measured magnitude."""
 
     branch: str | None
-    kind: str  # "cp" | "completeness" | "dimension"
+    kind: str  # "cp" | "completeness"
     magnitude: float
 
     def __str__(self) -> str:
@@ -232,9 +214,8 @@ class ValidationReport:
 
 def branch_choi(branch: InstrumentBranch) -> np.ndarray:
     """Choi matrix ``sum_k w_k vec(K_k) vec(K_k)^dag`` (column-stacking)."""
-    d = branch.dimension
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for w, k in zip(branch.effective_weights(), branch.kraus):
+    choi = np.zeros((4, 4), dtype=complex)
+    for w, k in zip(branch.weights, branch.kraus):
         v = k.reshape(-1, order="F")
         choi += w * np.outer(v, v.conj())
     return choi
@@ -248,14 +229,13 @@ def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
     (spectral norm).  Violations name the failing branch and the defect magnitude.
     """
     violations: list[Violation] = []
-    d = inst.dimension
     min_eigs = np.linalg.eigvalsh(np.stack([branch_choi(b) for b in inst.branches]))[:, 0]
-    total = np.zeros((d, d), dtype=complex)
+    total = np.zeros((2, 2), dtype=complex)
     for b, min_eig in zip(inst.branches, min_eigs.tolist()):
         if min_eig < -CP_ATOL:
             violations.append(Violation(b.outcome, "cp", -min_eig))
         total += b.completeness_term()
-    defect = float(np.linalg.norm(total - np.eye(d), ord=2))
+    defect = float(np.linalg.norm(total - ID2, ord=2))
     if defect > TP_ATOL:
         violations.append(Violation(None, "completeness", defect))
     return ValidationReport(passed=not violations, violations=tuple(violations))
@@ -277,7 +257,7 @@ def _weighted_terms(inst: QuantumInstrument, target: str):
         for k in range(max(len(b.kraus) for b in branches)):
             rows = [j for j, b in enumerate(branches) if len(b.kraus) > k]
             e = np.stack([extended[j][k] for j in rows])[:, None]
-            w = np.array([branches[j].effective_weights()[k] for j in rows])[:, None, None, None]
+            w = np.array([branches[j].weights[k] for j in rows])[:, None, None, None]
             if len(rows) == len(branches):
                 rows = slice(None)
             terms.append((rows, e, e.conj().swapaxes(-1, -2), w))
@@ -295,8 +275,8 @@ def _apply_branches(
     ``posts`` of shape ``(branches, n, 4, 4)``.  A probability at or below
     :data:`PROB_FLOOR` has no post-state: it is clamped to be nonnegative
     and its post-state is left zero.  Raises :class:`LayoutError` unless
-    ``inst`` is a one-qubit instrument and ``target`` is ``"q_A"`` or
-    ``"q_B"``, and :class:`ContractError` if ``inst`` failed its validation.
+    ``target`` is ``"q_A"`` or ``"q_B"``, and :class:`ContractError` if
+    ``inst`` failed its validation.
     The post-states are not checked here, so every caller must check the
     live ones: :func:`apply_instrument` builds a :class:`DensityMatrix` from
     each, and :func:`~locclab.distinguish.accessible_distribution` passes
@@ -350,15 +330,11 @@ def coarse_grain(inst: QuantumInstrument, partition: CoarseGrainingPartition) ->
     for group_label, members in partition.groups:
         kraus: list[np.ndarray] = []
         weights: list[float] = []
-        weighted = False
         for m in members:
             b = inst.branch(m)
             kraus.extend(b.kraus)
-            weights.extend(b.effective_weights())
-            weighted = weighted or b.weights is not None
-        branches.append(
-            InstrumentBranch(group_label, tuple(kraus), tuple(weights) if weighted else None)
-        )
+            weights.extend(b.weights)
+        branches.append(InstrumentBranch(group_label, tuple(kraus), tuple(weights)))
     return QuantumInstrument(tuple(branches))
 
 
@@ -442,10 +418,10 @@ def settings_choice_instrument(angle0: float, angle1: float) -> QuantumInstrumen
 # ignored):
 #
 #     instrument <name>
-#     dimension <d>
+#     dimension 2
 #     branch <outcome-label>
 #     op
-#     <d rows of d whitespace-separated complex entries>
+#     <2 rows of 2 whitespace-separated complex entries>
 #     op
 #     ...
 #     branch <outcome-label>
@@ -474,9 +450,9 @@ def _parse_complex(token: str) -> complex:
 
 def serialize_instrument(inst: QuantumInstrument, name: str = "instrument") -> str:
     """Render an instrument in the textual definition format."""
-    if any(b.weights is not None for b in inst.branches):
-        raise ValueError("weighted branches have no file representation")
-    lines = [f"instrument {name}", f"dimension {inst.dimension}"]
+    if any(w != 1.0 for b in inst.branches for w in b.weights):
+        raise ValueError("branches with a weight other than +1 have no file representation")
+    lines = [f"instrument {name}", "dimension 2"]
     for b in inst.branches:
         lines.append(f"branch {b.outcome}")
         for k in b.kraus:
@@ -494,12 +470,10 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
     if not lines or not lines[0].startswith("instrument"):
         raise ValueError("file must start with 'instrument <name>'")
     name = lines[0].split(maxsplit=1)[1] if " " in lines[0] else "instrument"
-    parts = lines[1].split() if len(lines) > 1 else []
-    if len(parts) != 2 or parts[0] != "dimension":
-        raise ValueError("second line must be 'dimension <d>'")
-    dim = int(parts[1])
     if lines[-1] != "end":
         raise ValueError("file must end with 'end'")
+    if lines[1].split() != ["dimension", "2"]:
+        raise ValueError(f"second line must be 'dimension <d>' with d = 2, got {lines[1]!r}")
 
     branches: list[InstrumentBranch] = []
     outcome: str | None = None
@@ -510,8 +484,8 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
     def close_op():
         nonlocal in_op, rows
         if in_op:
-            if len(rows) != dim:
-                raise ValueError(f"operator has {len(rows)} rows, expected {dim}")
+            if len(rows) != 2:
+                raise ValueError(f"operator has {len(rows)} rows, expected 2")
             ops.append(np.array(rows, dtype=complex))
             rows = []
             in_op = False
@@ -541,8 +515,8 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
             if not in_op:
                 raise ValueError(f"unexpected line {line!r}")
             entries = [_parse_complex(tok) for tok in line.split()]
-            if len(entries) != dim:
-                raise ValueError(f"row has {len(entries)} entries, expected {dim}")
+            if len(entries) != 2:
+                raise ValueError(f"row has {len(entries)} entries, expected 2")
             rows.append(entries)
     close_branch()
     if not branches:

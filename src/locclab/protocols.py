@@ -24,7 +24,6 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import LocalityViolationError
 from .instruments import (
     InstrumentBranch,
     QuantumInstrument,
@@ -69,18 +68,8 @@ class ProtocolRound:
     def __post_init__(self):
         if self.party not in PARTIES:
             raise ValueError(f"party must be one of {PARTIES}, got {self.party!r}")
-        if self.instrument.dimension != 2:
-            raise LocalityViolationError(
-                f"round instrument acts on dimension {self.instrument.dimension}; "
-                "rounds are local to one qubit"
-            )
         if self.condition is not None:
             cond = {tuple(k): v for k, v in self.condition.items()}
-            for key, inst in cond.items():
-                if inst.dimension != 2:
-                    raise LocalityViolationError(
-                        f"conditioned instrument for {key} acts on dimension {inst.dimension}"
-                    )
             object.__setattr__(self, "condition", MappingProxyType(cond))
 
     def resolve(self, visible: tuple[str, ...]) -> QuantumInstrument:
@@ -168,9 +157,12 @@ def script_from_dict(doc: Mapping) -> ProtocolScript:
     for rdoc in doc["rounds"]:
         condition = None
         if "condition" in rdoc:
+            cond = rdoc["condition"]
+            if not isinstance(cond, dict):
+                raise TypeError(f"a round's condition must be a JSON object, got {cond!r}")
             condition = {
                 tuple(key.split(",")) if key else (): instrument_from_spec(spec)
-                for key, spec in rdoc["condition"].items()
+                for key, spec in cond.items()
             }
         rounds.append(
             ProtocolRound(rdoc["party"], instrument_from_spec(rdoc["instrument"]), condition)

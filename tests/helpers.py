@@ -30,13 +30,13 @@ def random_hermitian(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
 
 
 def random_instrument(
-    rng: np.random.Generator, dim: int, n_outcomes: int, kraus_per_branch: int = 1
+    rng: np.random.Generator, n_outcomes: int, kraus_per_branch: int = 1
 ) -> QuantumInstrument:
-    """Random valid instrument from a Haar-ish isometry split into blocks."""
+    """Random valid one-qubit instrument from a Haar-ish isometry split into 2x2 blocks."""
     k_total = n_outcomes * kraus_per_branch
-    g = rng.normal(size=(k_total * dim, dim)) + 1j * rng.normal(size=(k_total * dim, dim))
+    g = rng.normal(size=(k_total * 2, 2)) + 1j * rng.normal(size=(k_total * 2, 2))
     isometry, _ = np.linalg.qr(g)
-    blocks = [isometry[i * dim : (i + 1) * dim, :] for i in range(k_total)]
+    blocks = [isometry[i * 2 : (i + 1) * 2, :] for i in range(k_total)]
     branches = []
     for j in range(n_outcomes):
         ops = tuple(blocks[j * kraus_per_branch + k] for k in range(kraus_per_branch))
@@ -47,7 +47,7 @@ def random_instrument(
 def sign_flip_one_term(inst: QuantumInstrument) -> QuantumInstrument:
     """Invalid variant: the first branch's first Kraus contribution negated."""
     first = inst.branches[0]
-    weights = list(first.effective_weights())
+    weights = list(first.weights)
     weights[0] = -weights[0]
     bad = InstrumentBranch(first.outcome, first.kraus, tuple(weights))
     return QuantumInstrument((bad,) + inst.branches[1:])

@@ -183,7 +183,7 @@ def test_criterion_8_instrument_law_suite():
     failures = []
     for i in range(500):
         n_out = int(rng.integers(1, 5))
-        inst = helpers.random_instrument(rng, 2, n_out, kraus_per_branch=int(rng.integers(1, 3)))
+        inst = helpers.random_instrument(rng, n_out, kraus_per_branch=int(rng.integers(1, 3)))
         if not validate_instrument(inst).passed:
             failures.append(f"{i}: valid instrument rejected")
             continue
@@ -212,7 +212,7 @@ def test_criterion_8_instrument_law_suite():
             report = validate_instrument(bad)
             if report.passed or not any(v.kind == "cp" for v in report.violations):
                 failures.append(f"{i}: CP violation not detected")
-            shrunk = helpers.random_instrument(rng, 2, 1)
+            shrunk = helpers.random_instrument(rng, 1)
             from locclab.instruments import InstrumentBranch, QuantumInstrument
 
             leaky = QuantumInstrument(

@@ -31,6 +31,18 @@ NAN_ANGLE = (
     '{"name": "nan", "rounds": [{"party": "A", '
     '"instrument": {"kind": "measure_angle", "angle": NaN}}]}'
 )
+#: A valid two-qubit instrument file: the 4x4 identity, which no party can apply.
+TWO_QUBIT_IDENTITY = "instrument wide\ndimension 4\nbranch id\nop\n" + "".join(
+    " ".join("1+0i" if i == j else "0+0i" for j in range(4)) + "\n" for i in range(4)
+) + "end\n"
+
+
+def condition_script(condition: str) -> str:
+    """A one-round script file whose round has the JSON ``condition``."""
+    return (
+        '{"name": "cond", "rounds": [{"party": "A", '
+        f'"instrument": {{"kind": "measure_z"}}, "condition": {condition}}}]}}'
+    )
 
 
 class TestParseConfig:
@@ -215,10 +227,14 @@ class TestMain:
             (["chsh", "--mode", "epr", "--qbar-dim", "0", "--exact"], "qbar_dim"),
             (["distinguish", "--lambda", "1e300", "--evolution-time", "1e10"], "lambda"),
             (["sweep", "--lambda-grid", "0,1e300", "--evolution-time", "1e10"], "lambda_grid"),
+            (["chsh", "--trials", "100", "--seed", str(2**128)], "seed"),
+            (["distinguish", "--seed", str(2**128)], "seed"),
+            (["frames", "--seed", "-1"], "seed"),
         ],
     )
     def test_bad_values_exit_code(self, capsys, args, key):
-        assert main(args + ["--seed", "1"]) == EXIT_CONFIG
+        # a seed among ``args`` comes after the default one, so it wins
+        assert main(args[:1] + ["--seed", "1"] + args[1:]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and key in err
 
@@ -252,6 +268,10 @@ class TestMain:
             ("--script", ["sweep", "--lambda-grid", "0,0.5"], NO_ROUNDS, "script"),
             ("--script", ["qecc"], NO_ROUNDS, "script"),
             ("--script", ["distinguish"], NAN_ANGLE, "script"),
+            ("--script", ["distinguish"], condition_script("null"), "script"),
+            ("--script", ["distinguish"], condition_script("[]"), "script"),
+            ("--script", ["distinguish"], condition_script('"ab"'), "script"),
+            ("--alice-instrument", ["nosignal"], TWO_QUBIT_IDENTITY, "alice_instruments"),
         ],
     )
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, flag, experiment, text, key):
@@ -273,6 +293,15 @@ class TestMain:
         code = main(["chsh", "--trials", "100"])  # no seed anywhere
         assert code == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
+
+    def test_seed_beyond_philox_key_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = {2**128}\n")
+        assert main(["chsh", "--trials", "100", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(key: seed)" in err
+        path.write_text(f"seed = {2**128 - 1}\n")
+        assert main(["chsh", "--trials", "100", "--config", str(path)]) == EXIT_OK
 
     def test_empty_cell_exit_code(self, capsys):
         code = main(["chsh", "--mode", "er", "--trials", "1", "--seed", "0"])

@@ -1,8 +1,9 @@
 """Export and import hygiene of the package source, checked with ``ast`` alone.
 
 No lint tool is required: every module's ``__all__`` names only what the
-module defines, the package ``__init__`` re-exports only public names, and
-no module-level import in the package is left unused.
+module defines, the package ``__init__`` re-exports only public names, no
+module-level import in the package is left unused, and every exception class
+of ``errors`` is raised somewhere in the package.
 """
 
 import ast
@@ -76,3 +77,15 @@ def test_no_unused_module_imports(module):
     used.update(dunder_all(tree) or [])
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}
+
+
+def test_every_error_class_is_raised():
+    defined = {n.name for n in MODULES["errors"].body if isinstance(n, ast.ClassDef)}
+    raised = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined and defined - raised == set()

@@ -74,7 +74,7 @@ class TestValidate:
 
     def test_sign_flip_caught_as_cp_violation(self):
         rng = np.random.default_rng(0)
-        inst = helpers.random_instrument(rng, 2, n_outcomes=2, kraus_per_branch=2)
+        inst = helpers.random_instrument(rng, n_outcomes=2, kraus_per_branch=2)
         bad = helpers.sign_flip_one_term(inst)
         report = validate_instrument(bad)
         assert not report.passed
@@ -84,16 +84,16 @@ class TestValidate:
         rng = np.random.default_rng(1)
         for _ in range(20):
             inst = helpers.random_instrument(
-                rng, 2, n_outcomes=int(rng.integers(1, 4)), kraus_per_branch=2
+                rng, n_outcomes=int(rng.integers(1, 4)), kraus_per_branch=2
             )
             # valid: all weights positive, every Choi PSD
             for b in inst.branches:
-                direct = all(w > 0 for w in b.effective_weights())
+                direct = all(w > 0 for w in b.weights)
                 choi_ok = float(np.linalg.eigvalsh(branch_choi(b))[0]) > -1e-9
                 assert direct == choi_ok
             bad = helpers.sign_flip_one_term(inst)
             flipped = bad.branches[0]
-            assert any(w < 0 for w in flipped.effective_weights())
+            assert any(w < 0 for w in flipped.weights)
             assert float(np.linalg.eigvalsh(branch_choi(flipped))[0]) < -1e-9
 
     def test_mismatched_dimensions_rejected(self):
@@ -151,7 +151,7 @@ class TestApply:
         rng = np.random.default_rng(3)
         for _ in range(20):
             n_out = int(rng.integers(1, 5))
-            inst = helpers.random_instrument(rng, 2, n_out, kraus_per_branch=2)
+            inst = helpers.random_instrument(rng, n_out, kraus_per_branch=2)
             rho = helpers.random_density(rng)
             records = apply_instrument(inst, rho, helpers.random_target(rng))
             assert abs(sum(r.probability for r in records) - 1.0) < 1e-10
@@ -166,7 +166,7 @@ def per_operator_oracle(inst, rho, target):
     probs, posts = [], []
     for b in inst.branches:
         out = np.zeros_like(rho.matrix)
-        for w, k in zip(b.effective_weights(), b.kraus):
+        for w, k in zip(b.weights, b.kraus):
             big = oracles.embed_by_loops(k, [2, 2], [position])
             out += w * (big @ rho.matrix @ big.conj().T)
         probs.append(float(np.real(np.trace(out))))
@@ -207,7 +207,7 @@ class TestBranchKernel:
         return counts
 
     def test_validated_once_per_instrument(self, calls):
-        inst = helpers.random_instrument(np.random.default_rng(4), 2, 3)
+        inst = helpers.random_instrument(np.random.default_rng(4), 3)
         rho = singlet_density()
         for target in ("q_A", "q_B", "q_A"):
             apply_instrument(inst, rho, target)
@@ -228,7 +228,7 @@ class TestBranchKernel:
     @pytest.mark.parametrize("target", ["q_A", "q_B"])
     def test_pair_matches_per_operator_embedding_bytes(self, kraus_per_branch, target):
         rng = np.random.default_rng(5)
-        inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=kraus_per_branch)
+        inst = helpers.random_instrument(rng, 3, kraus_per_branch=kraus_per_branch)
         rho = helpers.random_density(rng)
         probs, posts = _apply_branches(inst, target, rho.matrix[None])
         oracle_probs, oracle_posts = per_operator_oracle(inst, rho, target)
@@ -248,7 +248,7 @@ class TestBranchKernel:
 
     def test_embedded_once_per_target(self, calls):
         rng = np.random.default_rng(6)
-        inst = helpers.random_instrument(rng, 2, 2, kraus_per_branch=2)
+        inst = helpers.random_instrument(rng, 2, kraus_per_branch=2)
         rho = helpers.random_density(rng)
         for _ in range(3):
             apply_instrument(inst, rho, "q_A")
@@ -266,7 +266,7 @@ class TestBranchKernel:
 
     def test_stack_matches_one_state_at_a_time_bytes(self):
         rng = np.random.default_rng(7)
-        inst = helpers.random_instrument(rng, 2, 3, kraus_per_branch=2)
+        inst = helpers.random_instrument(rng, 3, kraus_per_branch=2)
         rhos = [helpers.random_density(rng) for _ in range(6)]
         probs, posts = _apply_branches(inst, "q_B", np.stack([r.matrix for r in rhos]))
         for n, rho in enumerate(rhos):
@@ -283,10 +283,9 @@ class TestBranchKernel:
         assert dead.probability == 0.0 and dead.post_state is None
 
     def test_wrong_dimension_rejected(self):
-        two_qubit = QuantumInstrument((InstrumentBranch("id", (np.eye(4, dtype=complex),)),))
-        assert two_qubit.report.passed
-        with pytest.raises(LayoutError):
-            _apply_branches(two_qubit, "q_A", singlet_density().matrix[None])
+        # a two-qubit instrument cannot be built, so it never reaches the kernel
+        with pytest.raises(LayoutError, match="2x2"):
+            InstrumentBranch("id", (np.eye(4, dtype=complex),))
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -344,7 +343,7 @@ class TestCoarseGrain:
 
     def test_probabilities_add_on_three_outcomes(self):
         rng = np.random.default_rng(7)
-        inst = helpers.random_instrument(rng, 2, n_outcomes=3)
+        inst = helpers.random_instrument(rng, n_outcomes=3)
         part = CoarseGrainingPartition((("01", ("0", "1")), ("2", ("2",))))
         grouped = coarse_grain(inst, part)
         for _ in range(10):
@@ -359,7 +358,7 @@ class TestCoarseGrain:
         rng = np.random.default_rng(8)
         for _ in range(10):
             n_out = int(rng.integers(2, 5))
-            inst = helpers.random_instrument(rng, 2, n_out)
+            inst = helpers.random_instrument(rng, n_out)
             rho, target = helpers.random_density(rng), helpers.random_target(rng)
             cut = int(rng.integers(1, n_out)) if n_out > 1 else 1
             part = CoarseGrainingPartition(
@@ -388,7 +387,7 @@ class TestCoarseGrain:
 class TestFileFormat:
     def test_round_trip_is_lossless(self):
         rng = np.random.default_rng(9)
-        inst = helpers.random_instrument(rng, 2, n_outcomes=3, kraus_per_branch=2)
+        inst = helpers.random_instrument(rng, n_outcomes=3, kraus_per_branch=2)
         name, back = parse_instrument(serialize_instrument(inst, "roundtrip"))
         assert name == "roundtrip"
         assert back.outcomes == inst.outcomes
@@ -413,11 +412,23 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="complex entry"):
             parse_instrument(good.replace("1+0i", "1:0i", 1))
 
-    @pytest.mark.parametrize("line", ["dimension", "dimension 2 3", "dimensions 2"])
+    @pytest.mark.parametrize(
+        "line",
+        ["dimension", "dimension 2 3", "dimensions 2", "dimension 1", "dimension 3", "dimension 4"],
+    )
     def test_bad_dimension_line_rejected(self, line):
         good = serialize_instrument(measure_z())
-        with pytest.raises(ValueError, match="dimension <d>"):
+        with pytest.raises(ValueError, match="dimension <d>") as info:
             parse_instrument(good.replace("dimension 2", line))
+        assert repr(line) in str(info.value)
+
+    def test_only_unit_weights_have_a_file_form(self):
+        with pytest.raises(ValueError, match="weight other than"):
+            serialize_instrument(helpers.sign_flip_one_term(measure_z()))
+        explicit = QuantumInstrument((InstrumentBranch("id", (np.eye(2),), (1.0,)),))
+        _, back = parse_instrument(serialize_instrument(explicit))
+        assert back.branches[0].weights == explicit.branches[0].weights == (1.0,)
+        assert np.array_equal(back.branches[0].kraus[0], explicit.branches[0].kraus[0])
 
     @pytest.mark.parametrize("entry", ["1e999+0i", "1-1e999i"])
     def test_non_finite_entry_rejected(self, entry):

@@ -47,7 +47,8 @@ def files(tmp_path_factory):
 @st.composite
 def argv(draw, files):
     experiment = draw(st.sampled_from(EXPERIMENTS))
-    args = [experiment, f"--seed={draw(st.integers(-2, 2**31))}"]
+    seed = draw(st.one_of(st.integers(-2, 2**31), st.sampled_from([2**128 - 1, 2**128])))
+    args = [experiment, f"--seed={seed}"]
     qbar = draw(st.one_of(st.none(), st.integers(-1, 6)))
     if qbar is not None:
         args.append(f"--qbar-dim={qbar}")

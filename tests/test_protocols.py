@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from locclab import (
-    LocalityViolationError,
+    LayoutError,
     ProtocolRound,
     ProtocolScript,
     accessible_distribution,
@@ -57,9 +57,9 @@ class TestRounds:
             ProtocolRound("C", measure_z())
 
     def test_two_qubit_instrument_rejected(self):
-        wide = QuantumInstrument((InstrumentBranch("id", (np.eye(4, dtype=complex),)),))
-        with pytest.raises(LocalityViolationError):
-            ProtocolRound("A", wide)
+        # refused when its branch is built, before any round can hold it
+        with pytest.raises(LayoutError):
+            ProtocolRound("A", QuantumInstrument((InstrumentBranch("id", (np.eye(4),)),)))
 
     def test_condition_resolution(self):
         rnd = ProtocolRound("B", measure_z(), {("1",): measure_x()})
@@ -84,7 +84,7 @@ class TestCorpus:
             assert 1 <= len(script.rounds) <= 3
             assert set(script.parties) <= {"A", "B"}
             for rnd in script.rounds:
-                assert rnd.instrument.dimension == 2
+                assert all(k.shape == (2, 2) for b in rnd.instrument.branches for k in b.kraus)
                 assert validate_instrument(rnd.instrument).passed
                 if rnd.condition:
                     for variant in rnd.condition.values():
@@ -118,7 +118,8 @@ class TestCorpus:
         }
         script = script_from_dict(doc)
         assert script.name == "tiny"
-        assert script.rounds[1].resolve(("0",)).dimension == 2
+        variant = script.rounds[1].resolve(("0",))
+        assert all(k.shape == (2, 2) for b in variant.branches for k in b.kraus)
 
     def test_unknown_instrument_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown instrument kind"):
