@@ -10,11 +10,14 @@ Randomness is counter-based: trial ``i`` owns Philox counter block ``i``
 under the master seed, so trials can be drawn in any grouping and still
 reproduce the same transcript bit for bit.  The sampler draws them in fixed
 blocks of ``BLOCK_TRIALS``, whose edges do not depend on the parallelism
-width.  Each block becomes one compact outcome code per trial and is then
-reduced to a ``(2, 2, 2)`` tally: trials per setting pair, split by the sign
-of ``a*b``.  The estimate comes from the summed tallies, so memory is set by
-the block size and never grows with the trial count.  A transcript export is
-written block by block as the trials are drawn.
+width.  A trial draws its settings and outcomes from its four raw Philox
+words with integer comparisons alone, the same ones ``Generator.random``
+would make in doubles.  Each block becomes one ``uint8`` outcome code per
+trial and is then reduced to a ``(2, 2, 2)`` tally: trials per setting
+pair, split by the sign of ``a*b``.  The estimate comes from the summed
+tallies, so memory is set by the block size and never grows with the trial
+count.  Threads run a sliding window of blocks, handed on in trial order,
+and a transcript export is written block by block as the trials are drawn.
 """
 
 from __future__ import annotations
@@ -174,16 +177,23 @@ def _outcome_thresholds(world: World, config: CHSHConfig) -> tuple[np.ndarray, n
     return a_plus, b_plus.ravel()
 
 
-def _block_codes(start: int, stop: int, seed: int, a_plus, b_plus) -> np.ndarray:
-    """Codes ``8x + 4y + 2i + j`` of trials [start, stop); trial t draws Philox block t.
+def _word_thresholds(p: np.ndarray) -> np.ndarray:
+    """Integer thresholds ``T``: ``w >> 11 >= T`` exactly when ``(w >> 11) 2**-53 >= p``."""
+    return np.ceil(np.clip(p, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
-    ``x, y`` are the settings and ``i, j`` the outcome indices, 0 for the +1 outcome.
+
+def _block_codes(start: int, stop: int, seed: int, a_t, b_t) -> np.ndarray:
+    """``uint8`` codes ``8x + 4y + 2i + j`` of trials [start, stop); trial t draws Philox block t.
+
+    ``x, y`` are the settings and ``i, j`` the outcome indices, 0 for the +1 outcome.  Each
+    comes from one word ``w`` as from ``Generator.random``'s double ``u = (w >> 11) 2**-53``:
+    ``u >= 0.5`` is the top bit of ``w``, and ``u >= p`` is ``w >> 11 >= _word_thresholds(p)``.
     """
-    u = np.random.Generator(np.random.Philox(key=seed, counter=start)).random((stop - start, 4))
-    xy = 2 * (u[:, 0] >= 0.5) + (u[:, 1] >= 0.5)
-    i = u[:, 2] >= a_plus[xy]
-    j = u[:, 3] >= b_plus[2 * xy + i]
-    return 4 * xy + 2 * i + j
+    w = np.random.Philox(key=seed, counter=start).random_raw(4 * (stop - start)).reshape(-1, 4)
+    code = (w[:, 0] >= 2**63).view(np.uint8) << 1 | (w[:, 1] >= 2**63)
+    w >>= 11
+    code = code << 1 | (w[:, 2] >= a_t.take(code))
+    return code << 1 | (w[:, 3] >= b_t.take(code))
 
 
 def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block) -> Iterator:
@@ -194,11 +204,11 @@ def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block
     """
     if parallel_width < 1:
         raise ValueError(f"parallel width must be >= 1, got {parallel_width}")
-    a_plus, b_plus = _outcome_thresholds(world, config)
+    a_t, b_t = map(_word_thresholds, _outcome_thresholds(world, config))
 
     def run(start: int):
         stop = min(start + BLOCK_TRIALS, config.trials)
-        return per_block(start, _block_codes(start, stop, config.seed, a_plus, b_plus))
+        return per_block(start, _block_codes(start, stop, config.seed, a_t, b_t))
 
     starts = range(0, config.trials, BLOCK_TRIALS)
     workers = min(parallel_width, os.cpu_count() or 1, len(starts))
@@ -208,10 +218,14 @@ def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block
 
 
 def _threaded(fn, starts: range, workers: int) -> Iterator:
-    """``fn`` over ``starts`` in order, one window of ``workers`` blocks in flight at a time."""
+    """``fn`` over ``starts`` in order, from a sliding window of ``workers`` blocks in flight."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for k in range(0, len(starts), workers):
-            yield from pool.map(fn, starts[k : k + workers])
+        window = []
+        for start in starts:
+            if len(window) == workers:
+                yield window.pop(0).result()
+            window.append(pool.submit(fn, start))
+        yield from (future.result() for future in window)
 
 
 def _codes_of(transcript: np.ndarray) -> np.ndarray:
@@ -245,7 +259,7 @@ def chsh_transcript(world: World, config: CHSHConfig, parallel_width: int = 1) -
     Bit-identical for every ``parallel_width``.
     """
     codes = np.concatenate(list(_run_blocks(world, config, parallel_width, lambda _, c: c)))
-    x, y, i, j = codes >> 3, codes >> 2 & 1, codes >> 1 & 1, codes & 1
+    x, y, i, j = np.unravel_index(codes, (2, 2, 2, 2))
     return np.column_stack([np.arange(config.trials), x, y, 1 - 2 * i, 1 - 2 * j])
 
 
@@ -270,17 +284,17 @@ def sample_chsh(
 
     def per_block(start: int, codes: np.ndarray):
         if transcript_out is None:
-            return _tally(codes), None
+            return _tally(codes), []
         return _tally(codes), _format_rows(np.arange(start, start + len(codes)), codes)
 
     blocks = _run_blocks(world, config, parallel_width, per_block)
     tally = np.zeros((2, 2, 2), dtype=np.int64)
     if transcript_out is not None:
         transcript_out.write(_HEADER_LINE)
-    for part, text in blocks:
+    for part, rows in blocks:
         tally += part
-        if text is not None:
-            transcript_out.write(text)
+        for group in rows:
+            transcript_out.write(group)
     return _estimate(tally)
 
 
@@ -295,40 +309,49 @@ TRANSCRIPT_HEADER = "trial alice_setting bob_setting alice_outcome bob_outcome"
 
 _HEADER_LINE = (TRANSCRIPT_HEADER + "\n").encode("ascii")
 
-#: ``" x y +a +b\n"`` of each outcome code ``8x + 4y + 2i + j``.
+#: ``" x y +a +b\n"`` of each outcome code ``8x + 4y + 2i + j``, as two items that share a
+#: byte: numpy copies items of 8 and 4 bytes much faster than items of 11.
+_TAIL = np.dtype({"head": ("V8", 0), "end": ("V4", 7)})
 _ROW_TAILS = np.array(
     [
-        list(f" {x} {y} {1 - 2 * i:+d} {1 - 2 * j:+d}\n".encode("ascii"))
+        f" {x} {y} {1 - 2 * i:+d} {1 - 2 * j:+d}\n".encode("ascii")
         for x, y, i, j in product((0, 1), repeat=4)
     ],
-    dtype=np.uint8,
-)
+    dtype="V11",
+).view(_TAIL)
 
+#: ``_DIGITS[k - 1][n]``: the ``k`` digits of ``n < 10**k``, zero-padded, as one ``np.take`` item.
+_FOUR_DIGITS = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")).T.copy()
+_DIGITS = [np.ascontiguousarray(_FOUR_DIGITS[: 10**k, -k:]).view(f"V{k}")[:, 0] for k in range(1, 5)]
 
 #: 10, 100, ..., 10**18: where the trial numbers of each digit count above one start.
 _DIGIT_EDGES = 10 ** np.arange(1, 19)
 
 
-def _format_rows(trials: np.ndarray, codes: np.ndarray) -> bytes:
-    """Transcript rows as ASCII, for nonnegative ascending ``trials``.
+def _format_rows(trials: np.ndarray, codes: np.ndarray) -> list[np.ndarray]:
+    """Transcript rows as ASCII byte arrays, for nonnegative ascending ``trials``.
 
     Rows whose trial numbers have ``d`` digits are contiguous, and each such
-    group is built as one ``(rows, d + 11)`` byte array: the digits, then
-    the row tail of the outcome code.
+    group is built as one packed record array of ``d + 11`` bytes a row: the
+    leading digits, the others four at a time from ``_DIGITS``, then the row
+    tail of the outcome code.
     """
     edges = [0, *np.searchsorted(trials, _DIGIT_EDGES), len(trials)]
     parts = []
     for d, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
         if lo == hi:
             continue
-        text = np.empty((hi - lo, d + _ROW_TAILS.shape[1]), dtype=np.uint8)
-        q = trials[lo:hi].copy()
-        for k in reversed(range(d)):
-            text[:, k] = q % 10 + ord("0")
-            q //= 10
-        text[:, d:] = _ROW_TAILS[codes[lo:hi]]
-        parts.append(text.tobytes())
-    return b"".join(parts)
+        lead, fours = (d - 1) % 4 + 1, (d - 1) // 4
+        rows = np.empty(hi - lo, [("lead", f"V{lead}"), ("fours", "V4", (fours,)), ("tail", _TAIL)])
+        q = trials[lo:hi]
+        for k in reversed(range(fours)):
+            r, q = q, q // 10**4
+            np.take(_DIGITS[3], r - q * 10**4, out=rows["fours"][:, k])
+        np.take(_DIGITS[lead - 1], q, out=rows["lead"])
+        for field in _TAIL.names:
+            np.take(_ROW_TAILS[field], codes[lo:hi], out=rows["tail"][field])
+        parts.append(rows.view(np.uint8))
+    return parts
 
 
 def format_transcript(transcript: np.ndarray) -> str:
@@ -339,4 +362,4 @@ def format_transcript(transcript: np.ndarray) -> str:
     trials = transcript[:, 0]
     if trials.size and (trials[0] < 0 or np.any(trials[1:] < trials[:-1])):
         raise ValueError("transcript trial numbers must be nonnegative and ascending")
-    return (_HEADER_LINE + _format_rows(trials, _codes_of(transcript))).decode("ascii")
+    return b"".join([_HEADER_LINE, *_format_rows(trials, _codes_of(transcript))]).decode("ascii")

@@ -265,6 +265,8 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
             raise ConfigError("grid must start at 0 and ascend", key="lambda_grid")
         if any(x < 0 for x in grid):
             raise ConfigError("grid values must be nonnegative", key="lambda_grid")
+    if cfg.transcript is not None and (cfg.experiment != "chsh" or cfg.exact):
+        raise ConfigError("only a sampled chsh run has trials to write", key="transcript")
     if cfg.experiment == "qecc" and any(d < 2 for d in cfg.q_dims):
         raise ConfigError("every channel size must be >= 2", key="q_dims")
     epr = cfg.experiment in ("sweep", "distinguish") or (
@@ -320,7 +322,7 @@ def _chsh_columnar(res: CHSHResult) -> str:
 def _sample_chsh(world: World, cfg: RunConfig) -> CHSHResult:
     """Sampled CHSH, streaming the transcript to ``cfg.transcript`` when one is asked for."""
     config = CHSHConfig(trials=cfg.trials, seed=cfg.seed)
-    if not cfg.transcript:
+    if cfg.transcript is None:
         return sample_chsh(world, config, cfg.parallel)
     try:
         with open(cfg.transcript, "wb") as fh:
@@ -542,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="instrument definition file for a no-signaling variant (repeatable)")
         p.add_argument("--exact", action="store_const", const=True, default=None,
                        help="exact expectations instead of sampling (chsh)")
-        p.add_argument("--transcript", help="also write the per-trial transcript here (chsh)")
+        p.add_argument("--transcript", help="also write the per-trial transcript here (sampled chsh)")
         p.add_argument("--out", help="payload path, '-' for stdout (default)")
         p.add_argument("--format", dest="fmt", choices=("columnar", "structured"),
                        help="payload format (default structured)")

@@ -4,7 +4,7 @@ Everything here is deliberately written from scratch against plain numpy:
 matrix exponentials by scaled Taylor series instead of eigendecomposition,
 operator embedding and partial traces by explicit index loops instead of
 reshapes, transcript distributions by direct recursion over embedded
-Kraus operators, and CHSH transcript text and counts one row at a time.
+Kraus operators, and CHSH trials, transcript text and counts one row at a time.
 These functions trade speed for obviousness; they must never import from
 the package under test.
 """
@@ -227,3 +227,21 @@ def chsh_counts(rows) -> tuple[list[list[int]], list[list[int]]]:
         counts[x][y] += 1
         products[x][y] += int(row[3]) * int(row[4])
     return counts, products
+
+
+def sampled_codes(seed: int, trials, a_plus, b_plus) -> list[int]:
+    """Outcome code ``8x + 4y + 2i + j`` of each trial, each trial drawn alone.
+
+    Trial ``t`` takes four doubles from its own generator,
+    ``Generator(Philox(key=seed, counter=t)).random(4)``: the settings are
+    ``u >= 0.5`` and the outcome indices ``u >= a_plus[2x + y]`` and
+    ``u >= b_plus[2(2x + y) + i]``, compared as floats.
+    """
+    codes = []
+    for t in trials:
+        u = np.random.Generator(np.random.Philox(key=seed, counter=t)).random(4)
+        x, y = int(u[0] >= 0.5), int(u[1] >= 0.5)
+        i = int(u[2] >= a_plus[2 * x + y])
+        j = int(u[3] >= b_plus[2 * (2 * x + y) + i])
+        codes.append(8 * x + 4 * y + 2 * i + j)
+    return codes

@@ -3,11 +3,13 @@
 import io
 import math
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from locclab import (
@@ -222,6 +224,8 @@ class TestEstimates:
 
 B = BLOCK_TRIALS
 EPR_WORLD = build_epr_world(3, 2, 0.7, seed=5)
+#: 9 and 10, 99 and 100, ..., 10**18 - 1: the last and first trial number of each digit count.
+POWER_OF_TEN_EDGES = [10**k + d for k in range(1, 19) for d in (-1, 0) if 10**k + d < 10**18]
 
 
 class TestBlockSampler:
@@ -240,10 +244,52 @@ class TestBlockSampler:
             assert trials < 12
         assert out.getvalue() == want.encode("ascii")
 
+    @pytest.mark.parametrize("p", [-1e-17, 0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52])
+    def test_block_codes_match_per_trial_oracle(self, p):
+        a_plus = np.array([p, 0.25, p, 0.75])
+        b_plus = np.array([0.5, p, p, 0.2, 0.8, p, p, 0.6])
+        a_t, b_t = bell._word_thresholds(a_plus), bell._word_thresholds(b_plus)
+        blocks = [bell._block_codes(start, start + B, 9, a_t, b_t) for start in (0, B)]
+        edge = [*blocks[0][-1:], *blocks[1][:2]]
+        astride = bell._block_codes(B - 1, B + 2, 9, a_t, b_t)
+        assert astride.dtype == np.uint8
+        want = oracles.sampled_codes(9, [B - 1, B, B + 1], a_plus, b_plus)
+        assert edge == astride.tolist() == want
+        first = bell._block_codes(0, 200, 9, a_t, b_t)
+        assert first.tolist() == oracles.sampled_codes(9, range(200), a_plus, b_plus)
+
+    def test_block_codes_match_per_trial_oracle_on_a_world(self):
+        a_plus, b_plus = bell._outcome_thresholds(EPR_WORLD, CHSHConfig())
+        a_t, b_t = bell._word_thresholds(a_plus), bell._word_thresholds(b_plus)
+        got = bell._block_codes(B - 300, B + 300, 4, a_t, b_t)
+        assert got.tolist() == oracles.sampled_codes(4, range(B - 300, B + 300), a_plus, b_plus)
+
+    def test_word_thresholds_at_the_edges(self):
+        p = np.array([-1e-17, 0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52])
+        assert bell._word_thresholds(p).tolist() == [0, 0, 1, 1, 2**52, 2**53 - 1, 2**53, 2**53]
+
     def test_export_of_a_slice(self):
         t = chsh_transcript(build_er_world(), CHSHConfig(trials=120, seed=3))
         assert format_transcript(t[7:103]) == oracles.format_transcript_rows(t[7:103])
         assert format_transcript(t[:0]) == TRANSCRIPT_HEADER + "\n"
+
+    @given(data=st.data())
+    @example(data=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_export_matches_row_oracle_on_any_trial_column(self, data):
+        if data is None:  # every power-of-ten edge at once, each side of it, twice
+            column = sorted(2 * [0, *POWER_OF_TEN_EDGES])
+            codes = np.arange(len(column)) % 16
+        else:
+            trial = st.one_of(st.sampled_from([0, *POWER_OF_TEN_EDGES]), st.integers(0, 10**18 - 1))
+            column = sorted(data.draw(st.lists(trial, max_size=40), label="trials"))
+            code = st.integers(0, 15)
+            n = len(column)
+            codes = np.array(data.draw(st.lists(code, min_size=n, max_size=n), label="codes"), int)
+        t = np.column_stack(
+            [column, codes >> 3, codes >> 2 & 1, 1 - 2 * (codes >> 1 & 1), 1 - 2 * (codes & 1)]
+        ).astype(np.int64)
+        assert format_transcript(t) == oracles.format_transcript_rows(t)
 
     @pytest.mark.parametrize("trial_column", [[0, 2, 1], [-1, 0, 1]])
     def test_export_refuses_unordered_trials(self, trial_column):
@@ -286,6 +332,38 @@ class TestBlockSampler:
         code = main(["chsh", "--mode", "epr", "--trials", "1000", "--seed", "1", "--out", os.devnull])
         assert code == 0
         assert len(calls) == 4 and len(set(map(id, calls))) == 4
+
+    def test_window_slides_past_a_stalled_block(self, monkeypatch):
+        # block 1 waits for block 2 to start: a window that waited for all of
+        # its blocks before submitting more would never start block 2
+        workers, submitted, received, in_flight = 2, [], [], []
+        block_two_started = threading.Event()
+        stalled_until_released = []
+
+        def fn(start):
+            if start == 2:
+                block_two_started.set()
+            if start == 1:
+                stalled_until_released.append(block_two_started.wait(timeout=10))
+            return start
+
+        class WidePool(ThreadPoolExecutor):
+            """More threads than the window, so only the window bounds what runs."""
+
+            def __init__(self, max_workers=None, **kwargs):
+                super().__init__(max_workers=4 * max_workers, **kwargs)
+
+            def submit(self, fn, start):
+                submitted.append(start)
+                in_flight.append(len(submitted) - len(received))
+                return super().submit(fn, start)
+
+        monkeypatch.setattr(bell, "ThreadPoolExecutor", WidePool)
+        for result in bell._threaded(fn, range(7), workers):
+            received.append(result)
+        assert received == submitted == list(range(7))
+        assert stalled_until_released == [True]
+        assert max(in_flight) == workers
 
     @pytest.mark.parametrize("trials,expected", [(3 * B, [2]), (1000, [])])
     def test_threads_clamped_to_cores_and_blocks(self, monkeypatch, trials, expected):

@@ -289,6 +289,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag.lstrip("-") in err
 
+    @pytest.mark.parametrize(
+        "args", [["chsh", "--mode", "er", "--exact"], ["distinguish"], ["frames"]]
+    )
+    def test_transcript_without_sampled_trials_exit_code(self, tmp_path, capsys, args):
+        target = tmp_path / "transcript.txt"
+        assert main(args + ["--seed", "1", "--transcript", str(target)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(key: transcript)" in err
+        assert not target.exists()
+
+    def test_empty_transcript_path_exit_code(self, capsys):
+        # an empty path is a path that cannot be written, not a flag left out
+        code = main(["chsh", "--mode", "er", "--trials", "100", "--seed", "1", "--transcript", ""])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(key: transcript)" in err
+
     def test_config_exit_code(self, capsys):
         code = main(["chsh", "--trials", "100"])  # no seed anywhere
         assert code == EXIT_CONFIG
