@@ -5,6 +5,8 @@ Observables are parametrized by one angle in the Z-X plane,
 ``2*sqrt(2)`` on the canonical pair.  Sampled runs draw each party's setting
 independently and uniformly per trial (free choice), apply projective
 instruments, and estimate each correlation from its conditioned subsample.
+The outcome probabilities come from one stacked pass of the instrument
+kernel over the four setting instruments, validated once per process.
 
 Randomness is counter-based: trial ``i`` owns Philox counter block ``i``
 under the master seed, so trials can be drawn in any grouping and still
@@ -26,14 +28,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import EmptyCellError
-from .instruments import apply_instrument, measure_angle
-from .linalg import DensityMatrix, PAULI_X, PAULI_Z, expectation
+from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches, measure_angle
+from .linalg import DensityMatrix, PAULI_X, PAULI_Z, check_density_stack, expectation
 from .worlds import World, deliver_pair
 
 __all__ = [
@@ -152,20 +155,31 @@ def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHRe
     return _result_from_correlations(e, 0.0)
 
 
+@lru_cache(maxsize=16)
+def _setting_instruments(angles: tuple[float, ...]) -> tuple[QuantumInstrument, ...]:
+    """``measure_angle`` at each angle, built (and so validated) once per angle tuple."""
+    return tuple(map(measure_angle, angles))
+
+
 def _joint_cells(pair: DensityMatrix, config: CHSHConfig) -> np.ndarray:
-    """``cells[x, y, i, j] = P(A=i, B=j | settings x, y)`` with 0 the +1 outcome."""
-    cells = np.zeros((2, 2, 2, 2))
-    bob_insts = [measure_angle(angle_b) for angle_b in config.bob_angles()]
-    for x, angle_a in enumerate(config.alice_angles()):
-        alice = apply_instrument(measure_angle(angle_a), pair, "q_A")
-        for i, rec in enumerate(alice):
-            if rec.post_state is None:
-                continue
-            for y, bob_inst in enumerate(bob_insts):
-                bob = apply_instrument(bob_inst, rec.post_state, "q_B")
-                for j, brec in enumerate(bob):
-                    cells[x, y, i, j] = rec.probability * brec.probability
-    return cells
+    """``cells[x, y, i, j] = P(A=i, B=j | settings x, y)`` with 0 the +1 outcome.
+
+    One kernel call per setting: Alice's on the pair, Bob's on the stack of
+    Alice's live post-states.  Each party's live post-states are checked in
+    one :func:`~locclab.linalg.check_density_stack` call.
+    """
+    insts = _setting_instruments(config.alice_angles() + config.bob_angles())
+    alice = zip(*[_apply_branches(inst, "q_A", pair.matrix[None]) for inst in insts[:2]])
+    p_a, posts = map(np.concatenate, alice)  # over 2x + i, on the one pair
+    live = p_a[:, 0] > PROB_FLOOR
+    posts = posts[live, 0]
+    check_density_stack(posts)
+    bob = zip(*[_apply_branches(inst, "q_B", posts) for inst in insts[2:]])
+    p_b, bob_posts = map(np.stack, bob)  # over y, j, then Alice's live branches
+    check_density_stack(bob_posts[p_b > PROB_FLOOR])
+    cells = np.zeros((4, 2, 2))  # [2x + i, y, j]
+    cells[live] = p_a[live, :, None] * p_b.transpose(2, 0, 1)
+    return cells.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
 def _outcome_thresholds(world: World, config: CHSHConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +243,16 @@ def _threaded(fn, starts: range, workers: int) -> Iterator:
 
 
 def _codes_of(transcript: np.ndarray) -> np.ndarray:
-    """The outcome code ``8x + 4y + 2i + j`` of each transcript row."""
+    """The outcome code ``8x + 4y + 2i + j`` of each transcript row.
+
+    Raises ``ValueError`` naming the first column with a setting outside {0, 1}
+    or an outcome outside {-1, +1}.
+    """
     t = transcript
+    for col, (lo, hi) in enumerate(((0, 1), (0, 1), (-1, 1), (-1, 1)), start=1):
+        if np.any((t[:, col] != lo) & (t[:, col] != hi)):
+            name = TRANSCRIPT_HEADER.split()[col]
+            raise ValueError(f"transcript column {name} must hold only {lo} and {hi}")
     return 8 * t[:, 1] + 4 * t[:, 2] + 2 * (t[:, 3] < 0) + (t[:, 4] < 0)
 
 
