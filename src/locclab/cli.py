@@ -6,9 +6,10 @@ built-in assertions whose pass/fail lines go to the diagnostic stream.
 Payload bytes depend only on the configuration and seed, never on the
 parallelism width or timing.
 
-Exit codes: 0 success, 2 configuration error (including an input file that
-cannot be read or parsed and an output file that cannot be written), 3
-capacity error, 4 built-in assertion failure, 5 empty-cell estimation error.
+Exit codes: 0 success, 2 configuration error (including an option that does
+not act in the run, an input file that cannot be read or parsed and an
+output file that cannot be written), 3 capacity error, 4 built-in assertion
+failure, 5 empty-cell estimation error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +62,6 @@ from .protocols import (
 )
 from .worlds import World, build_epr_world, build_er_world, deliver_pair
 
-EXPERIMENTS = ("chsh", "sweep", "distinguish", "nosignal", "qecc", "frames")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
@@ -96,52 +95,14 @@ class RunConfig:
     transcript: str | None = None
 
     def echo(self) -> dict:
-        """Config as it enters the payload; execution details are excluded."""
-        doc = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "format": self.fmt,
-        }
-        if self.experiment in ("chsh", "nosignal"):
-            doc["mode"] = self.mode
-            if self.mode == "epr":
-                doc.update(
-                    q_dim=self.q_dim,
-                    qbar_dim=self.qbar_dim,
-                    **{"lambda": self.lam},
-                    evolution_time=self.evolution_time,
-                )
-        if self.experiment == "chsh":
-            doc["exact"] = self.exact
-            if not self.exact:
-                doc["trials"] = self.trials
-        if self.experiment == "sweep":
-            doc.update(
-                lambda_grid=list(self.lambda_grid or ()),
-                q_dim=self.q_dim,
-                qbar_dim=self.qbar_dim,
-                evolution_time=self.evolution_time,
-                script=self.script or "chsh_canonical",
-            )
-        if self.experiment == "distinguish":
-            doc.update(
-                **{"lambda": self.lam},
-                q_dim=self.q_dim,
-                qbar_dim=self.qbar_dim,
-                evolution_time=self.evolution_time,
-            )
-            if self.script:
-                doc["script"] = self.script
-        if self.experiment == "qecc":
-            doc.update(
-                q_dims=list(self.q_dims),
-                qbar_dim=self.qbar_dim,
-                **{"lambda": self.lam},
-                evolution_time=self.evolution_time,
-                script=self.script or "chsh_canonical",
-            )
-        if self.experiment == "frames":
-            doc["offset"] = self.offset
+        """Config as it enters the payload: each echoed key that acts in this run and is set."""
+        doc = {"experiment": self.experiment}
+        for key, opt in _OPTIONS.items():
+            if not opt.echo or not opt.acts(self):
+                continue
+            value = opt.echo(self) if callable(opt.echo) else getattr(self, opt.field)
+            if value is not None:
+                doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
 
@@ -161,29 +122,82 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Configuration parsing
+# Configuration keys
 
-_KEY_TYPES: dict[str, Callable[[str], object]] = {
-    "seed": int,
-    "trials": int,
-    "q_dim": int,
-    "qbar_dim": int,
-    "parallel": int,
-    "lambda": float,
-    "offset": float,
-    "evolution_time": float,
-    "mode": str,
-    "format": str,
-    "out": str,
-    "script": str,
-    "transcript": str,
-    "exact": lambda s: s.lower() in ("1", "true", "yes"),
-    "lambda_grid": lambda s: tuple(float(x) for x in s.split(",")),
-    "q_dims": lambda s: tuple(int(x) for x in s.split(",")),
-    "alice_instruments": lambda s: tuple(x for x in s.split(",") if x),
+
+class _Option(NamedTuple):
+    """One configuration key, the same from a flag and from a config file."""
+
+    field: str  # the RunConfig field it sets
+    parse: Callable[[str], object]  # flag or file text -> value
+    acts: Callable[[RunConfig], bool]  # a given key that does not act in the run is refused
+    help: str  # ends with where the key acts
+    echo: bool | Callable[[RunConfig], object] = True  # False, or the echoed value if not the field
+    flag: str | None = None  # defaults to --key, with '-' for '_'
+    argparse: dict = {}  # further add_argument keywords
+
+
+def _only(*experiments: str) -> Callable[[RunConfig], bool]:
+    return lambda cfg: cfg.experiment in experiments
+
+
+def _epr_or(*experiments: str) -> Callable[[RunConfig], bool]:
+    """Acts in EPR chsh and nosignal runs and in ``experiments``."""
+    epr = _only("chsh", "nosignal")
+    return lambda cfg: cfg.experiment in experiments or (epr(cfg) and cfg.mode == "epr")
+
+
+def _sampled_chsh(cfg: RunConfig) -> bool:
+    return cfg.experiment == "chsh" and not cfg.exact
+
+
+_EPR = "EPR chsh and nosignal"
+_OPTIONS: dict[str, _Option] = {
+    "seed": _Option("seed", int, lambda cfg: True,
+                    "master seed in [0, 2**128), required here or in the file (every run)"),
+    "format": _Option("fmt", str, lambda cfg: True,
+                      "payload format, columnar or structured (default structured; every run)"),
+    "out": _Option("out", str, lambda cfg: True,
+                   "payload path, '-' for stdout (default '-'; every run)", echo=False),
+    "mode": _Option("mode", str, _only("chsh", "nosignal"),
+                    "world kind, er or epr (default er; chsh, nosignal)"),
+    "exact": _Option("exact", lambda s: s.lower() in ("1", "true", "yes"), _only("chsh"),
+                     "exact expectations instead of sampling (chsh)",
+                     argparse={"action": "store_const", "const": "true"}),
+    "trials": _Option("trials", int, _sampled_chsh, "number of sampled trials (sampled chsh)"),
+    "parallel": _Option("parallel", int, _sampled_chsh, "sampler threads, at most the core "
+                        "count; payload bytes do not depend on it (sampled chsh)", echo=False),
+    "transcript": _Option("transcript", str, _sampled_chsh,
+                          "also write the per-trial transcript here (sampled chsh)", echo=False),
+    "q_dim": _Option("q_dim", int, _epr_or("sweep", "distinguish"),
+                     f"channel qubits ({_EPR}, sweep, distinguish)"),
+    "qbar_dim": _Option("qbar_dim", int, _epr_or("sweep", "distinguish", "qecc"),
+                        f"non-channel environment qubits ({_EPR}, sweep, distinguish, qecc)"),
+    "evolution_time": _Option("evolution_time", float, _epr_or("sweep", "distinguish", "qecc"),
+                              f"evolution time ({_EPR}, sweep, distinguish, qecc)"),
+    "lambda": _Option("lam", float, _epr_or("distinguish", "qecc"),
+                      f"channel-environment coupling ({_EPR}, distinguish, qecc)"),
+    "lambda_grid": _Option("lambda_grid", lambda s: tuple(float(x) for x in s.split(",")),
+                           _only("sweep"), "comma-separated ascending grid from 0 (sweep)"),
+    "q_dims": _Option("q_dims", lambda s: tuple(int(x) for x in s.split(",")), _only("qecc"),
+                      "comma-separated channel sizes to compare (qecc)"),
+    "script": _Option("script", str, _only("sweep", "distinguish", "qecc"),
+                      "bundled script name or script JSON file (sweep, distinguish, qecc)",
+                      echo=lambda cfg: cfg.script or _EXPERIMENTS[cfg.experiment].script),
+    "alice_instruments": _Option(
+        "alice_instruments", lambda s: tuple(x for x in s.split(",") if x), _only("nosignal"),
+        "instrument definition files, comma-separated; repeatable (nosignal)",
+        echo=False, flag="--alice-instrument", argparse={"action": "append"},
+    ),
+    "offset": _Option("offset", float, _only("frames"), "frame offset in radians (frames)"),
 }
 
-_KEY_TO_FIELD = {"lambda": "lam", "format": "fmt"}
+
+def _parse_value(key: str, text: str) -> object:
+    try:
+        return _OPTIONS[key].parse(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {text!r}: {exc}", key=key) from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -201,43 +215,43 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TYPES:
+        if key not in _OPTIONS:
             raise ConfigError("unknown configuration key", key=key)
-        try:
-            values[key] = _KEY_TYPES[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value {value!r}: {exc}", key=key) from exc
+        if key in values:
+            raise ConfigError(f"line {lineno}: key set twice; its first value would not act", key=key)
+        values[key] = _parse_value(key, value)
     return values
 
 
 def parse_config(experiment: str, config_path: str | None, overrides: dict) -> RunConfig:
     """Merge file values and flag overrides into a validated RunConfig.
 
-    Flags override file values; unknown file keys are rejected; the seed is
-    mandatory from one of the two sources.
+    Flags override file values; unknown keys, and keys that do not act in
+    this run, are rejected by name; the seed is mandatory from one of the
+    two sources.
     """
     values = _read_config_file(config_path) if config_path else {}
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
+    values.update((key, val) for key, val in overrides.items() if val is not None)
 
     if "seed" not in values:
         raise ConfigError("a seed is required (no wall-clock seeding)", key="seed")
-
-    kwargs: dict = {"experiment": experiment}
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}", key="experiment")
+    fields = {}
     for key, val in values.items():
-        kwargs[_KEY_TO_FIELD.get(key, key)] = val
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        if key not in _OPTIONS:
+            raise ConfigError("unknown configuration key", key=key)
+        fields[_OPTIONS[key].field] = val
+    cfg = RunConfig(experiment, **fields)
 
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}", key="experiment")
     if not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"must be in [0, 2**128), got {cfg.seed}", key="seed")
     if cfg.mode not in ("er", "epr"):
         raise ConfigError(f"mode must be 'er' or 'epr', got {cfg.mode!r}", key="mode")
+    for key in values:
+        if not _OPTIONS[key].acts(cfg):
+            where = f"see where it acts in 'locclab {experiment} --help'"
+            raise ConfigError(f"does not act in this {experiment} run; {where}", key=key)
     reals = [("lambda", cfg.lam), ("offset", cfg.offset), ("evolution_time", cfg.evolution_time)]
     reals += [("lambda_grid", x) for x in cfg.lambda_grid or ()]
     for key, value in reals:
@@ -263,18 +277,11 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
             raise ConfigError("sweep needs a lambda grid", key="lambda_grid")
         if grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("grid must start at 0 and ascend", key="lambda_grid")
-        if any(x < 0 for x in grid):
-            raise ConfigError("grid values must be nonnegative", key="lambda_grid")
-    if cfg.transcript is not None and (cfg.experiment != "chsh" or cfg.exact):
-        raise ConfigError("only a sampled chsh run has trials to write", key="transcript")
-    if cfg.experiment == "qecc" and any(d < 2 for d in cfg.q_dims):
+    if any(d < 2 for d in cfg.q_dims):
         raise ConfigError("every channel size must be >= 2", key="q_dims")
-    epr = cfg.experiment in ("sweep", "distinguish") or (
-        cfg.experiment in ("chsh", "nosignal") and cfg.mode == "epr"
-    )
-    if epr and cfg.q_dim < 2:
+    if cfg.q_dim < 2:
         raise ConfigError(f"an EPR world needs >= 2 channel qubits, got {cfg.q_dim}", key="q_dim")
-    if (epr or cfg.experiment == "qecc") and cfg.qbar_dim < 1:
+    if cfg.qbar_dim < 1:
         raise ConfigError(f"an EPR world needs >= 1 rest qubit, got {cfg.qbar_dim}", key="qbar_dim")
     return cfg
 
@@ -458,20 +465,39 @@ def _run_frames(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
     return payload, "\n".join(lines) + "\n", criteria
 
 
-_RUNNERS = {
-    "chsh": _run_chsh,
-    "sweep": _run_sweep,
-    "distinguish": _run_distinguish,
-    "nosignal": _run_nosignal,
-    "qecc": _run_qecc,
-    "frames": _run_frames,
+class _Experiment(NamedTuple):
+    run: Callable[[RunConfig], tuple[dict, str, list[tuple[str, bool]]]]
+    help: str
+    example: str
+    script: str | None = None  # the script name a run without --script echoes
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "chsh": _Experiment(_run_chsh, "CHSH experiment, exact or sampled",
+                        "locclab chsh --mode er --exact --seed 1"),
+    "sweep": _Experiment(_run_sweep, "distinguishability sweep over coupling strengths",
+                         "locclab sweep --lambda-grid 0,0.3,0.6,0.9 --seed 3 --format columnar",
+                         "chsh_canonical"),
+    "distinguish": _Experiment(_run_distinguish,
+                               "per-script transcript distance, channel world vs identified world",
+                               "locclab distinguish --lambda 0 --seed 5"),
+    "nosignal": _Experiment(_run_nosignal,
+                            "Bob's marginals across Alice's instrument choices, channel withheld",
+                            "locclab nosignal --mode epr --lambda 0.8 --seed 2"),
+    "qecc": _Experiment(_run_qecc, "transcript distance across channel sizes",
+                        "locclab qecc --q-dims 2,3 --seed 11", "chsh_canonical"),
+    "frames": _Experiment(_run_frames,
+                          "CHSH under a misaligned measurement frame, with and without correction",
+                          "locclab frames --offset 0.7853981633974483 --seed 1"),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: RunConfig) -> RunReport:
     """Execute one experiment and collect its report."""
     t0 = time.perf_counter()
-    payload, columnar, criteria = _RUNNERS[cfg.experiment](cfg)
+    payload, columnar, criteria = _EXPERIMENTS[cfg.experiment].run(cfg)
     if cfg.fmt == "columnar":
         text = columnar
     else:
@@ -498,74 +524,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Seeded two-agent LOCC experiments over identified or channel-delivered pairs.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    examples = {
-        "chsh": "locclab chsh --mode er --exact --seed 1",
-        "sweep": "locclab sweep --lambda-grid 0,0.3,0.6,0.9 --seed 3 --format columnar",
-        "distinguish": "locclab distinguish --lambda 0 --seed 5",
-        "nosignal": "locclab nosignal --mode epr --lambda 0.8 --seed 2",
-        "qecc": "locclab qecc --q-dims 2,3 --seed 11",
-        "frames": "locclab frames --offset 0.7853981633974483 --seed 1",
-    }
-    help_lines = {
-        "chsh": "CHSH experiment, exact or sampled",
-        "sweep": "distinguishability sweep over coupling strengths",
-        "distinguish": "per-script transcript distance, channel world vs identified world",
-        "nosignal": "Bob's marginals across Alice's instrument choices, channel withheld",
-        "qecc": "transcript distance across channel sizes",
-        "frames": "CHSH under a misaligned measurement frame, with and without correction",
-    }
-    for name in EXPERIMENTS:
+    for name, spec in _EXPERIMENTS.items():
         p = sub.add_parser(
-            name,
-            help=help_lines[name],
-            description=help_lines[name],
-            epilog=f"example: {examples[name]}",
+            name, help=spec.help, description=spec.help, epilog=f"example: {spec.example}"
         )
         p.add_argument("--config", help="flat key-value config file ('key = value', # comments)")
-        p.add_argument("--seed", type=int, help="master seed (required here or in the file)")
-        p.add_argument("--trials", type=int, help="number of sampled trials")
-        p.add_argument("--mode", choices=("er", "epr"), help="world kind")
-        p.add_argument("--lambda", dest="lam", type=float, help="channel-environment coupling")
-        p.add_argument(
-            "--lambda-grid", dest="lambda_grid",
-            type=lambda s: tuple(float(x) for x in s.split(",")),
-            help="comma-separated ascending grid starting at 0",
-        )
-        p.add_argument("--q-dim", dest="q_dim", type=int, help="channel qubits")
-        p.add_argument("--qbar-dim", dest="qbar_dim", type=int, help="non-channel environment qubits")
-        p.add_argument("--evolution-time", dest="evolution_time", type=float)
-        p.add_argument("--q-dims", dest="q_dims",
-                       type=lambda s: tuple(int(x) for x in s.split(",")),
-                       help="channel sizes to compare (qecc)")
-        p.add_argument("--offset", type=float, help="frame offset in radians (frames)")
-        p.add_argument("--script", help="bundled script name or path to a script JSON file")
-        p.add_argument("--alice-instrument", dest="alice_instruments", action="append",
-                       help="instrument definition file for a no-signaling variant (repeatable)")
-        p.add_argument("--exact", action="store_const", const=True, default=None,
-                       help="exact expectations instead of sampling (chsh)")
-        p.add_argument("--transcript", help="also write the per-trial transcript here (sampled chsh)")
-        p.add_argument("--out", help="payload path, '-' for stdout (default)")
-        p.add_argument("--format", dest="fmt", choices=("columnar", "structured"),
-                       help="payload format (default structured)")
-        p.add_argument("--parallel", type=int,
-                       help="sampler threads, at most the core count; "
-                       "payload bytes do not depend on it")
+        # values stay text here and are parsed by the table, as config-file values are
+        for key, opt in _OPTIONS.items():
+            flag = opt.flag or "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, help=opt.help, **opt.argparse)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        key: getattr(args, _KEY_TO_FIELD.get(key, key))
-        for key in _KEY_TYPES
-        if hasattr(args, _KEY_TO_FIELD.get(key, key))
-    }
-    if overrides.get("alice_instruments") is not None:
-        overrides["alice_instruments"] = tuple(overrides["alice_instruments"])
+    args = vars(_build_parser().parse_args(argv))
+    experiment, config_path = args.pop("experiment"), args.pop("config")
     try:
-        cfg = parse_config(args.experiment, args.config, overrides)
+        overrides = {
+            key: _parse_value(key, ",".join(text) if isinstance(text, list) else text)
+            for key, text in args.items()
+            if text is not None
+        }
+        cfg = parse_config(experiment, config_path, overrides)
         report = run(cfg)
         if cfg.out != "-":
             _write_file(cfg.out, report.payload_text, "out")

@@ -37,6 +37,37 @@ TWO_QUBIT_IDENTITY = "instrument wide\ndimension 4\nbranch id\nop\n" + "".join(
 ) + "end\n"
 
 
+#: Where each configuration key acts, by run kind, written out from the README's
+#: list and not from the CLI's own table.  A given key outside its kinds is refused.
+EVERY_RUN = {"seed", "format", "out"}
+ACTS = {
+    "sampled ER chsh": EVERY_RUN | {"mode", "exact", "trials", "parallel", "transcript"},
+    "exact ER chsh": EVERY_RUN | {"mode", "exact"},
+    "sampled EPR chsh": EVERY_RUN | {
+        "mode", "exact", "trials", "parallel", "transcript",
+        "q_dim", "qbar_dim", "evolution_time", "lambda",
+    },
+    "exact EPR chsh": EVERY_RUN | {"mode", "exact", "q_dim", "qbar_dim", "evolution_time", "lambda"},
+    "ER nosignal": EVERY_RUN | {"mode", "alice_instruments"},
+    "EPR nosignal": EVERY_RUN | {
+        "mode", "alice_instruments", "q_dim", "qbar_dim", "evolution_time", "lambda",
+    },
+    "sweep": EVERY_RUN | {"q_dim", "qbar_dim", "evolution_time", "lambda_grid", "script"},
+    "distinguish": EVERY_RUN | {"q_dim", "qbar_dim", "evolution_time", "lambda", "script"},
+    "qecc": EVERY_RUN | {"qbar_dim", "evolution_time", "lambda", "q_dims", "script"},
+    "frames": EVERY_RUN | {"offset"},
+}
+
+
+def run_kind(experiment: str, mode: str, exact: bool) -> str:
+    """The key of ``ACTS`` for a run; mode and exact only tell chsh and nosignal runs apart."""
+    if experiment == "chsh":
+        return f"{'exact' if exact else 'sampled'} {mode.upper()} chsh"
+    if experiment == "nosignal":
+        return f"{mode.upper()} nosignal"
+    return experiment
+
+
 def condition_script(condition: str) -> str:
     """A one-round script file whose round has the JSON ``condition``."""
     return (
@@ -53,8 +84,8 @@ class TestParseConfig:
         assert cfg.trials == 1000
 
     def test_negative_lambda_rejected_by_name(self):
-        with pytest.raises(ConfigError, match="lambda"):
-            parse_config("chsh", None, {"seed": 1, "lambda": -0.5})
+        with pytest.raises(ConfigError, match="nonnegative.*lambda"):
+            parse_config("chsh", None, {"seed": 1, "mode": "epr", "lambda": -0.5})
 
     @pytest.mark.parametrize(
         "experiment,key,value",
@@ -87,9 +118,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(experiment, None, {"seed": 1, **overrides})
 
-    def test_world_sizes_unused_by_er_runs_are_not_checked(self):
-        cfg = parse_config("chsh", None, {"seed": 1, "mode": "er", "q_dim": 1, "qbar_dim": 0})
-        assert cfg.q_dim == 1
+    def test_world_sizes_given_to_er_runs_are_refused(self, capsys):
+        for key, flag in (("q_dim", "--q-dim"), ("qbar_dim", "--qbar-dim")):
+            assert main(["chsh", "--seed", "1", "--mode", "er", "--exact", flag, "3"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"(key: {key})" in err
+
+    #: A valid value of every key but mode and exact, which the matrix test sets per run.
+    VALUES = {
+        "seed": 1, "format": "columnar", "out": "-", "trials": 100, "parallel": 1,
+        "transcript": "t.txt", "q_dim": 3, "qbar_dim": 1, "evolution_time": 0.5, "lambda": 0.3,
+        "lambda_grid": (0.0, 0.5), "q_dims": (2, 4), "script": "xx",
+        "alice_instruments": ("a.inst",), "offset": 0.2,
+    }
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("mode", ["er", "epr"])
+    @pytest.mark.parametrize(
+        "experiment", ["chsh", "sweep", "distinguish", "nosignal", "qecc", "frames"]
+    )
+    def test_each_key_acts_where_the_matrix_says(self, experiment, mode, exact):
+        kind = run_kind(experiment, mode, exact)
+        # the run itself is set up from keys that act in it
+        base = {"seed": 1, "mode": mode, "exact": exact, "lambda_grid": (0.0, 0.5)}
+        base = {key: val for key, val in base.items() if key in ACTS[kind]}
+        for key, value in dict(self.VALUES, mode=mode, exact=exact).items():
+            overrides = {**base, key: value}
+            if key in ACTS[kind]:
+                parse_config(experiment, None, overrides)
+            else:
+                with pytest.raises(ConfigError, match=rf"does not act .*\(key: {key}\)$"):
+                    parse_config(experiment, None, overrides)
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -306,6 +365,53 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "(key: transcript)" in err
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["frames", "--seed", "1", "--lambda", "0.5", "--trials", "9", "--q-dims", "2,9"],
+             "trials"),
+            (["distinguish", "--seed", "1", "--offset", "3", "--mode", "epr", "--parallel", "2"],
+             "mode"),
+            (["chsh", "--seed", "1", "--exact", "--trials", "5", "--lambda-grid", "0,1"], "trials"),
+            (["chsh", "--seed", "1", "--mode", "er", "--lambda", "0.7", "--q-dim", "5", "--exact"],
+             "q_dim"),
+            (["qecc", "--seed", "1", "--q-dim", "7", "--mode", "epr"], "mode"),
+        ],
+    )
+    def test_option_that_does_not_act_exit_code(self, capsys, args, key):
+        assert main(args) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: does not act")
+        assert out.err.endswith(f"(key: {key})\n")
+
+    def test_config_file_key_that_does_not_act_is_refused_like_a_flag(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nmode = er\nexact = true\nlambda = 0.7\n")
+        assert main(["chsh", "--config", str(path)]) == EXIT_CONFIG
+        from_file = capsys.readouterr().err
+        args = ["chsh", "--seed", "1", "--mode", "er", "--exact", "--lambda", "0.7"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == from_file
+        assert from_file.count("\n") == 1 and from_file.endswith("(key: lambda)\n")
+
+    def test_repeated_config_file_key_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n# set again below\nseed = 2\n")
+        assert main(["frames", "--config", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: line 3:")
+        assert out.err.endswith("(key: seed)\n")
+
+    def test_flag_value_that_does_not_parse_exit_code(self, capsys):
+        # flag text goes through the same parsers as config-file text
+        assert main(["chsh", "--trials", "many", "--seed", "1"]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: bad value 'many'")
+        assert out.err.endswith("(key: trials)\n")
+
     def test_config_exit_code(self, capsys):
         code = main(["chsh", "--trials", "100"])  # no seed anywhere
         assert code == EXIT_CONFIG
@@ -331,7 +437,8 @@ class TestMain:
         def failing(cfg):
             return {"rigged": True}, "rigged\n", [("rigged criterion", False)]
 
-        monkeypatch.setitem(cli._RUNNERS, "frames", failing)
+        rigged = cli._EXPERIMENTS["frames"]._replace(run=failing)
+        monkeypatch.setitem(cli._EXPERIMENTS, "frames", rigged)
         code = main(["frames", "--seed", "1"])
         assert code == EXIT_ASSERTION
         assert "FAIL" in capsys.readouterr().err
@@ -377,7 +484,7 @@ class TestMain:
         assert main(good) == EXIT_OK
         fresh = capsys.readouterr().out
         with pytest.raises(SystemExit) as exc:
-            main(["chsh", "--trials", "many", "--alice-instrument", "x", "--seed", "1"])
+            main(["chsh", "--wibble", "many", "--alice-instrument", "x", "--seed", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
         assert main(good) == EXIT_OK

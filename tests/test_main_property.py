@@ -3,10 +3,12 @@
 ``main(argv)`` returns 0, 2, 3, 4 or 5.  On 2, 3 and 5 standard error holds
 exactly one line, the documented message; on 0 and 4 it holds only the
 criterion lines and the closing ``done in`` line.  An escaping exception is
-a failure of the property.  Every drawn value is bounded: at most 10^4
-trials, at most 8 environment qubits and at most 2 sampler threads.  Values
-are passed as ``--flag=value``, the form that lets a value such as ``-inf``
-start with a dash.
+a failure of the property.  A run given a flag that does not act in it, per
+the literal ``ACTS`` matrix of ``test_cli``, exits 2, and a refusal of a key
+as one that does not act names that flag's key and no other.  Every
+drawn value is bounded: at most 10^4 trials, at most 8 environment qubits
+and at most 2 sampler threads.  Values are passed as ``--flag=value``, the
+form that lets a value such as ``-inf`` start with a dash.
 """
 
 import io
@@ -20,10 +22,19 @@ from hypothesis import event, given, settings, strategies as st
 from locclab import bundled_script_names, measure_x, save_instrument
 from locclab.cli import EXPERIMENTS, main
 
-from test_cli import NO_DIMENSION, NO_ROUNDS
+from test_cli import ACTS, NO_DIMENSION, NO_ROUNDS, run_kind
 
 ONE_LINE = {2: "configuration error: ", 3: "capacity error: ", 5: "estimation error: "}
 RUN_LINE = re.compile(r"criterion .+: (PASS|FAIL)|done in \d+\.\d+s \(.+\)")
+
+#: The configuration key each drawn flag sets.
+FLAG_KEYS = {
+    "--trials": "trials", "--mode": "mode", "--exact": "exact", "--lambda": "lambda",
+    "--evolution-time": "evolution_time", "--offset": "offset", "--q-dim": "q_dim",
+    "--qbar-dim": "qbar_dim", "--q-dims": "q_dims", "--lambda-grid": "lambda_grid",
+    "--parallel": "parallel", "--format": "format", "--script": "script",
+    "--alice-instrument": "alice_instruments",
+}
 
 REALS = st.one_of(
     st.floats(-3.0, 3.0),
@@ -46,17 +57,19 @@ def files(tmp_path_factory):
 
 @st.composite
 def argv(draw, files):
+    """An argument list, and the key of a flag in it that does not act in its run, if any."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
+    mode, exact = draw(st.sampled_from(["er", "epr"])), draw(st.booleans())
+    acting = ACTS[run_kind(experiment, mode, exact)]
     seed = draw(st.one_of(st.integers(-2, 2**31), st.sampled_from([2**128 - 1, 2**128])))
-    args = [experiment, f"--seed={seed}"]
-    qbar = draw(st.one_of(st.none(), st.integers(-1, 6)))
-    if qbar is not None:
-        args.append(f"--qbar-dim={qbar}")
-    q_max = 8 - max(2 if qbar is None else qbar, 0)  # 2 rest qubits by default
+    qbar = draw(st.integers(-1, 6))
+    q_max = 8 - max(qbar, 2)  # 2 rest qubits by default
     options = {
+        "--mode": st.just(mode),
+        "--exact": st.none(),  # a bare flag
+        "--qbar-dim": st.just(str(qbar)),
         # few trials leave a setting pair empty (exit 5)
         "--trials": st.one_of(st.integers(-2, 4), st.integers(5, 10_000)).map(str),
-        "--mode": st.sampled_from(["er", "epr"]),
         "--lambda": REALS.map(repr),
         "--evolution-time": REALS.map(repr),
         "--offset": REALS.map(repr),
@@ -72,23 +85,39 @@ def argv(draw, files):
         "--script": st.one_of(st.just(files["no_rounds"]), st.sampled_from(bundled_script_names())),
         "--alice-instrument": st.sampled_from([files["valid"], files["no_dimension"]]),
     }
-    for flag in draw(st.sets(st.sampled_from(sorted(options)), max_size=4)):
-        args.append(f"{flag}={draw(options[flag])}")
-    if draw(st.booleans()):
-        args.append("--exact")
-    return args
+    # mode and exact set the run's kind, so they are given only as drawn above
+    usable = sorted(f for f in options if FLAG_KEYS[f] in acting - {"mode", "exact"})
+    flags = draw(st.sets(st.sampled_from(usable), max_size=4))
+    if "mode" in acting and (mode == "epr" or draw(st.booleans())):
+        flags.add("--mode")
+    if "exact" in acting and exact:
+        flags.add("--exact")
+    stray = None
+    if draw(st.integers(0, 5)) == 5:  # a stray flag in about a sixth of the runs
+        stray = draw(st.sampled_from(sorted(f for f in options if FLAG_KEYS[f] not in acting)))
+        flags.add(stray)
+    args = [experiment, f"--seed={seed}"]
+    for flag in sorted(flags):
+        value = draw(options[flag])
+        args.append(flag if value is None else f"{flag}={value}")
+    return args, stray and FLAG_KEYS[stray]
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_exit_code_and_stderr_are_documented(files, data):
-    args = data.draw(argv(files), label="argv")
+    args, stray = data.draw(argv(files), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
     lines = err.getvalue().splitlines()
     event(f"exit {code}")
     assert code in (0, 2, 3, 4, 5)
+    # an earlier error (a seed out of range, a value that does not parse) may
+    # end the run before the refusal, but never with another exit code
+    assert stray is None or code == 2
+    if any("does not act" in line for line in lines):
+        assert stray is not None and lines[0].endswith(f"(key: {stray})"), lines
     if code in ONE_LINE:
         assert len(lines) == 1 and lines[0].startswith(ONE_LINE[code]), lines
         assert out.getvalue() == ""
