@@ -144,15 +144,20 @@ def exact_correlation(pair: DensityMatrix, angle_a: float, angle_b: float) -> fl
     return expectation(pair, np.kron(oa, ob))
 
 
+@lru_cache(maxsize=16)
+def _chsh_observables(a: float, a_prime: float, b: float, b_prime: float) -> np.ndarray:
+    """The read-only ``(4, 4, 4)`` stack of the four CHSH observables, built once per quadruple."""
+    o = [math.cos(x) * PAULI_Z + math.sin(x) * PAULI_X for x in (a, a_prime, b, b_prime)]
+    obs = np.stack([np.kron(oa, ob) for oa in o[:2] for ob in o[2:]])
+    obs.setflags(write=False)
+    return obs
+
+
 def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHResult:
-    """CHSH statistic computed from exact expectations; no sampling error."""
-    e = (
-        exact_correlation(pair, config.a, config.b),
-        exact_correlation(pair, config.a, config.b_prime),
-        exact_correlation(pair, config.a_prime, config.b),
-        exact_correlation(pair, config.a_prime, config.b_prime),
-    )
-    return _result_from_correlations(e, 0.0)
+    """CHSH statistic from :func:`exact_correlation`, the four in one product; no sampling error."""
+    obs = _chsh_observables(*config.alice_angles(), *config.bob_angles())
+    e = np.trace(pair.matrix @ obs, axis1=-2, axis2=-1).real.tolist()
+    return _result_from_correlations(tuple(e), 0.0)
 
 
 @lru_cache(maxsize=16)

@@ -135,6 +135,7 @@ class _Option(NamedTuple):
     echo: bool | Callable[[RunConfig], object] = True  # False, or the echoed value if not the field
     flag: str | None = None  # defaults to --key, with '-' for '_'
     argparse: dict = {}  # further add_argument keywords
+    repeats: bool = False  # a flag given twice is refused unless its values add up
 
 
 def _only(*experiments: str) -> Callable[[RunConfig], bool]:
@@ -151,6 +152,12 @@ def _sampled_chsh(cfg: RunConfig) -> bool:
     return cfg.experiment == "chsh" and not cfg.exact
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError("expected true/false, yes/no or 1/0")
+    return text.lower() in ("true", "yes", "1")
+
+
 _EPR = "EPR chsh and nosignal"
 _OPTIONS: dict[str, _Option] = {
     "seed": _Option("seed", int, lambda cfg: True,
@@ -161,9 +168,9 @@ _OPTIONS: dict[str, _Option] = {
                    "payload path, '-' for stdout (default '-'; every run)", echo=False),
     "mode": _Option("mode", str, _only("chsh", "nosignal"),
                     "world kind, er or epr (default er; chsh, nosignal)"),
-    "exact": _Option("exact", lambda s: s.lower() in ("1", "true", "yes"), _only("chsh"),
+    "exact": _Option("exact", _parse_bool, _only("chsh"),
                      "exact expectations instead of sampling (chsh)",
-                     argparse={"action": "store_const", "const": "true"}),
+                     argparse={"action": "append_const", "const": "true"}),
     "trials": _Option("trials", int, _sampled_chsh, "number of sampled trials (sampled chsh)"),
     "parallel": _Option("parallel", int, _sampled_chsh, "sampler threads, at most the core "
                         "count; payload bytes do not depend on it (sampled chsh)", echo=False),
@@ -187,7 +194,7 @@ _OPTIONS: dict[str, _Option] = {
     "alice_instruments": _Option(
         "alice_instruments", lambda s: tuple(x for x in s.split(",") if x), _only("nosignal"),
         "instrument definition files, comma-separated; repeatable (nosignal)",
-        echo=False, flag="--alice-instrument", argparse={"action": "append"},
+        echo=False, flag="--alice-instrument", repeats=True,
     ),
     "offset": _Option("offset", float, _only("frames"), "frame offset in radians (frames)"),
 }
@@ -374,8 +381,8 @@ def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]
     )
     results = []
     criteria = []
-    for script in scripts:
-        tvd = total_variation(*accessible_distributions([epr, er], script))
+    for script, dists in zip(scripts, accessible_distributions([epr, er], scripts)):
+        tvd = total_variation(*dists)
         results.append({"script": script.name, "tvd_vs_er": tvd})
         if cfg.lam == 0.0:
             criteria.append((f"script {script.name} indistinguishable", tvd <= _ZERO_ATOL))
@@ -532,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # values stay text here and are parsed by the table, as config-file values are
         for key, opt in _OPTIONS.items():
             flag = opt.flag or "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, help=opt.help, **opt.argparse)
+            p.add_argument(flag, dest=key, help=opt.help, **({"action": "append"} | opt.argparse))
     return parser
 
 
@@ -540,11 +547,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     experiment, config_path = args.pop("experiment"), args.pop("config")
     try:
-        overrides = {
-            key: _parse_value(key, ",".join(text) if isinstance(text, list) else text)
-            for key, text in args.items()
-            if text is not None
-        }
+        given = {key: texts for key, texts in args.items() if texts is not None}
+        for key, texts in given.items():
+            if len(texts) > 1 and not _OPTIONS[key].repeats:
+                raise ConfigError("flag given more than once; only one value can act", key=key)
+        overrides = {key: _parse_value(key, ",".join(texts)) for key, texts in given.items()}
         cfg = parse_config(experiment, config_path, overrides)
         report = run(cfg)
         if cfg.out != "-":

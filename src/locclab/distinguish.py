@@ -2,10 +2,11 @@
 
 Everything an agent pair can access is the classical transcript
 distribution of a protocol script run against a world.  This module
-computes those distributions exactly (branch enumeration, no sampling),
-compares them in total variation distance, and packages the standard
-experiments: coupling-strength sweeps, channel-size comparisons at zero
-coupling, no-signaling checks with the classical channel withheld, and
+computes those distributions exactly (branch enumeration, no sampling;
+every script and world of an experiment in one pass), compares them in
+total variation distance, and packages the standard experiments:
+coupling-strength sweeps, channel-size comparisons at zero coupling,
+no-signaling checks with the classical channel withheld, and
 measurement-frame misalignment.
 """
 
@@ -105,60 +106,69 @@ def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int, mode: 
 
 def accessible_distributions(
     worlds: Sequence[World],
-    script: ProtocolScript,
+    scripts: ProtocolScript | Sequence[ProtocolScript],
     *,
     condition_visibility: str = "full",
-) -> list[OutcomeDistribution]:
-    """Exact transcript distribution of ``script`` run against each of ``worlds``.
+) -> list:
+    """Exact transcript distributions: a per-world list for each of ``scripts``.
 
+    A single script in place of ``scripts`` gets its per-world list alone.
     Each round's instrument acts on the acting party's own boundary qubit;
-    enumeration follows every branch, so zero-probability transcripts stay
-    in the support.  ``condition_visibility`` controls which prior outcomes
-    a conditioned round may see: ``"full"`` models an open classical
-    channel, ``"own-party"`` withholds it.
+    every branch is followed, so zero-probability transcripts stay in the
+    support.  ``condition_visibility`` controls which prior outcomes a
+    conditioned round may see: ``"full"`` models an open classical channel,
+    ``"own-party"`` withholds it.
 
-    The worlds share one enumeration, since a branch's instrument depends on
-    its transcript alone.  Each round applies each instrument once, to the
-    stack of its live ``(branch, world)`` states, and checks all live
-    post-states in one batch.  A branch dead in a world (probability at most
-    :data:`PROB_FLOOR`) is not applied there and its descendants get 0.0, so
-    each world gets the result it would get alone.  Bundled scripts are
-    cached, shared and immutable (see :mod:`locclab.protocols`), so each of
-    their instruments is validated once per process.
+    All scripts and worlds share one enumeration.  Each round groups the
+    live ``(script, branch, world)`` states by instrument and target, runs
+    each group as one stack, and checks every live post-state of the round
+    in one batch before the next round uses any.  A branch dead in a world
+    (probability at most :data:`PROB_FLOOR`) is not applied there and its
+    descendants get 0.0, so each script and world gets the bytes it would
+    get alone.  Equal instrument specs share one instrument (see
+    :mod:`locclab.protocols`), validated once per process.
     """
-    pairs = [deliver_pair(world) for world in worlds]
-    # (transcript, ((probability, post-state or None) per world)) of every branch so far
-    branches = [((), [(1.0, pair.matrix) for pair in pairs])]
-    for r, rnd in enumerate(script.rounds):
-        target = "q_A" if rnd.party == "A" else "q_B"
-        insts = [rnd.resolve(_visible(t, script, r, condition_visibility)) for t, _ in branches]
-        # live (branch, world) entries grouped by instrument, each group run as one stack
-        groups: dict[QuantumInstrument, list[tuple[int, int]]] = {}
-        for k, ((_, cells), inst) in enumerate(zip(branches, insts)):
-            for w, (prob, state) in enumerate(cells):
-                if state is not None and prob > PROB_FLOOR:
-                    groups.setdefault(inst, []).append((k, w))
-        children = {}  # (branch, world) -> a (probability, post-state) per outcome
+    if isinstance(scripts, ProtocolScript):
+        return accessible_distributions(worlds, [scripts], condition_visibility=condition_visibility)[0]
+    pairs = [deliver_pair(world).matrix for world in worlds]
+    # per script: (transcript, [probability, post-state or None] per world) of every branch so far
+    trees = [[((), [(1.0, m) for m in pairs])] for _ in scripts]
+    for r in range(max((len(s.rounds) for s in scripts), default=0)):
+        acting = [(s, script) for s, script in enumerate(scripts) if r < len(script.rounds)]
+        # the instrument of each (script, branch), and the live (script, branch, world)
+        # entries grouped by (instrument, target), each group to run as one stack
+        insts, groups = {}, {}
+        for s, script in acting:
+            rnd = script.rounds[r]
+            target = "q_A" if rnd.party == "A" else "q_B"
+            for k, (t, cells) in enumerate(trees[s]):
+                inst = insts[s, k] = rnd.resolve(_visible(t, script, r, condition_visibility))
+                for w, (prob, state) in enumerate(cells):
+                    if state is not None and prob > PROB_FLOOR:
+                        groups.setdefault((inst, target), []).append((s, k, w))
+        children = {}  # (script, branch, world) -> a (probability, post-state) per outcome
         live_posts = []
-        for inst, entries in groups.items():
-            states = np.stack([branches[k][1][w][1] for k, w in entries])
+        for (inst, target), entries in groups.items():
+            states = np.stack([trees[s][k][1][w][1] for s, k, w in entries])
             probs, posts = _apply_branches(inst, target, states)
             live_posts.append(posts[probs > PROB_FLOOR])
-            for col, (k, w) in enumerate(entries):
-                prob = branches[k][1][w][0]
-                children[k, w] = [
-                    (prob * p, post if p > PROB_FLOOR else None)
-                    for p, post in zip(probs[:, col].tolist(), posts[:, col])
+            for (s, k, w), ps, outs in zip(entries, probs.T.tolist(), posts.swapaxes(0, 1)):
+                prob = trees[s][k][1][w][0]
+                children[s, k, w] = [
+                    (prob * p, post if p > PROB_FLOOR else None) for p, post in zip(ps, outs)
                 ]
         if live_posts:
             check_density_stack(np.concatenate(live_posts))
-        grown = []
-        for k, ((transcript, cells), inst) in enumerate(zip(branches, insts)):
-            dead = [(0.0, None)] * len(inst.outcomes)
-            per_outcome = zip(*(children.get((k, w), dead) for w in range(len(cells))))
-            grown.extend(zip((transcript + (o,) for o in inst.outcomes), per_outcome))
-        branches = grown
-    return [OutcomeDistribution(tuple((t, c[w][0]) for t, c in branches)) for w in range(len(pairs))]
+        for s, _ in acting:
+            grown = []
+            for k, (transcript, cells) in enumerate(trees[s]):
+                outcomes = insts[s, k].outcomes
+                dead = [(0.0, None)] * len(outcomes)
+                per_outcome = zip(*(children.get((s, k, w), dead) for w in range(len(cells))))
+                grown.extend(zip((transcript + (o,) for o in outcomes), per_outcome))
+            trees[s] = grown
+    return [[OutcomeDistribution(tuple((t, c[w][0]) for t, c in tree)) for w in range(len(pairs))]
+            for tree in trees]
 
 
 def accessible_distribution(
@@ -208,7 +218,7 @@ def indistinguishability_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
     worlds = [params.world(lam) for lam in grid]
-    *dists, er_dist = accessible_distributions(worlds + [build_er_world()], script)
+    [[*dists, er_dist]] = accessible_distributions(worlds + [build_er_world()], [script])
     rows = []
     for lam, world, dist in zip(grid, worlds, dists):
         pair = deliver_pair(world)
@@ -243,7 +253,7 @@ def channel_size_check(
     if any(d < 2 for d in dims):
         raise ValueError("every channel size must be >= 2")
     worlds = [build_epr_world(d, qbar_dim, lam, seed, evolution_time=evolution_time) for d in dims]
-    dists = accessible_distributions(worlds, script)
+    [dists] = accessible_distributions(worlds, [script])
     worst = 0.0
     for i in range(len(dists)):
         for j in range(i + 1, len(dists)):
@@ -273,9 +283,10 @@ def no_signaling_check(
 ) -> NoSignalingReport:
     """Whether Alice's local choice shifts Bob's marginal statistics.
 
-    Runs one joint script per Alice variant and marginalizes the transcript
-    onto Bob's rounds.  With the classical channel withheld (the default)
-    Bob's conditioned rounds see only his own prior outcomes.
+    Runs one joint script per Alice variant, all in one enumeration, and
+    marginalizes each transcript onto Bob's rounds.  With the classical
+    channel withheld (the default) Bob's conditioned rounds see only his own
+    prior outcomes.
     """
     if not alice_variants:
         raise ValueError("need at least one Alice instrument variant")
@@ -286,13 +297,12 @@ def no_signaling_check(
         if r.party != "B":
             raise ValueError("bob_rounds must all act as party B")
     visibility = "full" if classical_channel else "own-party"
-    marginals = []
-    for variant in alice_variants:
-        script = ProtocolScript(
-            "no-signaling probe", (ProtocolRound("A", variant),) + bob_rounds
-        )
-        dist = accessible_distribution(world, script, condition_visibility=visibility)
-        marginals.append(dist.marginal(range(1, 1 + len(bob_rounds))))
+    scripts = [
+        ProtocolScript("no-signaling probe", (ProtocolRound("A", variant),) + bob_rounds)
+        for variant in alice_variants
+    ]
+    dists = accessible_distributions([world], scripts, condition_visibility=visibility)
+    marginals = [dist.marginal(range(1, 1 + len(bob_rounds))) for [dist] in dists]
     worst = 0.0
     for i in range(len(marginals)):
         for j in range(i + 1, len(marginals)):

@@ -134,7 +134,7 @@ class QuantumInstrument:
         if len(set(outcomes)) != len(outcomes):
             raise ValueError(f"duplicate outcome labels: {outcomes}")
 
-    @property
+    @cached_property
     def outcomes(self) -> tuple[str, ...]:
         return tuple(b.outcome for b in self.branches)
 
@@ -294,7 +294,7 @@ def _apply_branches(
     probs = np.trace(out, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     posts = np.zeros_like(out)
-    posts[live] = out[live] / probs[live][:, None, None]
+    np.divide(out, probs[..., None, None], out=posts, where=live[..., None, None])
     return np.where(live, probs, np.maximum(probs, 0.0)), posts
 
 

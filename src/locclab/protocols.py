@@ -11,7 +11,9 @@ Scripts are plain data and can be serialized to JSON; a corpus of scripts
 ships with the package under ``data/scripts``.  Scripts are immutable: each
 round's ``condition`` is a read-only mapping.  A bundled script, like the
 canonical CHSH script, is built once per process and then shared by every
-caller, so each of its instruments is validated once per process.
+caller.  Instrument specs are shared per process too: equal specs (the same
+JSON up to key order) give one instrument, in every script that uses it, so
+each is validated once per process.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
@@ -133,6 +135,13 @@ def depolarize_then_measure(p: float, angle: float = 0.0) -> QuantumInstrument:
 
 
 def instrument_from_spec(spec: Mapping) -> QuantumInstrument:
+    """The instrument a JSON spec names; equal specs share one instrument per process."""
+    return _spec_instrument(json.dumps(spec, sort_keys=True))
+
+
+@lru_cache(maxsize=64)
+def _spec_instrument(text: str) -> QuantumInstrument:
+    spec = json.loads(text)
     kind = spec["kind"]
     if kind == "measure_z":
         return measure_z()

@@ -72,13 +72,6 @@ def singlet_density() -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def _random_single_qubit_hermitian(rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian 2x2 with all entries bounded in [-1, 1]."""
-    a, d = rng.uniform(-1.0, 1.0, size=2)
-    x, y = rng.uniform(-0.7, 0.7, size=2)
-    return np.array([[a, x + 1j * y], [x - 1j * y, d]], dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class World:
     """A complete experimental configuration delivering one boundary pair.
@@ -167,13 +160,13 @@ def build_epr_world(
             f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {2**QUBIT_CAP})"
         )
     rng = np.random.default_rng(seed)
-    terms = [_random_single_qubit_hermitian(rng) for _ in range(qbar_dim)]
+    a, d, x, y = rng.uniform([-1, -1, -0.7, -0.7], [1, 1, 0.7, 0.7], size=(qbar_dim, 4)).T
     return World(
         mode="EPR",
         q_dim=q_dim,
         evolution_time=float(evolution_time),
         lam=float(lam),
-        rest_terms=np.reshape(terms, (-1, 2, 2)),
+        rest_terms=np.stack([a, x + 1j * y, x - 1j * y, d], axis=-1).reshape(-1, 2, 2),
     )
 
 

@@ -129,6 +129,27 @@ class TestExactChsh:
             assert abs(exact_chsh(SINGLET, base).s_abs - exact_chsh(SINGLET, shifted).s_abs) < 1e-10
 
 
+    def test_each_correlation_is_exact_correlation_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            rho = helpers.random_density(rng)
+            cfg = CHSHConfig(*[float(a) for a in rng.uniform(-math.pi, math.pi, size=4)])
+            expected = [exact_correlation(rho, x, y) for x in cfg.alice_angles()
+                        for y in cfg.bob_angles()]
+            assert [e.hex() for e in exact_chsh(rho, cfg).correlations] == [
+                e.hex() for e in expected
+            ]
+
+    def test_observables_built_once_per_angle_quadruple(self):
+        bell._chsh_observables.cache_clear()
+        for _ in range(3):
+            exact_chsh(SINGLET)
+            exact_chsh(SINGLET, CHSHConfig(a=0.1))
+        info = bell._chsh_observables.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        assert not bell._chsh_observables(*bell.OPTIMAL_ANGLES).flags.writeable
+
+
 class TestSampling:
     def test_er_world_converges_to_quantum_maximum(self):
         res = sample_chsh(build_er_world(), CHSHConfig(trials=10**5, seed=7))

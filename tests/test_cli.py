@@ -292,10 +292,12 @@ class TestMain:
         ],
     )
     def test_bad_values_exit_code(self, capsys, args, key):
-        # a seed among ``args`` comes after the default one, so it wins
-        assert main(args[:1] + ["--seed", "1"] + args[1:]) == EXIT_CONFIG
+        # a valid seed is added only to ``args`` that give none: a flag may not repeat
+        seed = [] if "--seed" in args else ["--seed", "1"]
+        assert main(args[:1] + seed + args[1:]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and key in err
+        assert "more than once" not in err
 
     @pytest.mark.parametrize(
         "flag,experiment,key",
@@ -411,6 +413,53 @@ class TestMain:
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("configuration error: bad value 'many'")
         assert out.err.endswith("(key: trials)\n")
+
+    @pytest.mark.parametrize("text", ["banana", "", "on", "2", "truth"])
+    def test_exact_value_that_is_no_boolean_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\nexact = {text}\n")
+        assert main(["chsh", "--config", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: bad value")
+        assert out.err.endswith("(key: exact)\n")
+
+    @pytest.mark.parametrize(
+        "text,exact", [("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False),
+                       ("0", False)],
+    )
+    def test_exact_booleans_in_any_case(self, tmp_path, text, exact):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\nexact = {text}\n")
+        assert parse_config("chsh", str(path), {}).exact is exact
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["chsh", "--seed", "1", "--seed", "2", "--exact"], "seed"),
+            (["chsh", "--seed", "1", "--exact", "--exact"], "exact"),
+            (["frames", "--seed", "1", "--offset", "0.1", "--offset", "0.1"], "offset"),
+            (["chsh", "--seed", "1", "--trials", "9", "--format", "columnar", "--trials", "8"],
+             "trials"),
+        ],
+    )
+    def test_flag_given_twice_exit_code(self, capsys, args, key):
+        assert main(args) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: flag given more than once")
+        assert out.err.endswith(f"(key: {key})\n")
+
+    def test_alice_instrument_flag_repeats(self, tmp_path, capsys):
+        paths = []
+        for i in range(3):
+            paths.append(tmp_path / f"x{i}.inst")
+            save_instrument(paths[-1], measure_x(), f"x{i}")
+        args = ["nosignal", "--seed", "1"]
+        for path in paths:
+            args += ["--alice-instrument", str(path)]
+        assert main(args) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["variants"] == ["x0", "x1", "x2"]
 
     def test_config_exit_code(self, capsys):
         code = main(["chsh", "--trials", "100"])  # no seed anywhere

@@ -138,7 +138,8 @@ class TestAccessibleDistribution:
 
         monkeypatch.setattr(distinguish, "check_density_stack", check)
         monkeypatch.setattr(instruments, "validate_instrument", validate)
-        # parsed afresh: the shared bundled script was validated earlier in the session
+        # parsed afresh, specs included: the shared instruments were validated earlier
+        protocols._spec_instrument.cache_clear()
         script = script_from_dict(json.loads(helpers.bundled_script_text("adaptive_three")))
         world = build_epr_world(2, 2, 0.7, seed=3)
         accessible_distribution(world, script)
@@ -295,6 +296,47 @@ class TestStackedWorlds:
                 alone = accessible_distributions([world], script, condition_visibility=visibility)
                 assert bits(dist) == bits(alone[0]), name
 
+    @pytest.mark.parametrize("visibility", ["full", "own-party"])
+    def test_every_script_at_once_equals_each_script_alone(self, visibility):
+        worlds = [build_er_world(), build_epr_world(2, 2, 0.0, seed=21),
+                  build_epr_world(2, 2, 0.8, seed=21)]
+        scripts = bundled_corpus()
+        assert len(scripts) == 13
+        together = accessible_distributions(worlds, scripts, condition_visibility=visibility)
+        assert len(together) == len(scripts)
+        for script, dists in zip(scripts, together):
+            alone = accessible_distributions(worlds, [script], condition_visibility=visibility)
+            assert [bits(d) for d in dists] == [bits(d) for d in alone[0]], script.name
+            for world, dist in zip(worlds, dists):
+                single = accessible_distribution(world, script, condition_visibility=visibility)
+                assert bits(dist) == bits(single), script.name
+
+    def test_corrupt_post_state_raises_before_the_next_round(self, monkeypatch):
+        # the last group of round 1 returns a post-state that is not a density
+        # matrix; the round's one check must refuse it before round 2 runs
+        scripts = [load_bundled_script(n) for n in ("three_round", "xx", "noisy_alice")]
+        first_groups = len({(s.rounds[0].instrument, s.rounds[0].party) for s in scripts})
+        assert first_groups == 3
+        calls = []
+        apply_branches = distinguish._apply_branches
+
+        def corrupting(inst, target, states):
+            calls.append(inst)
+            probs, posts = apply_branches(inst, target, states)
+            if len(calls) == first_groups:
+                posts = posts.copy()
+                posts[0, -1, 0, 0] += 0.5
+            return probs, posts
+
+        monkeypatch.setattr(distinguish, "_apply_branches", corrupting)
+        worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
+        with pytest.raises(ValueError, match="density matrix"):
+            accessible_distributions(worlds, scripts)
+        assert len(calls) == first_groups
+
+    def test_no_scripts_no_distributions(self):
+        assert accessible_distributions([build_er_world()], []) == []
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         specs=st.lists(WORLD_SPECS, min_size=1, max_size=4),
@@ -402,9 +444,10 @@ class TestCallCounts:
         return calls
 
     def test_corpus_distinguish_checks_each_round_once(self, checked, capsys):
+        # all scripts share one enumeration: one check per round of the longest script
         argv = ["distinguish", "--seed", "3", "--lambda", "0.8", "--q-dim", "3"]
         assert main(argv) == EXIT_OK
-        assert len(checked) == sum(len(s.rounds) for s in bundled_corpus())
+        assert len(checked) == max(len(s.rounds) for s in bundled_corpus()) == 3
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--seed", "3", "--lambda-grid", "0,0.4,0.9,1.3"],
@@ -416,6 +459,7 @@ class TestCallCounts:
 
     def test_second_run_validates_nothing(self, monkeypatch, capsys):
         protocols.load_bundled_script.cache_clear()
+        protocols._spec_instrument.cache_clear()
         validated = []
         validate_instrument = instruments.validate_instrument
 

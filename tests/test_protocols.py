@@ -17,7 +17,7 @@ from locclab import (
     validate_instrument,
 )
 from locclab.instruments import InstrumentBranch, QuantumInstrument
-from locclab.protocols import canonical_chsh_script, script_from_dict
+from locclab.protocols import canonical_chsh_script, instrument_from_spec, script_from_dict
 
 
 def transcript_lengths(script: ProtocolScript) -> set[int]:
@@ -120,6 +120,17 @@ class TestCorpus:
         assert script.name == "tiny"
         variant = script.rounds[1].resolve(("0",))
         assert all(k.shape == (2, 2) for b in variant.branches for k in b.kraus)
+
+    def test_equal_specs_share_one_instrument(self):
+        a = instrument_from_spec({"kind": "measure_angle", "angle": 0.25})
+        b = instrument_from_spec({"angle": 0.25, "kind": "measure_angle"})
+        assert a is b
+        assert instrument_from_spec({"kind": "measure_angle", "angle": 0.5}) is not a
+        # one measure_z object in every bundled script that measures Z
+        z = instrument_from_spec({"kind": "measure_z"})
+        users = [s.name for s in bundled_corpus()
+                 if any(r.instrument is z for r in s.rounds)]
+        assert len(users) == 5
 
     def test_unknown_instrument_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown instrument kind"):

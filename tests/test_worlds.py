@@ -104,6 +104,31 @@ class TestEprConstruction:
             x, y = rng.uniform(-0.7, 0.7, size=2)
             assert np.array_equal(term, [[a, x + 1j * y], [x - 1j * y, d]])
 
+    @staticmethod
+    def per_qubit_rest_terms(qbar_dim, seed):
+        """The reference draw: per rest qubit, a, d from U(-1, 1), then x, y from U(-0.7, 0.7)."""
+        rng = np.random.default_rng(seed)
+        terms = []
+        for _ in range(qbar_dim):
+            a, d = rng.uniform(-1.0, 1.0, size=2)
+            x, y = rng.uniform(-0.7, 0.7, size=2)
+            terms.append(np.array([[a, x + 1j * y], [x - 1j * y, d]], dtype=complex))
+        return np.reshape(terms, (-1, 2, 2))
+
+    def test_rest_terms_equal_the_per_qubit_draw_bit_for_bit(self):
+        seeds = [*range(200), *(2**64 - 1 + k for k in range(100)), 2**128 - 1, 2**100 + 7]
+        for seed in seeds:
+            qbar_dim = 1 + seed % 10
+            world = build_epr_world(2, qbar_dim, 0.5, seed=seed)
+            expected = self.per_qubit_rest_terms(qbar_dim, seed)
+            assert world.rest_terms.tobytes() == expected.tobytes(), seed
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), qbar_dim=st.integers(1, 10))
+    def test_rest_terms_equal_the_per_qubit_draw_at_any_seed(self, seed, qbar_dim):
+        world = build_epr_world(2, qbar_dim, 0.5, seed=seed)
+        assert world.rest_terms.tobytes() == self.per_qubit_rest_terms(qbar_dim, seed).tobytes()
+
     def test_rest_terms_are_read_only(self):
         world = build_epr_world(2, 2, 0.5, seed=3)
         with pytest.raises(ValueError):
