@@ -18,17 +18,17 @@ run converges at the usual 1/sqrt(trials) rate, and the ratio
 shared channel suffered (none, here).
 """
 
+import io
+
 import numpy as np
 
 from locclab import (
     CHSHConfig,
     TSIRELSON_BOUND,
     build_er_world,
-    chsh_transcript,
     deliver_pair,
-    estimate_decoherence,
-    estimate_from_transcript,
     exact_chsh,
+    sample_chsh,
 )
 
 
@@ -43,23 +43,25 @@ def main():
     print()
 
     for trials in (1_000, 10_000, 100_000):
-        transcript = chsh_transcript(world, CHSHConfig(trials=trials, seed=7))
-        res = estimate_from_transcript(transcript)
+        res = sample_chsh(world, CHSHConfig(trials=trials, seed=7))
         sigmas = abs(res.s_abs - TSIRELSON_BOUND) / res.standard_error
         print(
             f"trials={trials:>7}: |S| = {res.s_abs:.4f} +/- {res.standard_error:.4f}"
             f"   ({sigmas:.2f} standard errors from the bound)"
         )
 
-    transcript = chsh_transcript(world, CHSHConfig(trials=100_000, seed=7))
+    # the transcript is text, one "trial x y a b" row per trial under a header
+    transcript = io.BytesIO()
+    res = sample_chsh(world, CHSHConfig(trials=100_000, seed=7), transcript_out=transcript)
+    transcript.seek(0)
+    rows = np.loadtxt(transcript, dtype=int, skiprows=1)
     counts = np.zeros((2, 2), dtype=int)
-    np.add.at(counts, (transcript[:, 1], transcript[:, 2]), 1)
+    np.add.at(counts, (rows[:, 1], rows[:, 2]), 1)
     print()
     print("setting-pair counts (free choice is uniform):")
     print(counts)
 
-    est = estimate_decoherence(estimate_from_transcript(transcript))
-    print(f"\nestimated channel visibility: {est.visibility:.4f}")
+    print(f"\nestimated channel visibility: {res.s_abs / TSIRELSON_BOUND:.4f}")
 
 
 if __name__ == "__main__":

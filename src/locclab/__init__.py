@@ -13,15 +13,9 @@ transcript-distribution comparisons between the two.
 from .bell import (
     CHSHConfig,
     CHSHResult,
-    DecoherenceEstimate,
     OPTIMAL_ANGLES,
     TSIRELSON_BOUND,
-    chsh_transcript,
-    estimate_decoherence,
-    estimate_from_transcript,
     exact_chsh,
-    exact_correlation,
-    format_transcript,
     sample_chsh,
 )
 from .distinguish import (
@@ -70,7 +64,6 @@ from .instruments import (
 from .linalg import (
     PAIR_LABELS,
     DensityMatrix,
-    expectation,
     extend_to_pair,
     purity,
     trace_distance,

@@ -20,6 +20,8 @@ pair, split by the sign of ``a*b``.  The estimate comes from the summed
 tallies, so memory is set by the block size and never grows with the trial
 count.  Threads run a sliding window of blocks, handed on in trial order,
 and a transcript export is written block by block as the trials are drawn.
+:func:`sample_chsh` is the one sampling path and :func:`exact_chsh` the one
+exact path; the transcript exists only as the text a run writes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import EmptyCellError
 from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches, measure_angle
-from .linalg import DensityMatrix, PAULI_X, PAULI_Z, check_density_stack, expectation
+from .linalg import DensityMatrix, PAULI_X, PAULI_Z, check_density_stack
 from .worlds import World, deliver_pair
 
 __all__ = [
@@ -44,16 +46,10 @@ __all__ = [
     "OPTIMAL_ANGLES",
     "CHSHConfig",
     "CHSHResult",
-    "DecoherenceEstimate",
-    "exact_correlation",
     "exact_chsh",
-    "chsh_transcript",
-    "estimate_from_transcript",
     "sample_chsh",
-    "estimate_decoherence",
     "BLOCK_TRIALS",
     "TRANSCRIPT_HEADER",
-    "format_transcript",
 ]
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -111,18 +107,6 @@ class CHSHResult:
         return (self.e_ab, self.e_ab_prime, self.e_a_prime_b, self.e_a_prime_b_prime)
 
 
-@dataclass(frozen=True)
-class DecoherenceEstimate:
-    """Channel visibility inferred from a CHSH result.
-
-    ``visibility = s_abs / (2*sqrt(2))``; values above 1 can occur from
-    sampling noise and are flagged rather than clipped.
-    """
-
-    visibility: float
-    exceeds_quantum_bound: bool
-
-
 def _result_from_correlations(e: tuple[float, float, float, float], se: float) -> CHSHResult:
     s = e[0] + e[1] + e[2] - e[3]
     return CHSHResult(
@@ -137,13 +121,6 @@ def _result_from_correlations(e: tuple[float, float, float, float], se: float) -
     )
 
 
-def exact_correlation(pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
-    """``Tr(rho O(angle_a) (x) O(angle_b))`` on the boundary pair."""
-    oa = math.cos(angle_a) * PAULI_Z + math.sin(angle_a) * PAULI_X
-    ob = math.cos(angle_b) * PAULI_Z + math.sin(angle_b) * PAULI_X
-    return expectation(pair, np.kron(oa, ob))
-
-
 @lru_cache(maxsize=16)
 def _chsh_observables(a: float, a_prime: float, b: float, b_prime: float) -> np.ndarray:
     """The read-only ``(4, 4, 4)`` stack of the four CHSH observables, built once per quadruple."""
@@ -154,7 +131,7 @@ def _chsh_observables(a: float, a_prime: float, b: float, b_prime: float) -> np.
 
 
 def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHResult:
-    """CHSH statistic from :func:`exact_correlation`, the four in one product; no sampling error."""
+    """CHSH statistic from the four ``Tr(rho O(x) (x) O(y))`` in one product; no sampling error."""
     obs = _chsh_observables(*config.alice_angles(), *config.bob_angles())
     e = np.trace(pair.matrix @ obs, axis1=-2, axis2=-1).real.tolist()
     return _result_from_correlations(tuple(e), 0.0)
@@ -247,20 +224,6 @@ def _threaded(fn, starts: range, workers: int) -> Iterator:
         yield from (future.result() for future in window)
 
 
-def _codes_of(transcript: np.ndarray) -> np.ndarray:
-    """The outcome code ``8x + 4y + 2i + j`` of each transcript row.
-
-    Raises ``ValueError`` naming the first column with a setting outside {0, 1}
-    or an outcome outside {-1, +1}.
-    """
-    t = transcript
-    for col, (lo, hi) in enumerate(((0, 1), (0, 1), (-1, 1), (-1, 1)), start=1):
-        if np.any((t[:, col] != lo) & (t[:, col] != hi)):
-            name = TRANSCRIPT_HEADER.split()[col]
-            raise ValueError(f"transcript column {name} must hold only {lo} and {hi}")
-    return 8 * t[:, 1] + 4 * t[:, 2] + 2 * (t[:, 3] < 0) + (t[:, 4] < 0)
-
-
 def _tally(codes: np.ndarray) -> np.ndarray:
     """``tally[x, y, s]``: trials with settings ``(x, y)`` and ``a*b`` +1 (s = 0) or -1 (s = 1)."""
     c = np.bincount(codes, minlength=16).reshape(2, 2, 2, 2)
@@ -280,21 +243,6 @@ def _estimate(tally: np.ndarray) -> CHSHResult:
     )
 
 
-def chsh_transcript(world: World, config: CHSHConfig, parallel_width: int = 1) -> np.ndarray:
-    """Per-trial records ``(trial, x, y, a, b)`` with outcomes in {-1, +1}.
-
-    Bit-identical for every ``parallel_width``.
-    """
-    codes = np.concatenate(list(_run_blocks(world, config, parallel_width, lambda _, c: c)))
-    x, y, i, j = np.unravel_index(codes, (2, 2, 2, 2))
-    return np.column_stack([np.arange(config.trials), x, y, 1 - 2 * i, 1 - 2 * j])
-
-
-def estimate_from_transcript(transcript: np.ndarray) -> CHSHResult:
-    """Correlations from integer counts per setting pair; order-independent."""
-    return _estimate(_tally(_codes_of(transcript)))
-
-
 def sample_chsh(
     world: World,
     config: CHSHConfig,
@@ -306,7 +254,8 @@ def sample_chsh(
     Each block of trials is reduced to its tally as it is drawn, so memory
     does not grow with ``config.trials``.  With ``transcript_out``, a binary
     file, the transcript text is written to it in trial order as it is
-    drawn: the bytes of ``format_transcript(chsh_transcript(...))``.
+    drawn: the ``TRANSCRIPT_HEADER`` line, then one ``"trial x y a b"`` row
+    per trial, with outcomes ``a, b`` as ``+1`` or ``-1``.
     """
 
     def per_block(start: int, codes: np.ndarray):
@@ -323,12 +272,6 @@ def sample_chsh(
         for group in rows:
             transcript_out.write(group)
     return _estimate(tally)
-
-
-def estimate_decoherence(result: CHSHResult) -> DecoherenceEstimate:
-    """Visibility of the channel relative to the quantum maximum."""
-    v = result.s_abs / TSIRELSON_BOUND
-    return DecoherenceEstimate(visibility=v, exceeds_quantum_bound=v > 1.0)
 
 
 #: Column layout of the exported transcript text format.
@@ -379,14 +322,3 @@ def _format_rows(trials: np.ndarray, codes: np.ndarray) -> list[np.ndarray]:
             np.take(_ROW_TAILS[field], codes[lo:hi], out=rows["tail"][field])
         parts.append(rows.view(np.uint8))
     return parts
-
-
-def format_transcript(transcript: np.ndarray) -> str:
-    """Columnar text export: one record per trial under a fixed header.
-
-    The trial column must be nonnegative and ascending, as ``chsh_transcript`` makes it.
-    """
-    trials = transcript[:, 0]
-    if trials.size and (trials[0] < 0 or np.any(trials[1:] < trials[:-1])):
-        raise ValueError("transcript trial numbers must be nonnegative and ascending")
-    return b"".join([_HEADER_LINE, *_format_rows(trials, _codes_of(transcript))]).decode("ascii")

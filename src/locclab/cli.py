@@ -152,6 +152,13 @@ def _sampled_chsh(cfg: RunConfig) -> bool:
     return cfg.experiment == "chsh" and not cfg.exact
 
 
+def _parse_paths(text: str) -> tuple[str, ...]:
+    paths = tuple(x for x in text.split(",") if x)
+    if not paths:
+        raise ValueError("expected at least one file")
+    return paths
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
         raise ValueError("expected true/false, yes/no or 1/0")
@@ -192,7 +199,7 @@ _OPTIONS: dict[str, _Option] = {
                       "bundled script name or script JSON file (sweep, distinguish, qecc)",
                       echo=lambda cfg: cfg.script or _EXPERIMENTS[cfg.experiment].script),
     "alice_instruments": _Option(
-        "alice_instruments", lambda s: tuple(x for x in s.split(",") if x), _only("nosignal"),
+        "alice_instruments", _parse_paths, _only("nosignal"),
         "instrument definition files, comma-separated; repeatable (nosignal)",
         echo=False, flag="--alice-instrument", repeats=True,
     ),
@@ -212,7 +219,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -398,20 +405,16 @@ def _load_alice_instrument(path: str):
     return name, inst
 
 
-def _default_alice_variants() -> list:
-    return [measure_z(), measure_x(), identity_instrument()]
-
-
 def _run_nosignal(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
     world = _world_from_config(cfg)
     if cfg.alice_instruments:
         key = "alice_instruments"
         loaded = [_load_file(_load_alice_instrument, p, key) for p in cfg.alice_instruments]
-        names = [name for name, _ in loaded]
-        variants = [inst for _, inst in loaded]
     else:
-        variants = _default_alice_variants()
-        names = ["measure_z", "measure_x", "identity"]
+        loaded = [("measure_z", measure_z()), ("measure_x", measure_x()),
+                  ("identity", identity_instrument())]
+    names = [name for name, _ in loaded]
+    variants = [inst for _, inst in loaded]
     bob = (ProtocolRound("B", measure_z()), )
     report = no_signaling_check(world, variants, bob)
     payload = {

@@ -13,12 +13,14 @@ measurement-frame misalignment.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bell import CHSHConfig, CHSHResult, exact_chsh
+from .errors import CapacityError
 from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches
 from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
@@ -104,6 +106,21 @@ def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int, mode: 
     raise ValueError(f"unknown condition visibility {mode!r}")
 
 
+def _check_capacity(scripts: Sequence[ProtocolScript], n_worlds: int) -> None:
+    """Refuse scripts whose transcripts, at a 4x4 post-state (256 B) per world, overflow memory.
+
+    A script has at most the product over its rounds of the most outcomes among
+    the round's instrument and its condition variants as transcripts.
+    """
+    transcripts = sum(math.prod(
+        max(len(inst.outcomes) for inst in (r.instrument, *(r.condition or {}).values()))
+        for r in script.rounds) for script in scripts)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if transcripts * n_worlds * 256 > memory:
+        raise CapacityError(f"up to {transcripts} transcripts on {n_worlds} worlds need more "
+                            f"than the {memory} B of physical memory")
+
+
 def accessible_distributions(
     worlds: Sequence[World],
     scripts: ProtocolScript | Sequence[ProtocolScript],
@@ -126,10 +143,12 @@ def accessible_distributions(
     (probability at most :data:`PROB_FLOOR`) is not applied there and its
     descendants get 0.0, so each script and world gets the bytes it would
     get alone.  Equal instrument specs share one instrument (see
-    :mod:`locclab.protocols`), validated once per process.
+    :mod:`locclab.protocols`), validated once per process.  Scripts whose
+    transcripts overflow physical memory raise ``CapacityError`` up front.
     """
     if isinstance(scripts, ProtocolScript):
         return accessible_distributions(worlds, [scripts], condition_visibility=condition_visibility)[0]
+    _check_capacity(scripts, len(worlds))
     pairs = [deliver_pair(world).matrix for world in worlds]
     # per script: (transcript, [probability, post-state or None] per world) of every branch so far
     trees = [[((), [(1.0, m) for m in pairs])] for _ in scripts]

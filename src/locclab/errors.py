@@ -8,7 +8,7 @@ from __future__ import annotations
 
 
 class CapacityError(Exception):
-    """A requested world has more qubits, the boundary pair included, than the qubit cap."""
+    """A world exceeds the qubit cap, or a script has more transcripts than memory can hold."""
 
 
 class LayoutError(ValueError):

@@ -29,7 +29,6 @@ __all__ = [
     "check_density_stack",
     "trace_distance",
     "purity",
-    "expectation",
     "extend_to_pair",
     "hermitian_exponential",
     "ID2",
@@ -146,12 +145,6 @@ def purity(rho: DensityMatrix) -> float:
     """``Tr(rho^2)``; equals 1 exactly for pure states."""
     m = rho.matrix
     return float(np.real(np.trace(m @ m)))
-
-
-def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:
-    """``Tr(rho O)`` as a real number, for a 4x4 observable ``obs`` on the pair."""
-    val = np.trace(rho.matrix @ obs)
-    return float(np.real(val))
 
 
 def plus_ket(n: int = 1) -> np.ndarray:

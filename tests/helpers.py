@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from importlib import resources
 
 import numpy as np
@@ -56,3 +57,8 @@ def sign_flip_one_term(inst: QuantumInstrument) -> QuantumInstrument:
 def bundled_script_text(name: str) -> str:
     """JSON text of the script ``name`` shipped with the package."""
     return resources.files("locclab").joinpath(f"data/scripts/{name}.json").read_text("utf-8")
+
+
+def transcript_rows(text: bytes) -> np.ndarray:
+    """The ``(trial, x, y, a, b)`` integer rows of CHSH transcript text with at least one trial."""
+    return np.loadtxt(io.BytesIO(text), dtype=np.int64, skiprows=1, ndmin=2)

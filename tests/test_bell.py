@@ -20,13 +20,8 @@ from locclab import (
     TSIRELSON_BOUND,
     build_epr_world,
     build_er_world,
-    chsh_transcript,
     deliver_pair,
-    estimate_decoherence,
-    estimate_from_transcript,
     exact_chsh,
-    exact_correlation,
-    format_transcript,
     sample_chsh,
     singlet_density,
 )
@@ -34,6 +29,7 @@ from locclab import bell, instruments
 from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
 from locclab.cli import main
 from locclab.instruments import measure_angle, projector
+from locclab.linalg import PAULI_X, PAULI_Z
 from locclab.protocols import ProtocolRound
 
 import helpers
@@ -46,6 +42,35 @@ SINGLET = singlet_density()
 def observable(angle: float) -> np.ndarray:
     """The dialed observable cos(a)Z + sin(a)X, as the difference of its two projectors."""
     return projector(angle, +1) - projector(angle, -1)
+
+
+def exact_correlation(pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
+    """``Tr(rho O(angle_a) (x) O(angle_b))``, one at a time: the reference for ``exact_chsh``."""
+    oa = math.cos(angle_a) * PAULI_Z + math.sin(angle_a) * PAULI_X
+    ob = math.cos(angle_b) * PAULI_Z + math.sin(angle_b) * PAULI_X
+    return float(np.real(np.trace(pair.matrix @ np.kron(oa, ob))))
+
+
+def sampled_transcript(world, config: CHSHConfig, parallel_width: int = 1):
+    """``sample_chsh``'s result (None if a setting pair stays empty) and the bytes it wrote."""
+    out = io.BytesIO()
+    try:
+        res = sample_chsh(world, config, parallel_width, out)
+    except EmptyCellError:
+        res = None
+    return res, out.getvalue()
+
+
+def rows_of(trials, codes) -> np.ndarray:
+    """Transcript rows ``(trial, x, y, a, b)`` of the outcome codes ``8x + 4y + 2i + j``."""
+    c = np.asarray(codes, dtype=np.int64)
+    return np.column_stack([trials, c >> 3, c >> 2 & 1, 1 - 2 * (c >> 1 & 1), 1 - 2 * (c & 1)])
+
+
+def formatted(trials, codes) -> str:
+    """The text of ``bell._format_rows`` under the transcript header."""
+    parts = bell._format_rows(np.asarray(trials, dtype=np.int64), np.asarray(codes, dtype=np.int64))
+    return TRANSCRIPT_HEADER + "\n" + b"".join(parts).decode("ascii")
 
 
 class TestObservable:
@@ -62,18 +87,22 @@ class TestObservable:
 
 
 class TestExactCorrelation:
+    """Single correlations of ``exact_chsh`` on the singlet."""
+
     def test_aligned_settings_anticorrelate(self):
-        assert abs(exact_correlation(SINGLET, 0.0, 0.0) + 1.0) < 1e-12
+        assert abs(exact_chsh(SINGLET, CHSHConfig(a=0.0, b=0.0)).e_ab + 1.0) < 1e-12
 
     def test_orthogonal_settings_uncorrelated(self):
-        assert abs(exact_correlation(SINGLET, 0.0, math.pi / 2)) < 1e-12
+        assert abs(exact_chsh(SINGLET, CHSHConfig(a=0.0, b=math.pi / 2)).e_ab) < 1e-12
 
     def test_closed_form_on_random_angles(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            ta, tb = rng.uniform(-math.pi, math.pi, size=2)
-            got = exact_correlation(SINGLET, float(ta), float(tb))
-            assert abs(got - oracles.singlet_correlation(ta, tb)) < 1e-10
+            ta, tb = (float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
+            got = exact_chsh(SINGLET, CHSHConfig(a=ta, a_prime=tb, b=tb, b_prime=ta)).correlations
+            pairs = ((ta, tb), (ta, ta), (tb, tb), (tb, ta))
+            want = [oracles.singlet_correlation(x, y) for x, y in pairs]
+            assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 class TestExactChsh:
@@ -162,20 +191,21 @@ class TestSampling:
 
     def test_zero_coupling_transcript_identical_to_er(self):
         cfg = CHSHConfig(trials=20000, seed=7)
-        t_er = chsh_transcript(build_er_world(), cfg)
-        t_epr = chsh_transcript(build_epr_world(2, 2, 0.0, seed=123), cfg)
-        assert np.array_equal(t_er, t_epr)
+        res_er, t_er = sampled_transcript(build_er_world(), cfg)
+        res_epr, t_epr = sampled_transcript(build_epr_world(2, 2, 0.0, seed=123), cfg)
+        assert t_er == t_epr and len(t_er.splitlines()) == cfg.trials + 1
+        assert res_er == res_epr
 
     def test_parallel_widths_agree_bitwise(self):
-        cfg = CHSHConfig(trials=10001, seed=13)
+        cfg = CHSHConfig(trials=3 * B + 7, seed=13)
         world = build_er_world()
-        t1 = chsh_transcript(world, cfg, parallel_width=1)
+        one = sampled_transcript(world, cfg, parallel_width=1)
         for width in (2, 3, 8):
-            assert np.array_equal(t1, chsh_transcript(world, cfg, parallel_width=width))
+            assert sampled_transcript(world, cfg, parallel_width=width) == one
 
     def test_setting_choice_uniformity(self):
         cfg = CHSHConfig(trials=40000, seed=21)
-        t = chsh_transcript(build_er_world(), cfg)
+        t = helpers.transcript_rows(sampled_transcript(build_er_world(), cfg)[1])
         counts = np.zeros((2, 2))
         np.add.at(counts, (t[:, 1], t[:, 2]), 1)
         bound = 5 * math.sqrt(cfg.trials * 3 / 16)
@@ -205,37 +235,14 @@ class TestEstimates:
         with pytest.raises(ValueError):
             ProtocolRound("X", measure_angle(0.0))
 
-    def test_noise_can_push_visibility_above_one(self):
-        from locclab.bell import CHSHResult
-
-        lucky = CHSHResult(
-            e_ab=-0.99, e_ab_prime=-0.99, e_a_prime_b=-0.99, e_a_prime_b_prime=0.99,
-            s_value=-3.96, s_abs=3.96, tsirelson_gap=TSIRELSON_BOUND - 3.96,
-            standard_error=0.4,
-        )
-        est = estimate_decoherence(lucky)
-        assert est.visibility > 1.0
-        assert est.exceeds_quantum_bound
-
-    def test_decoherence_estimates(self):
-        res = exact_chsh(SINGLET)
-        est = estimate_decoherence(res)
-        assert abs(est.visibility - 1.0) < 1e-10
-        assert not est.exceeds_quantum_bound
-
-        flat = exact_chsh(DensityMatrix(np.eye(4, dtype=complex) / 4))
-        assert abs(estimate_decoherence(flat).visibility) < 1e-12
-
     def test_classical_bound_visibility(self):
         # all four settings aligned: E = -1 everywhere, so |S| = 2
         res = exact_chsh(SINGLET, CHSHConfig(a=0.0, a_prime=0.0, b=0.0, b_prime=0.0))
         assert abs(res.s_abs - 2.0) < 1e-10
-        assert abs(estimate_decoherence(res).visibility - 0.7071) < 1e-4
 
     def test_transcript_format(self):
-        t = chsh_transcript(build_er_world(), CHSHConfig(trials=12, seed=1))
-        text = format_transcript(t)
-        lines = text.strip().split("\n")
+        _, text = sampled_transcript(build_er_world(), CHSHConfig(trials=12, seed=1))
+        lines = text.decode("ascii").strip().split("\n")
         assert lines[0] == TRANSCRIPT_HEADER
         assert len(lines) == 13
         parts = lines[1].split()
@@ -256,15 +263,15 @@ class TestBlockSampler:
     @pytest.mark.parametrize("trials", [1, 10, 11, 12, B - 1, B, B + 1, 100001, 3 * B + 7])
     def test_export_matches_row_oracle(self, trials):
         cfg = CHSHConfig(trials=trials, seed=trials % 5)
-        t = chsh_transcript(EPR_WORLD, cfg)
-        want = oracles.format_transcript_rows(t)
-        assert format_transcript(t) == want
-        out = io.BytesIO()
-        try:
-            sample_chsh(EPR_WORLD, cfg, transcript_out=out)
-        except EmptyCellError:
-            assert trials < 12
-        assert out.getvalue() == want.encode("ascii")
+        res, text = sampled_transcript(EPR_WORLD, cfg)
+        assert res is not None or trials < 12
+        t = helpers.transcript_rows(text)
+        assert t[:, 0].tolist() == list(range(trials))
+        assert text == oracles.format_transcript_rows(t).encode("ascii")
+        a_plus, b_plus = bell._outcome_thresholds(EPR_WORLD, cfg)
+        head = t[:300]
+        codes = 8 * head[:, 1] + 4 * head[:, 2] + 2 * (head[:, 3] < 0) + (head[:, 4] < 0)
+        assert codes.tolist() == oracles.sampled_codes(cfg.seed, range(len(head)), a_plus, b_plus)
 
     @pytest.mark.parametrize("p", [-1e-17, 0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52])
     def test_block_codes_match_per_trial_oracle(self, p):
@@ -291,9 +298,13 @@ class TestBlockSampler:
         assert bell._word_thresholds(p).tolist() == [0, 0, 1, 1, 2**52, 2**53 - 1, 2**53, 2**53]
 
     def test_export_of_a_slice(self):
-        t = chsh_transcript(build_er_world(), CHSHConfig(trials=120, seed=3))
-        assert format_transcript(t[7:103]) == oracles.format_transcript_rows(t[7:103])
-        assert format_transcript(t[:0]) == TRANSCRIPT_HEADER + "\n"
+        thresholds = bell._outcome_thresholds(build_er_world(), CHSHConfig())
+        codes = bell._block_codes(0, 120, 3, *map(bell._word_thresholds, thresholds))
+        trials = np.arange(120)
+        t = rows_of(trials, codes)
+        assert formatted(trials[7:103], codes[7:103]) == oracles.format_transcript_rows(t[7:103])
+        assert bell._format_rows(trials[:0], codes[:0]) == []
+        assert formatted(trials[:0], codes[:0]) == TRANSCRIPT_HEADER + "\n"
 
     @given(data=st.data())
     @example(data=None)
@@ -308,29 +319,29 @@ class TestBlockSampler:
             code = st.integers(0, 15)
             n = len(column)
             codes = np.array(data.draw(st.lists(code, min_size=n, max_size=n), label="codes"), int)
-        t = np.column_stack(
-            [column, codes >> 3, codes >> 2 & 1, 1 - 2 * (codes >> 1 & 1), 1 - 2 * (codes & 1)]
-        ).astype(np.int64)
-        assert format_transcript(t) == oracles.format_transcript_rows(t)
-
-    @pytest.mark.parametrize("trial_column", [[0, 2, 1], [-1, 0, 1]])
-    def test_export_refuses_unordered_trials(self, trial_column):
-        t = chsh_transcript(build_er_world(), CHSHConfig(trials=3, seed=3))
-        t[:, 0] = trial_column
-        with pytest.raises(ValueError, match="ascending"):
-            format_transcript(t)
+        assert formatted(column, codes) == oracles.format_transcript_rows(rows_of(column, codes))
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("world", [build_er_world(), EPR_WORLD], ids=["er", "epr"])
     def test_streamed_estimate_equals_transcript_estimate(self, world, width):
         cfg = CHSHConfig(trials=3 * B + 7, seed=width)
-        t = chsh_transcript(world, cfg, parallel_width=width)
-        assert np.array_equal(t, chsh_transcript(world, cfg))
-        res = sample_chsh(world, cfg, parallel_width=width)
-        assert res == estimate_from_transcript(t)
+        res, text = sampled_transcript(world, cfg, parallel_width=width)
+        assert text == sampled_transcript(world, cfg)[1]
+        assert res == sample_chsh(world, cfg, parallel_width=width)
+        t = helpers.transcript_rows(text)
         counts, products = oracles.chsh_counts(t)
-        e = [products[x][y] / counts[x][y] for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+        e = [products[x][y] / counts[x][y] for x, y in cells]
         assert list(res.correlations) == e
+        se = math.sqrt(sum((1 - ex**2) / counts[x][y] for ex, (x, y) in zip(e, cells)))
+        assert math.isclose(res.standard_error, se, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("world", [build_er_world(), EPR_WORLD], ids=["er", "epr"])
+    def test_transcript_holds_only_settings_and_outcomes(self, world):
+        _, text = sampled_transcript(world, CHSHConfig(trials=B + 5, seed=8))
+        t = helpers.transcript_rows(text)
+        assert set(t[:, 1]) == set(t[:, 2]) == {0, 1}
+        assert set(t[:, 3]) == set(t[:, 4]) == {-1, 1}
 
     def test_memory_independent_of_trial_count(self):
         world = build_er_world()
@@ -508,19 +519,3 @@ class TestOutcomeTable:
                 assert abs(a_plus[k] - p_a[0]) <= 1e-12
                 for i in (0, 1):
                     assert abs(b_plus[2 * k + i] - dist[(str(i), "0")] / p_a[i]) <= 1e-12
-
-    @pytest.mark.parametrize(
-        "rows,column",
-        [
-            ([[0, -1, 0, 1, 1], [1, 0, 1, 3, -1]], "alice_setting"),
-            ([[0, 0, 0, 1, 1], [1, 0, 1, 3, -1]], "alice_outcome"),
-            ([[0, 2, 0, 1, 1]], "alice_setting"),
-            ([[0, 0, 2, 1, 1]], "bob_setting"),
-            ([[0, 0, 1, 1, 0]], "bob_outcome"),
-        ],
-    )
-    def test_unrepresentable_rows_are_refused(self, rows, column):
-        t = np.array(rows)
-        for export in (format_transcript, estimate_from_transcript):
-            with pytest.raises(ValueError, match=f"column {column} "):
-                export(t)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from locclab import ConfigError, TSIRELSON_BOUND, measure_x, save_instrument
+from locclab import ConfigError, TSIRELSON_BOUND, distinguish, measure_x, save_instrument
 from locclab.cli import (
     EXIT_ASSERTION,
     EXIT_CAPACITY,
@@ -66,6 +66,13 @@ def run_kind(experiment: str, mode: str, exact: bool) -> str:
     if experiment == "nosignal":
         return f"{mode.upper()} nosignal"
     return experiment
+
+
+def deep_script(rounds: int) -> str:
+    """A script file of ``rounds`` alternating settings-choice rounds: ``4**rounds`` transcripts."""
+    spec = {"kind": "settings_choice", "angles": [0.0, math.pi / 4]}
+    rounds = [{"party": "AB"[r % 2], "instrument": spec} for r in range(rounds)]
+    return json.dumps({"name": "deep", "rounds": rounds})
 
 
 def condition_script(condition: str) -> str:
@@ -460,6 +467,47 @@ class TestMain:
             args += ["--alice-instrument", str(path)]
         assert main(args) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["results"]["variants"] == ["x0", "x1", "x2"]
+
+    def test_config_file_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        assert main(["chsh", "--config", str(path), "--exact"]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: cannot read config file: ")
+
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_empty_alice_instrument_list_exit_code(self, tmp_path, capsys, text):
+        # the key was given, so running the default variants would ignore it
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\nalice_instruments = {text}\n")
+        for args in (["--seed", "1", "--alice-instrument", text], ["--config", str(path)]):
+            assert main(["nosignal", *args]) == EXIT_CONFIG
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.count("\n") == 1
+            assert out.err.startswith("configuration error: bad value")
+            assert out.err.endswith("(key: alice_instruments)\n")
+
+    @pytest.mark.parametrize(
+        "args", [["distinguish"], ["sweep", "--lambda-grid", "0,0.5"], ["qecc"]]
+    )
+    def test_script_too_deep_to_enumerate_exit_code(self, tmp_path, capsys, monkeypatch, args):
+        # 4**40 transcripts: refused before any world delivers its pair
+        delivered = []
+        monkeypatch.setattr(distinguish, "deliver_pair", lambda world: delivered.append(world))
+        path = tmp_path / "deep.json"
+        path.write_text(deep_script(40))
+        assert main(args + ["--seed", "1", "--script", str(path)]) == EXIT_CAPACITY
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("capacity error: up to 1208925819614629174706176 transcripts")
+        assert delivered == []
+
+    def test_nine_round_script_still_runs(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(deep_script(9))
+        assert main(["distinguish", "--seed", "1", "--script", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["scripts"][0]["tvd_vs_er"] < 1e-10
 
     def test_config_exit_code(self, capsys):
         code = main(["chsh", "--trials", "100"])  # no seed anywhere

@@ -1,5 +1,6 @@
 """Tests for transcript distributions, sweeps, no-signaling, and frames."""
 
+import io
 import json
 import math
 
@@ -30,12 +31,13 @@ from locclab import (
     measure_z,
     no_signaling_check,
     sample_chsh,
+    settings_choice_instrument,
     sweep_columnar,
     sweep_structured,
     indistinguishability_sweep,
     total_variation,
 )
-from locclab import ContractError, distinguish, instruments, protocols
+from locclab import CapacityError, ContractError, distinguish, instruments, protocols
 from locclab.cli import EXIT_OK, main
 from locclab.distinguish import SWEEP_HEADER
 from locclab.protocols import script_from_dict
@@ -495,6 +497,26 @@ class TestCallCounts:
         assert len(validated) == 2
 
 
+class TestCapacity:
+    #: Round 1 measures z (2 outcomes), or chooses a setting (4) after outcome "0": at most 8.
+    SCRIPT = ProtocolScript("cond", (
+        ProtocolRound("A", measure_z()),
+        ProtocolRound("B", measure_z(), {("0",): settings_choice_instrument(0.0, 1.0)}),
+    ))
+
+    @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
+    def test_bound_takes_each_rounds_most_outcomes(self, monkeypatch, spare, fits):
+        scripts, worlds = [self.SCRIPT, load_bundled_script("zz")], [build_er_world()] * 3
+        memory = (2 * 4 + 2 * 2) * 3 * 256 + spare  # a 4x4 post-state per transcript and world
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(distinguish.os, "sysconf", pages.__getitem__)
+        if fits:
+            assert len(accessible_distributions(worlds, scripts)) == 2
+        else:
+            with pytest.raises(CapacityError, match="up to 12 transcripts on 3 worlds"):
+                accessible_distributions(worlds, scripts)
+
+
 class TestNoSignaling:
     VARIANTS = None
 
@@ -574,14 +596,13 @@ class TestCrossModule:
     def test_transcript_frequencies_match_exact_distribution(self):
         # every (settings, outcomes) cell of the sampled run agrees with the
         # exact enumeration within 5 standard errors
-        from locclab import chsh_transcript
-
         world = build_er_world()
         dist = accessible_distribution(world, canonical_chsh_script()).as_dict()
         trials = 10**4
-        transcript = chsh_transcript(world, CHSHConfig(trials=trials, seed=11))
+        out = io.BytesIO()
+        sample_chsh(world, CHSHConfig(trials=trials, seed=11), transcript_out=out)
         counts: dict[tuple[str, str], int] = {}
-        for _, x, y, a, b in transcript:
+        for _, x, y, a, b in helpers.transcript_rows(out.getvalue()):
             key = (f"{x}{0 if a == 1 else 1}", f"{y}{0 if b == 1 else 1}")
             counts[key] = counts.get(key, 0) + 1
         for key, p in dist.items():

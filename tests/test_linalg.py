@@ -9,13 +9,11 @@ from numpy.testing import assert_allclose
 from locclab import (
     DensityMatrix,
     LayoutError,
-    expectation,
     extend_to_pair,
     purity,
     trace_distance,
 )
 from locclab.linalg import (
-    ID2,
     PAULI_X,
     PAULI_Z,
     check_density_stack,
@@ -190,12 +188,6 @@ class TestMetrics:
         assert abs(purity(dm(np.kron(np.outer(plus, plus), np.outer(plus, plus)))) - 1.0) < 1e-12
         assert abs(purity(dm(np.kron(np.outer(plus, plus), np.eye(2) / 2))) - 0.5) < 1e-12
         assert abs(purity(dm(np.eye(4) / 4)) - 0.25) < 1e-12
-
-    def test_expectation_values(self):
-        assert abs(expectation(ket_density("01"), np.kron(PAULI_Z, ID2)) - 1.0) < 1e-12
-        assert abs(expectation(ket_density("01"), np.kron(ID2, PAULI_Z)) + 1.0) < 1e-12
-        assert abs(expectation(dm(np.eye(4) / 4), np.kron(PAULI_X, ID2))) < 1e-12
-        assert abs(expectation(singlet(), np.kron(PAULI_Z, PAULI_Z)) + 1.0) < 1e-12
 
 
 class TestExtendToPair:

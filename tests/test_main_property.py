@@ -5,7 +5,9 @@ exactly one line, the documented message; on 0 and 4 it holds only the
 criterion lines and the closing ``done in`` line.  An escaping exception is
 a failure of the property.  A run given a flag that does not act in it, per
 the literal ``ACTS`` matrix of ``test_cli``, exits 2, and a refusal of a key
-as one that does not act names that flag's key and no other.  Every
+as one that does not act names that flag's key and no other.  So does a run
+given a config file that is not UTF-8, and one given an empty
+``--alice-instrument`` list, which is refused by its key.  Every
 drawn value is bounded: at most 10^4 trials, at most 8 environment qubits
 and at most 2 sampler threads.  Values are passed as ``--flag=value``, the
 form that lets a value such as ``-inf`` start with a dash.
@@ -36,6 +38,9 @@ FLAG_KEYS = {
     "--alice-instrument": "alice_instruments",
 }
 
+#: The two spellings of an empty instrument list that the property draws.
+EMPTY_INSTRUMENTS = ("--alice-instrument=", "--alice-instrument=,")
+
 REALS = st.one_of(
     st.floats(-3.0, 3.0),
     st.sampled_from(
@@ -52,12 +57,15 @@ def files(tmp_path_factory):
     paths["no_dimension"].write_text(NO_DIMENSION)
     paths["valid"] = root / "x.inst"
     save_instrument(paths["valid"], measure_x(), "x")
+    paths["not_utf8"] = root / "not_utf8.cfg"
+    paths["not_utf8"].write_bytes(b"seed = 1\n\xff\xfe = 2\n")
     return {k: str(v) for k, v in paths.items()}
 
 
 @st.composite
 def argv(draw, files):
-    """An argument list, and the key of a flag in it that does not act in its run, if any."""
+    """An argument list, the key of a flag in it that does not act in its run, if any,
+    and whether the run must be refused (exit 2)."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
     mode, exact = draw(st.sampled_from(["er", "epr"])), draw(st.booleans())
     acting = ACTS[run_kind(experiment, mode, exact)]
@@ -83,7 +91,8 @@ def argv(draw, files):
         "--parallel": st.integers(-1, 2).map(str),
         "--format": st.sampled_from(["columnar", "structured"]),
         "--script": st.one_of(st.just(files["no_rounds"]), st.sampled_from(bundled_script_names())),
-        "--alice-instrument": st.sampled_from([files["valid"], files["no_dimension"]]),
+        # an empty list gives no instrument to run: refused, not run with the defaults
+        "--alice-instrument": st.sampled_from([files["valid"], files["no_dimension"], "", ","]),
     }
     # mode and exact set the run's kind, so they are given only as drawn above
     usable = sorted(f for f in options if FLAG_KEYS[f] in acting - {"mode", "exact"})
@@ -97,16 +106,21 @@ def argv(draw, files):
         stray = draw(st.sampled_from(sorted(f for f in options if FLAG_KEYS[f] not in acting)))
         flags.add(stray)
     args = [experiment, f"--seed={seed}"]
+    refused = stray is not None
+    if draw(st.integers(0, 9)) == 9:  # a config file that is not UTF-8 in about a tenth
+        args.append(f"--config={files['not_utf8']}")
+        refused = True
     for flag in sorted(flags):
         value = draw(options[flag])
         args.append(flag if value is None else f"{flag}={value}")
-    return args, stray and FLAG_KEYS[stray]
+    refused |= any(a in EMPTY_INSTRUMENTS for a in args)
+    return args, stray and FLAG_KEYS[stray], refused
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_exit_code_and_stderr_are_documented(files, data):
-    args, stray = data.draw(argv(files), label="argv")
+    args, stray, refused = data.draw(argv(files), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -115,7 +129,9 @@ def test_exit_code_and_stderr_are_documented(files, data):
     assert code in (0, 2, 3, 4, 5)
     # an earlier error (a seed out of range, a value that does not parse) may
     # end the run before the refusal, but never with another exit code
-    assert stray is None or code == 2
+    assert not refused or code == 2
+    if any(a in EMPTY_INSTRUMENTS for a in args):
+        assert lines[0].endswith("(key: alice_instruments)"), lines
     if any("does not act" in line for line in lines):
         assert stray is not None and lines[0].endswith(f"(key: {stray})"), lines
     if code in ONE_LINE:
