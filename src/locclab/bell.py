@@ -14,12 +14,15 @@ reproduce the same transcript bit for bit.  The sampler draws them in fixed
 blocks of ``BLOCK_TRIALS``, whose edges do not depend on the parallelism
 width.  A trial draws its settings and outcomes from its four raw Philox
 words with integer comparisons alone, the same ones ``Generator.random``
-would make in doubles.  Each block becomes one ``uint8`` outcome code per
-trial and is then reduced to a ``(2, 2, 2)`` tally: trials per setting
-pair, split by the sign of ``a*b``.  The estimate comes from the summed
-tallies, so memory is set by the block size and never grows with the trial
-count.  Threads run a sliding window of blocks, handed on in trial order,
-and a transcript export is written block by block as the trials are drawn.
+would make in doubles.  Inside a block one Philox stream gives the words
+``_CHUNK_TRIALS`` trials at a time, and each chunk becomes one ``uint8``
+outcome code per trial, counted per code (and formatted into transcript
+rows when exporting) before the next chunk is drawn.  The estimate comes
+from the summed counts, split into trials per setting pair and sign of
+``a*b``, so sampling memory is set by the chunk size and never grows with
+the trial count; only an export holds a block's rows until their turn.
+Threads run a sliding window of blocks, handed on in trial order, and a
+transcript export is written block by block as the trials are drawn.
 :func:`sample_chsh` is the one sampling path and :func:`exact_chsh` the one
 exact path; the transcript exists only as the text a run writes.
 """
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -59,6 +61,9 @@ OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 #: Trials per sampler block.  Block edges never depend on the parallel width.
 BLOCK_TRIALS = 1 << 16
+
+#: Trials drawn and reduced at a time inside a block: their 512 KiB of words stay in cache.
+_CHUNK_TRIALS = 1 << 14
 
 _CELL_NAMES = {(0, 0): "(a, b)", (0, 1): "(a, b')", (1, 0): "(a', b)", (1, 1): "(a', b')"}
 
@@ -178,14 +183,26 @@ def _word_thresholds(p: np.ndarray) -> np.ndarray:
     return np.ceil(np.clip(p, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
 
-def _block_codes(start: int, stop: int, seed: int, a_t, b_t) -> np.ndarray:
-    """``uint8`` codes ``8x + 4y + 2i + j`` of trials [start, stop); trial t draws Philox block t.
+def _block_codes(start: int, stop: int, seed: int, a_t, b_t) -> Iterator[np.ndarray]:
+    """``uint8`` codes of trials [start, stop), ``_CHUNK_TRIALS`` at a time.
+
+    Trial t draws Philox block t, so one stream started at counter ``start``
+    gives every chunk's words in order.  Each chunk's words live only for its
+    :func:`_codes` call, so they are freed before the next chunk is drawn.
+    """
+    stream = np.random.Philox(key=seed, counter=start)
+    for lo in range(start, stop, _CHUNK_TRIALS):
+        n = min(_CHUNK_TRIALS, stop - lo)
+        yield _codes(stream.random_raw(4 * n).reshape(n, 4), a_t, b_t)
+
+
+def _codes(w: np.ndarray, a_t, b_t) -> np.ndarray:
+    """``uint8`` codes ``8x + 4y + 2i + j`` of the trials whose four words are the rows of ``w``.
 
     ``x, y`` are the settings and ``i, j`` the outcome indices, 0 for the +1 outcome.  Each
     comes from one word ``w`` as from ``Generator.random``'s double ``u = (w >> 11) 2**-53``:
     ``u >= 0.5`` is the top bit of ``w``, and ``u >= p`` is ``w >> 11 >= _word_thresholds(p)``.
     """
-    w = np.random.Philox(key=seed, counter=start).random_raw(4 * (stop - start)).reshape(-1, 4)
     code = (w[:, 0] >= 2**63).view(np.uint8) << 1 | (w[:, 1] >= 2**63)
     w >>= 11
     code = code << 1 | (w[:, 2] >= a_t.take(code))
@@ -193,9 +210,10 @@ def _block_codes(start: int, stop: int, seed: int, a_t, b_t) -> np.ndarray:
 
 
 def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block) -> Iterator:
-    """``per_block(start, codes)`` for each block of trials, yielded in trial order.
+    """``per_block(start, chunks)`` for each block of trials, yielded in trial order.
 
-    Blocks are ``BLOCK_TRIALS`` long whatever the width, and at most
+    ``chunks`` yields the block's codes from :func:`_block_codes`.  Blocks are
+    ``BLOCK_TRIALS`` long whatever the width, and at most
     ``min(parallel_width, cpu count, blocks)`` threads run them.
     """
     if parallel_width < 1:
@@ -215,6 +233,8 @@ def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block
 
 def _threaded(fn, starts: range, workers: int) -> Iterator:
     """``fn`` over ``starts`` in order, from a sliding window of ``workers`` blocks in flight."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing locclab loads no logging
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         window = []
         for start in starts:
@@ -224,9 +244,9 @@ def _threaded(fn, starts: range, workers: int) -> Iterator:
         yield from (future.result() for future in window)
 
 
-def _tally(codes: np.ndarray) -> np.ndarray:
-    """``tally[x, y, s]``: trials with settings ``(x, y)`` and ``a*b`` +1 (s = 0) or -1 (s = 1)."""
-    c = np.bincount(codes, minlength=16).reshape(2, 2, 2, 2)
+def _tally(counts: np.ndarray) -> np.ndarray:
+    """``tally[x, y, s]`` of 16 code counts: trials with settings ``(x, y)`` and ``a*b`` +1 or -1."""
+    c = counts.reshape(2, 2, 2, 2)
     return np.stack([c[..., 0, 0] + c[..., 1, 1], c[..., 0, 1] + c[..., 1, 0]], axis=-1)
 
 
@@ -251,27 +271,32 @@ def sample_chsh(
 ) -> CHSHResult:
     """Sampled CHSH experiment; deterministic given ``config.seed``.
 
-    Each block of trials is reduced to its tally as it is drawn, so memory
-    does not grow with ``config.trials``.  With ``transcript_out``, a binary
+    Each chunk of trials is counted as it is drawn, so memory does not grow
+    with ``config.trials``.  With ``transcript_out``, a binary
     file, the transcript text is written to it in trial order as it is
     drawn: the ``TRANSCRIPT_HEADER`` line, then one ``"trial x y a b"`` row
     per trial, with outcomes ``a, b`` as ``+1`` or ``-1``.
     """
 
-    def per_block(start: int, codes: np.ndarray):
-        if transcript_out is None:
-            return _tally(codes), []
-        return _tally(codes), _format_rows(np.arange(start, start + len(codes)), codes)
+    def per_block(start: int, chunks: Iterator[np.ndarray]):
+        counts, rows = np.zeros(16, dtype=np.int64), []
+        for codes in chunks:
+            counts += np.bincount(codes, minlength=16)
+            if transcript_out is not None:
+                rows += _format_rows(np.arange(start, start + len(codes)), codes)
+            start += len(codes)
+        return counts, rows
 
     blocks = _run_blocks(world, config, parallel_width, per_block)
-    tally = np.zeros((2, 2, 2), dtype=np.int64)
+    counts = np.zeros(16, dtype=np.int64)
     if transcript_out is not None:
         transcript_out.write(_HEADER_LINE)
     for part, rows in blocks:
-        tally += part
+        counts += part
         for group in rows:
             transcript_out.write(group)
-    return _estimate(tally)
+        rows.clear()  # so the next block is drawn without this one's rows
+    return _estimate(_tally(counts))
 
 
 #: Column layout of the exported transcript text format.

@@ -106,8 +106,13 @@ def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int, mode: 
     raise ValueError(f"unknown condition visibility {mode!r}")
 
 
+#: Bytes an enumeration holds per transcript and world: the 256 B of its 4x4 post-state,
+#: the array view onto it, its probability and its share of the branch tuples.
+_ENTRY_BYTES = 512
+
+
 def _check_capacity(scripts: Sequence[ProtocolScript], n_worlds: int) -> None:
-    """Refuse scripts whose transcripts, at a 4x4 post-state (256 B) per world, overflow memory.
+    """Refuse scripts whose transcripts, at ``_ENTRY_BYTES`` per world, overflow memory.
 
     A script has at most the product over its rounds of the most outcomes among
     the round's instrument and its condition variants as transcripts.
@@ -116,7 +121,7 @@ def _check_capacity(scripts: Sequence[ProtocolScript], n_worlds: int) -> None:
         max(len(inst.outcomes) for inst in (r.instrument, *(r.condition or {}).values()))
         for r in script.rounds) for script in scripts)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if transcripts * n_worlds * 256 > memory:
+    if transcripts * n_worlds * _ENTRY_BYTES > memory:
         raise CapacityError(f"up to {transcripts} transcripts on {n_worlds} worlds need more "
                             f"than the {memory} B of physical memory")
 

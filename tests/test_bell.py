@@ -1,11 +1,14 @@
 """Tests for CHSH machinery: exact values, sampling, determinism."""
 
+import concurrent.futures
+import contextlib
 import io
 import math
 import os
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -252,15 +255,26 @@ class TestEstimates:
 
 
 B = BLOCK_TRIALS
+C = bell._CHUNK_TRIALS
 EPR_WORLD = build_epr_world(3, 2, 0.7, seed=5)
 #: 9 and 10, 99 and 100, ..., 10**18 - 1: the last and first trial number of each digit count.
 POWER_OF_TEN_EDGES = [10**k + d for k in range(1, 19) for d in (-1, 0) if 10**k + d < 10**18]
 
 
+def block_codes(start: int, stop: int, seed: int, a_t, b_t) -> np.ndarray:
+    """``bell._block_codes`` of trials [start, stop) as one array, its chunks checked for length."""
+    chunks = list(bell._block_codes(start, stop, seed, a_t, b_t))
+    assert [len(c) for c in chunks] == [min(C, stop - lo) for lo in range(start, stop, C)]
+    assert all(c.dtype == np.uint8 for c in chunks)
+    return np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)
+
+
 class TestBlockSampler:
     """The fixed-block sampler against row-at-a-time oracles and its own transcript."""
 
-    @pytest.mark.parametrize("trials", [1, 10, 11, 12, B - 1, B, B + 1, 100001, 3 * B + 7])
+    @pytest.mark.parametrize(
+        "trials", [1, 10, 11, 12, C - 1, C, C + 1, B - 1, B, B + 1, B + C + 1, 100001, 3 * B + 7]
+    )
     def test_export_matches_row_oracle(self, trials):
         cfg = CHSHConfig(trials=trials, seed=trials % 5)
         res, text = sampled_transcript(EPR_WORLD, cfg)
@@ -278,19 +292,24 @@ class TestBlockSampler:
         a_plus = np.array([p, 0.25, p, 0.75])
         b_plus = np.array([0.5, p, p, 0.2, 0.8, p, p, 0.6])
         a_t, b_t = bell._word_thresholds(a_plus), bell._word_thresholds(b_plus)
-        blocks = [bell._block_codes(start, start + B, 9, a_t, b_t) for start in (0, B)]
+        blocks = [block_codes(start, start + B, 9, a_t, b_t) for start in (0, B)]
         edge = [*blocks[0][-1:], *blocks[1][:2]]
-        astride = bell._block_codes(B - 1, B + 2, 9, a_t, b_t)
-        assert astride.dtype == np.uint8
+        astride = block_codes(B - 1, B + 2, 9, a_t, b_t)
         want = oracles.sampled_codes(9, [B - 1, B, B + 1], a_plus, b_plus)
         assert edge == astride.tolist() == want
-        first = bell._block_codes(0, 200, 9, a_t, b_t)
+        first = block_codes(0, 200, 9, a_t, b_t)
         assert first.tolist() == oracles.sampled_codes(9, range(200), a_plus, b_plus)
+        # a range that starts inside a block and straddles its first two chunk edges
+        straddle = block_codes(B - 2, B + 2 * C, 9, a_t, b_t)
+        assert straddle[: C + 4].tolist() == blocks[0][-2:].tolist() + blocks[1][: C + 2].tolist()
+        for k in (C, 2 * C):  # two codes each side of a chunk edge of the range
+            want = oracles.sampled_codes(9, range(B - 4 + k, B + k), a_plus, b_plus)
+            assert straddle[k - 2 : k + 2].tolist() == want
 
     def test_block_codes_match_per_trial_oracle_on_a_world(self):
         a_plus, b_plus = bell._outcome_thresholds(EPR_WORLD, CHSHConfig())
         a_t, b_t = bell._word_thresholds(a_plus), bell._word_thresholds(b_plus)
-        got = bell._block_codes(B - 300, B + 300, 4, a_t, b_t)
+        got = block_codes(B - 300, B + 300, 4, a_t, b_t)
         assert got.tolist() == oracles.sampled_codes(4, range(B - 300, B + 300), a_plus, b_plus)
 
     def test_word_thresholds_at_the_edges(self):
@@ -299,7 +318,7 @@ class TestBlockSampler:
 
     def test_export_of_a_slice(self):
         thresholds = bell._outcome_thresholds(build_er_world(), CHSHConfig())
-        codes = bell._block_codes(0, 120, 3, *map(bell._word_thresholds, thresholds))
+        codes = block_codes(0, 120, 3, *map(bell._word_thresholds, thresholds))
         trials = np.arange(120)
         t = rows_of(trials, codes)
         assert formatted(trials[7:103], codes[7:103]) == oracles.format_transcript_rows(t[7:103])
@@ -345,15 +364,20 @@ class TestBlockSampler:
 
     def test_memory_independent_of_trial_count(self):
         world = build_er_world()
-        sample_chsh(world, CHSHConfig(trials=10, seed=1))  # warm caches outside the trace
-        tracemalloc.start()
-        try:
-            res = sample_chsh(world, CHSHConfig(trials=2 * 10**6, seed=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert abs(res.s_abs - TSIRELSON_BOUND) <= 5 * res.standard_error
-        assert peak < 32 * 2**20
+        sample_chsh(world, CHSHConfig(trials=2 * B, seed=1), 2)  # warm caches and imports
+        for width, export, trials in product((1, 2), (False, True), (3 * B + 7, 12 * B + C + 1)):
+            # per worker: three times a chunk's Philox words (1.5 MiB at 2**14 trials a chunk),
+            # and when exporting one block of rows of 6-digit trial numbers, 17 B each
+            bound = width * (3 * 32 * C + (17 * B if export else 0))
+            with open(os.devnull, "wb") if export else contextlib.nullcontext() as sink:
+                tracemalloc.start()
+                try:
+                    res = sample_chsh(world, CHSHConfig(trials=trials, seed=1), width, sink)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert abs(res.s_abs - TSIRELSON_BOUND) <= 5 * res.standard_error
+            assert peak < bound, (width, export, trials, peak)
 
     def test_sampled_run_validates_each_measurement_once(self, monkeypatch):
         # two dials per party: four measure_angle instruments, built and validated
@@ -406,7 +430,7 @@ class TestBlockSampler:
                 in_flight.append(len(submitted) - len(received))
                 return super().submit(fn, start)
 
-        monkeypatch.setattr(bell, "ThreadPoolExecutor", WidePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", WidePool)
         for result in bell._threaded(fn, range(7), workers):
             received.append(result)
         assert received == submitted == list(range(7))
@@ -422,7 +446,7 @@ class TestBlockSampler:
                 seen.append(max_workers)
                 super().__init__(max_workers=min(max_workers, 2), **kwargs)
 
-        monkeypatch.setattr(bell, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         code = main(["chsh", "--mode", "er", "--trials", str(trials), "--seed", "1",
                      "--parallel", "64", "--out", os.devnull])

@@ -597,6 +597,16 @@ class TestMain:
             assert exc.value.code == 0
             assert "example: locclab " + experiment in capsys.readouterr().out
 
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # only a threaded sampled run imports concurrent.futures, and the logging it pulls in
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, locclab.cli; print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout == "[]\n"
+
 
 class TestSingleDelivery:
     """Each world's pair is computed once per run, however many times it is read."""

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -507,7 +508,7 @@ class TestCapacity:
     @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
     def test_bound_takes_each_rounds_most_outcomes(self, monkeypatch, spare, fits):
         scripts, worlds = [self.SCRIPT, load_bundled_script("zz")], [build_er_world()] * 3
-        memory = (2 * 4 + 2 * 2) * 3 * 256 + spare  # a 4x4 post-state per transcript and world
+        memory = (2 * 4 + 2 * 2) * 3 * distinguish._ENTRY_BYTES + spare  # per transcript and world
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(distinguish.os, "sysconf", pages.__getitem__)
         if fits:
@@ -515,6 +516,29 @@ class TestCapacity:
         else:
             with pytest.raises(CapacityError, match="up to 12 transcripts on 3 worlds"):
                 accessible_distributions(worlds, scripts)
+
+    def test_charge_covers_what_an_entry_holds(self):
+        # alternating four-outcome rounds on 2 worlds: the traced peak per (transcript, world)
+        # entry at 7 rounds, and per entry added from 6 to 7 rounds, stay under the charge
+        worlds = [build_er_world()] * 2
+        choice = settings_choice_instrument(0.0, math.pi / 4)
+
+        def script(rounds: int) -> ProtocolScript:
+            return ProtocolScript("deep", [ProtocolRound("AB"[r % 2], choice) for r in range(rounds)])
+
+        def peak(rounds: int) -> int:
+            tracemalloc.start()
+            try:
+                accessible_distributions(worlds, script(rounds))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        accessible_distributions(worlds, script(2))  # each party's instrument cache, untraced
+        six, seven = peak(6), peak(7)
+        entries = 2 * 4**7
+        assert seven / entries <= distinguish._ENTRY_BYTES
+        assert (seven - six) / (entries - 2 * 4**6) <= distinguish._ENTRY_BYTES
 
 
 class TestNoSignaling:
