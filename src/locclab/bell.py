@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import EmptyCellError
 from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches, measure_angle
-from .linalg import DensityMatrix, PAULI_X, PAULI_Z, check_density_stack
+from .linalg import DensityMatrix, check_density_stack
 from .worlds import World, deliver_pair
 
 __all__ = [
@@ -126,20 +126,16 @@ def _result_from_correlations(e: tuple[float, float, float, float], se: float) -
     )
 
 
-@lru_cache(maxsize=16)
-def _chsh_observables(a: float, a_prime: float, b: float, b_prime: float) -> np.ndarray:
-    """The read-only ``(4, 4, 4)`` stack of the four CHSH observables, built once per quadruple."""
-    o = [math.cos(x) * PAULI_Z + math.sin(x) * PAULI_X for x in (a, a_prime, b, b_prime)]
-    obs = np.stack([np.kron(oa, ob) for oa in o[:2] for ob in o[2:]])
-    obs.setflags(write=False)
-    return obs
-
-
 def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHResult:
-    """CHSH statistic from the four ``Tr(rho O(x) (x) O(y))`` in one product; no sampling error."""
-    obs = _chsh_observables(*config.alice_angles(), *config.bob_angles())
-    e = np.trace(pair.matrix @ obs, axis1=-2, axis2=-1).real.tolist()
-    return _result_from_correlations(tuple(e), 0.0)
+    """CHSH statistic from the four ``Tr(rho O(x) (x) O(y))``; no sampling error.
+
+    All four are one ``einsum`` of the pair, as ``rho[a, b, c, d]`` with
+    ``(q_A, q_B)`` row and column indices, and each party's 2x2 observables.
+    """
+    angles = config.alice_angles() + config.bob_angles()
+    obs = np.array([[[math.cos(x), math.sin(x)], [math.sin(x), -math.cos(x)]] for x in angles])
+    e = np.einsum("abcd,xca,ydb->xy", pair.matrix.reshape(2, 2, 2, 2), obs[:2], obs[2:])
+    return _result_from_correlations(tuple(e.real.ravel().tolist()), 0.0)
 
 
 @lru_cache(maxsize=16)

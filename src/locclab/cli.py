@@ -309,10 +309,10 @@ def _world_from_config(cfg: RunConfig) -> World:
 
 
 def _load_file(loader, path: str, key: str):
-    """``loader(path)``, with an unreadable or malformed file reported as a config error."""
+    """``loader(path)``; an unreadable, malformed or too deeply nested file is a config error."""
     try:
         return loader(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot load {path!r}: {type(exc).__name__}: {exc}", key=key) from exc
 
 

@@ -110,7 +110,7 @@ class InstrumentBranch:
         """``sum_k w_k K_k^dag K_k`` for this branch."""
         out = np.zeros((2, 2), dtype=complex)
         for w, k in zip(self.weights, self.kraus):
-            out += w * (k.conj().T @ k)
+            out += w * np.einsum("ji,jk->ik", k.conj(), k)
         return out
 
 
@@ -245,9 +245,8 @@ def _weighted_terms(inst: QuantumInstrument, target: str):
     """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to the pair.
 
     ``rows`` selects the branches that have a ``k``-th Kraus operator, and
-    ``E`` stacks those operators as ``(rows, 1, 4, 4)``, ready to broadcast
-    over a stack of pair states.  Built with one :func:`extend_to_pair` call
-    on the first use of each target and kept with ``inst``.
+    ``E`` stacks those operators as ``(rows, 4, 4)``.  Built with one
+    :func:`extend_to_pair` call on the first use of each target and kept with ``inst``.
     """
     if target not in inst._embedded:
         branches = inst.branches
@@ -256,7 +255,7 @@ def _weighted_terms(inst: QuantumInstrument, target: str):
         terms = []
         for k in range(max(len(b.kraus) for b in branches)):
             rows = [j for j, b in enumerate(branches) if len(b.kraus) > k]
-            e = np.stack([extended[j][k] for j in rows])[:, None]
+            e = np.stack([extended[j][k] for j in rows])
             w = np.array([branches[j].weights[k] for j in rows])[:, None, None, None]
             if len(rows) == len(branches):
                 rows = slice(None)
@@ -270,8 +269,9 @@ def _apply_branches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every branch of ``inst``, on the ``target`` qubit, applied to a stack of pair states.
 
-    ``states`` is an ``(n, 4, 4)`` stack of density matrices on the pair.
-    Returns ``probs`` of shape ``(branches, n)`` and the normalized
+    ``states`` is an ``(n, 4, 4)`` stack of density matrices on the pair, and
+    each ``E rho E^dagger`` is two ``einsum`` products, so no BLAS kernel
+    enters the result: ``probs`` of shape ``(branches, n)`` and the normalized
     ``posts`` of shape ``(branches, n, 4, 4)``.  A probability at or below
     :data:`PROB_FLOOR` has no post-state: it is clamped to be nonnegative
     and its post-state is left zero.  Raises :class:`LayoutError` unless
@@ -290,7 +290,8 @@ def _apply_branches(
         )
     out = np.zeros((len(inst.branches),) + states.shape, dtype=complex)
     for rows, e, e_dag, w in terms:
-        out[rows] += w * (e @ states @ e_dag)
+        left = np.einsum("rij,njk->rnik", e, states)
+        out[rows] += w * np.einsum("rnij,rjk->rnik", left, e_dag)
     probs = np.trace(out, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     posts = np.zeros_like(out)

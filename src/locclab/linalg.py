@@ -7,6 +7,10 @@ builds is a 4x4 density matrix on the pair ``(q_A, q_B)``: a
 ``2 * a + b``.  A one-qubit Kraus operator acting on one of the two is
 extended to the pair by :func:`extend_to_pair`.
 
+Payload numbers are products of these small arrays by ``numpy.einsum``
+(``optimize`` off), never ``@``, so their bytes do not depend on the host's
+BLAS kernel.  LAPACK appears only in checks and in :func:`trace_distance`.
+
 All values are validated on construction and immutable afterwards; every
 operation is a pure function of its inputs, so values can be shared freely
 across threads.
@@ -30,12 +34,10 @@ __all__ = [
     "trace_distance",
     "purity",
     "extend_to_pair",
-    "hermitian_exponential",
     "ID2",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "plus_ket",
 ]
 
 #: Largest Hermiticity defect a state or operator may have.
@@ -123,18 +125,6 @@ def extend_to_pair(ops: np.ndarray, target: str) -> np.ndarray:
     raise LayoutError(f"unknown target {target!r}; the pair is {PAIR_LABELS}")
 
 
-def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
-    """``exp(scale * h)`` for Hermitian ``h`` via eigendecomposition.
-
-    ``h`` may also be a stack of matrices over its leading axes; each is
-    exponentiated on its own.  Eigendecomposition is exact for Hermitian
-    input up to roundoff and keeps the result unitary when ``scale`` is
-    imaginary.
-    """
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of ``a - b``; in [0, 1] for density matrices."""
     w = np.linalg.eigvalsh(a.matrix - b.matrix)
@@ -144,10 +134,4 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 def purity(rho: DensityMatrix) -> float:
     """``Tr(rho^2)``; equals 1 exactly for pure states."""
     m = rho.matrix
-    return float(np.real(np.trace(m @ m)))
-
-
-def plus_ket(n: int = 1) -> np.ndarray:
-    """``|+>^{\\otimes n}`` vector."""
-    v = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-    return v
+    return float(np.einsum("ij,ji->", m, m).real)

@@ -26,6 +26,8 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .instruments import (
     InstrumentBranch,
     QuantumInstrument,
@@ -130,7 +132,7 @@ def depolarize_then_measure(p: float, angle: float = 0.0) -> QuantumInstrument:
     branches = []
     for outcome, sign in (("0", +1), ("1", -1)):
         pi = projector(angle, sign)
-        branches.append(InstrumentBranch(outcome, tuple(pi @ d for d in dk)))
+        branches.append(InstrumentBranch(outcome, tuple(np.einsum("ij,jk->ik", pi, d) for d in dk)))
     return QuantumInstrument(tuple(branches))
 
 
@@ -162,6 +164,11 @@ def _spec_instrument(text: str) -> QuantumInstrument:
 
 
 def script_from_dict(doc: Mapping) -> ProtocolScript:
+    """The script of a JSON document; its name, one field of a columnar payload
+    row, must be a nonempty string without whitespace (``ValueError`` otherwise)."""
+    name = doc["name"]
+    if not isinstance(name, str) or name.split() != [name]:
+        raise ValueError(f"a script name is a nonempty string without whitespace, got {name!r}")
     rounds = []
     for rdoc in doc["rounds"]:
         condition = None
@@ -176,7 +183,7 @@ def script_from_dict(doc: Mapping) -> ProtocolScript:
         rounds.append(
             ProtocolRound(rdoc["party"], instrument_from_spec(rdoc["instrument"]), condition)
         )
-    return ProtocolScript(doc["name"], tuple(rounds))
+    return ProtocolScript(name, tuple(rounds))
 
 
 def load_script(path) -> ProtocolScript:

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import HERM_ATOL, DensityMatrix, PAULI_Z, _freeze, hermitian_exponential, plus_ket
+from .linalg import HERM_ATOL, DensityMatrix, _freeze
 
 __all__ = [
     "QUBIT_CAP",
@@ -171,19 +171,29 @@ def build_epr_world(
 
 
 def pair_coherence(world: World) -> complex:
-    """``c = prod_j <phi_j(10)|phi_j(01)>`` of an EPR world, from 2x2 evolutions.
+    """``c = prod_j <phi_j(10)|phi_j(01)>`` of an EPR world, in closed form per rest qubit.
 
     Carrier branch ``01`` has ``z_0 = +1, z_1 = -1`` and ``10`` the reverse;
-    the spare channel qubits sit in ``|0>`` (``z = +1``) in both.  Each rest
-    qubit starts in ``|+>`` and evolves for ``evolution_time`` under
-    ``h_j + f Z`` with its branch's field ``f``.
+    the spare channel qubits sit in ``|0>`` (``z = +1``) in both.  Rest qubit
+    ``j`` starts in ``|+>`` and evolves for ``t = evolution_time`` under
+    ``h_j + f Z = h0 I + n.sigma``, ``n = (Re h01, -Im h01, (h00 - h11)/2 + f)``
+    with its branch's field ``f``: ``phi = cos(t|n|)|+> - i s (n.sigma)|+>``
+    with ``s = sin(t|n|)/|n|``, or ``t`` at ``|n| = 0``.  ``|n|`` comes from
+    nested ``hypot``, so no finite coupling overflows it, and the phase
+    ``exp(-i t h0)``, common to both branches, cancels in the overlap.
     """
     w = world.coupling_weights
     spare = sum(w[2:])
     fields = world.lam * np.array([w[0] - w[1] + spare, w[1] - w[0] + spare])
-    h = world.rest_terms + fields[:, None, None, None] * PAULI_Z  # (branch, rest qubit, 2, 2)
-    phi = hermitian_exponential(h, -1j * world.evolution_time) @ plus_ket()
-    return complex(np.prod(np.sum(phi[1].conj() * phi[0], axis=-1)))
+    h, t = world.rest_terms, world.evolution_time
+    nx, ny = h[:, 0, 1].real, -h[:, 0, 1].imag
+    nz = (h[:, 0, 0].real - h[:, 1, 1].real) / 2 + fields[:, None]  # (branch, rest qubit)
+    norm = np.hypot(np.hypot(nx, ny), nz)
+    s = np.divide(np.sin(t * norm), norm, out=np.full_like(norm, t), where=norm > 0)
+    # sqrt(2) (n.sigma)|+> and sqrt(2) phi, over (branch, rest qubit, basis state)
+    n_plus = np.stack([nz + nx - 1j * ny, nx + 1j * ny - nz], axis=-1)
+    phi = np.cos(t * norm)[..., None] - 1j * s[..., None] * n_plus
+    return complex(np.prod(0.5 * np.einsum("jk,jk->j", phi[1].conj(), phi[0])))
 
 
 def deliver_pair(world: World) -> DensityMatrix:

@@ -157,6 +157,26 @@ def dense_world_pair(
     return pair / np.trace(pair).real
 
 
+def coherence_by_series(terms, q_dim: int, lam: float, t: float) -> complex:
+    """Pair coherence ``prod_j <phi_j(10)|phi_j(01)>`` with series-exponential propagators.
+
+    Carrier branch ``01`` holds ``Z = +1`` on channel qubit 0 and ``-1`` on
+    qubit 1, branch ``10`` the reverse, and the spare channel qubits hold
+    ``+1``.  Rest qubit ``j`` starts in ``|+>`` and evolves under its term
+    plus ``lam * sum_i w_i z_i`` times Z, with the staggered weights ``w_i``.
+    """
+    weights = [0.25 if i % 2 == 0 else -0.25 for i in range(q_dim)]
+    branches = ([1, -1] + [1] * (q_dim - 2), [-1, 1] + [1] * (q_dim - 2))
+    fields = [lam * sum(w * z for w, z in zip(weights, zs)) for zs in branches]
+    plus = np.array([1, 1], dtype=complex) / SQRT2
+    c = 1 + 0j
+    for term in terms:
+        h = np.asarray(term, dtype=complex)
+        phi = [series_expm(-1j * t * (h + f * Z)) @ plus for f in fields]
+        c *= np.vdot(phi[1], phi[0])
+    return complex(c)
+
+
 def dephased_singlet(coherence: complex) -> np.ndarray:
     """Singlet with its off-diagonal block scaled by ``coherence``."""
     out = np.zeros((4, 4), dtype=complex)

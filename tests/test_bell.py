@@ -32,7 +32,6 @@ from locclab import bell, instruments
 from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
 from locclab.cli import main
 from locclab.instruments import measure_angle, projector
-from locclab.linalg import PAULI_X, PAULI_Z
 from locclab.protocols import ProtocolRound
 
 import helpers
@@ -48,10 +47,19 @@ def observable(angle: float) -> np.ndarray:
 
 
 def exact_correlation(pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
-    """``Tr(rho O(angle_a) (x) O(angle_b))``, one at a time: the reference for ``exact_chsh``."""
-    oa = math.cos(angle_a) * PAULI_Z + math.sin(angle_a) * PAULI_X
-    ob = math.cos(angle_b) * PAULI_Z + math.sin(angle_b) * PAULI_X
-    return float(np.real(np.trace(pair.matrix @ np.kron(oa, ob))))
+    """``Tr(rho O(angle_a) (x) O(angle_b))``, one at a time: the reference for ``exact_chsh``.
+
+    ``sum_abcd rho[ab, cd] O_a[c, a] O_b[d, b]``, one term at a time in
+    ascending ``a, b, c, d``: the contraction order of ``exact_chsh``.
+    """
+    oa, ob = (
+        [[math.cos(x), math.sin(x)], [math.sin(x), -math.cos(x)]] for x in (angle_a, angle_b)
+    )
+    rho = pair.matrix.reshape(2, 2, 2, 2)
+    total = 0j
+    for a, b, c, d in product(range(2), repeat=4):
+        total += rho[a, b, c, d] * oa[c][a] * ob[d][b]
+    return total.real
 
 
 def sampled_transcript(world, config: CHSHConfig, parallel_width: int = 1):
@@ -160,7 +168,6 @@ class TestExactChsh:
             )
             assert abs(exact_chsh(SINGLET, base).s_abs - exact_chsh(SINGLET, shifted).s_abs) < 1e-10
 
-
     def test_each_correlation_is_exact_correlation_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -171,15 +178,6 @@ class TestExactChsh:
             assert [e.hex() for e in exact_chsh(rho, cfg).correlations] == [
                 e.hex() for e in expected
             ]
-
-    def test_observables_built_once_per_angle_quadruple(self):
-        bell._chsh_observables.cache_clear()
-        for _ in range(3):
-            exact_chsh(SINGLET)
-            exact_chsh(SINGLET, CHSHConfig(a=0.1))
-        info = bell._chsh_observables.cache_info()
-        assert (info.misses, info.hits) == (2, 4)
-        assert not bell._chsh_observables(*bell.OPTIMAL_ANGLES).flags.writeable
 
 
 class TestSampling:

@@ -75,6 +75,16 @@ def deep_script(rounds: int) -> str:
     return json.dumps({"name": "deep", "rounds": rounds})
 
 
+def named_script(name) -> str:
+    """A one-round script file whose name is the JSON value ``name``."""
+    doc = {"name": name, "rounds": [{"party": "A", "instrument": {"kind": "measure_z"}}]}
+    return json.dumps(doc)
+
+
+#: A script file nested too deeply for the JSON decoder.
+DEEP_JSON = "[" * 200_000
+
+
 def condition_script(condition: str) -> str:
     """A one-round script file whose round has the JSON ``condition``."""
     return (
@@ -340,6 +350,10 @@ class TestMain:
             ("--script", ["distinguish"], condition_script("[]"), "script"),
             ("--script", ["distinguish"], condition_script('"ab"'), "script"),
             ("--alice-instrument", ["nosignal"], TWO_QUBIT_IDENTITY, "alice_instruments"),
+            pytest.param("--script", ["distinguish"], DEEP_JSON, "script", id="deep-json"),
+            ("--script", ["distinguish"], named_script("my script"), "script"),
+            ("--script", ["distinguish"], named_script("a\nb"), "script"),
+            ("--script", ["distinguish"], named_script(["x"]), "script"),
         ],
     )
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, flag, experiment, text, key):

@@ -9,9 +9,16 @@ their configurations is recorded in both payload formats.  The two ``xx``
 files were written by the enumeration that ran one world at a time, before
 a sweep or channel-size check ran all its worlds as one stack; ``xx`` has
 branches that are dead in ER and live in a dephased world.
+
+The exact payloads were re-recorded once when payload arithmetic left BLAS
+for closed forms and ``einsum``; ``golden/skylakex/`` keeps each file that
+changed as it was recorded before, under OpenBLAS's SkylakeX kernels, and
+:func:`test_rerecord_moved_only_rounding` holds every number of the new
+file within 4e-15 of it.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +26,10 @@ import pytest
 from locclab.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SKYLAKEX = GOLDEN / "skylakex"
+
+#: A decimal number as the payloads print it, sign and exponent included.
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 PAYLOADS = {
     "chsh_er_200003.json": [
@@ -81,6 +92,16 @@ def test_exact_payload_bytes(tmp_path, capsys, stem, suffix):
     out = tmp_path / (stem + suffix)
     assert main(exact_argv(stem, suffix, out)) == EXIT_OK
     assert out.read_bytes() == (GOLDEN / (stem + suffix)).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SKYLAKEX.iterdir()))
+def test_rerecord_moved_only_rounding(name):
+    old, new = ((d / name).read_text() for d in (SKYLAKEX, GOLDEN))
+    assert old != new
+    # the same text between the numbers, and each number moved by at most 4e-15
+    assert NUMBER.split(old) == NUMBER.split(new)
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
+    assert max(abs(a - b) for a, b in pairs) <= 4e-15
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))

@@ -161,17 +161,30 @@ class TestApply:
 
 
 def per_operator_oracle(inst, rho, target):
-    """Each branch one Kraus operator at a time, each extended on its own by loops."""
+    """Each branch one Kraus operator at a time, each extended on its own by loops.
+
+    ``E rho E^dagger`` is contracted in the kernel's order: ``E rho`` first,
+    each entry summed over the shared index in ascending order.
+    """
     position = ("q_A", "q_B").index(target)
     probs, posts = [], []
     for b in inst.branches:
         out = np.zeros_like(rho.matrix)
         for w, k in zip(b.weights, b.kraus):
             big = oracles.embed_by_loops(k, [2, 2], [position])
-            out += w * (big @ rho.matrix @ big.conj().T)
+            out += w * matrix_product(matrix_product(big, rho.matrix), big.conj().T)
         probs.append(float(np.real(np.trace(out))))
         posts.append(out / probs[-1])
     return probs, posts
+
+
+def matrix_product(a, b):
+    """``a b``, each entry summed over the shared index in ascending order, one term at a time."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
+    for i, k in np.ndindex(out.shape):
+        for j in range(a.shape[1]):
+            out[i, k] += a[i, j] * b[j, k]
+    return out
 
 
 def uneven_instrument(p: float = 0.3) -> QuantumInstrument:

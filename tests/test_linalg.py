@@ -13,12 +13,7 @@ from locclab import (
     purity,
     trace_distance,
 )
-from locclab.linalg import (
-    PAULI_X,
-    PAULI_Z,
-    check_density_stack,
-    hermitian_exponential,
-)
+from locclab.linalg import check_density_stack
 
 import helpers
 import oracles
@@ -94,69 +89,6 @@ class TestValidation:
         rho = ket_density("00")
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
-
-
-class TestEvolve:
-    """Time evolution by ``hermitian_exponential``, the propagator of each rest qubit."""
-
-    def test_pauli_x_half_turn(self):
-        u = hermitian_exponential(PAULI_X, -1j * math.pi / 2)
-        assert_allclose(u @ [1, 0], [0, -1j], atol=1e-15)
-
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(6)
-        h = helpers.random_hermitian(rng, 2)
-        assert_allclose(hermitian_exponential(h, 0.0), np.eye(4), atol=1e-14)
-
-    def test_diagonal_hamiltonian_phases(self):
-        # Z(x)Z is diagonal: its propagator is the diagonal of phases
-        # exp(-i t parity), and the whole unitary agrees with the
-        # series-expansion oracle
-        t = 0.7
-        zz = np.kron(PAULI_Z, PAULI_Z)
-        u = hermitian_exponential(zz, -1j * t)
-        assert_allclose(u, np.diag(np.exp(-1j * t * np.array([1, -1, -1, 1]))), atol=1e-14)
-        assert_allclose(u, oracles.series_expm(-1j * t * zz), atol=1e-12)
-
-    def test_matches_series_oracle(self):
-        rng = np.random.default_rng(14)
-        for n_qubits in (1, 2, 3):
-            h = helpers.random_hermitian(rng, n_qubits)
-            t = float(rng.uniform(0, 3))
-            assert_allclose(
-                hermitian_exponential(h, -1j * t), oracles.series_expm(-1j * t * h), atol=1e-11
-            )
-
-    def test_trace_and_spectrum_preserved(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            rho = helpers.random_density(rng).matrix
-            h = helpers.random_hermitian(rng, 2)
-            u = hermitian_exponential(h, -1j * rng.uniform(0, 5))
-            out = u @ rho @ u.conj().T
-            assert abs(np.trace(out) - 1.0) < 1e-10
-            assert_allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-9)
-
-    def test_unitarity_three_qubits(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            h = helpers.random_hermitian(rng, 3)
-            norm = np.linalg.norm(h, ord=2)
-            m = h * (4.0 / norm)
-            t = float(rng.uniform(0, 5))
-            u = hermitian_exponential(m, -1j * t)
-            ub = hermitian_exponential(m, 1j * t)
-            assert np.max(np.abs(u @ ub - np.eye(8))) < 1e-10
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_stack_matches_one_call_per_matrix(self, n):
-        # the (branch, rest qubit, 2, 2) stack that pair_coherence exponentiates
-        rng = np.random.default_rng(15 + n)
-        h = np.stack([[helpers.random_hermitian(rng, 1) for _ in range(n)] for _ in range(2)])
-        stacked = hermitian_exponential(h, -1j * 0.9)
-        assert stacked.shape == (2, n, 2, 2)
-        for idx in np.ndindex(2, n):
-            assert stacked[idx].tobytes() == hermitian_exponential(h[idx], -1j * 0.9).tobytes()
 
 
 class TestMetrics:

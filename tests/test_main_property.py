@@ -24,7 +24,7 @@ from hypothesis import event, given, settings, strategies as st
 from locclab import bundled_script_names, measure_x, save_instrument
 from locclab.cli import EXPERIMENTS, main
 
-from test_cli import ACTS, NO_DIMENSION, NO_ROUNDS, run_kind
+from test_cli import ACTS, DEEP_JSON, NO_DIMENSION, NO_ROUNDS, run_kind
 
 ONE_LINE = {2: "configuration error: ", 3: "capacity error: ", 5: "estimation error: "}
 RUN_LINE = re.compile(r"criterion .+: (PASS|FAIL)|done in \d+\.\d+s \(.+\)")
@@ -59,6 +59,8 @@ def files(tmp_path_factory):
     save_instrument(paths["valid"], measure_x(), "x")
     paths["not_utf8"] = root / "not_utf8.cfg"
     paths["not_utf8"].write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    paths["deep"] = root / "deep.json"
+    paths["deep"].write_text(DEEP_JSON)
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -90,7 +92,10 @@ def argv(draw, files):
         ),
         "--parallel": st.integers(-1, 2).map(str),
         "--format": st.sampled_from(["columnar", "structured"]),
-        "--script": st.one_of(st.just(files["no_rounds"]), st.sampled_from(bundled_script_names())),
+        "--script": st.one_of(
+            st.sampled_from([files["no_rounds"], files["deep"]]),
+            st.sampled_from(bundled_script_names()),
+        ),
         # an empty list gives no instrument to run: refused, not run with the defaults
         "--alice-instrument": st.sampled_from([files["valid"], files["no_dimension"], "", ","]),
     }

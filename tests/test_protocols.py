@@ -132,6 +132,13 @@ class TestCorpus:
                  if any(r.instrument is z for r in s.rounds)]
         assert len(users) == 5
 
+    @pytest.mark.parametrize("name", ["my script", "a\nb", "tab\there", " x", "", ["x"], 3, None])
+    def test_name_must_be_one_word(self, name):
+        # a columnar row is the name and one number: whitespace would split it
+        doc = {"name": name, "rounds": [{"party": "A", "instrument": {"kind": "measure_z"}}]}
+        with pytest.raises(ValueError, match="nonempty string without whitespace"):
+            script_from_dict(doc)
+
     def test_unknown_instrument_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown instrument kind"):
             script_from_dict(

@@ -1,5 +1,6 @@
 """Tests for world construction and pair delivery, against brute-force oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locclab import (
+    TSIRELSON_BOUND,
     CapacityError,
     EprParams,
     build_epr_world,
@@ -19,6 +21,7 @@ from locclab import (
     trace_distance,
 )
 from locclab import worlds
+from locclab.cli import EXIT_OK, main
 from locclab.worlds import QUBIT_CAP, World, pair_coherence
 
 import oracles
@@ -244,6 +247,88 @@ class TestDeliverPair:
         # the pair's support, purity exactly 1/2
         world = idle_world(1, math.pi / 2, 1.0)
         assert abs(purity(deliver_pair(world)) - 0.5) < 1e-10
+
+
+class TestPairCoherence:
+    """The closed-form propagator of each rest qubit, against series and dense oracles."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        q_dim=st.integers(2, 4),
+        qbar_dim=st.integers(1, 3),
+        lam=st.floats(0.0, 3.0),
+        t=st.floats(0.0, 3.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_series_and_dense_oracles(self, q_dim, qbar_dim, lam, t, seed):
+        # random Hermitian terms, wider than build_epr_world draws
+        rng = np.random.default_rng(seed)
+        terms = np.stack([random_hermitian(rng, 1) for _ in range(qbar_dim)])
+        world = World(mode="EPR", q_dim=q_dim, evolution_time=t, lam=lam, rest_terms=terms)
+        c = pair_coherence(world)
+        assert abs(c - oracles.coherence_by_series(terms, q_dim, lam, t)) < 1e-12
+        dense = oracles.dense_world_pair(dense_rest(world), q_dim, qbar_dim, lam, t)
+        assert abs(c - (-2 * dense[1, 2])) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_factor_per_rest_qubit(self, n):
+        # the (branch, rest qubit) arrays give each rest qubit the factor its
+        # one-qubit world gives, bit for bit
+        rng = np.random.default_rng(15 + n)
+        terms = np.stack([random_hermitian(rng, 1) for _ in range(n)])
+        world = World(mode="EPR", q_dim=3, evolution_time=0.9, lam=0.8, rest_terms=terms)
+        product = 1
+        for term in terms:
+            product *= pair_coherence(
+                World(mode="EPR", q_dim=3, evolution_time=0.9, lam=0.8, rest_terms=term[None])
+            )
+        assert pair_coherence(world) == product
+
+    def test_diagonal_rest_terms_dephase_like_idle_ones(self):
+        # a diagonal term adds the same phase and the same Z field to both
+        # branches, so each factor is cos(lam t), as with no rest term at all
+        rng = np.random.default_rng(7)
+        for qbar_dim, lam, t in ((1, 0.7, 1.0), (2, 0.45, 1.3), (3, 1.2, 0.5)):
+            terms = np.stack([np.diag(rng.uniform(-1, 1, size=2)) for _ in range(qbar_dim)])
+            world = World(mode="EPR", q_dim=2, evolution_time=t, lam=lam, rest_terms=terms)
+            assert abs(pair_coherence(world) - math.cos(lam * t) ** qbar_dim) < 1e-14
+
+    def test_branch_states_stay_normalized(self):
+        # at zero coupling both branches are one state: its squared norm is c
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            terms = np.stack([4 * random_hermitian(rng, 1) for _ in range(3)])
+            t = float(rng.uniform(0, 5))
+            idle = World(mode="EPR", q_dim=2, evolution_time=t, rest_terms=terms)
+            assert abs(pair_coherence(idle) - 1.0) < 1e-14
+            coupled = World(mode="EPR", q_dim=2, evolution_time=t, lam=2.0, rest_terms=terms)
+            assert abs(pair_coherence(coupled)) <= 1.0 + 1e-14
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    def test_zero_norm_rest_term(self, t):
+        # at lam = 1 and q_dim = 2 the branch fields are +1/2 and -1/2, so
+        # diag(0.2, 1.2) = 0.7 I - Z/2 leaves branch 01 with n = 0: it idles
+        # in |+>, branch 10 turns under n = (0, 0, -1), and c = cos(t)
+        terms = np.array([np.diag([0.2, 1.2])])
+        world = World(mode="EPR", q_dim=2, evolution_time=t, lam=1.0, rest_terms=terms)
+        with np.errstate(all="raise"):
+            c = pair_coherence(world)
+        assert abs(c - math.cos(t)) < 1e-15
+        assert abs(c - oracles.coherence_by_series(terms, 2, 1.0, t)) < 1e-12
+        # both branches at n = 0: nothing turns, and c is 1 exactly
+        idle = World(mode="EPR", q_dim=2, evolution_time=t, rest_terms=np.eye(2)[None] * 0.3)
+        with np.errstate(all="raise"):
+            assert pair_coherence(idle) == 1.0
+
+    def test_huge_coupling_stays_finite(self, tmp_path, capsys):
+        # |n| from nested hypot: no square of a 1e300 field is formed
+        for seed in range(4):
+            c = pair_coherence(build_epr_world(3, 2, 1e300, seed=seed))
+            assert math.isfinite(c.real) and math.isfinite(c.imag) and abs(c) <= 1.0
+        out = tmp_path / "payload.json"
+        argv = ["chsh", "--seed", "1", "--mode", "epr", "--lambda", "1e300", "--exact"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["results"]["result"]["s_abs"] <= TSIRELSON_BOUND
 
 
 def purity_profile(grid, **params):
