@@ -22,7 +22,6 @@ from locclab import (
     build_er_world,
     bundled_corpus,
     canonical_chsh_script,
-    sweep_columnar,
     indistinguishability_sweep,
     total_variation,
 )
@@ -45,7 +44,9 @@ def main():
         canonical_chsh_script(),
         EprParams(q_dim=2, qbar_dim=2, seed=0),
     )
-    print(sweep_columnar(rows))
+    print(f"  {'lambda':>6} {'tvd_vs_er':>10} {'|S|':>7} {'purity':>7}")
+    for r in rows:
+        print(f"  {r.lam:6.2f} {r.tvd_vs_er:10.2e} {r.s_abs:7.4f} {r.pair_purity:7.4f}")
     print("distance from the identified world rises exactly as |S| and purity fall.")
 
 

@@ -29,8 +29,6 @@ from .distinguish import (
     frame_misalignment_demo,
     indistinguishability_sweep,
     no_signaling_check,
-    sweep_columnar,
-    sweep_structured,
     total_variation,
 )
 from .errors import (

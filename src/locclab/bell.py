@@ -5,8 +5,11 @@ Observables are parametrized by one angle in the Z-X plane,
 ``2*sqrt(2)`` on the canonical pair.  Sampled runs draw each party's setting
 independently and uniformly per trial (free choice), apply projective
 instruments, and estimate each correlation from its conditioned subsample.
-The outcome probabilities come from one stacked pass of the instrument
-kernel over the four setting instruments, validated once per process.
+Both paths read one table of the pair's moments ``<A_x (x) B_y>``, with
+``A_0 = B_0 = I``: the exact correlations are its lower-right 2x2 block, and
+the sampler's outcome probabilities follow from all nine entries
+(Clauser, Horne, Shimony and Holt, PRL 23, 880, 1969), so no instrument is
+built or applied.
 
 Randomness is counter-based: trial ``i`` owns Philox counter block ``i``
 under the master seed, so trials can be drawn in any grouping and still
@@ -32,15 +35,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import EmptyCellError
-from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches, measure_angle
-from .linalg import DensityMatrix, check_density_stack
+from .instruments import PROB_FLOOR
+from .linalg import DensityMatrix
 from .worlds import World, deliver_pair
 
 __all__ = [
@@ -126,52 +128,41 @@ def _result_from_correlations(e: tuple[float, float, float, float], se: float) -
     )
 
 
+def _moments(pair: DensityMatrix, config: CHSHConfig) -> np.ndarray:
+    """``m[x, y] = Tr(rho A_x (x) B_y)`` with ``A = [I, O(a), O(a')]`` and ``B = [I, O(b), O(b')]``.
+
+    One ``einsum`` of the pair, as ``rho[a, b, c, d]`` with ``(q_A, q_B)``
+    row and column indices, and each party's three 2x2 operators.
+    """
+
+    def ops(angles):
+        obs = [[[math.cos(x), math.sin(x)], [math.sin(x), -math.cos(x)]] for x in angles]
+        return np.array([[[1.0, 0.0], [0.0, 1.0]], *obs])
+
+    alice, bob = ops(config.alice_angles()), ops(config.bob_angles())
+    return np.einsum("abcd,xca,ydb->xy", pair.matrix.reshape(2, 2, 2, 2), alice, bob).real
+
+
 def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHResult:
-    """CHSH statistic from the four ``Tr(rho O(x) (x) O(y))``; no sampling error.
-
-    All four are one ``einsum`` of the pair, as ``rho[a, b, c, d]`` with
-    ``(q_A, q_B)`` row and column indices, and each party's 2x2 observables.
-    """
-    angles = config.alice_angles() + config.bob_angles()
-    obs = np.array([[[math.cos(x), math.sin(x)], [math.sin(x), -math.cos(x)]] for x in angles])
-    e = np.einsum("abcd,xca,ydb->xy", pair.matrix.reshape(2, 2, 2, 2), obs[:2], obs[2:])
-    return _result_from_correlations(tuple(e.real.ravel().tolist()), 0.0)
-
-
-@lru_cache(maxsize=16)
-def _setting_instruments(angles: tuple[float, ...]) -> tuple[QuantumInstrument, ...]:
-    """``measure_angle`` at each angle, built (and so validated) once per angle tuple."""
-    return tuple(map(measure_angle, angles))
-
-
-def _joint_cells(pair: DensityMatrix, config: CHSHConfig) -> np.ndarray:
-    """``cells[x, y, i, j] = P(A=i, B=j | settings x, y)`` with 0 the +1 outcome.
-
-    One kernel call per setting: Alice's on the pair, Bob's on the stack of
-    Alice's live post-states.  Each party's live post-states are checked in
-    one :func:`~locclab.linalg.check_density_stack` call.
-    """
-    insts = _setting_instruments(config.alice_angles() + config.bob_angles())
-    alice = zip(*[_apply_branches(inst, "q_A", pair.matrix[None]) for inst in insts[:2]])
-    p_a, posts = map(np.concatenate, alice)  # over 2x + i, on the one pair
-    live = p_a[:, 0] > PROB_FLOOR
-    posts = posts[live, 0]
-    check_density_stack(posts)
-    bob = zip(*[_apply_branches(inst, "q_B", posts) for inst in insts[2:]])
-    p_b, bob_posts = map(np.stack, bob)  # over y, j, then Alice's live branches
-    check_density_stack(bob_posts[p_b > PROB_FLOOR])
-    cells = np.zeros((4, 2, 2))  # [2x + i, y, j]
-    cells[live] = p_a[live, :, None] * p_b.transpose(2, 0, 1)
-    return cells.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    """CHSH statistic from the four correlations in :func:`_moments`; no sampling error."""
+    return _result_from_correlations(tuple(_moments(pair, config)[1:, 1:].ravel().tolist()), 0.0)
 
 
 def _outcome_thresholds(world: World, config: CHSHConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``a_plus[2x+y] = P(A=+1 | x, y)`` and ``b_plus[2(2x+y)+i] = P(B=+1 | x, y, A=i)``."""
-    cells = _joint_cells(deliver_pair(world), config).reshape(4, 2, 2)
-    a_plus = cells[:, 0, 0] + cells[:, 0, 1]
-    p_a = np.stack([a_plus, 1.0 - a_plus], axis=1)
-    b_plus = np.where(p_a > 0, cells[:, :, 0] / np.where(p_a > 0, p_a, 1.0), 0.0)
-    return a_plus, b_plus.ravel()
+    """``a_plus[2x+y] = P(A=+1 | x, y)`` and ``b_plus[2(2x+y)+i] = P(B=+1 | x, y, A=i)``.
+
+    ``P(i, j | x, y) = (1 + s_i <A_x> + s_j <B_y> + s_i s_j E_xy) / 4`` with
+    ``s = (+1, -1)``; Bob's probability is 0 after an Alice outcome of
+    probability at most ``PROB_FLOOR``.
+    """
+    m = _moments(deliver_pair(world), config)
+    s = np.array([1.0, -1.0])
+    a, b, e = m[1:, 0, None, None], m[0, 1:, None], m[1:, 1:, None]  # [x, y, i]
+    p_a = (1 + s * a) / 2
+    p_ab = (1 + s * a + b + s * e) / 4  # [x, y, i] with Bob's outcome +1
+    live = p_a > PROB_FLOOR
+    b_plus = np.where(live, p_ab / np.where(live, p_a, 1.0), 0.0)
+    return np.repeat(p_a[:, 0, 0], 2), b_plus.ravel()
 
 
 def _word_thresholds(p: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,8 +42,6 @@ from .distinguish import (
     frame_misalignment_demo,
     indistinguishability_sweep,
     no_signaling_check,
-    sweep_columnar,
-    sweep_structured,
     total_variation,
 )
 from .errors import CapacityError, ConfigError, EmptyCellError
@@ -293,6 +292,12 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
             raise ConfigError("grid must start at 0 and ascend", key="lambda_grid")
     if any(d < 2 for d in cfg.q_dims):
         raise ConfigError("every channel size must be >= 2", key="q_dims")
+    if len(set(cfg.q_dims)) < 2:
+        raise ConfigError("needs two or more distinct channel sizes to compare", key="q_dims")
+    paths = cfg.alice_instruments
+    if paths and len(set(map(os.path.realpath, paths))) < max(len(paths), 2):
+        raise ConfigError("needs two or more distinct instrument files to compare",
+                          key="alice_instruments")
     if cfg.q_dim < 2:
         raise ConfigError(f"an EPR world needs >= 2 channel qubits, got {cfg.q_dim}", key="q_dim")
     if cfg.qbar_dim < 1:
@@ -332,14 +337,6 @@ def _write_file(path: str, text: str, key: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}", key=key) from exc
 
 
-_CHSH_HEADER = " ".join(f.name for f in dataclasses.fields(CHSHResult))
-
-
-def _chsh_columnar(res: CHSHResult) -> str:
-    row = " ".join(repr(x) for x in dataclasses.astuple(res))
-    return _CHSH_HEADER + "\n" + row + "\n"
-
-
 def _sample_chsh(world: World, cfg: RunConfig) -> CHSHResult:
     """Sampled CHSH, streaming the transcript to ``cfg.transcript`` when one is asked for."""
     config = CHSHConfig(trials=cfg.trials, seed=cfg.seed)
@@ -352,7 +349,18 @@ def _sample_chsh(world: World, cfg: RunConfig) -> CHSHResult:
         raise ConfigError(f"cannot write {cfg.transcript!r}: {exc}", key="transcript") from exc
 
 
-def _run_chsh(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
+#: What a runner returns: the structured payload, the rows of the columnar one, and the criteria.
+_Outcome = tuple[dict, list[dict], list[tuple[str, bool]]]
+
+
+def _columnar(rows: list[dict]) -> str:
+    """The first row's keys as a header, then a line per row: strings as is, numbers by repr."""
+    lines = [" ".join(rows[0])]
+    lines += [" ".join(v if isinstance(v, str) else repr(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _run_chsh(cfg: RunConfig) -> _Outcome:
     world = _world_from_config(cfg)
     if cfg.exact:
         res = exact_chsh(deliver_pair(world))
@@ -369,18 +377,22 @@ def _run_chsh(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
             ("exact identified-world run attains the quantum maximum",
              abs(res.s_abs - TSIRELSON_BOUND) <= _ZERO_ATOL)
         )
-    return {"result": dataclasses.asdict(res)}, _chsh_columnar(res), criteria
+    result = dataclasses.asdict(res)
+    return {"result": result}, [result], criteria
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
+def _run_sweep(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
     params = EprParams(cfg.q_dim, cfg.qbar_dim, cfg.seed, cfg.evolution_time)
-    rows = indistinguishability_sweep(cfg.lambda_grid, script, params)
-    criteria = [("zero-coupling row indistinguishable", rows[0].tvd_vs_er <= _ZERO_ATOL)]
-    return sweep_structured(rows), sweep_columnar(rows), criteria
+    rows = [
+        {"lambda": r.lam, "tvd_vs_er": r.tvd_vs_er, "s_abs": r.s_abs, "pair_purity": r.pair_purity}
+        for r in indistinguishability_sweep(cfg.lambda_grid, script, params)
+    ]
+    criteria = [("zero-coupling row indistinguishable", rows[0]["tvd_vs_er"] <= _ZERO_ATOL)]
+    return {"kind": "indistinguishability_sweep", "rows": rows}, rows, criteria
 
 
-def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
+def _run_distinguish(cfg: RunConfig) -> _Outcome:
     scripts = [_resolve_script(cfg.script)] if cfg.script else bundled_corpus()
     er = build_er_world()
     epr = build_epr_world(
@@ -393,9 +405,7 @@ def _run_distinguish(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]
         results.append({"script": script.name, "tvd_vs_er": tvd})
         if cfg.lam == 0.0:
             criteria.append((f"script {script.name} indistinguishable", tvd <= _ZERO_ATOL))
-    payload = {"kind": "distinguish", "lambda": cfg.lam, "scripts": results}
-    lines = ["script tvd_vs_er"] + [f"{r['script']} {r['tvd_vs_er']!r}" for r in results]
-    return payload, "\n".join(lines) + "\n", criteria
+    return {"kind": "distinguish", "lambda": cfg.lam, "scripts": results}, results, criteria
 
 
 def _load_alice_instrument(path: str):
@@ -405,7 +415,7 @@ def _load_alice_instrument(path: str):
     return name, inst
 
 
-def _run_nosignal(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
+def _run_nosignal(cfg: RunConfig) -> _Outcome:
     world = _world_from_config(cfg)
     if cfg.alice_instruments:
         key = "alice_instruments"
@@ -423,12 +433,11 @@ def _run_nosignal(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
         "variants": names,
         "classical_channel_used": report.classical_channel_used,
     }
-    text = "max_tvd\n" + f"{report.max_tvd!r}\n"
     criteria = [("Bob's marginals independent of Alice's choice", report.max_tvd <= _ZERO_ATOL)]
-    return payload, text, criteria
+    return payload, [{"max_tvd": report.max_tvd}], criteria
 
 
-def _run_qecc(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
+def _run_qecc(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
     worst = channel_size_check(
         cfg.q_dims,
@@ -444,14 +453,13 @@ def _run_qecc(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
         "lambda": cfg.lam,
         "max_pairwise_tvd": worst,
     }
-    text = "max_pairwise_tvd\n" + f"{worst!r}\n"
     criteria = []
     if cfg.lam == 0.0:
         criteria.append(("channel size invisible at zero coupling", worst <= _ZERO_ATOL))
-    return payload, text, criteria
+    return payload, [{"max_pairwise_tvd": worst}], criteria
 
 
-def _run_frames(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
+def _run_frames(cfg: RunConfig) -> _Outcome:
     raw = frame_misalignment_demo(cfg.offset)
     fixed = frame_misalignment_demo(cfg.offset, corrected=True)
     expected_raw = TSIRELSON_BOUND * abs(math.cos(math.remainder(cfg.offset, math.tau)))
@@ -461,22 +469,18 @@ def _run_frames(cfg: RunConfig) -> tuple[dict, str, list[tuple[str, bool]]]:
         "uncorrected": dataclasses.asdict(raw),
         "corrected": dataclasses.asdict(fixed),
     }
-    lines = [
-        "variant s_abs",
-        f"uncorrected {raw.s_abs!r}",
-        f"corrected {fixed.s_abs!r}",
-    ]
+    rows = [{"variant": k, "s_abs": payload[k]["s_abs"]} for k in ("uncorrected", "corrected")]
     criteria = [
         ("uncorrected offset degrades as 2*sqrt(2)*|cos|",
          abs(raw.s_abs - expected_raw) <= _ZERO_ATOL),
         ("corrected dials restore the quantum maximum",
          abs(fixed.s_abs - TSIRELSON_BOUND) <= _ZERO_ATOL),
     ]
-    return payload, "\n".join(lines) + "\n", criteria
+    return payload, rows, criteria
 
 
 class _Experiment(NamedTuple):
-    run: Callable[[RunConfig], tuple[dict, str, list[tuple[str, bool]]]]
+    run: Callable[[RunConfig], _Outcome]
     help: str
     example: str
     script: str | None = None  # the script name a run without --script echoes
@@ -507,9 +511,9 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def run(cfg: RunConfig) -> RunReport:
     """Execute one experiment and collect its report."""
     t0 = time.perf_counter()
-    payload, columnar, criteria = _EXPERIMENTS[cfg.experiment].run(cfg)
+    payload, rows, criteria = _EXPERIMENTS[cfg.experiment].run(cfg)
     if cfg.fmt == "columnar":
-        text = columnar
+        text = _columnar(rows)
     else:
         doc = {"schema_version": 1, "experiment": cfg.experiment, "config": cfg.echo()}
         doc["results"] = payload

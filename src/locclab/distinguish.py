@@ -38,9 +38,6 @@ __all__ = [
     "channel_size_check",
     "no_signaling_check",
     "frame_misalignment_demo",
-    "sweep_columnar",
-    "sweep_structured",
-    "SWEEP_HEADER",
 ]
 
 _NORMALIZATION_ATOL = 1e-10
@@ -355,29 +352,3 @@ def frame_misalignment_demo(
         r = math.remainder(relative_angle, math.tau)
         config = replace(config, b=config.b + r, b_prime=config.b_prime + r)
     return exact_chsh(deliver_pair(build_er_world()), config)
-
-
-#: Header of the columnar sweep export.
-SWEEP_HEADER = "lambda tvd_vs_er s_abs pair_purity"
-
-
-def sweep_columnar(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(f"{r.lam!r} {r.tvd_vs_er!r} {r.s_abs!r} {r.pair_purity!r}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_structured(rows: Sequence[SweepRow]) -> dict:
-    return {
-        "kind": "indistinguishability_sweep",
-        "rows": [
-            {
-                "lambda": r.lam,
-                "tvd_vs_er": r.tvd_vs_er,
-                "s_abs": r.s_abs,
-                "pair_purity": r.pair_purity,
-            }
-            for r in rows
-        ],
-    }

@@ -279,9 +279,8 @@ def _apply_branches(
     ``inst`` failed its validation.
     The post-states are not checked here, so every caller must check the
     live ones: :func:`apply_instrument` builds a :class:`DensityMatrix` from
-    each, and :func:`~locclab.distinguish.accessible_distributions` (each
-    round's) and :func:`locclab.bell._joint_cells` (each party's) pass them
-    to :func:`~locclab.linalg.check_density_stack`.
+    each, and :func:`~locclab.distinguish.accessible_distributions` passes
+    each round's to :func:`~locclab.linalg.check_density_stack`.
     """
     terms = _weighted_terms(inst, target)
     if not inst.report.passed:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from locclab import (
     sample_chsh,
     singlet_density,
 )
-from locclab import bell, instruments
+from locclab import bell
 from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
 from locclab.cli import main
 from locclab.instruments import measure_angle, projector
@@ -377,31 +378,23 @@ class TestBlockSampler:
             assert abs(res.s_abs - TSIRELSON_BOUND) <= 5 * res.standard_error
             assert peak < bound, (width, export, trials, peak)
 
-    def test_sampled_run_validates_each_measurement_once(self, monkeypatch):
-        # two dials per party: four measure_angle instruments, built and validated
-        # once per process, so a second run with the same angles validates none
-        calls = []
-        validate = instruments.validate_instrument
-        monkeypatch.setattr(
-            instruments, "validate_instrument", lambda inst: calls.append(inst) or validate(inst)
-        )
-        bell._setting_instruments.cache_clear()
-        argv = ["chsh", "--mode", "epr", "--trials", "1000", "--seed", "1", "--out", os.devnull]
+    @pytest.mark.parametrize("mode", ["er", "epr"])
+    def test_sampled_run_applies_no_instrument(self, monkeypatch, mode):
+        # the outcome table comes from the pair's moments: no instrument is
+        # validated or applied, under any name a module of the package holds
+        called = []
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "locclab"]:
+            for name in ("validate_instrument", "_apply_branches"):
+                if hasattr(module, name):
+
+                    def spy(*args, fn=getattr(module, name), name=name):
+                        called.append(name)
+                        return fn(*args)
+
+                    monkeypatch.setattr(module, name, spy)
+        argv = ["chsh", "--mode", mode, "--trials", "1000", "--seed", "1", "--out", os.devnull]
         assert main(argv) == 0
-        assert len(calls) == 4 and len(set(map(id, calls))) == 4
-        assert main(argv) == 0
-        assert len(calls) == 4
-        # one set-up: a kernel call per setting, then one check of each party's live post-states
-        kernel, checked = [], []
-        apply_branches, check = bell._apply_branches, bell.check_density_stack
-        monkeypatch.setattr(
-            bell, "_apply_branches", lambda inst, target, states: kernel.append(target)
-            or apply_branches(inst, target, states)
-        )
-        monkeypatch.setattr(bell, "check_density_stack", lambda m: checked.append(m.shape) or check(m))
-        bell._outcome_thresholds(EPR_WORLD, CHSHConfig())
-        assert kernel == ["q_A", "q_A", "q_B", "q_B"]
-        assert checked == [(4, 4, 4), (16, 4, 4)]
+        assert called == []
 
     def test_window_slides_past_a_stalled_block(self, monkeypatch):
         # block 1 waits for block 2 to start: a window that waited for all of
@@ -452,29 +445,6 @@ class TestBlockSampler:
         assert seen == expected
 
 
-def reference_joint_cells(pair: DensityMatrix, config: CHSHConfig) -> np.ndarray:
-    """The outcome table one branch at a time: an instrument application per state."""
-    cells = np.zeros((2, 2, 2, 2))
-    bob_insts = [measure_angle(angle_b) for angle_b in config.bob_angles()]
-    for x, angle_a in enumerate(config.alice_angles()):
-        alice = instruments.apply_instrument(measure_angle(angle_a), pair, "q_A")
-        for i, rec in enumerate(alice):
-            if rec.post_state is None:
-                continue
-            for y, bob_inst in enumerate(bob_insts):
-                bob = instruments.apply_instrument(bob_inst, rec.post_state, "q_B")
-                for j, brec in enumerate(bob):
-                    cells[x, y, i, j] = rec.probability * brec.probability
-    return cells
-
-
-def word_thresholds_via(joint_cells, pair: DensityMatrix, config: CHSHConfig) -> list[list[int]]:
-    """``_word_thresholds`` of ``_outcome_thresholds`` with ``joint_cells`` making the table."""
-    with mock.patch.object(bell, "_joint_cells", joint_cells), \
-            mock.patch.object(bell, "deliver_pair", lambda world: pair):
-        return [bell._word_thresholds(p).tolist() for p in bell._outcome_thresholds(None, config)]
-
-
 def oracle_dial(angle: float) -> list:
     """The projective branches of cos(a)Z + sin(a)X, in ``oracles.transcript_distribution`` form."""
     obs = math.cos(angle) * np.diag([1.0, -1.0]) + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -485,52 +455,9 @@ ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
 
 
 class TestOutcomeTable:
-    """The sampler's outcome table: one stacked pass, checked against a per-branch loop and an oracle."""
+    """The sampler's outcome table from the moment table, checked against the transcript oracle."""
 
-    def assert_matches_reference(self, pair: DensityMatrix, config: CHSHConfig):
-        got = bell._joint_cells(pair, config)
-        assert got.tobytes() == reference_joint_cells(pair, config).tobytes()
-        assert word_thresholds_via(bell._joint_cells, pair, config) == word_thresholds_via(
-            reference_joint_cells, pair, config
-        )
-        return got
-
-    def test_er_pair_matches_the_per_branch_loop(self):
-        self.assert_matches_reference(deliver_pair(build_er_world()), CHSHConfig())
-
-    def test_dead_alice_branch_gives_exact_zeros(self):
-        ket00 = np.zeros((4, 4), dtype=complex)
-        ket00[0, 0] = 1.0
-        cells = self.assert_matches_reference(DensityMatrix(ket00), CHSHConfig(a=0.0))
-        assert np.all(cells[0, :, 1] == 0.0) and not np.signbit(cells[0, :, 1]).any()
-        assert_allclose(cells[0, :, 0].sum(axis=-1), 1.0, atol=1e-12)
-
-    @given(
-        q_dim=st.integers(2, 4),
-        qbar_dim=st.integers(1, 5),
-        lam=st.floats(0.0, 3.0),
-        t=st.floats(0.2, 3.0),
-        seed=st.integers(0, 2**16),
-        angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
-    )
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    def test_epr_worlds_match_the_per_branch_loop(self, q_dim, qbar_dim, lam, t, seed, angles):
-        world = build_epr_world(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
-        self.assert_matches_reference(deliver_pair(world), CHSHConfig(*angles))
-
-    def test_instrument_cache_stays_at_its_bound(self):
-        for angles in np.random.default_rng(0).uniform(-math.pi, math.pi, (100, 4)).tolist():
-            bell._outcome_thresholds(EPR_WORLD, CHSHConfig(*angles))
-        info = bell._setting_instruments.cache_info()
-        assert info.currsize == info.maxsize < 100
-
-    @pytest.mark.parametrize("config", [CHSHConfig(), CHSHConfig(0.3, -1.2, 2.0, 0.7)], ids=["optimal", "rotated"])
-    @pytest.mark.parametrize(
-        "world",
-        [build_er_world(), EPR_WORLD, build_epr_world(2, 4, 2.5, seed=3, evolution_time=0.6)],
-        ids=["er", "epr", "epr-strong"],
-    )
-    def test_thresholds_match_the_transcript_oracle(self, world, config):
+    def assert_matches_oracle(self, world, config: CHSHConfig):
         a_plus, b_plus = bell._outcome_thresholds(world, config)
         pair = np.array(deliver_pair(world).matrix)
         for x, angle_a in enumerate(config.alice_angles()):
@@ -541,3 +468,39 @@ class TestOutcomeTable:
                 assert abs(a_plus[k] - p_a[0]) <= 1e-12
                 for i in (0, 1):
                     assert abs(b_plus[2 * k + i] - dist[(str(i), "0")] / p_a[i]) <= 1e-12
+
+    def test_dead_alice_branch_gives_exact_zeros(self):
+        ket00 = np.zeros((4, 4), dtype=complex)
+        ket00[0, 0] = 1.0
+        with mock.patch.object(bell, "deliver_pair", lambda world: DensityMatrix(ket00)):
+            a_plus, b_plus = bell._outcome_thresholds(None, CHSHConfig(a=0.0))
+        # Alice's z outcome -1 has probability 0: Bob's thresholds after it are +0.0
+        assert a_plus[:2].tolist() == [1.0, 1.0]
+        dead = b_plus[[1, 3]]
+        assert np.all(dead == 0.0) and not np.signbit(dead).any()
+        assert bell._word_thresholds(dead).tolist() == [0, 0]
+        # after outcome +1, Bob's qubit is |0>: P(B=+1) = (1 + cos b) / 2
+        want = [(1 + math.cos(b)) / 2 for b in CHSHConfig().bob_angles()]
+        assert_allclose(b_plus[[0, 2]], want, rtol=0, atol=1e-12)
+
+    @given(
+        q_dim=st.integers(2, 4),
+        qbar_dim=st.integers(1, 5),
+        lam=st.floats(0.0, 3.0),
+        t=st.floats(0.2, 3.0),
+        seed=st.integers(0, 2**16),
+        angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_epr_worlds_match_the_transcript_oracle(self, q_dim, qbar_dim, lam, t, seed, angles):
+        world = build_epr_world(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
+        self.assert_matches_oracle(world, CHSHConfig(*angles))
+
+    @pytest.mark.parametrize("config", [CHSHConfig(), CHSHConfig(0.3, -1.2, 2.0, 0.7)], ids=["optimal", "rotated"])
+    @pytest.mark.parametrize(
+        "world",
+        [build_er_world(), EPR_WORLD, build_epr_world(2, 4, 2.5, seed=3, evolution_time=0.6)],
+        ids=["er", "epr", "epr-strong"],
+    )
+    def test_thresholds_match_the_transcript_oracle(self, world, config):
+        self.assert_matches_oracle(world, config)

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from locclab import ConfigError, TSIRELSON_BOUND, distinguish, measure_x, save_instrument
+from locclab import ConfigError, TSIRELSON_BOUND, distinguish, measure_x, measure_z, save_instrument
 from locclab.cli import (
     EXIT_ASSERTION,
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_EMPTY_CELL,
     EXIT_OK,
+    _columnar,
     main,
     parse_config,
     run,
@@ -83,6 +84,10 @@ def named_script(name) -> str:
 
 #: A script file nested too deeply for the JSON decoder.
 DEEP_JSON = "[" * 200_000
+#: A nosignal run given one valid instrument file: the file a test adds makes the two it compares.
+NOSIGNAL_WITH_ONE = [
+    "nosignal", "--alice-instrument", str(Path(__file__).parent / "golden" / "alice_unsharp.inst")
+]
 
 
 def condition_script(condition: str) -> str:
@@ -146,7 +151,7 @@ class TestParseConfig:
         "seed": 1, "format": "columnar", "out": "-", "trials": 100, "parallel": 1,
         "transcript": "t.txt", "q_dim": 3, "qbar_dim": 1, "evolution_time": 0.5, "lambda": 0.3,
         "lambda_grid": (0.0, 0.5), "q_dims": (2, 4), "script": "xx",
-        "alice_instruments": ("a.inst",), "offset": 0.2,
+        "alice_instruments": ("a.inst", "b.inst"), "offset": 0.2,
     }
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -247,15 +252,94 @@ class TestRunners:
             assert report.all_passed, experiment
 
     def test_nosignal_with_instrument_files(self, tmp_path):
-        path = tmp_path / "x.instrument"
-        save_instrument(path, measure_x(), "xvariant")
-        cfg = parse_config(
-            "nosignal", None, {"seed": 2, "alice_instruments": (str(path),)}
-        )
-        report = run(cfg)
+        paths = (str(tmp_path / "x.instrument"), str(tmp_path / "z.instrument"))
+        save_instrument(paths[0], measure_x(), "xvariant")
+        save_instrument(paths[1], measure_z(), "zvariant")
+        report = run(parse_config("nosignal", None, {"seed": 2, "alice_instruments": paths}))
         doc = json.loads(report.payload_text)
-        assert doc["results"]["variants"] == ["xvariant"]
+        assert doc["results"]["variants"] == ["xvariant", "zvariant"]
         assert report.all_passed
+
+
+#: Where the structured payload of each experiment holds the rows of its columnar payload.
+STRUCTURED_ROWS = {
+    "chsh": lambda res: [res["result"]],
+    "sweep": lambda res: res["rows"],
+    "distinguish": lambda res: res["scripts"],
+    "nosignal": lambda res: [{"max_tvd": res["max_tvd"]}],
+    "qecc": lambda res: [{"max_pairwise_tvd": res["max_pairwise_tvd"]}],
+    "frames": lambda res: [
+        {"variant": k, "s_abs": res[k]["s_abs"]} for k in ("uncorrected", "corrected")
+    ],
+}
+
+
+class TestColumnar:
+    def test_strings_as_they_are_and_numbers_by_repr(self):
+        rows = [{"script": "zz", "tvd_vs_er": 0.1}, {"script": "x", "tvd_vs_er": 1.25e-17}]
+        assert _columnar(rows) == "script tvd_vs_er\nzz 0.1\nx 1.25e-17\n"
+
+    def test_sweep_export(self):
+        overrides = {"seed": 1, "lambda_grid": (0.0, 0.3)}
+        text = run(parse_config("sweep", None, {**overrides, "format": "columnar"})).payload_text
+        lines = text.strip().split("\n")
+        assert lines[0] == "lambda tvd_vs_er s_abs pair_purity"
+        assert len(lines) == 3
+        doc = json.loads(run(parse_config("sweep", None, overrides)).payload_text)["results"]
+        assert doc["kind"] == "indistinguishability_sweep"
+        assert [r["lambda"] for r in doc["rows"]] == [0.0, 0.3]
+
+    @pytest.mark.parametrize(
+        "experiment,overrides",
+        [
+            ("chsh", {"exact": True}),
+            ("chsh", {"trials": 2000}),
+            ("sweep", {"lambda_grid": (0.0, 0.4)}),
+            ("distinguish", {"lambda": 0.5}),
+            ("nosignal", {"mode": "epr", "lambda": 0.8}),
+            ("qecc", {"q_dims": (2, 3), "lambda": 0.6}),
+            ("frames", {"offset": 0.5}),
+        ],
+        ids=["chsh-exact", "chsh-sampled", "sweep", "distinguish", "nosignal", "qecc", "frames"],
+    )
+    def test_header_is_the_keys_of_the_structured_rows(self, experiment, overrides):
+        overrides = {"seed": 4, **overrides}
+        text = run(parse_config(experiment, None, {**overrides, "format": "columnar"})).payload_text
+        header, *lines = (line.split() for line in text.splitlines())
+        doc = json.loads(run(parse_config(experiment, None, overrides)).payload_text)
+        rows = STRUCTURED_ROWS[experiment](doc["results"])
+        assert [sorted(header)] * len(rows) == [sorted(row) for row in rows]
+        cells = [[row[k] for k in header] for row in rows]
+        assert lines == [[v if isinstance(v, str) else repr(v) for v in cell] for cell in cells]
+
+
+class TestComparedSetsHoldTwo:
+    """A comparison across channel sizes or instrument files needs two distinct ones."""
+
+    @pytest.mark.parametrize("dims", ["2", "2,2", "3,3", "3,3,3"])
+    def test_one_distinct_channel_size_exit_code(self, capsys, dims):
+        assert main(["qecc", "--seed", "1", "--q-dims", dims, "--lambda", "0.9"]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.endswith("(key: q_dims)\n")
+
+    @pytest.mark.parametrize(
+        "spelling", [["{z}"], ["{z},{z}"], ["{z}", "{z}"], ["{z}", "{x},{dir}/./z.inst"]]
+    )
+    def test_one_instrument_file_or_one_twice_exit_code(self, tmp_path, capsys, spelling):
+        paths = {"z": tmp_path / "z.inst", "x": tmp_path / "x.inst", "dir": tmp_path}
+        save_instrument(paths["z"], measure_z(), "z")
+        save_instrument(paths["x"], measure_x(), "x")
+        args = ["nosignal", "--seed", "1"]
+        for value in spelling:
+            args += ["--alice-instrument", value.format(**paths)]
+        assert main(args) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.endswith("(key: alice_instruments)\n")
+
+    def test_a_size_given_twice_beside_another_still_runs(self, capsys):
+        assert main(["qecc", "--seed", "1", "--q-dims", "2,3,2"]) == EXIT_OK
 
 
 class TestMain:
@@ -320,7 +404,7 @@ class TestMain:
         "flag,experiment,key",
         [
             ("--script", ["sweep", "--lambda-grid", "0,0.5"], "script"),
-            ("--alice-instrument", ["nosignal"], "alice_instruments"),
+            ("--alice-instrument", NOSIGNAL_WITH_ONE, "alice_instruments"),
         ],
     )
     def test_unreadable_input_file_exit_code(self, tmp_path, capsys, flag, experiment, key):
@@ -334,14 +418,14 @@ class TestMain:
         [
             ("--script", ["sweep", "--lambda-grid", "0,0.5"], "not json", "script"),
             ("--script", ["sweep", "--lambda-grid", "0,0.5"], '{"name": "no rounds"}', "script"),
-            ("--alice-instrument", ["nosignal"], "not an instrument", "alice_instruments"),
+            ("--alice-instrument", NOSIGNAL_WITH_ONE, "not an instrument", "alice_instruments"),
             (
                 "--alice-instrument",
-                ["nosignal"],
+                NOSIGNAL_WITH_ONE,
                 "instrument lossy\ndimension 2\nbranch 0\nop\n1+0i 0+0i\n0+0i 0+0i\nend\n",
                 "alice_instruments",
             ),
-            ("--alice-instrument", ["nosignal"], NO_DIMENSION, "alice_instruments"),
+            ("--alice-instrument", NOSIGNAL_WITH_ONE, NO_DIMENSION, "alice_instruments"),
             ("--script", ["distinguish"], NO_ROUNDS, "script"),
             ("--script", ["sweep", "--lambda-grid", "0,0.5"], NO_ROUNDS, "script"),
             ("--script", ["qecc"], NO_ROUNDS, "script"),
@@ -349,7 +433,7 @@ class TestMain:
             ("--script", ["distinguish"], condition_script("null"), "script"),
             ("--script", ["distinguish"], condition_script("[]"), "script"),
             ("--script", ["distinguish"], condition_script('"ab"'), "script"),
-            ("--alice-instrument", ["nosignal"], TWO_QUBIT_IDENTITY, "alice_instruments"),
+            ("--alice-instrument", NOSIGNAL_WITH_ONE, TWO_QUBIT_IDENTITY, "alice_instruments"),
             pytest.param("--script", ["distinguish"], DEEP_JSON, "script", id="deep-json"),
             ("--script", ["distinguish"], named_script("my script"), "script"),
             ("--script", ["distinguish"], named_script("a\nb"), "script"),

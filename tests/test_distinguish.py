@@ -33,14 +33,11 @@ from locclab import (
     no_signaling_check,
     sample_chsh,
     settings_choice_instrument,
-    sweep_columnar,
-    sweep_structured,
     indistinguishability_sweep,
     total_variation,
 )
 from locclab import CapacityError, ContractError, distinguish, instruments, protocols
 from locclab.cli import EXIT_OK, main
-from locclab.distinguish import SWEEP_HEADER
 from locclab.protocols import script_from_dict
 
 import helpers
@@ -231,16 +228,6 @@ class TestIndistinguishabilitySweep:
         ]
         for other in dists[1:]:
             assert total_variation(dists[0], other) <= 1e-10
-
-    def test_exports(self):
-        rows = indistinguishability_sweep([0.0, 0.3], canonical_chsh_script())
-        text = sweep_columnar(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == SWEEP_HEADER
-        assert len(lines) == 3
-        doc = sweep_structured(rows)
-        assert doc["kind"] == "indistinguishability_sweep"
-        assert [r["lambda"] for r in doc["rows"]] == [0.0, 0.3]
 
 
 class TestChannelSizeCheck:

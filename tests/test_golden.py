@@ -8,7 +8,10 @@ the enumeration that applied each instrument to one validated
 their configurations is recorded in both payload formats.  The two ``xx``
 files were written by the enumeration that ran one world at a time, before
 a sweep or channel-size check ran all its worlds as one stack; ``xx`` has
-branches that are dead in ER and live in a dephased world.
+branches that are dead in ER and live in a dephased world.  Every columnar
+payload was written by hand-built text for its experiment, before one
+writer rendered them all from rows, and the sampled files by an outcome
+table from instrument-kernel calls, before it came from the pair's moments.
 
 The exact payloads were re-recorded once when payload arithmetic left BLAS
 for closed forms and ``einsum``; ``golden/skylakex/`` keeps each file that

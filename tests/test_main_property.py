@@ -6,8 +6,9 @@ criterion lines and the closing ``done in`` line.  An escaping exception is
 a failure of the property.  A run given a flag that does not act in it, per
 the literal ``ACTS`` matrix of ``test_cli``, exits 2, and a refusal of a key
 as one that does not act names that flag's key and no other.  So does a run
-given a config file that is not UTF-8, and one given an empty
-``--alice-instrument`` list, which is refused by its key.  Every
+given a config file that is not UTF-8, one given an empty
+``--alice-instrument`` list, which is refused by its key, and one that
+would compare fewer than two distinct channel sizes or instrument files.  Every
 drawn value is bounded: at most 10^4 trials, at most 8 environment qubits
 and at most 2 sampler threads.  Values are passed as ``--flag=value``, the
 form that lets a value such as ``-inf`` start with a dash.
@@ -21,7 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from locclab import bundled_script_names, measure_x, save_instrument
+from locclab import bundled_script_names, measure_x, measure_z, save_instrument
 from locclab.cli import EXPERIMENTS, main
 
 from test_cli import ACTS, DEEP_JSON, NO_DIMENSION, NO_ROUNDS, run_kind
@@ -57,6 +58,8 @@ def files(tmp_path_factory):
     paths["no_dimension"].write_text(NO_DIMENSION)
     paths["valid"] = root / "x.inst"
     save_instrument(paths["valid"], measure_x(), "x")
+    paths["valid_z"] = root / "z.inst"
+    save_instrument(paths["valid_z"], measure_z(), "z")
     paths["not_utf8"] = root / "not_utf8.cfg"
     paths["not_utf8"].write_bytes(b"seed = 1\n\xff\xfe = 2\n")
     paths["deep"] = root / "deep.json"
@@ -96,8 +99,12 @@ def argv(draw, files):
             st.sampled_from([files["no_rounds"], files["deep"]]),
             st.sampled_from(bundled_script_names()),
         ),
-        # an empty list gives no instrument to run: refused, not run with the defaults
-        "--alice-instrument": st.sampled_from([files["valid"], files["no_dimension"], "", ","]),
+        # an empty list gives no instrument to run: refused, not run with the defaults;
+        # so is a list of one file, or of one file twice, which compares nothing
+        "--alice-instrument": st.sampled_from([
+            files["valid"], files["no_dimension"], "", ",", f"{files['valid']},{files['valid']}",
+            f"{files['valid']},{files['valid_z']}", f"{files['valid_z']},{files['no_dimension']}",
+        ]),
     }
     # mode and exact set the run's kind, so they are given only as drawn above
     usable = sorted(f for f in options if FLAG_KEYS[f] in acting - {"mode", "exact"})
@@ -119,6 +126,9 @@ def argv(draw, files):
         value = draw(options[flag])
         args.append(flag if value is None else f"{flag}={value}")
     refused |= any(a in EMPTY_INSTRUMENTS for a in args)
+    for flag, value in (a.split("=", 1) for a in args[2:] if "=" in a):
+        if flag in ("--q-dims", "--alice-instrument") and len(set(value.split(","))) < 2:
+            refused = True
     return args, stray and FLAG_KEYS[stray], refused
 
 
