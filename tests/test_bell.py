@@ -29,7 +29,7 @@ from locclab import (
     sample_chsh,
     singlet_density,
 )
-from locclab import bell
+from locclab import bell, instruments
 from locclab.bell import BLOCK_TRIALS, TRANSCRIPT_HEADER
 from locclab.cli import main
 from locclab.instruments import measure_angle, projector
@@ -445,6 +445,21 @@ class TestBlockSampler:
         assert seen == expected
 
 
+def reference_outcome_thresholds(pair: DensityMatrix, config: CHSHConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``_outcome_thresholds``' table one branch at a time: an instrument application per state."""
+    a_plus, b_plus = np.zeros(4), np.zeros(8)
+    for x, angle_a in enumerate(config.alice_angles()):
+        alice = instruments.apply_instrument(measure_angle(angle_a), pair, "q_A")
+        for y, angle_b in enumerate(config.bob_angles()):
+            k = 2 * x + y
+            a_plus[k] = alice[0].probability
+            for i, rec in enumerate(alice):
+                if rec.post_state is not None:
+                    bob = instruments.apply_instrument(measure_angle(angle_b), rec.post_state, "q_B")
+                    b_plus[2 * k + i] = bob[0].probability
+    return a_plus, b_plus
+
+
 def oracle_dial(angle: float) -> list:
     """The projective branches of cos(a)Z + sin(a)X, in ``oracles.transcript_distribution`` form."""
     obs = math.cos(angle) * np.diag([1.0, -1.0]) + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -468,6 +483,13 @@ class TestOutcomeTable:
                 assert abs(a_plus[k] - p_a[0]) <= 1e-12
                 for i in (0, 1):
                     assert abs(b_plus[2 * k + i] - dist[(str(i), "0")] / p_a[i]) <= 1e-12
+
+    def test_er_pair_matches_the_per_branch_loop(self):
+        world = build_er_world()
+        got = bell._outcome_thresholds(world, CHSHConfig())
+        want = reference_outcome_thresholds(deliver_pair(world), CHSHConfig())
+        for g, w in zip(got, want):
+            assert_allclose(g, w, rtol=0, atol=1e-12)
 
     def test_dead_alice_branch_gives_exact_zeros(self):
         ket00 = np.zeros((4, 4), dtype=complex)
