@@ -16,7 +16,6 @@ is one coupling sweep of the canonical CHSH script.
 """
 
 from locclab import (
-    EprParams,
     build_epr_world,
     canonical_chsh_script,
     deliver_pair,
@@ -38,8 +37,8 @@ def main():
     print("\ncoupling strength vs delivered-pair purity and CHSH statistic")
     print("  lam    purity    |S|")
     grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
-    params = EprParams(q_dim=2, qbar_dim=2, seed=0)
-    for row in indistinguishability_sweep(grid, canonical_chsh_script(), params):
+    worlds = [build_epr_world(q_dim=2, qbar_dim=2, lam=lam, seed=0) for lam in grid]
+    for row in indistinguishability_sweep(worlds, canonical_chsh_script()):
         print(f"  {row.lam:.1f}    {row.pair_purity:.4f}    {row.s_abs:.4f}")
 
     print("\nthe environment size matters only through the coupling:")

@@ -16,7 +16,6 @@ on, the channel betrays itself exactly to the extent it decoheres.
 """
 
 from locclab import (
-    EprParams,
     accessible_distribution,
     build_epr_world,
     build_er_world,
@@ -39,11 +38,9 @@ def main():
         print(f"  {script.name:<16} {tvd:.2e}")
 
     print("\nsweeping the coupling with the randomized-settings CHSH script:")
-    rows = indistinguishability_sweep(
-        [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9],
-        canonical_chsh_script(),
-        EprParams(q_dim=2, qbar_dim=2, seed=0),
-    )
+    grid = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+    worlds = [build_epr_world(q_dim=2, qbar_dim=2, lam=lam, seed=0) for lam in grid]
+    rows = indistinguishability_sweep(worlds, canonical_chsh_script())
     print(f"  {'lambda':>6} {'tvd_vs_er':>10} {'|S|':>7} {'purity':>7}")
     for r in rows:
         print(f"  {r.lam:6.2f} {r.tvd_vs_er:10.2e} {r.s_abs:7.4f} {r.pair_purity:7.4f}")

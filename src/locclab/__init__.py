@@ -19,8 +19,6 @@ from .bell import (
     sample_chsh,
 )
 from .distinguish import (
-    EprParams,
-    NoSignalingReport,
     OutcomeDistribution,
     SweepRow,
     accessible_distribution,

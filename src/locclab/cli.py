@@ -36,7 +36,6 @@ from .bell import (
     sample_chsh,
 )
 from .distinguish import (
-    EprParams,
     accessible_distributions,
     channel_size_check,
     frame_misalignment_demo,
@@ -305,12 +304,15 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
     return cfg
 
 
+def _epr_world(cfg: RunConfig, lam: float | None = None, q_dim: int | None = None) -> World:
+    """The run's EPR world, at ``lam`` and ``q_dim`` where given in place of the config's."""
+    lam = cfg.lam if lam is None else lam
+    q_dim = cfg.q_dim if q_dim is None else q_dim
+    return build_epr_world(q_dim, cfg.qbar_dim, lam, cfg.seed, evolution_time=cfg.evolution_time)
+
+
 def _world_from_config(cfg: RunConfig) -> World:
-    if cfg.mode == "er":
-        return build_er_world()
-    return build_epr_world(
-        cfg.q_dim, cfg.qbar_dim, cfg.lam, cfg.seed, evolution_time=cfg.evolution_time
-    )
+    return build_er_world() if cfg.mode == "er" else _epr_world(cfg)
 
 
 def _load_file(loader, path: str, key: str):
@@ -383,10 +385,10 @@ def _run_chsh(cfg: RunConfig) -> _Outcome:
 
 def _run_sweep(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
-    params = EprParams(cfg.q_dim, cfg.qbar_dim, cfg.seed, cfg.evolution_time)
+    worlds = [_epr_world(cfg, lam=lam) for lam in cfg.lambda_grid]
     rows = [
         {"lambda": r.lam, "tvd_vs_er": r.tvd_vs_er, "s_abs": r.s_abs, "pair_purity": r.pair_purity}
-        for r in indistinguishability_sweep(cfg.lambda_grid, script, params)
+        for r in indistinguishability_sweep(worlds, script)
     ]
     criteria = [("zero-coupling row indistinguishable", rows[0]["tvd_vs_er"] <= _ZERO_ATOL)]
     return {"kind": "indistinguishability_sweep", "rows": rows}, rows, criteria
@@ -394,13 +396,10 @@ def _run_sweep(cfg: RunConfig) -> _Outcome:
 
 def _run_distinguish(cfg: RunConfig) -> _Outcome:
     scripts = [_resolve_script(cfg.script)] if cfg.script else bundled_corpus()
-    er = build_er_world()
-    epr = build_epr_world(
-        cfg.q_dim, cfg.qbar_dim, cfg.lam, cfg.seed, evolution_time=cfg.evolution_time
-    )
     results = []
     criteria = []
-    for script, dists in zip(scripts, accessible_distributions([epr, er], scripts)):
+    worlds = [_epr_world(cfg), build_er_world()]
+    for script, dists in zip(scripts, accessible_distributions(worlds, scripts)):
         tvd = total_variation(*dists)
         results.append({"script": script.name, "tvd_vs_er": tvd})
         if cfg.lam == 0.0:
@@ -426,27 +425,20 @@ def _run_nosignal(cfg: RunConfig) -> _Outcome:
     names = [name for name, _ in loaded]
     variants = [inst for _, inst in loaded]
     bob = (ProtocolRound("B", measure_z()), )
-    report = no_signaling_check(world, variants, bob)
+    max_tvd = no_signaling_check(world, variants, bob)
     payload = {
         "kind": "nosignal",
-        "max_tvd": report.max_tvd,
+        "max_tvd": max_tvd,
         "variants": names,
-        "classical_channel_used": report.classical_channel_used,
+        "classical_channel_used": False,
     }
-    criteria = [("Bob's marginals independent of Alice's choice", report.max_tvd <= _ZERO_ATOL)]
-    return payload, [{"max_tvd": report.max_tvd}], criteria
+    criteria = [("Bob's marginals independent of Alice's choice", max_tvd <= _ZERO_ATOL)]
+    return payload, [{"max_tvd": max_tvd}], criteria
 
 
 def _run_qecc(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
-    worst = channel_size_check(
-        cfg.q_dims,
-        script,
-        qbar_dim=cfg.qbar_dim,
-        lam=cfg.lam,
-        seed=cfg.seed,
-        evolution_time=cfg.evolution_time,
-    )
+    worst = channel_size_check([_epr_world(cfg, q_dim=d) for d in cfg.q_dims], script)
     payload = {
         "kind": "qecc",
         "q_dims": list(cfg.q_dims),

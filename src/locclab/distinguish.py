@@ -7,11 +7,14 @@ every script and world of an experiment in one pass), compares them in
 total variation distance, and packages the standard experiments:
 coupling-strength sweeps, channel-size comparisons at zero coupling,
 no-signaling checks with the classical channel withheld, and
-measurement-frame misalignment.
+measurement-frame misalignment.  Each experiment takes built worlds and
+returns a distance or rows (``SweepRow``s); building worlds from a
+configuration and writing payloads is the CLI's job.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -24,13 +27,11 @@ from .errors import CapacityError
 from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches
 from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
-from .worlds import World, build_epr_world, build_er_world, deliver_pair
+from .worlds import World, build_er_world, deliver_pair
 
 __all__ = [
     "OutcomeDistribution",
     "SweepRow",
-    "EprParams",
-    "NoSignalingReport",
     "accessible_distribution",
     "accessible_distributions",
     "total_variation",
@@ -97,10 +98,8 @@ def total_variation(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int, mode: str) -> tuple[str, ...]:
     if mode == "full":
         return transcript
-    if mode == "own-party":
-        party = script.rounds[r].party
-        return tuple(transcript[j] for j in range(r) if script.rounds[j].party == party)
-    raise ValueError(f"unknown condition visibility {mode!r}")
+    party = script.rounds[r].party
+    return tuple(transcript[j] for j in range(r) if script.rounds[j].party == party)
 
 
 #: Bytes an enumeration holds per transcript and world: the 256 B of its 4x4 post-state,
@@ -148,6 +147,8 @@ def accessible_distributions(
     :mod:`locclab.protocols`), validated once per process.  Scripts whose
     transcripts overflow physical memory raise ``CapacityError`` up front.
     """
+    if condition_visibility not in ("full", "own-party"):
+        raise ValueError(f"unknown condition visibility {condition_visibility!r}")
     if isinstance(scripts, ProtocolScript):
         return accessible_distributions(worlds, [scripts], condition_visibility=condition_visibility)[0]
     _check_capacity(scripts, len(worlds))
@@ -200,21 +201,6 @@ def accessible_distribution(
 
 
 @dataclass(frozen=True)
-class EprParams:
-    """Channel-world parameters held fixed while the coupling strength varies."""
-
-    q_dim: int = 2
-    qbar_dim: int = 2
-    seed: int = 0
-    evolution_time: float = 1.0
-
-    def world(self, lam: float) -> World:
-        return build_epr_world(
-            self.q_dim, self.qbar_dim, lam, self.seed, evolution_time=self.evolution_time
-        )
-
-
-@dataclass(frozen=True)
 class SweepRow:
     lam: float
     tvd_vs_er: float
@@ -222,77 +208,41 @@ class SweepRow:
     pair_purity: float
 
 
-def indistinguishability_sweep(
-    lambda_grid: Sequence[float],
-    script: ProtocolScript,
-    params: EprParams = EprParams(),
-) -> list[SweepRow]:
-    """Distinguishability of the channel world from the identified world.
+def _max_pairwise_tvd(dists: Sequence[OutcomeDistribution]) -> float:
+    return max((total_variation(p, q) for p, q in itertools.combinations(dists, 2)), default=0.0)
 
-    The grid must be ascending and start at 0; the first row's distance is
-    the zero-coupling limit and the remaining rows trace how decoherence
-    exposes the channel.
+
+def indistinguishability_sweep(worlds: Sequence[World], script: ProtocolScript) -> list[SweepRow]:
+    """Distinguishability of each channel world from the identified world.
+
+    The worlds' couplings must ascend strictly from 0; the first row's
+    distance is the zero-coupling limit and the remaining rows trace how
+    decoherence exposes the channel.
     """
-    grid = [float(x) for x in lambda_grid]
-    if not grid or grid[0] != 0.0:
-        raise ValueError("lambda grid must start at 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly ascending")
-    worlds = [params.world(lam) for lam in grid]
-    [[*dists, er_dist]] = accessible_distributions(worlds + [build_er_world()], [script])
+    couplings = [world.lam for world in worlds]
+    if not couplings or couplings[0] != 0.0:
+        raise ValueError("the worlds' couplings must start at 0")
+    if any(b <= a for a, b in zip(couplings, couplings[1:])):
+        raise ValueError("the worlds' couplings must be strictly ascending")
+    [*dists, er_dist] = accessible_distributions([*worlds, build_er_world()], script)
     rows = []
-    for lam, world, dist in zip(grid, worlds, dists):
+    for world, dist in zip(worlds, dists):
         pair = deliver_pair(world)
-        rows.append(
-            SweepRow(
-                lam=lam,
-                tvd_vs_er=total_variation(dist, er_dist),
-                s_abs=exact_chsh(pair).s_abs,
-                pair_purity=purity(pair),
-            )
-        )
+        rows.append(SweepRow(lam=world.lam, tvd_vs_er=total_variation(dist, er_dist),
+                             s_abs=exact_chsh(pair).s_abs, pair_purity=purity(pair)))
     return rows
 
 
-def channel_size_check(
-    q_dims: Sequence[int],
-    script: ProtocolScript,
-    *,
-    qbar_dim: int = 2,
-    lam: float = 0.0,
-    seed: int = 0,
-    evolution_time: float = 1.0,
-) -> float:
-    """Max pairwise transcript distance across channel sizes.
+def channel_size_check(worlds: Sequence[World], script: ProtocolScript) -> float:
+    """Max pairwise transcript distance across ``worlds``.
 
     At zero coupling the channel size (the number of environment qubits
-    implementing it) is invisible to the agents, so the result is zero to
-    numerical precision; nonzero coupling exposes it only through
+    implementing it) and the rest of the environment are invisible to the
+    agents, so over worlds that differ only there the result is zero to
+    numerical precision; nonzero coupling exposes them only through
     decoherence.
     """
-    dims = [int(d) for d in q_dims]
-    if any(d < 2 for d in dims):
-        raise ValueError("every channel size must be >= 2")
-    worlds = [build_epr_world(d, qbar_dim, lam, seed, evolution_time=evolution_time) for d in dims]
-    [dists] = accessible_distributions(worlds, [script])
-    worst = 0.0
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
-            worst = max(worst, total_variation(dists[i], dists[j]))
-    return worst
-
-
-@dataclass(frozen=True)
-class NoSignalingReport:
-    """Max distance between Bob's marginals across Alice's choices.
-
-    When ``classical_channel_used`` is set, Bob conditioned on Alice's
-    broadcast outcomes; a nonzero distance then reflects ordinary classical
-    correlation, not signaling.
-    """
-
-    max_tvd: float
-    classical_channel_used: bool
+    return _max_pairwise_tvd(accessible_distributions(worlds, script))
 
 
 def no_signaling_check(
@@ -301,13 +251,15 @@ def no_signaling_check(
     bob_rounds: Sequence[ProtocolRound],
     *,
     classical_channel: bool = False,
-) -> NoSignalingReport:
-    """Whether Alice's local choice shifts Bob's marginal statistics.
+) -> float:
+    """Max distance between Bob's marginals across Alice's instrument choices.
 
     Runs one joint script per Alice variant, all in one enumeration, and
     marginalizes each transcript onto Bob's rounds.  With the classical
     channel withheld (the default) Bob's conditioned rounds see only his own
-    prior outcomes.
+    prior outcomes.  With ``classical_channel`` set, Bob conditions on
+    Alice's broadcast outcomes, and a nonzero distance then reflects
+    ordinary classical correlation, not signaling.
     """
     if not alice_variants:
         raise ValueError("need at least one Alice instrument variant")
@@ -323,12 +275,7 @@ def no_signaling_check(
         for variant in alice_variants
     ]
     dists = accessible_distributions([world], scripts, condition_visibility=visibility)
-    marginals = [dist.marginal(range(1, 1 + len(bob_rounds))) for [dist] in dists]
-    worst = 0.0
-    for i in range(len(marginals)):
-        for j in range(i + 1, len(marginals)):
-            worst = max(worst, total_variation(marginals[i], marginals[j]))
-    return NoSignalingReport(max_tvd=worst, classical_channel_used=classical_channel)
+    return _max_pairwise_tvd([dist.marginal(range(1, 1 + len(bob_rounds))) for [dist] in dists])
 
 
 def frame_misalignment_demo(

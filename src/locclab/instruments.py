@@ -468,9 +468,10 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
     """Parse the textual definition format; returns ``(name, instrument)``."""
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
-    if not lines or not lines[0].startswith("instrument"):
+    head = lines[0].split(maxsplit=1) if lines else []
+    if head[:1] != ["instrument"]:
         raise ValueError("file must start with 'instrument <name>'")
-    name = lines[0].split(maxsplit=1)[1] if " " in lines[0] else "instrument"
+    name = head[1] if len(head) == 2 else "instrument"
     if lines[-1] != "end":
         raise ValueError("file must end with 'end'")
     if lines[1].split() != ["dimension", "2"]:
@@ -501,9 +502,9 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
             outcome, ops = None, []
 
     for line in lines[2:-1]:
-        if line.startswith("branch"):
+        parts = line.split(maxsplit=1)
+        if parts[0] == "branch":
             close_branch()
-            parts = line.split(maxsplit=1)
             if len(parts) != 2:
                 raise ValueError("branch line needs an outcome label")
             outcome = parts[1]

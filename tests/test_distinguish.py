@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from locclab import (
     CHSHConfig,
-    EprParams,
     OutcomeDistribution,
     ProtocolRound,
     ProtocolScript,
@@ -154,6 +153,13 @@ class TestAccessibleDistribution:
             dist = accessible_distribution(er, script)
             assert abs(sum(dist.probabilities) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("scripts", [[], [canonical_chsh_script()]])
+    def test_unknown_visibility_refused_before_any_pair_is_delivered(self, scripts):
+        world = build_epr_world(2, 2, 0.3, seed=1)
+        with pytest.raises(ValueError, match="unknown condition visibility 'bogus'"):
+            accessible_distributions([world], scripts, condition_visibility="bogus")
+        assert "pair" not in vars(world)  # the cached pair was never computed
+
 
 class TestTotalVariation:
     def test_identical_is_zero(self):
@@ -179,15 +185,20 @@ class TestTotalVariation:
         assert total_variation(p, p) < 1e-15
 
 
+def epr_worlds(grid, q_dim=2, seed=0):
+    """EPR worlds with two rest qubits at each coupling of ``grid``."""
+    return [build_epr_world(q_dim, 2, lam, seed) for lam in grid]
+
+
 class TestIndistinguishabilitySweep:
     def test_zero_grid(self):
-        rows = indistinguishability_sweep([0.0], canonical_chsh_script())
+        rows = indistinguishability_sweep(epr_worlds([0.0]), canonical_chsh_script())
         assert rows[0].tvd_vs_er <= 1e-10
         assert abs(rows[0].s_abs - TSIRELSON_BOUND) < 1e-10
         assert abs(rows[0].pair_purity - 1.0) < 1e-10
 
     def test_strictly_increasing_distance(self):
-        rows = indistinguishability_sweep([0.0, 0.5, 1.0], canonical_chsh_script(), EprParams(seed=4))
+        rows = indistinguishability_sweep(epr_worlds([0.0, 0.5, 1.0], seed=4), canonical_chsh_script())
         tvds = [r.tvd_vs_er for r in rows]
         assert tvds[0] <= 1e-10
         assert tvds[0] < tvds[1] < tvds[2]
@@ -195,7 +206,7 @@ class TestIndistinguishabilitySweep:
     def test_channel_size_invisible_at_zero(self):
         for q_dim in (2, 3):
             rows = indistinguishability_sweep(
-                [0.0], canonical_chsh_script(), EprParams(q_dim=q_dim, seed=2)
+                epr_worlds([0.0], q_dim=q_dim, seed=2), canonical_chsh_script()
             )
             assert rows[0].tvd_vs_er <= 1e-10
 
@@ -203,9 +214,9 @@ class TestIndistinguishabilitySweep:
         with pytest.raises(ValueError):
             indistinguishability_sweep([], canonical_chsh_script())
         with pytest.raises(ValueError):
-            indistinguishability_sweep([0.1, 0.5], canonical_chsh_script())
+            indistinguishability_sweep(epr_worlds([0.1, 0.5]), canonical_chsh_script())
         with pytest.raises(ValueError):
-            indistinguishability_sweep([0.0, 0.5, 0.5], canonical_chsh_script())
+            indistinguishability_sweep(epr_worlds([0.0, 0.5, 0.5]), canonical_chsh_script())
 
     def test_corpus_indistinguishable_at_zero_coupling(self):
         er = build_er_world()
@@ -232,22 +243,41 @@ class TestIndistinguishabilitySweep:
 
 class TestChannelSizeCheck:
     def test_sizes_two_three_at_zero(self):
-        assert channel_size_check([2, 3], canonical_chsh_script(), seed=9) <= 1e-10
+        worlds = [build_epr_world(q_dim, 2, 0.0, seed=9) for q_dim in (2, 3)]
+        assert channel_size_check(worlds, canonical_chsh_script()) <= 1e-10
 
     def test_single_size_is_zero(self):
-        assert channel_size_check([2], load_bundled_script("zz"), seed=9) == 0.0
+        assert channel_size_check([build_epr_world(2, 2, 0.0, seed=9)], load_bundled_script("zz")) == 0.0
 
     def test_coupling_reveals_size(self):
-        worst = channel_size_check([2, 3], canonical_chsh_script(), lam=0.7, seed=9)
-        assert worst > 1e-6
+        worlds = [build_epr_world(q_dim, 2, 0.7, seed=9) for q_dim in (2, 3)]
+        assert channel_size_check(worlds, canonical_chsh_script()) > 1e-6
 
     def test_additional_scripts_at_zero(self):
+        worlds = [build_epr_world(q_dim, 2, 0.0, seed=1) for q_dim in (2, 3)]
         for name in ("zx", "adaptive_bob"):
-            assert channel_size_check([2, 3], load_bundled_script(name), seed=1) <= 1e-10
+            assert channel_size_check(worlds, load_bundled_script(name)) <= 1e-10
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            channel_size_check([1, 2], canonical_chsh_script())
+            build_epr_world(1, 2, 0.0, seed=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**64),
+                      st.floats(0.1, 5.0)),
+            min_size=2, max_size=3,
+        )
+    )
+    def test_whole_environment_invisible_at_zero_coupling(self, specs):
+        # channel size, rest size, rest draw and evolution time all vary at once
+        worlds = [build_er_world()] + [
+            build_epr_world(q_dim, qbar_dim, 0.0, seed, evolution_time=t)
+            for q_dim, qbar_dim, seed, t in specs
+        ]
+        for script in bundled_corpus():
+            assert channel_size_check(worlds, script) <= 1e-10, script.name
 
 
 def bits(dist: OutcomeDistribution) -> list:
@@ -535,41 +565,33 @@ class TestNoSignaling:
         return [measure_z(), measure_x(), identity_instrument()]
 
     def test_er_world(self):
-        report = no_signaling_check(
+        max_tvd = no_signaling_check(
             build_er_world(), self.variants(), [ProtocolRound("B", measure_z())]
         )
-        assert report.max_tvd <= 1e-10
-        assert not report.classical_channel_used
+        assert max_tvd <= 1e-10
 
     def test_decohered_world(self):
-        report = no_signaling_check(
+        max_tvd = no_signaling_check(
             build_epr_world(2, 2, 0.8, seed=5),
             self.variants(),
             [ProtocolRound("B", measure_z())],
         )
-        assert report.max_tvd <= 1e-10
+        assert max_tvd <= 1e-10
 
     def test_multi_round_bob_with_own_conditioning(self):
         bob = [
             ProtocolRound("B", measure_z()),
             ProtocolRound("B", measure_x(), {("1",): measure_z()}),
         ]
-        report = no_signaling_check(build_er_world(), self.variants(), bob)
-        assert report.max_tvd <= 1e-10
+        assert no_signaling_check(build_er_world(), self.variants(), bob) <= 1e-10
 
     def test_classical_channel_flagged_and_distinguishing(self):
-        # Bob conditions on Alice's broadcast outcome: marginals may shift,
-        # and the report flags the channel use
+        # Bob conditions on Alice's broadcast outcome: marginals may shift
         bob = [ProtocolRound("B", measure_x(), {("0",): measure_z()})]
         variants = [measure_z(), identity_instrument()]
-        report = no_signaling_check(
-            build_er_world(), variants, bob, classical_channel=True
-        )
-        assert report.classical_channel_used
-        assert report.max_tvd > 1e-3
+        assert no_signaling_check(build_er_world(), variants, bob, classical_channel=True) > 1e-3
         # withholding the channel closes the gap
-        silent = no_signaling_check(build_er_world(), variants, bob)
-        assert silent.max_tvd <= 1e-10
+        assert no_signaling_check(build_er_world(), variants, bob) <= 1e-10
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +449,29 @@ class TestFileFormat:
         good = serialize_instrument(measure_z())
         with pytest.raises(ValueError, match="non-finite"):
             parse_instrument(good.replace("1+0i", entry, 1))
+
+    @pytest.mark.parametrize("old, new, match", [
+        # keywords are whole tokens, not prefixes
+        ("instrument z", "instrumentation z", "must start with 'instrument"),
+        ("instrument z", "instrumentz", "must start with 'instrument"),
+        ("branch 0", "branches 0", "unexpected line 'branches 0'"),
+        ("branch 1", "branchX 1", "malformed complex entry 'branchX'"),
+        ("instrument z\ndimension 2\nbranch 0", "dimension 2\nbranch 0", "must start with 'instrument"),
+        ("branch 0\nop", "op", "'op' before any 'branch'"),
+        ("branch 0", "branch", "branch line needs an outcome label"),
+        ("dimension 2\n", "dimension 2\nfoo\n", "unexpected line 'foo'"),
+        ("1+0i 0+0i\n", "1+0i 0+0i 0+0i\n", "row has 3 entries"),
+        ("1+0i 0+0i\n0+0i 0+0i\n", "1+0i 0+0i\n", "operator has 1 rows"),
+        ("1+0i 0+0i\n", "1+0i 0+0i\n0+0i 0+0i\n", "operator has 3 rows"),
+        ("\nend", "\nbranch 2\nend", "branch '2' has no operators"),
+        ("branch 0\nop\n1+0i 0+0i\n0+0i 0+0i\nbranch 1\nop\n0+0i 0+0i\n0+0i 1+0i\n", "",
+         "no branches defined"),
+    ])
+    def test_malformed_structure_rejected(self, old, new, match):
+        good = serialize_instrument(measure_z(), "z")
+        assert old in good
+        with pytest.raises(ValueError, match=re.escape(match)):
+            parse_instrument(good.replace(old, new, 1))
 
     def test_missing_end_rejected(self):
         good = serialize_instrument(measure_z())

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from locclab import (
     TSIRELSON_BOUND,
     CapacityError,
-    EprParams,
     build_epr_world,
     build_er_world,
     canonical_chsh_script,
@@ -331,9 +330,11 @@ class TestPairCoherence:
         assert json.loads(out.read_text())["results"]["result"]["s_abs"] <= TSIRELSON_BOUND
 
 
-def purity_profile(grid, **params):
+def purity_profile(grid, q_dim=2, qbar_dim=2, seed=0, evolution_time=1.0):
     """The sweep's ``pair_purity`` column over ``grid`` for the canonical CHSH script."""
-    rows = indistinguishability_sweep(grid, canonical_chsh_script(), EprParams(**params))
+    worlds = [build_epr_world(q_dim, qbar_dim, lam, seed, evolution_time=evolution_time)
+              for lam in grid]
+    rows = indistinguishability_sweep(worlds, canonical_chsh_script())
     assert [row.lam for row in rows] == grid
     return [row.pair_purity for row in rows]
 
