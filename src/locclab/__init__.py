@@ -78,6 +78,7 @@ from .worlds import (
     build_epr_world,
     build_er_world,
     deliver_pair,
+    deliver_pairs,
     singlet_density,
 )
 

@@ -291,8 +291,8 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
             raise ConfigError("grid must start at 0 and ascend", key="lambda_grid")
     if any(d < 2 for d in cfg.q_dims):
         raise ConfigError("every channel size must be >= 2", key="q_dims")
-    if len(set(cfg.q_dims)) < 2:
-        raise ConfigError("needs two or more distinct channel sizes to compare", key="q_dims")
+    if len(set(cfg.q_dims)) < max(len(cfg.q_dims), 2):
+        raise ConfigError("needs two or more channel sizes to compare, none repeated", key="q_dims")
     paths = cfg.alice_instruments
     if paths and len(set(map(os.path.realpath, paths))) < max(len(paths), 2):
         raise ConfigError("needs two or more distinct instrument files to compare",

@@ -27,7 +27,7 @@ from .errors import CapacityError
 from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches
 from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
-from .worlds import World, build_er_world, deliver_pair
+from .worlds import World, build_er_world, deliver_pair, deliver_pairs
 
 __all__ = [
     "OutcomeDistribution",
@@ -56,14 +56,14 @@ class OutcomeDistribution:
     entries: tuple[tuple[tuple[str, ...], float], ...]
 
     def __post_init__(self):
-        entries = tuple((tuple(t), float(p)) for t, p in self.entries)
-        object.__setattr__(self, "entries", entries)
-        keys = [t for t, _ in entries]
+        keys, probs = zip(*self.entries) if self.entries else ((), ())
+        keys, probs = tuple(map(tuple, keys)), tuple(map(float, probs))
+        object.__setattr__(self, "entries", tuple(zip(keys, probs)))
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate transcripts in distribution")
-        if any(p < -PROB_FLOOR for _, p in entries):
+        if any(map((-PROB_FLOOR).__gt__, probs)):
             raise ValueError("negative probability in distribution")
-        total = sum(p for _, p in entries)
+        total = sum(probs)
         if abs(total - 1.0) > _NORMALIZATION_ATOL:
             raise ValueError(f"distribution not normalized (sum {total!r})")
 
@@ -137,7 +137,8 @@ def accessible_distributions(
     conditioned round may see: ``"full"`` models an open classical channel,
     ``"own-party"`` withholds it.
 
-    All scripts and worlds share one enumeration.  Each round groups the
+    The worlds' pairs are delivered first, by one :func:`deliver_pairs`
+    call.  All scripts and worlds share one enumeration.  Each round groups the
     live ``(script, branch, world)`` states by instrument and target, runs
     each group as one stack, and checks every live post-state of the round
     in one batch before the next round uses any.  A branch dead in a world
@@ -152,7 +153,7 @@ def accessible_distributions(
     if isinstance(scripts, ProtocolScript):
         return accessible_distributions(worlds, [scripts], condition_visibility=condition_visibility)[0]
     _check_capacity(scripts, len(worlds))
-    pairs = [deliver_pair(world).matrix for world in worlds]
+    pairs = [pair.matrix for pair in deliver_pairs(worlds)]
     # per script: (transcript, [probability, post-state or None] per world) of every branch so far
     trees = [[((), [(1.0, m) for m in pairs])] for _ in scripts]
     for r in range(max((len(s.rounds) for s in scripts), default=0)):
@@ -171,7 +172,7 @@ def accessible_distributions(
         children = {}  # (script, branch, world) -> a (probability, post-state) per outcome
         live_posts = []
         for (inst, target), entries in groups.items():
-            states = np.stack([trees[s][k][1][w][1] for s, k, w in entries])
+            states = np.array([trees[s][k][1][w][1] for s, k, w in entries])
             probs, posts = _apply_branches(inst, target, states)
             live_posts.append(posts[probs > PROB_FLOOR])
             for (s, k, w), ps, outs in zip(entries, probs.T.tolist(), posts.swapaxes(0, 1)):

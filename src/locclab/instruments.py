@@ -245,7 +245,8 @@ def _weighted_terms(inst: QuantumInstrument, target: str):
     """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to the pair.
 
     ``rows`` selects the branches that have a ``k``-th Kraus operator, and
-    ``E`` stacks those operators as ``(rows, 4, 4)``.  Built with one
+    ``E`` stacks those operators as ``(rows, 4, 4)``; ``w`` holds their
+    weights, or is ``None`` when every one of them is 1.  Built with one
     :func:`extend_to_pair` call on the first use of each target and kept with ``inst``.
     """
     if target not in inst._embedded:
@@ -257,6 +258,7 @@ def _weighted_terms(inst: QuantumInstrument, target: str):
             rows = [j for j, b in enumerate(branches) if len(b.kraus) > k]
             e = np.stack([extended[j][k] for j in rows])
             w = np.array([branches[j].weights[k] for j in rows])[:, None, None, None]
+            w = None if (w == 1.0).all() else w
             if len(rows) == len(branches):
                 rows = slice(None)
             terms.append((rows, e, e.conj().swapaxes(-1, -2), w))
@@ -287,10 +289,16 @@ def _apply_branches(
         raise ContractError(
             "invalid instrument: " + "; ".join(str(v) for v in inst.report.violations)
         )
-    out = np.zeros((len(inst.branches),) + states.shape, dtype=complex)
+    # one Kraus operator of weight 1 per branch: E rho E^dagger itself is the output, since
+    # adding it to zeros and multiplying by 1 would change only the sign of an exact zero
+    single = len(terms) == 1 and terms[0][3] is None
+    out = None if single else np.zeros((len(inst.branches),) + states.shape, dtype=complex)
     for rows, e, e_dag, w in terms:
-        left = np.einsum("rij,njk->rnik", e, states)
-        out[rows] += w * np.einsum("rnij,rjk->rnik", left, e_dag)
+        term = np.einsum("rnij,rjk->rnik", np.einsum("rij,njk->rnik", e, states), e_dag)
+        if single:
+            out = term
+        else:
+            out[rows] += term if w is None else w * term
     probs = np.trace(out, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     posts = np.zeros_like(out)

@@ -9,7 +9,8 @@ extended to the pair by :func:`extend_to_pair`.
 
 Payload numbers are products of these small arrays by ``numpy.einsum``
 (``optimize`` off), never ``@``, so their bytes do not depend on the host's
-BLAS kernel.  LAPACK appears only in checks and in :func:`trace_distance`.
+BLAS kernel.  LAPACK appears only in checks (one Cholesky per stack of
+states, see :func:`check_density_stack`) and in :func:`trace_distance`.
 
 All values are validated on construction and immutable afterwards; every
 operation is a pure function of its inputs, so values can be shared freely
@@ -47,6 +48,7 @@ TRACE_ATOL = 1e-10
 #: How far below zero an eigenvalue of a state may sit before it is rejected as
 #: non-positive.  Double-precision algebra on a pair stays far below all three.
 PSD_ATOL = 1e-9
+_PSD_SHIFT = PSD_ATOL * np.eye(4)
 
 #: Labels of the boundary pair as seen by Alice and Bob, most significant first.
 PAIR_LABELS = ("q_A", "q_B")
@@ -57,37 +59,34 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} contains non-finite entries")
-
-
 def check_density_stack(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless every matrix of the stack ``m`` is a density matrix.
 
-    ``m`` is one square matrix or a stack of them over its leading axes.  The
+    ``m`` is one 4x4 matrix or a stack of them over its leading axes.  The
     checks are finiteness, then the Hermiticity defect, the trace defect and
     the minimum eigenvalue against :data:`HERM_ATOL`, :data:`TRACE_ATOL` and
     :data:`PSD_ATOL`; a failure reports the worst matrix's defect.
+
+    Positivity is one Cholesky factorization of the stack shifted by
+    ``PSD_ATOL * I``; only if it fails are the eigenvalues computed, and they
+    decide by the rule above.
     """
     if m.size == 0:
         return
-    _require_finite(m, "density matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix contains non-finite entries")
     herm_defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if herm_defect > HERM_ATOL:
         raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
     tr_defect = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max()
     if tr_defect > TRACE_ATOL:
         raise ValueError(f"density matrix trace != 1 (defect {tr_defect:.3e})")
-    min_eig = float(np.linalg.eigvalsh(m)[..., 0].min())
-    if min_eig < -PSD_ATOL:
-        raise ValueError(f"density matrix not PSD (min eigenvalue {min_eig:.3e})")
+    try:
+        np.linalg.cholesky(m + _PSD_SHIFT)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(m)[..., 0].min())
+        if min_eig < -PSD_ATOL:
+            raise ValueError(f"density matrix not PSD (min eigenvalue {min_eig:.3e})") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,17 +95,30 @@ class DensityMatrix:
 
     Construction checks the 4x4 shape (:class:`~locclab.errors.LayoutError`
     otherwise), then Hermiticity, unit trace and positive semidefiniteness
-    (see :func:`check_density_stack`).
+    (see :func:`check_density_stack`).  :meth:`stack` builds many at once
+    from one check of their stack; a single one is a stack of one.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
-        object.__setattr__(self, "matrix", m)
+        m = np.asarray(self.matrix)
         if m.shape != (4, 4):
             raise LayoutError(f"a pair state is 4x4, got shape {m.shape}")
-        check_density_stack(m)
+        object.__setattr__(self, "matrix", DensityMatrix.stack(m[None])[0].matrix)
+
+    @classmethod
+    def stack(cls, ms: np.ndarray) -> list["DensityMatrix"]:
+        """One state per matrix of the ``(n, 4, 4)`` stack ``ms``: views of one checked copy."""
+        ms = np.array(ms, dtype=complex)
+        ms.setflags(write=False)
+        if ms.ndim != 3 or ms.shape[1:] != (4, 4):
+            raise LayoutError(f"a stack of pair states is (n, 4, 4), got shape {ms.shape}")
+        check_density_stack(ms)
+        states = [object.__new__(cls) for _ in ms]
+        for rho, m in zip(states, ms):
+            object.__setattr__(rho, "matrix", m)
+        return states
 
 
 def extend_to_pair(ops: np.ndarray, target: str) -> np.ndarray:

@@ -41,14 +41,15 @@ sweeps use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import HERM_ATOL, DensityMatrix, _freeze
+from .linalg import HERM_ATOL, DensityMatrix
 
 __all__ = [
     "QUBIT_CAP",
@@ -57,11 +58,15 @@ __all__ = [
     "build_er_world",
     "build_epr_world",
     "deliver_pair",
+    "deliver_pairs",
     "pair_coherence",
 ]
 
 #: Largest EPR world, in qubits (boundary + channel + rest), that may be built.
 QUBIT_CAP = 14
+
+#: Lower ends and widths of the uniform draws of a rest term's ``h00, h11, Re h01, Im h01``.
+_REST_LOW, _REST_SPAN = np.array([-1.0, -1.0, -0.7, -0.7]), np.array([2.0, 2.0, 1.4, 1.4])
 
 
 def singlet_density() -> DensityMatrix:
@@ -89,7 +94,8 @@ class World:
     rest_terms: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
 
     def __post_init__(self):
-        terms = _freeze(self.rest_terms)
+        terms = np.array(self.rest_terms, dtype=complex)
+        terms.setflags(write=False)
         object.__setattr__(self, "rest_terms", terms)
         if terms.ndim != 3 or terms.shape[1:] != (2, 2):
             raise ValueError(f"rest terms must have shape (qbar_dim, 2, 2), got {terms.shape}")
@@ -119,21 +125,10 @@ class World:
         """Staggered ``+1/4, -1/4, ...`` weight of each channel qubit's coupling."""
         return tuple(0.25 if i % 2 == 0 else -0.25 for i in range(self.q_dim))
 
-    @cached_property
-    def pair(self) -> DensityMatrix:
-        """The delivered pair; see :func:`deliver_pair`."""
-        if self.mode == "ER":
-            return singlet_density()
-        c = pair_coherence(self)
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[1, 1] = rho[2, 2] = 0.5
-        rho[1, 2] = -0.5 * c
-        rho[2, 1] = -0.5 * np.conj(c)
-        return DensityMatrix(rho)
 
-
+@functools.cache
 def build_er_world() -> World:
-    """A world where the measured locations are directly identified: no channel."""
+    """The world where the measured locations are directly identified: one per process."""
     return World(mode="ER", q_dim=0, evolution_time=1.0)
 
 
@@ -159,19 +154,20 @@ def build_epr_world(
             f"world of {2 + q_dim + qbar_dim} qubits (2 boundary + {q_dim} channel + "
             f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {2**QUBIT_CAP})"
         )
-    rng = np.random.default_rng(seed)
-    a, d, x, y = rng.uniform([-1, -1, -0.7, -0.7], [1, 1, 0.7, 0.7], size=(qbar_dim, 4)).T
-    return World(
-        mode="EPR",
-        q_dim=q_dim,
-        evolution_time=float(evolution_time),
-        lam=float(lam),
-        rest_terms=np.stack([a, x + 1j * y, x - 1j * y, d], axis=-1).reshape(-1, 2, 2),
-    )
+    # numpy's uniform(low, high) is low + (high - low) * random(), so this is the same draw
+    a, d, x, y = (_REST_LOW + _REST_SPAN * np.random.default_rng(seed).random((qbar_dim, 4))).T
+    terms = np.empty((qbar_dim, 2, 2), dtype=complex)
+    terms[:, 0, 0], terms[:, 0, 1], terms[:, 1, 0], terms[:, 1, 1] = a, x + 1j * y, x - 1j * y, d
+    return World("EPR", q_dim, float(evolution_time), float(lam), terms)
 
 
 def pair_coherence(world: World) -> complex:
-    """``c = prod_j <phi_j(10)|phi_j(01)>`` of an EPR world, in closed form per rest qubit.
+    """The pair coherence ``c`` of an EPR world: :func:`_coherences` of it alone."""
+    return complex(_coherences([world])[0])
+
+
+def _coherences(worlds: Sequence[World]) -> np.ndarray:
+    """``c = prod_j <phi_j(10)|phi_j(01)>`` of EPR worlds of one rest size, in closed form.
 
     Carrier branch ``01`` has ``z_0 = +1, z_1 = -1`` and ``10`` the reverse;
     the spare channel qubits sit in ``|0>`` (``z = +1``) in both.  Rest qubit
@@ -181,19 +177,48 @@ def pair_coherence(world: World) -> complex:
     with ``s = sin(t|n|)/|n|``, or ``t`` at ``|n| = 0``.  ``|n|`` comes from
     nested ``hypot``, so no finite coupling overflows it, and the phase
     ``exp(-i t h0)``, common to both branches, cancels in the overlap.
+    Every operation is elementwise over worlds: a world's ``c`` has the same bits in any stack.
     """
-    w = world.coupling_weights
-    spare = sum(w[2:])
-    fields = world.lam * np.array([w[0] - w[1] + spare, w[1] - w[0] + spare])
-    h, t = world.rest_terms, world.evolution_time
-    nx, ny = h[:, 0, 1].real, -h[:, 0, 1].imag
-    nz = (h[:, 0, 0].real - h[:, 1, 1].real) / 2 + fields[:, None]  # (branch, rest qubit)
+    # the field of branch 01, then of branch 10, on every rest qubit of each world
+    fields = np.array([[world.lam * (sign * (w[0] - w[1]) + sum(w[2:])) for sign in (1, -1)]
+                       for world in worlds for w in (world.coupling_weights,)])
+    h = np.array([world.rest_terms for world in worlds])
+    t = np.array([world.evolution_time for world in worlds])[:, None, None]
+    nx, ny = h[:, None, :, 0, 1].real, -h[:, None, :, 0, 1].imag  # (world, branch, rest qubit)
+    nz = ((h[:, :, 0, 0].real - h[:, :, 1, 1].real) / 2)[:, None] + fields[:, :, None]
     norm = np.hypot(np.hypot(nx, ny), nz)
-    s = np.divide(np.sin(t * norm), norm, out=np.full_like(norm, t), where=norm > 0)
-    # sqrt(2) (n.sigma)|+> and sqrt(2) phi, over (branch, rest qubit, basis state)
-    n_plus = np.stack([nz + nx - 1j * ny, nx + 1j * ny - nz], axis=-1)
-    phi = np.cos(t * norm)[..., None] - 1j * s[..., None] * n_plus
-    return complex(np.prod(0.5 * np.einsum("jk,jk->j", phi[1].conj(), phi[0])))
+    tn = t * norm
+    s = np.divide(np.sin(tn), norm, out=t * np.ones_like(norm), where=norm > 0)
+    # sqrt(2) (n.sigma)|+> and sqrt(2) phi, over (world, branch, rest qubit, basis state)
+    n_plus = np.empty(norm.shape + (2,), dtype=complex)
+    n_plus[..., 0], n_plus[..., 1] = nz + nx - 1j * ny, nx + 1j * ny - nz
+    phi = np.cos(tn)[..., None] - 1j * s[..., None] * n_plus
+    return np.prod(0.5 * np.einsum("wjk,wjk->wj", phi[:, 1].conj(), phi[:, 0]), axis=-1)
+
+
+def deliver_pairs(worlds: Sequence[World]) -> list[DensityMatrix]:
+    """:func:`deliver_pair` of each of ``worlds``, the undelivered ones delivered together.
+
+    The undelivered EPR worlds of each rest size get one :func:`_coherences` pass
+    and one :meth:`~locclab.linalg.DensityMatrix.stack` check; each pair is then
+    cached with its world, so it is computed once.
+    """
+    groups: dict[int, dict[World, None]] = {}  # undelivered worlds by rest size; ER's is 0
+    for world in worlds:
+        if "_pair" not in vars(world):
+            groups.setdefault(world.qbar_dim, {})[world] = None
+    for qbar_dim, group in groups.items():
+        if qbar_dim == 0:
+            pairs = [singlet_density() for _ in group]
+        else:
+            c = _coherences(list(group))
+            rho = np.zeros((len(group), 4, 4), dtype=complex)
+            rho[:, 1, 1] = rho[:, 2, 2] = 0.5
+            rho[:, 1, 2], rho[:, 2, 1] = -0.5 * c, -0.5 * np.conj(c)
+            pairs = DensityMatrix.stack(rho)
+        for world, pair in zip(group, pairs):
+            vars(world)["_pair"] = pair
+    return [vars(world)["_pair"] for world in worlds]
 
 
 def deliver_pair(world: World) -> DensityMatrix:
@@ -208,6 +233,6 @@ def deliver_pair(world: World) -> DensityMatrix:
     ``rho[01, 10] = -c/2``.  Nothing is assumed at zero coupling: there
     ``c`` is computed like any other and comes out as 1 to rounding.
 
-    The pair is computed once per world and shared by every later call.
+    The pair is computed once per world, by :func:`deliver_pairs`, and shared.
     """
-    return world.pair
+    return deliver_pairs([world])[0]

@@ -314,7 +314,7 @@ class TestColumnar:
 
 
 class TestComparedSetsHoldTwo:
-    """A comparison across channel sizes or instrument files needs two distinct ones."""
+    """A comparison across channel sizes or instrument files needs two, none repeated."""
 
     @pytest.mark.parametrize("dims", ["2", "2,2", "3,3", "3,3,3"])
     def test_one_distinct_channel_size_exit_code(self, capsys, dims):
@@ -338,8 +338,21 @@ class TestComparedSetsHoldTwo:
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.endswith("(key: alice_instruments)\n")
 
-    def test_a_size_given_twice_beside_another_still_runs(self, capsys):
-        assert main(["qecc", "--seed", "1", "--q-dims", "2,3,2"]) == EXIT_OK
+    @pytest.mark.parametrize("dims", ["2,3,2", "2,3,3", "3,2,4,2"])
+    def test_a_size_given_twice_beside_another_exit_code(self, capsys, dims):
+        # a repeated size would run the same channel twice and compare it with itself
+        assert main(["qecc", "--seed", "1", "--q-dims", dims]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: needs two or more channel sizes")
+        assert out.err.endswith("(key: q_dims)\n")
+
+    def test_channel_size_over_the_qubit_cap_exit_code(self, capsys):
+        # the 14-channel-qubit world is the second one of the run: every world is capped
+        assert main(["qecc", "--seed", "1", "--q-dims", "2,14"]) == EXIT_CAPACITY
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("capacity error: world of 18 qubits (2 boundary + 14 channel")
 
 
 class TestMain:
@@ -592,7 +605,7 @@ class TestMain:
     def test_script_too_deep_to_enumerate_exit_code(self, tmp_path, capsys, monkeypatch, args):
         # 4**40 transcripts: refused before any world delivers its pair
         delivered = []
-        monkeypatch.setattr(distinguish, "deliver_pair", lambda world: delivered.append(world))
+        monkeypatch.setattr(distinguish, "deliver_pairs", lambda worlds: delivered.extend(worlds))
         path = tmp_path / "deep.json"
         path.write_text(deep_script(40))
         assert main(args + ["--seed", "1", "--script", str(path)]) == EXIT_CAPACITY
@@ -707,15 +720,16 @@ class TestMain:
 
 
 class TestSingleDelivery:
-    """Each world's pair is computed once per run, however many times it is read."""
+    """Each world's pair is computed once per run, however many times it is read,
+    and one stacked coherence pass serves all of a run's EPR worlds."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         from locclab import worlds
 
         calls = []
-        kernel = worlds.pair_coherence
-        monkeypatch.setattr(worlds, "pair_coherence", lambda w: calls.append(w) or kernel(w))
+        kernel = worlds._coherences
+        monkeypatch.setattr(worlds, "_coherences", lambda ws: calls.append(list(ws)) or kernel(ws))
         return calls
 
     @pytest.mark.parametrize(
@@ -730,8 +744,9 @@ class TestSingleDelivery:
     )
     def test_one_kernel_call_per_epr_world(self, kernel_calls, capsys, args, worlds_built):
         assert main(args + ["--seed", "3"]) == EXIT_OK
-        assert len(kernel_calls) == worlds_built
-        assert len({id(w) for w in kernel_calls}) == worlds_built
+        [stack] = kernel_calls
+        assert len(stack) == worlds_built
+        assert len({id(w) for w in stack}) == worlds_built
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from locclab import (
@@ -13,7 +14,7 @@ from locclab import (
     purity,
     trace_distance,
 )
-from locclab.linalg import check_density_stack
+from locclab.linalg import PSD_ATOL, check_density_stack
 
 import helpers
 import oracles
@@ -85,10 +86,79 @@ class TestValidation:
         # PSD_ATOL is 1e-9: a defect of 1e-10 passes on its own
         check_density_stack(stack[:1].astype(complex))
 
+    def test_stack_of_states_checked_once(self):
+        good = np.stack([np.diag([0.1, 0.2, 0.3, 0.4]), np.eye(4) / 4]).astype(complex)
+        states = DensityMatrix.stack(good)
+        assert [rho.matrix.tobytes() for rho in states] == [m.tobytes() for m in good]
+        with pytest.raises(ValueError):
+            states[0].matrix[0, 0] = 2.0
+        with pytest.raises(ValueError, match="PSD"):
+            DensityMatrix.stack(np.concatenate([good, np.diag([1.5, -0.5, 0.0, 0.0])[None]]))
+        with pytest.raises(LayoutError, match="4, 4"):
+            DensityMatrix.stack(good[0])
+
     def test_matrices_are_frozen(self):
         rho = ket_density("00")
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+
+#: Planted smallest eigenvalues, in units of PSD_ATOL: all but the last three are accepted.
+PLANTED = (0.0, -1e-12, -0.5, -0.99, -1.01, -2.0, -10.0)
+
+
+def planted_state(seed: int, k: float) -> np.ndarray:
+    """A random 4x4 unit-trace Hermitian matrix whose smallest eigenvalue is ``k * PSD_ATOL``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rest = rng.dirichlet(np.ones(3)) + 1e-3
+    eigs = np.array([k * PSD_ATOL, *rest / rest.sum() * (1.0 - k * PSD_ATOL)])
+    m = np.einsum("ij,j,kj->ik", u, eigs, u.conj())
+    return (m + m.conj().T) / 2
+
+
+class TestPositivityDecision:
+    """One Cholesky per stack decides positivity as the minimum-eigenvalue rule does."""
+
+    @staticmethod
+    def decide(m: np.ndarray) -> tuple[bool, int, str]:
+        """(accepted, eigvalsh calls, refusal message) of ``check_density_stack(m)``."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+            try:
+                check_density_stack(m)
+            except ValueError as exc:
+                return False, len(calls), str(exc)
+        return True, len(calls), ""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), k=st.sampled_from(PLANTED))
+    def test_single_state(self, seed, k):
+        m = planted_state(seed, k)
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        accepted, eig_calls, message = self.decide(m)
+        assert accepted == (min_eig >= -PSD_ATOL) == (k > -1.0)
+        if accepted:
+            assert eig_calls == 0  # the factorization alone decided
+        else:
+            assert message == f"density matrix not PSD (min eigenvalue {min_eig:.3e})"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), k=st.sampled_from(PLANTED),
+           where=st.integers(0, 200))
+    def test_one_state_hidden_in_a_stack(self, seed, k, where):
+        good = [planted_state(seed + 1 + i, 0.0) for i in range(200)]
+        bad = planted_state(seed, k)
+        stack = np.array(good[:where] + [bad] + good[where:])
+        min_eig = float(np.linalg.eigvalsh(stack)[:, 0].min())
+        accepted, eig_calls, message = self.decide(stack)
+        assert accepted == (min_eig >= -PSD_ATOL) == (k > -1.0)
+        if accepted:
+            assert eig_calls == 0
+        else:
+            assert message == f"density matrix not PSD (min eigenvalue {min_eig:.3e})"
 
 
 class TestMetrics:

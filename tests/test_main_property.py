@@ -127,7 +127,8 @@ def argv(draw, files):
         args.append(flag if value is None else f"{flag}={value}")
     refused |= any(a in EMPTY_INSTRUMENTS for a in args)
     for flag, value in (a.split("=", 1) for a in args[2:] if "=" in a):
-        if flag in ("--q-dims", "--alice-instrument") and len(set(value.split(","))) < 2:
+        items = value.split(",")
+        if flag in ("--q-dims", "--alice-instrument") and len(set(items)) < max(len(items), 2):
             refused = True
     return args, stray and FLAG_KEYS[stray], refused
 

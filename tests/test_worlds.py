@@ -14,6 +14,7 @@ from locclab import (
     build_er_world,
     canonical_chsh_script,
     deliver_pair,
+    deliver_pairs,
     indistinguishability_sweep,
     purity,
     singlet_density,
@@ -131,6 +132,17 @@ class TestEprConstruction:
         world = build_epr_world(2, qbar_dim, 0.5, seed=seed)
         assert world.rest_terms.tobytes() == self.per_qubit_rest_terms(qbar_dim, seed).tobytes()
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), qbar_dim=st.integers(1, 10))
+    def test_rest_terms_equal_one_generator_uniform_call(self, seed, qbar_dim):
+        # the earlier draw, one uniform call with per-column bounds, bit for bit
+        draws = np.random.default_rng(seed).uniform(
+            [-1, -1, -0.7, -0.7], [1, 1, 0.7, 0.7], size=(qbar_dim, 4))
+        a, d, x, y = draws.T
+        expected = np.stack([a, x + 1j * y, x - 1j * y, d], axis=-1).reshape(-1, 2, 2)
+        world = build_epr_world(2, qbar_dim, 0.5, seed=seed)
+        assert world.rest_terms.tobytes() == expected.tobytes()
+
     def test_rest_terms_are_read_only(self):
         world = build_epr_world(2, 2, 0.5, seed=3)
         with pytest.raises(ValueError):
@@ -215,11 +227,52 @@ class TestDeliverPair:
 
     def test_pair_computed_once_per_world(self, monkeypatch):
         calls = []
-        kernel = worlds.pair_coherence
-        monkeypatch.setattr(worlds, "pair_coherence", lambda w: calls.append(w) or kernel(w))
+        kernel = worlds._coherences
+        monkeypatch.setattr(worlds, "_coherences", lambda ws: calls.append(list(ws)) or kernel(ws))
         world = build_epr_world(2, 2, 0.4, seed=1)
         assert deliver_pair(world) is deliver_pair(world)
-        assert calls == [world]
+        assert deliver_pairs([world, world]) == [deliver_pair(world)] * 2
+        assert calls == [[world]]
+
+    def test_one_stacked_pass_per_rest_size(self, monkeypatch):
+        calls = []
+        kernel = worlds._coherences
+        monkeypatch.setattr(worlds, "_coherences", lambda ws: calls.append(list(ws)) or kernel(ws))
+        a, b, c = (build_epr_world(q, qbar, 0.3, seed=q) for q, qbar in ((2, 2), (3, 3), (4, 2)))
+        er = build_er_world()
+        pairs = deliver_pairs([a, er, b, c, a])
+        assert calls == [[a, c], [b]]
+        assert pairs[0] is pairs[4] is deliver_pair(a) and pairs[1] is deliver_pair(er)
+        assert deliver_pairs([c, b, a]) == [deliver_pair(c), deliver_pair(b), pairs[0]]
+        assert len(calls) == 2  # delivered pairs are cached with their worlds
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.integers(2, 4),
+                st.integers(1, 7),
+                st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 3.0)),
+                st.floats(0.05, 20.0),
+                st.integers(0, 2**64 - 1),
+            ),
+            min_size=1, max_size=8,
+        ),
+        qbar_dim=st.integers(1, 7),
+    )
+    def test_stacked_delivery_has_the_bits_of_delivery_alone(self, specs, qbar_dim):
+        def build(q_dim, qbar, lam, t, seed):
+            return build_epr_world(q_dim, qbar, lam, seed=seed, evolution_time=t)
+
+        # one coherence stack of one rest size, mixing channel sizes and couplings
+        stack = [build(q, qbar_dim, lam, t, seed) for q, _, lam, t, seed in specs]
+        alone = [pair_coherence(build(q, qbar_dim, lam, t, seed)) for q, _, lam, t, seed in specs]
+        assert worlds._coherences(stack).tobytes() == np.array(alone).tobytes()
+        # one delivery call mixing rest sizes, against each world delivered on its own
+        pairs = deliver_pairs([build(*spec) for spec in specs] + [build_er_world()])
+        for spec, pair in zip(specs, pairs):
+            assert pair.matrix.tobytes() == deliver_pair(build(*spec)).matrix.tobytes()
+        assert pairs[-1].matrix.tobytes() == singlet_density().matrix.tobytes()
 
     def test_coupling_decoheres(self):
         pair = deliver_pair(build_epr_world(2, 2, 0.8, seed=5))
