@@ -39,7 +39,6 @@ from .errors import (
 from .instruments import (
     CoarseGrainingPartition,
     InstrumentBranch,
-    InstrumentOutcomeRecord,
     QuantumInstrument,
     ValidationReport,
     apply_instrument,
@@ -51,8 +50,6 @@ from .instruments import (
     measure_x,
     measure_z,
     parse_instrument,
-    save_instrument,
-    serialize_instrument,
     settings_choice_instrument,
     unsharp_z,
     validate_instrument,

@@ -273,6 +273,8 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError(f"must be nonnegative, got {cfg.lam}", key="lambda")
     if cfg.trials < 1:
         raise ConfigError(f"must be >= 1, got {cfg.trials}", key="trials")
+    if cfg.trials > 2**63 - 1:  # the sampler's counts and trial numbers are int64
+        raise ConfigError(f"must be <= 2**63 - 1, got {cfg.trials}", key="trials")
     if cfg.parallel < 1:
         raise ConfigError(f"must be >= 1, got {cfg.parallel}", key="parallel")
     if cfg.fmt not in ("columnar", "structured"):
@@ -316,10 +318,11 @@ def _world_from_config(cfg: RunConfig) -> World:
 
 
 def _load_file(loader, path: str, key: str):
-    """``loader(path)``; an unreadable, malformed or too deeply nested file is a config error."""
+    """``loader(path)``; an unreadable, malformed, out-of-range or too deeply nested file
+    is a config error."""
     try:
         return loader(path)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
         raise ConfigError(f"cannot load {path!r}: {type(exc).__name__}: {exc}", key=key) from exc
 
 

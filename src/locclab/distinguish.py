@@ -24,7 +24,7 @@ import numpy as np
 
 from .bell import CHSHConfig, CHSHResult, exact_chsh
 from .errors import CapacityError
-from .instruments import PROB_FLOOR, QuantumInstrument, _apply_branches
+from .instruments import PROB_FLOOR, QuantumInstrument, apply_instrument
 from .linalg import check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
 from .worlds import World, build_er_world, deliver_pair, deliver_pairs
@@ -66,10 +66,6 @@ class OutcomeDistribution:
         total = sum(probs)
         if abs(total - 1.0) > _NORMALIZATION_ATOL:
             raise ValueError(f"distribution not normalized (sum {total!r})")
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.entries)
 
     def as_dict(self) -> dict[tuple[str, ...], float]:
         return dict(self.entries)
@@ -173,7 +169,7 @@ def accessible_distributions(
         live_posts = []
         for (inst, target), entries in groups.items():
             states = np.array([trees[s][k][1][w][1] for s, k, w in entries])
-            probs, posts = _apply_branches(inst, target, states)
+            probs, posts = apply_instrument(inst, target, states)
             live_posts.append(posts[probs > PROB_FLOOR])
             for (s, k, w), ps, outs in zip(entries, probs.T.tolist(), posts.swapaxes(0, 1)):
                 prob = trees[s][k][1][w][0]

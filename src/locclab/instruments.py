@@ -7,11 +7,13 @@ cheaply.  An instrument is validated once per instrument: the report of
 :func:`validate_instrument` (complete positivity from the branch Choi
 matrices, trace preservation from the completeness sum) is kept with the
 frozen instrument, and so are its Kraus operators extended to each pair
-qubit it is applied on.  One private kernel applies every branch to a whole
-stack of pair states at once; :func:`apply_instrument` is that kernel on one
-state, and transcript enumeration in :mod:`locclab.distinguish` runs it on
-each round.  Every instrument acts on one qubit: a branch refuses any Kraus
-operator that is not 2x2 when it is built, so no caller checks for one.
+qubit it is applied on.  One kernel, :func:`apply_instrument`, applies every
+branch to a whole stack of pair states at once; transcript enumeration in
+:mod:`locclab.distinguish` runs it on each round.  The kernel does not check
+the post-states it returns, so every caller checks the live ones with
+:func:`~locclab.linalg.check_density_stack`.  Every instrument acts on one
+qubit: a branch refuses any Kraus operator that is not 2x2 when it is built,
+so no caller checks for one.
 
 Branches carry signed real weights on their Kraus terms.  With all weights
 +1 (the default) a branch is automatically completely positive;
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import ContractError, LayoutError
 from .linalg import (
-    DensityMatrix,
     ID2,
     PAULI_X,
     PAULI_Y,
@@ -44,7 +45,6 @@ __all__ = [
     "PROB_FLOOR",
     "InstrumentBranch",
     "QuantumInstrument",
-    "InstrumentOutcomeRecord",
     "CoarseGrainingPartition",
     "Violation",
     "ValidationReport",
@@ -60,9 +60,7 @@ __all__ = [
     "unsharp_z",
     "settings_choice_instrument",
     "parse_instrument",
-    "serialize_instrument",
     "load_instrument",
-    "save_instrument",
 ]
 
 #: Tolerance on the Kraus completeness sum (trace preservation defect).
@@ -153,19 +151,6 @@ class QuantumInstrument:
             if b.outcome == outcome:
                 return b
         raise KeyError(outcome)
-
-
-@dataclass(frozen=True, eq=False)
-class InstrumentOutcomeRecord:
-    """One classical outcome with its probability and post-measurement state.
-
-    ``post_state`` is ``None`` when the probability sits below
-    :data:`PROB_FLOOR`, where normalization would be 0/0.
-    """
-
-    outcome: str
-    probability: float
-    post_state: DensityMatrix | None
 
 
 @dataclass(frozen=True)
@@ -266,7 +251,7 @@ def _weighted_terms(inst: QuantumInstrument, target: str):
     return inst._embedded[target]
 
 
-def _apply_branches(
+def apply_instrument(
     inst: QuantumInstrument, target: str, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every branch of ``inst``, on the ``target`` qubit, applied to a stack of pair states.
@@ -279,10 +264,10 @@ def _apply_branches(
     and its post-state is left zero.  Raises :class:`LayoutError` unless
     ``target`` is ``"q_A"`` or ``"q_B"``, and :class:`ContractError` if
     ``inst`` failed its validation.
-    The post-states are not checked here, so every caller must check the
-    live ones: :func:`apply_instrument` builds a :class:`DensityMatrix` from
-    each, and :func:`~locclab.distinguish.accessible_distributions` passes
-    each round's to :func:`~locclab.linalg.check_density_stack`.
+    The post-states are not checked here, so every caller must pass the
+    live ones (``posts[probs > PROB_FLOOR]``) to
+    :func:`~locclab.linalg.check_density_stack`, as
+    :func:`~locclab.distinguish.accessible_distributions` does once per round.
     """
     terms = _weighted_terms(inst, target)
     if not inst.report.passed:
@@ -304,22 +289,6 @@ def _apply_branches(
     posts = np.zeros_like(out)
     np.divide(out, probs[..., None, None], out=posts, where=live[..., None, None])
     return np.where(live, probs, np.maximum(probs, 0.0)), posts
-
-
-def apply_instrument(
-    inst: QuantumInstrument, rho: DensityMatrix, target: str
-) -> list[InstrumentOutcomeRecord]:
-    """Apply the one-qubit ``inst`` to the ``target`` qubit (``"q_A"`` or ``"q_B"``) of ``rho``.
-
-    Returns one record per branch: probability ``Tr(E_j(rho))`` and the
-    normalized post-state on the pair (identity on the other qubit).
-    Probabilities sum to 1 for a valid instrument.
-    """
-    probs, posts = _apply_branches(inst, target, rho.matrix[None])
-    return [
-        InstrumentOutcomeRecord(b.outcome, p, DensityMatrix(post) if p > PROB_FLOOR else None)
-        for b, p, post in zip(inst.branches, probs[:, 0].tolist(), posts[:, 0])
-    ]
 
 
 def coarse_grain(inst: QuantumInstrument, partition: CoarseGrainingPartition) -> QuantumInstrument:
@@ -437,8 +406,8 @@ def settings_choice_instrument(angle0: float, angle1: float) -> QuantumInstrumen
 #     ...
 #     end
 #
-# Complex entries are written ``<re><+/-><im>i``, e.g. ``0.5-0.25i``, with
-# 17 significant digits so parse/serialize round-trips are lossless.
+# Complex entries are written ``<re><+/-><im>i``, e.g. ``0.5-0.25i``; 17
+# significant digits give every double exactly.
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -446,30 +415,11 @@ _COMPLEX_RE = re.compile(
 )
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
 def _parse_complex(token: str) -> complex:
     m = _COMPLEX_RE.match(token)
     if not m:
         raise ValueError(f"malformed complex entry {token!r} (expected like '1.5-0.25i')")
     return complex(float(m.group(1)), float(m.group(2)))
-
-
-def serialize_instrument(inst: QuantumInstrument, name: str = "instrument") -> str:
-    """Render an instrument in the textual definition format."""
-    if any(w != 1.0 for b in inst.branches for w in b.weights):
-        raise ValueError("branches with a weight other than +1 have no file representation")
-    lines = [f"instrument {name}", "dimension 2"]
-    for b in inst.branches:
-        lines.append(f"branch {b.outcome}")
-        for k in b.kraus:
-            lines.append("op")
-            for row in k:
-                lines.append(" ".join(_format_complex(z) for z in row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
 
 
 def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
@@ -532,11 +482,6 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
     if not branches:
         raise ValueError("no branches defined")
     return name, QuantumInstrument(tuple(branches))
-
-
-def save_instrument(path, inst: QuantumInstrument, name: str = "instrument") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instrument(inst, name))
 
 
 def load_instrument(path) -> tuple[str, QuantumInstrument]:

@@ -107,10 +107,6 @@ class ProtocolScript:
                             f"{i} rounds precede it"
                         )
 
-    @property
-    def parties(self) -> tuple[str, ...]:
-        return tuple(r.party for r in self.rounds)
-
 
 # ---------------------------------------------------------------------------
 # JSON serialization

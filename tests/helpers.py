@@ -7,8 +7,9 @@ from importlib import resources
 
 import numpy as np
 
-from locclab import PAIR_LABELS, DensityMatrix
-from locclab.instruments import InstrumentBranch, QuantumInstrument
+from locclab import PAIR_LABELS, DensityMatrix, apply_instrument
+from locclab.instruments import PROB_FLOOR, InstrumentBranch, QuantumInstrument
+from locclab.linalg import check_density_stack
 
 
 def random_density(rng: np.random.Generator) -> DensityMatrix:
@@ -43,6 +44,25 @@ def random_instrument(
         ops = tuple(blocks[j * kraus_per_branch + k] for k in range(kraus_per_branch))
         branches.append(InstrumentBranch(str(j), ops))
     return QuantumInstrument(tuple(branches))
+
+
+def apply_to_state(
+    inst: QuantumInstrument, state: np.ndarray, target: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel on the one 4x4 ``state``: a probability and a post-state per branch.
+
+    The kernel leaves post-states unchecked, so the live ones are checked
+    here; a dead branch's post-state is all zero.
+    """
+    probs, posts = apply_instrument(inst, target, state[None])
+    probs, posts = probs[:, 0], posts[:, 0]
+    check_density_stack(posts[probs > PROB_FLOOR])
+    return probs, posts
+
+
+def branches_of(inst: QuantumInstrument) -> list:
+    """``inst`` as the ``(outcome, [2x2 kraus arrays])`` pairs of ``oracles.instrument_text``."""
+    return [(b.outcome, list(b.kraus)) for b in inst.branches]
 
 
 def sign_flip_one_term(inst: QuantumInstrument) -> QuantumInstrument:

@@ -225,6 +225,26 @@ def transcript_distribution(pair: np.ndarray, rounds) -> dict[tuple[str, ...], f
     return out
 
 
+def dial(angle: float) -> list:
+    """The projective branches of cos(a)Z + sin(a)X, outcome "0" the +1 branch, as
+    ``(outcome, [2x2 kraus arrays])`` pairs."""
+    obs = math.cos(angle) * Z + math.sin(angle) * X
+    return [("0", [(I2 + obs) / 2]), ("1", [(I2 - obs) / 2])]
+
+
+def instrument_text(name: str, branches) -> str:
+    """An instrument file: ``branches`` as ``(outcome, [2x2 kraus arrays])`` pairs, each
+    entry written ``<re><+/-><im>i`` with 17 significant digits."""
+    lines = [f"instrument {name}", "dimension 2"]
+    for outcome, kraus in branches:
+        lines.append(f"branch {outcome}")
+        for k in kraus:
+            lines.append("op")
+            for row in np.asarray(k, dtype=complex):
+                lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row.tolist()))
+    return "\n".join(lines) + "\nend\n"
+
+
 def tvd(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -382,9 +382,9 @@ class TestBlockSampler:
     def test_sampled_run_applies_no_instrument(self, monkeypatch, mode):
         # the outcome table comes from the pair's moments: no instrument is
         # validated or applied, under any name a module of the package holds
-        called = []
+        called, spied = [], set()
         for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "locclab"]:
-            for name in ("validate_instrument", "_apply_branches"):
+            for name in ("validate_instrument", "apply_instrument"):
                 if hasattr(module, name):
 
                     def spy(*args, fn=getattr(module, name), name=name):
@@ -392,6 +392,9 @@ class TestBlockSampler:
                         return fn(*args)
 
                     monkeypatch.setattr(module, name, spy)
+                    spied.add(name)
+        # a name no module holds would be spied on nowhere, and pass by construction
+        assert spied == {"validate_instrument", "apply_instrument"}
         argv = ["chsh", "--mode", mode, "--trials", "1000", "--seed", "1", "--out", os.devnull]
         assert main(argv) == 0
         assert called == []
@@ -449,21 +452,15 @@ def reference_outcome_thresholds(pair: DensityMatrix, config: CHSHConfig) -> tup
     """``_outcome_thresholds``' table one branch at a time: an instrument application per state."""
     a_plus, b_plus = np.zeros(4), np.zeros(8)
     for x, angle_a in enumerate(config.alice_angles()):
-        alice = instruments.apply_instrument(measure_angle(angle_a), pair, "q_A")
+        alice, posts = helpers.apply_to_state(measure_angle(angle_a), pair.matrix, "q_A")
         for y, angle_b in enumerate(config.bob_angles()):
             k = 2 * x + y
-            a_plus[k] = alice[0].probability
-            for i, rec in enumerate(alice):
-                if rec.post_state is not None:
-                    bob = instruments.apply_instrument(measure_angle(angle_b), rec.post_state, "q_B")
-                    b_plus[2 * k + i] = bob[0].probability
+            a_plus[k] = alice[0]
+            for i, (p, post) in enumerate(zip(alice, posts)):
+                if p > instruments.PROB_FLOOR:
+                    bob, _ = helpers.apply_to_state(measure_angle(angle_b), post, "q_B")
+                    b_plus[2 * k + i] = bob[0]
     return a_plus, b_plus
-
-
-def oracle_dial(angle: float) -> list:
-    """The projective branches of cos(a)Z + sin(a)X, in ``oracles.transcript_distribution`` form."""
-    obs = math.cos(angle) * np.diag([1.0, -1.0]) + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]])
-    return [("0", [(np.eye(2) + obs) / 2]), ("1", [(np.eye(2) - obs) / 2])]
 
 
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
@@ -477,7 +474,7 @@ class TestOutcomeTable:
         pair = np.array(deliver_pair(world).matrix)
         for x, angle_a in enumerate(config.alice_angles()):
             for y, angle_b in enumerate(config.bob_angles()):
-                dist = oracles.transcript_distribution(pair, [(0, oracle_dial(angle_a)), (1, oracle_dial(angle_b))])
+                dist = oracles.transcript_distribution(pair, [(0, oracles.dial(angle_a)), (1, oracles.dial(angle_b))])
                 k = 2 * x + y
                 p_a = [dist[(i, "0")] + dist[(i, "1")] for i in ("0", "1")]
                 assert abs(a_plus[k] - p_a[0]) <= 1e-12

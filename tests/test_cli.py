@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from locclab import ConfigError, TSIRELSON_BOUND, distinguish, measure_x, measure_z, save_instrument
+from locclab import ConfigError, TSIRELSON_BOUND, distinguish
 from locclab.cli import (
     EXIT_ASSERTION,
     EXIT_CAPACITY,
@@ -22,7 +22,12 @@ from locclab.cli import (
     run,
 )
 
+import oracles
 
+
+#: The files of projective X and Z measurements.
+X_TEXT = oracles.instrument_text("x", oracles.dial(math.pi / 2))
+Z_TEXT = oracles.instrument_text("z", oracles.dial(0.0))
 #: An instrument file whose second line is ``dimension`` without a value.
 NO_DIMENSION = "instrument bare\ndimension\nbranch 0\nop\n1+0i 0+0i\n0+0i 1+0i\nend\n"
 #: A script file with an empty round list.
@@ -98,12 +103,29 @@ def condition_script(condition: str) -> str:
     )
 
 
+#: An integer too large for a float: 1 and 400 zeros.
+HUGE_INT = 10**400
+
+
+def huge_number_script(spec: dict) -> str:
+    """A one-round script file whose instrument is ``spec``, a number in it ``HUGE_INT``."""
+    return json.dumps({"name": "huge", "rounds": [{"party": "A", "instrument": spec}]})
+
+
 class TestParseConfig:
     def test_minimal_chsh(self):
         cfg = parse_config("chsh", None, {"mode": "er", "trials": 1000, "seed": 1})
         assert cfg.experiment == "chsh"
         assert cfg.seed == 1
         assert cfg.trials == 1000
+
+    @pytest.mark.parametrize("trials", [2**63, 10**30])
+    def test_trials_beyond_int64_rejected_by_name(self, trials):
+        # the sampler counts and numbers trials in int64; never run such a count
+        with pytest.raises(ConfigError, match=r"<= 2\*\*63 - 1") as info:
+            parse_config("chsh", None, {"seed": 1, "trials": trials})
+        assert info.value.key == "trials"
+        assert parse_config("chsh", None, {"seed": 1, "trials": 2**63 - 1}).trials == 2**63 - 1
 
     def test_negative_lambda_rejected_by_name(self):
         with pytest.raises(ConfigError, match="nonnegative.*lambda"):
@@ -253,8 +275,8 @@ class TestRunners:
 
     def test_nosignal_with_instrument_files(self, tmp_path):
         paths = (str(tmp_path / "x.instrument"), str(tmp_path / "z.instrument"))
-        save_instrument(paths[0], measure_x(), "xvariant")
-        save_instrument(paths[1], measure_z(), "zvariant")
+        Path(paths[0]).write_text(oracles.instrument_text("xvariant", oracles.dial(math.pi / 2)))
+        Path(paths[1]).write_text(oracles.instrument_text("zvariant", oracles.dial(0.0)))
         report = run(parse_config("nosignal", None, {"seed": 2, "alice_instruments": paths}))
         doc = json.loads(report.payload_text)
         assert doc["results"]["variants"] == ["xvariant", "zvariant"]
@@ -328,8 +350,8 @@ class TestComparedSetsHoldTwo:
     )
     def test_one_instrument_file_or_one_twice_exit_code(self, tmp_path, capsys, spelling):
         paths = {"z": tmp_path / "z.inst", "x": tmp_path / "x.inst", "dir": tmp_path}
-        save_instrument(paths["z"], measure_z(), "z")
-        save_instrument(paths["x"], measure_x(), "x")
+        paths["z"].write_text(Z_TEXT)
+        paths["x"].write_text(X_TEXT)
         args = ["nosignal", "--seed", "1"]
         for value in spelling:
             args += ["--alice-instrument", value.format(**paths)]
@@ -451,6 +473,16 @@ class TestMain:
             ("--script", ["distinguish"], named_script("my script"), "script"),
             ("--script", ["distinguish"], named_script("a\nb"), "script"),
             ("--script", ["distinguish"], named_script(["x"]), "script"),
+            *(
+                pytest.param("--script", ["distinguish"], huge_number_script(spec), "script",
+                              id=f"huge-{spec['kind']}")
+                for spec in (
+                    {"kind": "measure_angle", "angle": HUGE_INT},
+                    {"kind": "settings_choice", "angles": [0.0, HUGE_INT]},
+                    {"kind": "unsharp_z", "sharpness": HUGE_INT},
+                    {"kind": "depolarize_then_measure", "p": HUGE_INT},
+                )
+            ),
         ],
     )
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, flag, experiment, text, key):
@@ -572,7 +604,7 @@ class TestMain:
         paths = []
         for i in range(3):
             paths.append(tmp_path / f"x{i}.inst")
-            save_instrument(paths[-1], measure_x(), f"x{i}")
+            paths[-1].write_text(oracles.instrument_text(f"x{i}", oracles.dial(math.pi / 2)))
         args = ["nosignal", "--seed", "1"]
         for path in paths:
             args += ["--alice-instrument", str(path)]

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with warnings as errors as in the test run."""
 
 import os
 import subprocess
@@ -18,8 +18,10 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a subprocess inherits nothing of pytest's filterwarnings
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

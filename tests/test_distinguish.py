@@ -151,7 +151,7 @@ class TestAccessibleDistribution:
         er = build_er_world()
         for script in bundled_corpus():
             dist = accessible_distribution(er, script)
-            assert abs(sum(dist.probabilities) - 1.0) < 1e-10
+            assert abs(sum(dist.as_dict().values()) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("scripts", [[], [canonical_chsh_script()]])
     def test_unknown_visibility_refused_before_any_pair_is_delivered(self, scripts):
@@ -338,17 +338,17 @@ class TestStackedWorlds:
         first_groups = len({(s.rounds[0].instrument, s.rounds[0].party) for s in scripts})
         assert first_groups == 3
         calls = []
-        apply_branches = distinguish._apply_branches
+        apply_instrument = distinguish.apply_instrument
 
         def corrupting(inst, target, states):
             calls.append(inst)
-            probs, posts = apply_branches(inst, target, states)
+            probs, posts = apply_instrument(inst, target, states)
             if len(calls) == first_groups:
                 posts = posts.copy()
                 posts[0, -1, 0, 0] += 0.5
             return probs, posts
 
-        monkeypatch.setattr(distinguish, "_apply_branches", corrupting)
+        monkeypatch.setattr(distinguish, "apply_instrument", corrupting)
         worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
         with pytest.raises(ValueError, match="density matrix"):
             accessible_distributions(worlds, scripts)

@@ -84,6 +84,14 @@ EXACT = {
 
 FORMATS = {".json": "structured", ".txt": "columnar"}
 
+#: Transcript exports: argv without ``--transcript``.  The first file is kept
+#: whole, the second, 2.3 MB of text, only as its SHA-256.
+TRANSCRIPT = ["chsh", "--seed", "14", "--mode", "er", "--trials", "1200"]
+MULTI_BLOCK_TRANSCRIPT = [
+    "chsh", "--seed", "15", "--mode", "epr", "--q-dim", "2", "--qbar-dim", "3",
+    "--lambda", "0.6", "--trials", "140001", "--parallel", "2",
+]
+
 
 def exact_argv(stem: str, suffix: str, out: Path) -> list[str]:
     return [*EXACT[stem], "--format", FORMATS[suffix], "--out", str(out)]
@@ -116,16 +124,12 @@ def test_sampled_payload_bytes(tmp_path, capsys, name):
 
 def test_transcript_file_bytes(tmp_path, capsys):
     out = tmp_path / "transcript.txt"
-    args = ["chsh", "--seed", "14", "--mode", "er", "--trials", "1200", "--transcript", str(out)]
-    assert main(args) == EXIT_OK
+    assert main([*TRANSCRIPT, "--transcript", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN / "transcript_er_1200.txt").read_bytes()
 
 
 def test_multi_block_transcript_digest(tmp_path, capsys):
-    # 2.3 MB of text, so only its SHA-256 is kept
     out = tmp_path / "transcript.txt"
-    args = ["chsh", "--seed", "15", "--mode", "epr", "--q-dim", "2", "--qbar-dim", "3",
-            "--lambda", "0.6", "--trials", "140001", "--parallel", "2", "--transcript", str(out)]
-    assert main(args) == EXIT_OK
+    assert main([*MULTI_BLOCK_TRANSCRIPT, "--transcript", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "22035f476fe79f71243dce3ec7c40903ecad0e1dd2e7054e6a67c03d70ad1a23"

@@ -20,7 +20,6 @@ from locclab import (
     measure_x,
     measure_z,
     parse_instrument,
-    serialize_instrument,
     validate_instrument,
 )
 from locclab import instruments
@@ -28,7 +27,6 @@ from locclab.instruments import (
     PROB_FLOOR,
     InstrumentBranch,
     QuantumInstrument,
-    _apply_branches,
     branch_choi,
     measure_angle,
     settings_choice_instrument,
@@ -39,9 +37,12 @@ from locclab.worlds import singlet_density
 
 import helpers
 import oracles
+from helpers import apply_to_state
 
 
 ZERO = np.diag([1.0, 0.0])  # |0><0|
+#: The file of a projective Z measurement, written by the oracle's writer.
+Z_TEXT = oracles.instrument_text("z", oracles.dial(0.0))
 
 
 def plus_density() -> DensityMatrix:
@@ -109,29 +110,28 @@ class TestValidate:
 
 class TestApply:
     def test_z_on_plus(self):
-        records = apply_instrument(measure_z(), plus_density(), "q_A")
-        assert [r.outcome for r in records] == ["0", "1"]
-        for r, bits in zip(records, ("0", "1")):
-            assert abs(r.probability - 0.5) < 1e-12
+        probs, posts = apply_to_state(measure_z(), plus_density().matrix, "q_A")
+        assert measure_z().outcomes == ("0", "1")
+        for p, post, bits in zip(probs, posts, ("0", "1")):
+            assert abs(p - 0.5) < 1e-12
             expected = np.zeros((2, 2))
             expected[int(bits), int(bits)] = 1.0
-            assert_allclose(r.post_state.matrix, np.kron(expected, ZERO), atol=1e-12)
+            assert_allclose(post, np.kron(expected, ZERO), atol=1e-12)
 
     def test_identity_instrument(self):
         rng = np.random.default_rng(2)
         rho = helpers.random_density(rng)
-        (record,) = apply_instrument(identity_instrument(), rho, "q_A")
-        assert record.outcome == "id"
-        assert abs(record.probability - 1.0) < 1e-12
-        assert_allclose(record.post_state.matrix, rho.matrix, atol=1e-12)
+        assert identity_instrument().outcomes == ("id",)
+        (p,), (post,) = apply_to_state(identity_instrument(), rho.matrix, "q_A")
+        assert abs(p - 1.0) < 1e-12
+        assert_allclose(post, rho.matrix, atol=1e-12)
 
     def test_z_on_alice_half_of_singlet(self):
         # Alice's outcome steers Bob's marginal to the opposite basis state
-        rho = singlet_density()
-        records = apply_instrument(measure_z(), rho, "q_A")
-        for record, bob_bit in zip(records, ("1", "0")):
-            assert abs(record.probability - 0.5) < 1e-12
-            bob = oracles.ptrace_by_loops(record.post_state.matrix, [2, 2], [1])
+        probs, posts = apply_to_state(measure_z(), singlet_density().matrix, "q_A")
+        for p, post, bob_bit in zip(probs, posts, ("1", "0")):
+            assert abs(p - 0.5) < 1e-12
+            bob = oracles.ptrace_by_loops(post, [2, 2], [1])
             expected = np.zeros((2, 2))
             expected[int(bob_bit), int(bob_bit)] = 1.0
             assert_allclose(bob, expected, atol=1e-12)
@@ -141,12 +141,12 @@ class TestApply:
             (InstrumentBranch("only", (math.sqrt(0.5) * np.eye(2, dtype=complex),)),)
         )
         with pytest.raises(ContractError):
-            apply_instrument(inst, plus_density(), "q_A")
+            apply_instrument(inst, "q_A", plus_density().matrix[None])
 
     def test_unknown_target_rejected(self):
         for target in ("nope", "q", ("q_A",)):
             with pytest.raises(LayoutError):
-                apply_instrument(measure_z(), plus_density(), target)
+                apply_instrument(measure_z(), target, plus_density().matrix[None])
 
     def test_probabilities_sum_to_one_randomized(self):
         rng = np.random.default_rng(3)
@@ -154,11 +154,9 @@ class TestApply:
             n_out = int(rng.integers(1, 5))
             inst = helpers.random_instrument(rng, n_out, kraus_per_branch=2)
             rho = helpers.random_density(rng)
-            records = apply_instrument(inst, rho, helpers.random_target(rng))
-            assert abs(sum(r.probability for r in records) - 1.0) < 1e-10
-            for r in records:
-                if r.probability > 1e-12:
-                    assert r.post_state is not None  # construction validates it
+            # apply_to_state checks every live post-state
+            probs, _ = apply_to_state(inst, rho.matrix, helpers.random_target(rng))
+            assert abs(sum(probs.tolist()) - 1.0) < 1e-10
 
 
 def per_operator_oracle(inst, rho, target):
@@ -224,8 +222,8 @@ class TestBranchKernel:
         inst = helpers.random_instrument(np.random.default_rng(4), 3)
         rho = singlet_density()
         for target in ("q_A", "q_B", "q_A"):
-            apply_instrument(inst, rho, target)
-        _apply_branches(inst, "q_B", np.stack([rho.matrix] * 3))
+            apply_instrument(inst, target, rho.matrix[None])
+        apply_instrument(inst, "q_B", np.stack([rho.matrix] * 3))
         assert calls["validate"] == 1
         assert inst.report is inst.report and inst.report.passed
 
@@ -233,9 +231,9 @@ class TestBranchKernel:
         bad = helpers.sign_flip_one_term(measure_z())
         for _ in range(2):
             with pytest.raises(ContractError, match="cp defect"):
-                apply_instrument(bad, singlet_density(), "q_A")
+                apply_instrument(bad, "q_A", singlet_density().matrix[None])
         with pytest.raises(ContractError):
-            _apply_branches(bad, "q_B", singlet_density().matrix[None])
+            apply_instrument(bad, "q_B", np.stack([singlet_density().matrix] * 2))
         assert calls["validate"] == 1
 
     @pytest.mark.parametrize("kraus_per_branch", [1, 2])
@@ -244,7 +242,7 @@ class TestBranchKernel:
         rng = np.random.default_rng(5)
         inst = helpers.random_instrument(rng, 3, kraus_per_branch=kraus_per_branch)
         rho = helpers.random_density(rng)
-        probs, posts = _apply_branches(inst, target, rho.matrix[None])
+        probs, posts = apply_instrument(inst, target, rho.matrix[None])
         oracle_probs, oracle_posts = per_operator_oracle(inst, rho, target)
         assert probs[:, 0].tolist() == oracle_probs
         for post, oracle in zip(posts[:, 0], oracle_posts):
@@ -254,25 +252,25 @@ class TestBranchKernel:
     def test_uneven_branches_match_per_operator_embedding(self, target):
         # branches of one and two Kraus operators: the second position runs on one row only
         rho = helpers.random_density(np.random.default_rng(8))
-        records = apply_instrument(uneven_instrument(), rho, target)
+        probs, posts = apply_to_state(uneven_instrument(), rho.matrix, target)
         oracle_probs, oracle_posts = per_operator_oracle(uneven_instrument(), rho, target)
-        for rec, p, post in zip(records, oracle_probs, oracle_posts):
-            assert rec.probability == p
-            assert rec.post_state.matrix.tobytes() == post.tobytes()
+        assert probs.tolist() == oracle_probs
+        for post, oracle in zip(posts, oracle_posts):
+            assert post.tobytes() == oracle.tobytes()
 
     def test_embedded_once_per_target(self, calls):
         rng = np.random.default_rng(6)
         inst = helpers.random_instrument(rng, 2, kraus_per_branch=2)
         rho = helpers.random_density(rng)
         for _ in range(3):
-            apply_instrument(inst, rho, "q_A")
+            apply_instrument(inst, "q_A", rho.matrix[None])
         assert calls["embed"] == 1
-        apply_instrument(inst, rho, "q_B")
-        _apply_branches(inst, "q_A", singlet_density().matrix[None])
+        apply_instrument(inst, "q_B", rho.matrix[None])
+        apply_instrument(inst, "q_A", singlet_density().matrix[None])
         assert calls["embed"] == 2
         with pytest.raises(LayoutError):
-            apply_instrument(inst, rho, "q_C")
-        apply_instrument(inst, rho, "q_B")
+            apply_instrument(inst, "q_C", rho.matrix[None])
+        apply_instrument(inst, "q_B", rho.matrix[None])
         assert sorted(inst._embedded) == ["q_A", "q_B"]
 
     def test_extension_cache_is_not_a_field(self):
@@ -282,19 +280,18 @@ class TestBranchKernel:
         rng = np.random.default_rng(7)
         inst = helpers.random_instrument(rng, 3, kraus_per_branch=2)
         rhos = [helpers.random_density(rng) for _ in range(6)]
-        probs, posts = _apply_branches(inst, "q_B", np.stack([r.matrix for r in rhos]))
+        probs, posts = apply_instrument(inst, "q_B", np.stack([r.matrix for r in rhos]))
         for n, rho in enumerate(rhos):
-            for j, rec in enumerate(apply_instrument(inst, rho, "q_B")):
-                assert probs[j, n] == rec.probability
-                assert posts[j, n].tobytes() == rec.post_state.matrix.tobytes()
+            one_probs, one_posts = apply_to_state(inst, rho.matrix, "q_B")
+            assert probs[:, n].tolist() == one_probs.tolist()
+            assert posts[:, n].tobytes() == one_posts.tobytes()
 
     def test_dead_branch_has_no_post_state(self):
         up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-        probs, posts = _apply_branches(measure_z(), "q_A", up.matrix[None])
-        assert probs[:, 0].tolist() == [1.0, 0.0]
-        assert not posts[1].any()
-        (_, dead) = apply_instrument(measure_z(), up, "q_A")
-        assert dead.probability == 0.0 and dead.post_state is None
+        probs, posts = apply_to_state(measure_z(), up.matrix, "q_A")
+        assert probs.tolist() == [1.0, 0.0]
+        # the dead branch's post-state stays all zero, positive zeros included
+        assert posts[1].tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
 
     def test_wrong_dimension_rejected(self):
         # a two-qubit instrument cannot be built, so it never reaches the kernel
@@ -311,7 +308,7 @@ class TestBranchKernel:
     def test_batched_check_rejects_bad_post_states(self, bad, message):
         # the kernel does not check; a bad input state passes through the identity branch
         states = np.stack([singlet_density().matrix, bad.astype(complex)])
-        probs, posts = _apply_branches(identity_instrument(), "q_A", states)
+        probs, posts = apply_instrument(identity_instrument(), "q_A", states)
         live = posts[probs > PROB_FLOOR]
         assert len(live) == 2
         check_density_stack(live[:1])
@@ -327,11 +324,11 @@ class TestOneWayLocal:
         rng = np.random.default_rng(4)
         for _ in range(5):
             rho = helpers.random_density(rng)
-            (after,) = apply_instrument(bob_tp, rho, "q_B")
-            assert abs(after.probability - 1.0) < 1e-12
-            assert np.max(np.abs(after.post_state.matrix - rho.matrix)) > 1e-3
-            before = [r.probability for r in apply_instrument(measure_x(), rho, "q_A")]
-            moved = [r.probability for r in apply_instrument(measure_x(), after.post_state, "q_A")]
+            (p,), (after,) = apply_to_state(bob_tp, rho.matrix, "q_B")
+            assert abs(p - 1.0) < 1e-12
+            assert np.max(np.abs(after - rho.matrix)) > 1e-3
+            before, _ = apply_to_state(measure_x(), rho.matrix, "q_A")
+            moved, _ = apply_to_state(measure_x(), after, "q_A")
             assert_allclose(moved, before, atol=1e-10)
 
 
@@ -343,17 +340,18 @@ class TestCoarseGrain:
         out = coarse_grain(inst, part)
         for _ in range(5):
             rho, target = helpers.random_density(rng), helpers.random_target(rng)
-            a = apply_instrument(inst, rho, target)
-            b = apply_instrument(out, rho, target)
-            for ra, rb in zip(a, b):
-                assert abs(ra.probability - rb.probability) < 1e-12
+            a, _ = apply_to_state(inst, rho.matrix, target)
+            b, _ = apply_to_state(out, rho.matrix, target)
+            assert out.outcomes == inst.outcomes
+            for pa, pb in zip(a, b):
+                assert abs(pa - pb) < 1e-12
 
     def test_full_group_is_dephasing(self):
         part = CoarseGrainingPartition((("all", ("0", "1")),))
         out = coarse_grain(measure_z(), part)
-        (record,) = apply_instrument(out, plus_density(), "q_A")
-        assert abs(record.probability - 1.0) < 1e-12
-        assert_allclose(record.post_state.matrix, np.kron(np.eye(2) / 2, ZERO), atol=1e-12)
+        (p,), (post,) = apply_to_state(out, plus_density().matrix, "q_A")
+        assert abs(p - 1.0) < 1e-12
+        assert_allclose(post, np.kron(np.eye(2) / 2, ZERO), atol=1e-12)
 
     def test_probabilities_add_on_three_outcomes(self):
         rng = np.random.default_rng(7)
@@ -362,10 +360,10 @@ class TestCoarseGrain:
         grouped = coarse_grain(inst, part)
         for _ in range(10):
             rho, target = helpers.random_density(rng), helpers.random_target(rng)
-            fine = apply_instrument(inst, rho, target)
-            coarse = apply_instrument(grouped, rho, target)
-            assert abs(coarse[0].probability - (fine[0].probability + fine[1].probability)) < 1e-10
-            assert abs(coarse[1].probability - fine[2].probability) < 1e-10
+            fine, _ = apply_to_state(inst, rho.matrix, target)
+            coarse, _ = apply_to_state(grouped, rho.matrix, target)
+            assert abs(coarse[0] - (fine[0] + fine[1])) < 1e-10
+            assert abs(coarse[1] - fine[2]) < 1e-10
 
     def test_commutes_with_apply_as_mixture(self):
         # coarse then apply == apply then merge records (weighted mixture)
@@ -381,15 +379,16 @@ class TestCoarseGrain:
                     ("g1", tuple(str(i) for i in range(cut, n_out))),
                 )
             )
-            coarse = apply_instrument(coarse_grain(inst, part), rho, target)
-            fine = apply_instrument(inst, rho, target)
-            for rec, (_, members) in zip(coarse, part.groups):
-                chunk = [r for r in fine if r.outcome in members]
-                p = sum(r.probability for r in chunk)
-                assert abs(rec.probability - p) < 1e-10
-                if p > 1e-9:
-                    mix = sum(r.probability * r.post_state.matrix for r in chunk) / p
-                    assert_allclose(rec.post_state.matrix, mix, atol=1e-10)
+            coarse = coarse_grain(inst, part)
+            coarse_probs, coarse_posts = apply_to_state(coarse, rho.matrix, target)
+            fine = list(zip(inst.outcomes, *apply_to_state(inst, rho.matrix, target)))
+            for q, post, (_, members) in zip(coarse_probs, coarse_posts, part.groups):
+                chunk = [(p, fine_post) for o, p, fine_post in fine if o in members]
+                total = sum(p for p, _ in chunk)
+                assert abs(q - total) < 1e-10
+                if total > 1e-9:
+                    mix = sum(p * fine_post for p, fine_post in chunk) / total
+                    assert_allclose(post, mix, atol=1e-10)
 
     def test_non_partition_rejected(self):
         with pytest.raises(ValueError, match="cover"):
@@ -402,7 +401,8 @@ class TestFileFormat:
     def test_round_trip_is_lossless(self):
         rng = np.random.default_rng(9)
         inst = helpers.random_instrument(rng, n_outcomes=3, kraus_per_branch=2)
-        name, back = parse_instrument(serialize_instrument(inst, "roundtrip"))
+        text = oracles.instrument_text("roundtrip", helpers.branches_of(inst))
+        name, back = parse_instrument(text)
         assert name == "roundtrip"
         assert back.outcomes == inst.outcomes
         for b_in, b_out in zip(inst.branches, back.branches):
@@ -411,44 +411,40 @@ class TestFileFormat:
 
     def test_settings_choice_round_trip(self):
         inst = settings_choice_instrument(0.0, math.pi / 2)
-        _, back = parse_instrument(serialize_instrument(inst))
+        _, back = parse_instrument(oracles.instrument_text("choice", helpers.branches_of(inst)))
         for b_in, b_out in zip(inst.branches, back.branches):
             assert np.array_equal(b_in.kraus[0], b_out.kraus[0])
 
     def test_comments_and_blank_lines_ignored(self):
-        text = serialize_instrument(unsharp_z(0.8), "commented")
+        text = oracles.instrument_text("commented", helpers.branches_of(unsharp_z(0.8)))
         noisy = "# leading comment\n\n" + text.replace("branch 0", "branch 0\n# inline\n")
         _, inst = parse_instrument(noisy)
         assert validate_instrument(inst).passed
 
     def test_malformed_entry_rejected(self):
-        good = serialize_instrument(measure_z())
         with pytest.raises(ValueError, match="complex entry"):
-            parse_instrument(good.replace("1+0i", "1:0i", 1))
+            parse_instrument(Z_TEXT.replace("1+0i", "1:0i", 1))
 
     @pytest.mark.parametrize(
         "line",
         ["dimension", "dimension 2 3", "dimensions 2", "dimension 1", "dimension 3", "dimension 4"],
     )
     def test_bad_dimension_line_rejected(self, line):
-        good = serialize_instrument(measure_z())
         with pytest.raises(ValueError, match="dimension <d>") as info:
-            parse_instrument(good.replace("dimension 2", line))
+            parse_instrument(Z_TEXT.replace("dimension 2", line))
         assert repr(line) in str(info.value)
 
     def test_only_unit_weights_have_a_file_form(self):
-        with pytest.raises(ValueError, match="weight other than"):
-            serialize_instrument(helpers.sign_flip_one_term(measure_z()))
+        # the format has no weights: a parsed branch's are all +1
         explicit = QuantumInstrument((InstrumentBranch("id", (np.eye(2),), (1.0,)),))
-        _, back = parse_instrument(serialize_instrument(explicit))
+        _, back = parse_instrument(oracles.instrument_text("id", helpers.branches_of(explicit)))
         assert back.branches[0].weights == explicit.branches[0].weights == (1.0,)
         assert np.array_equal(back.branches[0].kraus[0], explicit.branches[0].kraus[0])
 
     @pytest.mark.parametrize("entry", ["1e999+0i", "1-1e999i"])
     def test_non_finite_entry_rejected(self, entry):
-        good = serialize_instrument(measure_z())
         with pytest.raises(ValueError, match="non-finite"):
-            parse_instrument(good.replace("1+0i", entry, 1))
+            parse_instrument(Z_TEXT.replace("1+0i", entry, 1))
 
     @pytest.mark.parametrize("old, new, match", [
         # keywords are whole tokens, not prefixes
@@ -468,21 +464,19 @@ class TestFileFormat:
          "no branches defined"),
     ])
     def test_malformed_structure_rejected(self, old, new, match):
-        good = serialize_instrument(measure_z(), "z")
-        assert old in good
+        assert old in Z_TEXT
         with pytest.raises(ValueError, match=re.escape(match)):
-            parse_instrument(good.replace(old, new, 1))
+            parse_instrument(Z_TEXT.replace(old, new, 1))
 
     def test_missing_end_rejected(self):
-        good = serialize_instrument(measure_z())
         with pytest.raises(ValueError, match="end"):
-            parse_instrument(good.replace("\nend\n", "\n"))
+            parse_instrument(Z_TEXT.replace("\nend\n", "\n"))
 
     def test_save_load(self, tmp_path):
-        from locclab import load_instrument, save_instrument
+        from locclab import load_instrument
 
         path = tmp_path / "z.instrument"
-        save_instrument(path, measure_z(), "zmeas")
+        path.write_text(oracles.instrument_text("zmeas", oracles.dial(0.0)))
         name, inst = load_instrument(path)
         assert name == "zmeas"
         assert validate_instrument(inst).passed

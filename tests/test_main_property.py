@@ -22,10 +22,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from locclab import bundled_script_names, measure_x, measure_z, save_instrument
+from locclab import bundled_script_names
 from locclab.cli import EXPERIMENTS, main
 
-from test_cli import ACTS, DEEP_JSON, NO_DIMENSION, NO_ROUNDS, run_kind
+from test_cli import ACTS, DEEP_JSON, NO_DIMENSION, NO_ROUNDS, X_TEXT, Z_TEXT, run_kind
 
 ONE_LINE = {2: "configuration error: ", 3: "capacity error: ", 5: "estimation error: "}
 RUN_LINE = re.compile(r"criterion .+: (PASS|FAIL)|done in \d+\.\d+s \(.+\)")
@@ -57,9 +57,9 @@ def files(tmp_path_factory):
     paths["no_rounds"].write_text(NO_ROUNDS)
     paths["no_dimension"].write_text(NO_DIMENSION)
     paths["valid"] = root / "x.inst"
-    save_instrument(paths["valid"], measure_x(), "x")
+    paths["valid"].write_text(X_TEXT)
     paths["valid_z"] = root / "z.inst"
-    save_instrument(paths["valid_z"], measure_z(), "z")
+    paths["valid_z"].write_text(Z_TEXT)
     paths["not_utf8"] = root / "not_utf8.cfg"
     paths["not_utf8"].write_bytes(b"seed = 1\n\xff\xfe = 2\n")
     paths["deep"] = root / "deep.json"

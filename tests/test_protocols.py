@@ -82,7 +82,7 @@ class TestCorpus:
     def test_scripts_are_wellformed_two_party(self):
         for script in bundled_corpus():
             assert 1 <= len(script.rounds) <= 3
-            assert set(script.parties) <= {"A", "B"}
+            assert {r.party for r in script.rounds} <= {"A", "B"}
             for rnd in script.rounds:
                 assert all(k.shape == (2, 2) for b in rnd.instrument.branches for k in b.kraus)
                 assert validate_instrument(rnd.instrument).passed
