@@ -6,10 +6,10 @@ built-in assertions whose pass/fail lines go to the diagnostic stream.
 Payload bytes depend only on the configuration and seed, never on the
 parallelism width or timing.
 
-Exit codes: 0 success, 2 configuration error (including an option that does
-not act in the run, an input file that cannot be read or parsed and an
-output file that cannot be written), 3 capacity error, 4 built-in assertion
-failure, 5 empty-cell estimation error.
+Exit codes: 0 success, 2 configuration error (including a refused argument
+list, an option that does not act in the run, an input file that cannot be
+read or parsed and an output file that cannot be written), 3 capacity
+error, 4 built-in assertion failure, 5 empty-cell estimation error.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ _OPTIONS: dict[str, _Option] = {
                     "world kind, er or epr (default er; chsh, nosignal)"),
     "exact": _Option("exact", _parse_bool, _only("chsh"),
                      "exact expectations instead of sampling (chsh)",
-                     argparse={"action": "append_const", "const": "true"}),
+                     argparse={"nargs": "?", "const": "true"}),
     "trials": _Option("trials", int, _sampled_chsh, "number of sampled trials (sampled chsh)"),
     "parallel": _Option("parallel", int, _sampled_chsh, "sampler threads, at most the core "
                         "count; payload bytes do not depend on it (sampled chsh)", echo=False),
@@ -526,17 +526,24 @@ def run(cfg: RunConfig) -> RunReport:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are configuration errors, as a config file's are."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="locclab",
+    # no abbreviated flags: a flag is refused unless its text is the key's, as in the file
+    parser = _Parser(
+        prog="locclab", allow_abbrev=False,
         description="Seeded two-agent LOCC experiments over identified or channel-delivered pairs.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, spec in _EXPERIMENTS.items():
-        p = sub.add_parser(
-            name, help=spec.help, description=spec.help, epilog=f"example: {spec.example}"
-        )
+        p = sub.add_parser(name, help=spec.help, description=spec.help,
+                           epilog=f"example: {spec.example}", allow_abbrev=False)
         p.add_argument("--config", help="flat key-value config file ('key = value', # comments)")
         # values stay text here and are parsed by the table, as config-file values are
         for key, opt in _OPTIONS.items():
@@ -546,9 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = vars(_build_parser().parse_args(argv))
-    experiment, config_path = args.pop("experiment"), args.pop("config")
     try:
+        args = vars(_build_parser().parse_args(argv))
+        experiment, config_path = args.pop("experiment"), args.pop("config")
         given = {key: texts for key, texts in args.items() if texts is not None}
         for key, texts in given.items():
             if len(texts) > 1 and not _OPTIONS[key].repeats:

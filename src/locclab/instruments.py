@@ -3,17 +3,17 @@
 An instrument maps a density operator to a list of classical outcomes, each
 with its probability and normalized post-measurement state.  Branches are
 stored in Kraus form because Kraus collections compose and coarse-grain
-cheaply.  An instrument is validated once per instrument: the report of
-:func:`validate_instrument` (complete positivity from the branch Choi
-matrices, trace preservation from the completeness sum) is kept with the
-frozen instrument, and so are its Kraus operators extended to each pair
-qubit it is applied on.  One kernel, :func:`apply_instrument`, applies every
-branch to a whole stack of pair states at once; transcript enumeration in
-:mod:`locclab.distinguish` runs it on each round.  The kernel does not check
-the post-states it returns, so every caller checks the live ones with
-:func:`~locclab.linalg.check_density_stack`.  Every instrument acts on one
-qubit: a branch refuses any Kraus operator that is not 2x2 when it is built,
-so no caller checks for one.
+cheaply.  On first use an instrument lays out all its Kraus operators as one
+flat ``(K, 2, 2)`` stack, with the branch and weight of each; the validator
+and the kernel read only that stack.  The report of
+:func:`validate_instrument` is kept with the frozen instrument, and so is
+its stack extended to each pair qubit it is applied on.  One kernel,
+:func:`apply_instrument`, applies the stack to a whole stack of pair states
+at once; transcript enumeration in :mod:`locclab.distinguish` runs it on
+each round.  The kernel does not check the post-states it returns, so every
+caller checks the live ones with :func:`~locclab.linalg.check_density_stack`.
+Every instrument acts on one qubit: a branch refuses any Kraus operator that
+is not 2x2 when it is built, so no caller checks for one.
 
 Branches carry signed real weights on their Kraus terms.  With all weights
 +1 (the default) a branch is automatically completely positive;
@@ -48,7 +48,6 @@ __all__ = [
     "CoarseGrainingPartition",
     "Violation",
     "ValidationReport",
-    "branch_choi",
     "validate_instrument",
     "apply_instrument",
     "coarse_grain",
@@ -104,21 +103,14 @@ class InstrumentBranch:
             raise ValueError("weights length must match Kraus operator count")
         object.__setattr__(self, "weights", w)
 
-    def completeness_term(self) -> np.ndarray:
-        """``sum_k w_k K_k^dag K_k`` for this branch."""
-        out = np.zeros((2, 2), dtype=complex)
-        for w, k in zip(self.weights, self.kraus):
-            out += w * np.einsum("ji,jk->ik", k.conj(), k)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class QuantumInstrument:
     """A finite family of CP branch maps whose sum is trace preserving.
 
     ``report`` validates the instrument on first use and keeps the result;
-    the Kraus operators extended to each pair qubit they are applied on are
-    kept the same way.
+    the flat Kraus stack, and that stack extended to each pair qubit it is
+    applied on, are kept the same way.
     """
 
     branches: tuple[InstrumentBranch, ...]
@@ -142,8 +134,16 @@ class QuantumInstrument:
         return validate_instrument(self)
 
     @cached_property
+    def _stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(kraus, branch, weight)``: every Kraus operator, branch by branch, as one
+        ``(K, 2, 2)`` stack, with the index of its branch and its weight."""
+        kraus = np.stack([k for b in self.branches for k in b.kraus])
+        branch = np.repeat(np.arange(len(self.branches)), [len(b.kraus) for b in self.branches])
+        return kraus, branch, np.array([w for b in self.branches for w in b.weights])
+
+    @cached_property
     def _embedded(self) -> dict:
-        """Extended Kraus terms keyed by target qubit."""
+        """The stack extended to the pair, and its adjoint, keyed by target qubit."""
         return {}
 
     def branch(self, outcome: str) -> InstrumentBranch:
@@ -197,58 +197,28 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def branch_choi(branch: InstrumentBranch) -> np.ndarray:
-    """Choi matrix ``sum_k w_k vec(K_k) vec(K_k)^dag`` (column-stacking)."""
-    choi = np.zeros((4, 4), dtype=complex)
-    for w, k in zip(branch.weights, branch.kraus):
-        v = k.reshape(-1, order="F")
-        choi += w * np.outer(v, v.conj())
-    return choi
-
-
 def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
-    """Check complete positivity per branch and total trace preservation.
+    """Check complete positivity per branch and total trace preservation, from the stack.
 
-    Passes iff every branch's Choi matrix is PSD within :data:`CP_ATOL` and
-    the summed completeness term equals the identity within :data:`TP_ATOL`
+    Passes iff each branch's Choi matrix ``sum_k w_k vec(K_k) vec(K_k)^dag``
+    (column-stacking) is PSD within :data:`CP_ATOL` and the stack's
+    ``sum_k w_k K_k^dag K_k`` equals the identity within :data:`TP_ATOL`
     (spectral norm).  Violations name the failing branch and the defect magnitude.
     """
-    violations: list[Violation] = []
-    min_eigs = np.linalg.eigvalsh(np.stack([branch_choi(b) for b in inst.branches]))[:, 0]
-    total = np.zeros((2, 2), dtype=complex)
-    for b, min_eig in zip(inst.branches, min_eigs.tolist()):
-        if min_eig < -CP_ATOL:
-            violations.append(Violation(b.outcome, "cp", -min_eig))
-        total += b.completeness_term()
+    kraus, branch, weight = inst._stack
+    vec = kraus.swapaxes(-1, -2).reshape(-1, 4)
+    choi = np.zeros((len(inst.branches), 4, 4), dtype=complex)
+    np.add.at(choi, branch, weight[:, None, None] * np.einsum("ki,kj->kij", vec, vec.conj()))
+    violations = [
+        Violation(b.outcome, "cp", -min_eig)
+        for b, min_eig in zip(inst.branches, np.linalg.eigvalsh(choi)[:, 0].tolist())
+        if min_eig < -CP_ATOL
+    ]
+    total = np.einsum("k,kji,kjl->il", weight, kraus.conj(), kraus)
     defect = float(np.linalg.norm(total - ID2, ord=2))
     if defect > TP_ATOL:
         violations.append(Violation(None, "completeness", defect))
     return ValidationReport(passed=not violations, violations=tuple(violations))
-
-
-def _weighted_terms(inst: QuantumInstrument, target: str):
-    """``(rows, E, E^dagger, w)`` for each Kraus position ``k``, extended to the pair.
-
-    ``rows`` selects the branches that have a ``k``-th Kraus operator, and
-    ``E`` stacks those operators as ``(rows, 4, 4)``; ``w`` holds their
-    weights, or is ``None`` when every one of them is 1.  Built with one
-    :func:`extend_to_pair` call on the first use of each target and kept with ``inst``.
-    """
-    if target not in inst._embedded:
-        branches = inst.branches
-        flat = iter(extend_to_pair(np.stack([k for b in branches for k in b.kraus]), target))
-        extended = [[next(flat) for _ in b.kraus] for b in branches]
-        terms = []
-        for k in range(max(len(b.kraus) for b in branches)):
-            rows = [j for j, b in enumerate(branches) if len(b.kraus) > k]
-            e = np.stack([extended[j][k] for j in rows])
-            w = np.array([branches[j].weights[k] for j in rows])[:, None, None, None]
-            w = None if (w == 1.0).all() else w
-            if len(rows) == len(branches):
-                rows = slice(None)
-            terms.append((rows, e, e.conj().swapaxes(-1, -2), w))
-        inst._embedded[target] = terms
-    return inst._embedded[target]
 
 
 def apply_instrument(
@@ -256,34 +226,36 @@ def apply_instrument(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every branch of ``inst``, on the ``target`` qubit, applied to a stack of pair states.
 
-    ``states`` is an ``(n, 4, 4)`` stack of density matrices on the pair, and
-    each ``E rho E^dagger`` is two ``einsum`` products, so no BLAS kernel
-    enters the result: ``probs`` of shape ``(branches, n)`` and the normalized
-    ``posts`` of shape ``(branches, n, 4, 4)``.  A probability at or below
-    :data:`PROB_FLOOR` has no post-state: it is clamped to be nonnegative
-    and its post-state is left zero.  Raises :class:`LayoutError` unless
-    ``target`` is ``"q_A"`` or ``"q_B"``, and :class:`ContractError` if
-    ``inst`` failed its validation.
-    The post-states are not checked here, so every caller must pass the
-    live ones (``posts[probs > PROB_FLOOR]``) to
-    :func:`~locclab.linalg.check_density_stack`, as
-    :func:`~locclab.distinguish.accessible_distributions` does once per round.
+    ``states`` is an ``(n, 4, 4)`` stack of density matrices on the pair.  The
+    instrument's Kraus stack, extended to ``target`` by one :func:`extend_to_pair`
+    call on the first use of each target and kept with ``inst``, gives every
+    ``E rho E^dagger`` in two ``einsum`` products, so no BLAS kernel enters
+    the result.  With one operator of weight 1 per branch these are the
+    outputs; otherwise each branch adds its operators' ``w E rho E^dagger``
+    into zeros in stack order.  Returns ``probs`` of shape ``(branches, n)``
+    and the normalized ``posts`` of shape ``(branches, n, 4, 4)``.  A
+    probability at or below :data:`PROB_FLOOR` has no post-state: it is
+    clamped to be nonnegative and its post-state is left zero.  Raises
+    :class:`LayoutError` unless ``target`` is ``"q_A"`` or ``"q_B"``, and
+    :class:`ContractError` if ``inst`` failed its validation.  The post-states
+    are not checked here, so every caller passes the live ones
+    (``posts[probs > PROB_FLOOR]``) to :func:`~locclab.linalg.check_density_stack`,
+    as :func:`~locclab.distinguish.accessible_distributions` does once per round.
     """
-    terms = _weighted_terms(inst, target)
+    kraus, branch, weight = inst._stack
+    if target not in inst._embedded:
+        e = extend_to_pair(kraus, target)
+        inst._embedded[target] = e, e.conj().swapaxes(-1, -2)
+    e, e_dag = inst._embedded[target]
     if not inst.report.passed:
-        raise ContractError(
-            "invalid instrument: " + "; ".join(str(v) for v in inst.report.violations)
-        )
+        raise ContractError("invalid instrument: " + "; ".join(map(str, inst.report.violations)))
+    out = np.einsum("rnij,rjk->rnik", np.einsum("rij,njk->rnik", e, states), e_dag)
     # one Kraus operator of weight 1 per branch: E rho E^dagger itself is the output, since
     # adding it to zeros and multiplying by 1 would change only the sign of an exact zero
-    single = len(terms) == 1 and terms[0][3] is None
-    out = None if single else np.zeros((len(inst.branches),) + states.shape, dtype=complex)
-    for rows, e, e_dag, w in terms:
-        term = np.einsum("rnij,rjk->rnik", np.einsum("rij,njk->rnik", e, states), e_dag)
-        if single:
-            out = term
-        else:
-            out[rows] += term if w is None else w * term
+    if len(branch) > len(inst.branches) or (weight != 1.0).any():
+        terms, out = out, np.zeros((len(inst.branches),) + states.shape, dtype=complex)
+        terms *= weight[:, None, None, None]
+        np.add.at(out, branch, terms)
     probs = np.trace(out, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     posts = np.zeros_like(out)

@@ -19,7 +19,6 @@ each is validated once per process.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib import resources
@@ -210,13 +209,7 @@ def bundled_corpus() -> list[ProtocolScript]:
     return [load_bundled_script(n) for n in bundled_script_names()]
 
 
-@cache
 def canonical_chsh_script() -> ProtocolScript:
-    """Two rounds of randomized setting choice at the optimal CHSH angles, built once."""
-    return ProtocolScript(
-        "chsh_canonical",
-        (
-            ProtocolRound("A", settings_choice_instrument(0.0, math.pi / 2)),
-            ProtocolRound("B", settings_choice_instrument(math.pi / 4, -math.pi / 4)),
-        ),
-    )
+    """Two rounds of randomized setting choice at the optimal CHSH angles: the bundled
+    ``chsh_canonical`` script."""
+    return load_bundled_script("chsh_canonical")

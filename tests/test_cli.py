@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -564,6 +566,32 @@ class TestMain:
         assert out.err.startswith("configuration error: bad value 'many'")
         assert out.err.endswith("(key: trials)\n")
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["chsh", "--wibble", "1", "--seed", "1"], "unrecognized arguments: --wibble 1"),
+            (["chsh", "--mode", "er", "--seed"], "argument --seed: expected one argument"),
+            ([], "the following arguments are required: experiment"),
+            (["bell", "--seed", "1"], "argument experiment: invalid choice: 'bell'"),
+            # a flag is not abbreviated, as a config-file key is not
+            (["chsh", "--mo", "er", "--exa", "--seed", "1"],
+             "unrecognized arguments: --mo er --exa"),
+            (["chsh", "--mode=er", "--exact", "--se=1"], "unrecognized arguments: --se=1"),
+        ],
+    )
+    def test_argument_list_refusal_exit_code(self, capsys, args, message):
+        assert main(args) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: " + message)
+
+    @pytest.mark.parametrize("flag,exact", [("--exact", True), ("--exact=Yes", True),
+                                            ("--exact=0", False), ("--exact=false", False)])
+    def test_exact_flag_text_parses_as_in_the_file(self, capsys, flag, exact):
+        trials = [] if exact else ["--trials", "100"]
+        assert main(["chsh", "--seed", "1", flag, *trials]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["exact"] is exact
+
     @pytest.mark.parametrize("text", ["banana", "", "on", "2", "truth"])
     def test_exact_value_that_is_no_boolean_exit_code(self, tmp_path, capsys, text):
         path = tmp_path / "run.cfg"
@@ -723,10 +751,10 @@ class TestMain:
         cli._build_parser.cache_clear()
         assert main(good) == EXIT_OK
         fresh = capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(["chsh", "--wibble", "many", "--alice-instrument", "x", "--seed", "1"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert main(["chsh", "--wibble", "many", "--alice-instrument", "x", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unrecognized arguments: --wibble many\n"
+        )
         assert main(good) == EXIT_OK
         assert capsys.readouterr().out == fresh
         assert json.loads(fresh)["config"] == {
@@ -738,7 +766,10 @@ class TestMain:
             with pytest.raises(SystemExit) as exc:
                 main([experiment, "--help"])
             assert exc.value.code == 0
-            assert "example: locclab " + experiment in capsys.readouterr().out
+            (example,) = re.findall(r"^example: (.*)$", capsys.readouterr().out, re.M)
+            prog, *argv = shlex.split(example)
+            assert prog == "locclab" and argv[0] == experiment
+            assert main(argv) == EXIT_OK, capsys.readouterr().err
 
     def test_import_leaves_the_thread_pool_unloaded(self):
         # only a threaded sampled run imports concurrent.futures, and the logging it pulls in

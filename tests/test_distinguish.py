@@ -499,7 +499,9 @@ class TestCallCounts:
         # sweep without --script runs the canonical CHSH script: its two
         # settings_choice instruments are validated on the first run only
         assert canonical_chsh_script() is canonical_chsh_script()
-        protocols.canonical_chsh_script.cache_clear()
+        assert canonical_chsh_script() is load_bundled_script("chsh_canonical")
+        protocols.load_bundled_script.cache_clear()
+        protocols._spec_instrument.cache_clear()
         validated = []
         validate_instrument = instruments.validate_instrument
 

@@ -27,7 +27,6 @@ from locclab.instruments import (
     PROB_FLOOR,
     InstrumentBranch,
     QuantumInstrument,
-    branch_choi,
     measure_angle,
     settings_choice_instrument,
     unsharp_z,
@@ -91,12 +90,16 @@ class TestValidate:
             # valid: all weights positive, every Choi PSD
             for b in inst.branches:
                 direct = all(w > 0 for w in b.weights)
-                choi_ok = float(np.linalg.eigvalsh(branch_choi(b))[0]) > -1e-9
+                choi_ok = float(np.linalg.eigvalsh(oracles.branch_choi(b))[0]) > -1e-9
                 assert direct == choi_ok
             bad = helpers.sign_flip_one_term(inst)
             flipped = bad.branches[0]
             assert any(w < 0 for w in flipped.weights)
-            assert float(np.linalg.eigvalsh(branch_choi(flipped))[0]) < -1e-9
+            min_eig = float(np.linalg.eigvalsh(oracles.branch_choi(flipped))[0])
+            assert min_eig < -1e-9
+            # the validator's Choi matrices, built from the flat Kraus stack, agree
+            (cp,) = [v for v in validate_instrument(bad).violations if v.kind == "cp"]
+            assert cp.branch == flipped.outcome and abs(cp.magnitude + min_eig) < 1e-12
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(LayoutError):
@@ -254,6 +257,22 @@ class TestBranchKernel:
         rho = helpers.random_density(np.random.default_rng(8))
         probs, posts = apply_to_state(uneven_instrument(), rho.matrix, target)
         oracle_probs, oracle_posts = per_operator_oracle(uneven_instrument(), rho, target)
+        assert probs.tolist() == oracle_probs
+        for post, oracle in zip(posts, oracle_posts):
+            assert post.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["K_K", "2K"])
+    @pytest.mark.parametrize("target", ["q_A", "q_B"])
+    def test_weighted_branch_matches_per_operator_embedding(self, doubled, target):
+        # a valid branch whose weights are not 1: K twice at 0.25 and 0.75, or 2K at 0.25
+        rng = np.random.default_rng(9)
+        inst = helpers.random_instrument(rng, 2)
+        (k,) = inst.branches[0].kraus
+        ops, weights = ((2 * k,), (0.25,)) if doubled else ((k, k), (0.25, 0.75))
+        weighted = QuantumInstrument((InstrumentBranch("0", ops, weights), inst.branches[1]))
+        rho = helpers.random_density(rng)
+        probs, posts = apply_to_state(weighted, rho.matrix, target)
+        oracle_probs, oracle_posts = per_operator_oracle(weighted, rho, target)
         assert probs.tolist() == oracle_probs
         for post, oracle in zip(posts, oracle_posts):
             assert post.tobytes() == oracle.tobytes()

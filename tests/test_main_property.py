@@ -6,12 +6,13 @@ criterion lines and the closing ``done in`` line.  An escaping exception is
 a failure of the property.  A run given a flag that does not act in it, per
 the literal ``ACTS`` matrix of ``test_cli``, exits 2, and a refusal of a key
 as one that does not act names that flag's key and no other.  So does a run
-given a config file that is not UTF-8, one given an empty
-``--alice-instrument`` list, which is refused by its key, and one that
-would compare fewer than two distinct channel sizes or instrument files.  Every
-drawn value is bounded: at most 10^4 trials, at most 8 environment qubits
-and at most 2 sampler threads.  Values are passed as ``--flag=value``, the
-form that lets a value such as ``-inf`` start with a dash.
+given a config file that is not UTF-8, one given an unknown or abbreviated
+flag, one given an empty ``--alice-instrument`` list, which is refused by
+its key, and one that would compare fewer than two distinct channel sizes
+or instrument files.  Every drawn value is bounded: at most 10^4 trials, at
+most 8 environment qubits and at most 2 sampler threads.  Values are passed
+as ``--flag=value``, the form that lets a value such as ``-inf`` start with
+a dash.
 """
 
 import io
@@ -38,6 +39,17 @@ FLAG_KEYS = {
     "--parallel": "parallel", "--format": "format", "--script": "script",
     "--alice-instrument": "alice_instruments",
 }
+
+#: Every flag an experiment takes; a proper prefix of one is refused unless it is a flag too.
+ALL_FLAGS = sorted([*FLAG_KEYS, "--seed", "--config", "--out", "--transcript"])
+
+#: A flag no experiment takes: an unknown name, or an abbreviation of a flag.
+UNKNOWN_FLAGS = st.one_of(
+    st.sampled_from(["--wibble", "--seeds", "--q_dim", "--lambda-grids"]),
+    st.sampled_from(ALL_FLAGS)
+    .flatmap(lambda flag: st.integers(3, len(flag) - 1).map(lambda n: flag[:n]))
+    .filter(lambda flag: flag not in ALL_FLAGS),
+)
 
 #: The two spellings of an empty instrument list that the property draws.
 EMPTY_INSTRUMENTS = ("--alice-instrument=", "--alice-instrument=,")
@@ -121,6 +133,9 @@ def argv(draw, files):
     refused = stray is not None
     if draw(st.integers(0, 9)) == 9:  # a config file that is not UTF-8 in about a tenth
         args.append(f"--config={files['not_utf8']}")
+        refused = True
+    if draw(st.integers(0, 9)) == 9:  # an unknown or abbreviated flag in about a tenth
+        args.append(f"{draw(UNKNOWN_FLAGS)}=1")
         refused = True
     for flag in sorted(flags):
         value = draw(options[flag])

@@ -30,6 +30,8 @@ SRC = TESTS.parent / "src" / "locclab"
 #: Functions no golden config enters, each with the reason it stays.
 UNREACHED = {
     "bell.CHSHResult.correlations": "library accessor of the four correlations, read by test_bell",
+    "cli._Parser.error": "argument lists the parser refuses (exit 2), in test_cli and "
+                         "test_main_property",
     "cli._read_config_file": "--config files; every golden passes its values as flags",
     "distinguish.accessible_distribution": "the enumeration on one world, for library callers",
     "errors.ConfigError.__init__": "the configuration refusals (exit 2) of test_cli",
