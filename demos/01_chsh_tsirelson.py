@@ -33,8 +33,7 @@ from locclab import (
 
 
 def main():
-    world = build_er_world()
-    pair = deliver_pair(world)
+    pair = deliver_pair(build_er_world())
 
     exact = exact_chsh(pair)
     print("exact correlations:", [round(e, 6) for e in exact.correlations])
@@ -43,7 +42,7 @@ def main():
     print()
 
     for trials in (1_000, 10_000, 100_000):
-        res = sample_chsh(world, CHSHConfig(trials=trials, seed=7))
+        res = sample_chsh(pair, CHSHConfig(trials=trials, seed=7))
         sigmas = abs(res.s_abs - TSIRELSON_BOUND) / res.standard_error
         print(
             f"trials={trials:>7}: |S| = {res.s_abs:.4f} +/- {res.standard_error:.4f}"
@@ -52,7 +51,7 @@ def main():
 
     # the transcript is text, one "trial x y a b" row per trial under a header
     transcript = io.BytesIO()
-    res = sample_chsh(world, CHSHConfig(trials=100_000, seed=7), transcript_out=transcript)
+    res = sample_chsh(pair, CHSHConfig(trials=100_000, seed=7), transcript_out=transcript)
     transcript.seek(0)
     rows = np.loadtxt(transcript, dtype=int, skiprows=1)
     counts = np.zeros((2, 2), dtype=int)

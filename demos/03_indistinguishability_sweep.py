@@ -16,26 +16,26 @@ on, the channel betrays itself exactly to the extent it decoheres.
 """
 
 from locclab import (
-    accessible_distribution,
+    accessible_distributions,
     build_epr_world,
     build_er_world,
     bundled_corpus,
     canonical_chsh_script,
+    deliver_pairs,
     indistinguishability_sweep,
     total_variation,
 )
 
 
 def main():
-    er = build_er_world()
+    # the agents hold only the pair each world delivers
     epr0 = build_epr_world(q_dim=2, qbar_dim=2, lam=0.0, seed=0)
+    pairs = deliver_pairs([epr0, build_er_world()])
+    corpus = bundled_corpus()
 
     print("transcript distance at zero coupling, per bundled script:")
-    for script in bundled_corpus():
-        tvd = total_variation(
-            accessible_distribution(epr0, script), accessible_distribution(er, script)
-        )
-        print(f"  {script.name:<16} {tvd:.2e}")
+    for script, (epr0, er) in zip(corpus, accessible_distributions(pairs, corpus)):
+        print(f"  {script.name:<16} {total_variation(epr0, er):.2e}")
 
     print("\nsweeping the coupling with the randomized-settings CHSH script:")
     grid = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]

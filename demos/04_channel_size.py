@@ -19,13 +19,14 @@ from locclab import (
     build_epr_world,
     canonical_chsh_script,
     channel_size_check,
+    deliver_pairs,
     load_bundled_script,
 )
 
 
-def channel_worlds(q_dims, lam=0.0):
-    """One channel world per size, with the same rest of the environment."""
-    return [build_epr_world(q_dim, 2, lam, seed=0) for q_dim in q_dims]
+def channel_pairs(q_dims, lam=0.0):
+    """The pairs of one channel world per size, with the same rest of the environment."""
+    return deliver_pairs([build_epr_world(q_dim, 2, lam, seed=0) for q_dim in q_dims])
 
 
 def main():
@@ -38,12 +39,12 @@ def main():
     print("max pairwise transcript distance across channel sizes {2, 3}:")
     print("  script            lam=0        lam=0.7")
     for name, script in scripts.items():
-        quiet = channel_size_check(channel_worlds([2, 3]), script)
-        loud = channel_size_check(channel_worlds([2, 3], lam=0.7), script)
+        quiet = channel_size_check(channel_pairs([2, 3]), script)
+        loud = channel_size_check(channel_pairs([2, 3], lam=0.7), script)
         print(f"  {name:<16}  {quiet:.2e}     {loud:.2e}")
 
     print("\nwith three sizes at once, still invisible at zero coupling:")
-    worst = channel_size_check(channel_worlds([2, 3, 4]), canonical_chsh_script())
+    worst = channel_size_check(channel_pairs([2, 3, 4]), canonical_chsh_script())
     print(f"  sizes (2, 3, 4): {worst:.2e}")
 
 

@@ -17,6 +17,7 @@ from locclab import (
     ProtocolRound,
     build_epr_world,
     build_er_world,
+    deliver_pair,
     identity_instrument,
     measure_x,
     measure_z,
@@ -35,13 +36,13 @@ def main():
     }
     print("max shift of Bob's marginal across Alice's choices (channel withheld):")
     for name, world in worlds.items():
-        print(f"  {name:<17} {no_signaling_check(world, variants, bob):.2e}")
+        print(f"  {name:<17} {no_signaling_check(deliver_pair(world), variants, bob):.2e}")
 
     print("\nsame probe with Bob conditioning on Alice's broadcast outcome:")
     adaptive_bob = [ProtocolRound("B", measure_x(), {("0",): measure_z()})]
     classical_channel = True
     shift = no_signaling_check(
-        build_er_world(), [measure_z(), identity_instrument()], adaptive_bob,
+        deliver_pair(build_er_world()), [measure_z(), identity_instrument()], adaptive_bob,
         classical_channel=classical_channel,
     )
     print(f"  marginal shift = {shift:.3f}")

@@ -21,7 +21,6 @@ from .bell import (
 from .distinguish import (
     OutcomeDistribution,
     SweepRow,
-    accessible_distribution,
     accessible_distributions,
     channel_size_check,
     frame_misalignment_demo,

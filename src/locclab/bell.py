@@ -1,4 +1,4 @@
-"""CHSH experiments over a world: exact correlations and sampled trials.
+"""CHSH experiments on a delivered pair: exact correlations and sampled trials.
 
 Observables are parametrized by one angle in the Z-X plane,
 ``O(a) = cos(a) Z + sin(a) X``, which suffices to reach the quantum maximum
@@ -43,7 +43,6 @@ import numpy as np
 from .errors import EmptyCellError
 from .instruments import PROB_FLOOR
 from .linalg import DensityMatrix
-from .worlds import World, deliver_pair
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -148,14 +147,14 @@ def exact_chsh(pair: DensityMatrix, config: CHSHConfig = CHSHConfig()) -> CHSHRe
     return _result_from_correlations(tuple(_moments(pair, config)[1:, 1:].ravel().tolist()), 0.0)
 
 
-def _outcome_thresholds(world: World, config: CHSHConfig) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_thresholds(pair: DensityMatrix, config: CHSHConfig) -> tuple[np.ndarray, np.ndarray]:
     """``a_plus[2x+y] = P(A=+1 | x, y)`` and ``b_plus[2(2x+y)+i] = P(B=+1 | x, y, A=i)``.
 
     ``P(i, j | x, y) = (1 + s_i <A_x> + s_j <B_y> + s_i s_j E_xy) / 4`` with
     ``s = (+1, -1)``; Bob's probability is 0 after an Alice outcome of
     probability at most ``PROB_FLOOR``.
     """
-    m = _moments(deliver_pair(world), config)
+    m = _moments(pair, config)
     s = np.array([1.0, -1.0])
     a, b, e = m[1:, 0, None, None], m[0, 1:, None], m[1:, 1:, None]  # [x, y, i]
     p_a = (1 + s * a) / 2
@@ -196,28 +195,6 @@ def _codes(w: np.ndarray, a_t, b_t) -> np.ndarray:
     return code << 1 | (w[:, 3] >= b_t.take(code))
 
 
-def _run_blocks(world: World, config: CHSHConfig, parallel_width: int, per_block) -> Iterator:
-    """``per_block(start, chunks)`` for each block of trials, yielded in trial order.
-
-    ``chunks`` yields the block's codes from :func:`_block_codes`.  Blocks are
-    ``BLOCK_TRIALS`` long whatever the width, and at most
-    ``min(parallel_width, cpu count, blocks)`` threads run them.
-    """
-    if parallel_width < 1:
-        raise ValueError(f"parallel width must be >= 1, got {parallel_width}")
-    a_t, b_t = map(_word_thresholds, _outcome_thresholds(world, config))
-
-    def run(start: int):
-        stop = min(start + BLOCK_TRIALS, config.trials)
-        return per_block(start, _block_codes(start, stop, config.seed, a_t, b_t))
-
-    starts = range(0, config.trials, BLOCK_TRIALS)
-    workers = min(parallel_width, os.cpu_count() or 1, len(starts))
-    if workers == 1:
-        return map(run, starts)
-    return _threaded(run, starts, workers)
-
-
 def _threaded(fn, starts: range, workers: int) -> Iterator:
     """``fn`` over ``starts`` in order, from a sliding window of ``workers`` blocks in flight."""
     from concurrent.futures import ThreadPoolExecutor  # here, so importing locclab loads no logging
@@ -251,30 +228,39 @@ def _estimate(tally: np.ndarray) -> CHSHResult:
 
 
 def sample_chsh(
-    world: World,
+    pair: DensityMatrix,
     config: CHSHConfig,
     parallel_width: int = 1,
     transcript_out: BinaryIO | None = None,
 ) -> CHSHResult:
-    """Sampled CHSH experiment; deterministic given ``config.seed``.
+    """Sampled CHSH experiment on ``pair``; deterministic given ``config.seed``.
 
-    Each chunk of trials is counted as it is drawn, so memory does not grow
-    with ``config.trials``.  With ``transcript_out``, a binary
+    Trials run in blocks of ``BLOCK_TRIALS``, whatever the width, on at most
+    ``min(parallel_width, cpu count, blocks)`` threads, and are handed on in
+    trial order.  Each chunk of trials is counted as it is drawn, so memory
+    does not grow with ``config.trials``.  With ``transcript_out``, a binary
     file, the transcript text is written to it in trial order as it is
     drawn: the ``TRANSCRIPT_HEADER`` line, then one ``"trial x y a b"`` row
     per trial, with outcomes ``a, b`` as ``+1`` or ``-1``.
     """
+    if parallel_width < 1:
+        raise ValueError(f"parallel width must be >= 1, got {parallel_width}")
+    a_t, b_t = map(_word_thresholds, _outcome_thresholds(pair, config))
 
-    def per_block(start: int, chunks: Iterator[np.ndarray]):
+    def block(start: int) -> tuple[np.ndarray, list]:
+        """The code counts of the block from trial ``start`` and, when exporting, its rows."""
+        stop = min(start + BLOCK_TRIALS, config.trials)
         counts, rows = np.zeros(16, dtype=np.int64), []
-        for codes in chunks:
+        for codes in _block_codes(start, stop, config.seed, a_t, b_t):
             counts += np.bincount(codes, minlength=16)
             if transcript_out is not None:
                 rows += _format_rows(np.arange(start, start + len(codes)), codes)
             start += len(codes)
         return counts, rows
 
-    blocks = _run_blocks(world, config, parallel_width, per_block)
+    starts = range(0, config.trials, BLOCK_TRIALS)
+    workers = min(parallel_width, os.cpu_count() or 1, len(starts))
+    blocks = map(block, starts) if workers == 1 else _threaded(block, starts, workers)
     counts = np.zeros(16, dtype=np.int64)
     if transcript_out is not None:
         transcript_out.write(_HEADER_LINE)

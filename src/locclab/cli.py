@@ -3,13 +3,15 @@
 Every experiment takes a mandatory seed (wall-clock seeding is refused by
 omission), echoes its configuration into the output payload, and evaluates
 built-in assertions whose pass/fail lines go to the diagnostic stream.
-Payload bytes depend only on the configuration and seed, never on the
-parallelism width or timing.
+Each runner builds its worlds and delivers their pairs once, and the
+experiments read those pairs.  Payload bytes depend only on the
+configuration and seed, never on the parallelism width or timing.
 
 Exit codes: 0 success, 2 configuration error (including a refused argument
 list, an option that does not act in the run, an input file that cannot be
-read or parsed and an output file that cannot be written), 3 capacity
-error, 4 built-in assertion failure, 5 empty-cell estimation error.
+read or parsed, an output file that cannot be written and a transcript that
+names the payload file), 3 capacity error, 4 built-in assertion failure, 5
+empty-cell estimation error.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .protocols import (
     load_bundled_script,
     load_script,
 )
-from .worlds import World, build_epr_world, build_er_world, deliver_pair
+from .linalg import DensityMatrix
+from .worlds import World, build_epr_world, build_er_world, deliver_pair, deliver_pairs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -295,6 +298,10 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError("every channel size must be >= 2", key="q_dims")
     if len(set(cfg.q_dims)) < max(len(cfg.q_dims), 2):
         raise ConfigError("needs two or more channel sizes to compare, none repeated", key="q_dims")
+    transcript = cfg.transcript
+    if transcript and cfg.out != "-" and os.path.realpath(transcript) == os.path.realpath(cfg.out):
+        raise ConfigError("names the --out file, which the payload would overwrite",
+                          key="transcript")
     paths = cfg.alice_instruments
     if paths and len(set(map(os.path.realpath, paths))) < max(len(paths), 2):
         raise ConfigError("needs two or more distinct instrument files to compare",
@@ -342,14 +349,14 @@ def _write_file(path: str, text: str, key: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}", key=key) from exc
 
 
-def _sample_chsh(world: World, cfg: RunConfig) -> CHSHResult:
+def _sample_chsh(pair: DensityMatrix, cfg: RunConfig) -> CHSHResult:
     """Sampled CHSH, streaming the transcript to ``cfg.transcript`` when one is asked for."""
     config = CHSHConfig(trials=cfg.trials, seed=cfg.seed)
     if cfg.transcript is None:
-        return sample_chsh(world, config, cfg.parallel)
+        return sample_chsh(pair, config, cfg.parallel)
     try:
         with open(cfg.transcript, "wb") as fh:
-            return sample_chsh(world, config, cfg.parallel, fh)
+            return sample_chsh(pair, config, cfg.parallel, fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.transcript!r}: {exc}", key="transcript") from exc
 
@@ -366,17 +373,10 @@ def _columnar(rows: list[dict]) -> str:
 
 
 def _run_chsh(cfg: RunConfig) -> _Outcome:
-    world = _world_from_config(cfg)
-    if cfg.exact:
-        res = exact_chsh(deliver_pair(world))
-    else:
-        res = _sample_chsh(world, cfg)
-    criteria = [
-        (
-            "s_abs within quantum bound",
-            res.s_abs <= TSIRELSON_BOUND + 5 * res.standard_error + 1e-9,
-        )
-    ]
+    pair = deliver_pair(_world_from_config(cfg))
+    res = exact_chsh(pair) if cfg.exact else _sample_chsh(pair, cfg)
+    bound = TSIRELSON_BOUND + 5 * res.standard_error + 1e-9
+    criteria = [("s_abs within quantum bound", res.s_abs <= bound)]
     if cfg.exact and cfg.mode == "er":
         criteria.append(
             ("exact identified-world run attains the quantum maximum",
@@ -401,8 +401,8 @@ def _run_distinguish(cfg: RunConfig) -> _Outcome:
     scripts = [_resolve_script(cfg.script)] if cfg.script else bundled_corpus()
     results = []
     criteria = []
-    worlds = [_epr_world(cfg), build_er_world()]
-    for script, dists in zip(scripts, accessible_distributions(worlds, scripts)):
+    pairs = deliver_pairs([_epr_world(cfg), build_er_world()])
+    for script, dists in zip(scripts, accessible_distributions(pairs, scripts)):
         tvd = total_variation(*dists)
         results.append({"script": script.name, "tvd_vs_er": tvd})
         if cfg.lam == 0.0:
@@ -418,7 +418,7 @@ def _load_alice_instrument(path: str):
 
 
 def _run_nosignal(cfg: RunConfig) -> _Outcome:
-    world = _world_from_config(cfg)
+    pair = deliver_pair(_world_from_config(cfg))
     if cfg.alice_instruments:
         key = "alice_instruments"
         loaded = [_load_file(_load_alice_instrument, p, key) for p in cfg.alice_instruments]
@@ -428,7 +428,7 @@ def _run_nosignal(cfg: RunConfig) -> _Outcome:
     names = [name for name, _ in loaded]
     variants = [inst for _, inst in loaded]
     bob = (ProtocolRound("B", measure_z()), )
-    max_tvd = no_signaling_check(world, variants, bob)
+    max_tvd = no_signaling_check(pair, variants, bob)
     payload = {
         "kind": "nosignal",
         "max_tvd": max_tvd,
@@ -441,7 +441,8 @@ def _run_nosignal(cfg: RunConfig) -> _Outcome:
 
 def _run_qecc(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
-    worst = channel_size_check([_epr_world(cfg, q_dim=d) for d in cfg.q_dims], script)
+    pairs = deliver_pairs([_epr_world(cfg, q_dim=d) for d in cfg.q_dims])
+    worst = channel_size_check(pairs, script)
     payload = {
         "kind": "qecc",
         "q_dims": list(cfg.q_dims),

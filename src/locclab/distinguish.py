@@ -1,15 +1,16 @@
 """Operational distinguishability of worlds under two-party protocols.
 
 Everything an agent pair can access is the classical transcript
-distribution of a protocol script run against a world.  This module
-computes those distributions exactly (branch enumeration, no sampling;
-every script and world of an experiment in one pass), compares them in
-total variation distance, and packages the standard experiments:
+distribution of a protocol script run on the pair its world delivers.
+This module computes those distributions exactly (branch enumeration, no
+sampling; every script and pair of an experiment in one pass), compares
+them in total variation distance, and packages the standard experiments:
 coupling-strength sweeps, channel-size comparisons at zero coupling,
 no-signaling checks with the classical channel withheld, and
-measurement-frame misalignment.  Each experiment takes built worlds and
-returns a distance or rows (``SweepRow``s); building worlds from a
-configuration and writing payloads is the CLI's job.
+measurement-frame misalignment.  Each experiment reads delivered pairs;
+only the sweep, whose rows (``SweepRow``s) carry each world's coupling,
+takes built worlds and delivers them itself.  Building and delivering a
+run's worlds and writing payloads is the CLI's job.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ import numpy as np
 from .bell import CHSHConfig, CHSHResult, exact_chsh
 from .errors import CapacityError
 from .instruments import PROB_FLOOR, QuantumInstrument, apply_instrument
-from .linalg import check_density_stack, purity
+from .linalg import DensityMatrix, check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
-from .worlds import World, build_er_world, deliver_pair, deliver_pairs
+from .worlds import World, deliver_pairs, singlet_density
 
 __all__ = [
     "OutcomeDistribution",
     "SweepRow",
-    "accessible_distribution",
     "accessible_distributions",
     "total_variation",
     "indistinguishability_sweep",
@@ -119,42 +119,38 @@ def _check_capacity(scripts: Sequence[ProtocolScript], n_worlds: int) -> None:
 
 
 def accessible_distributions(
-    worlds: Sequence[World],
-    scripts: ProtocolScript | Sequence[ProtocolScript],
+    pairs: Sequence[DensityMatrix],
+    scripts: Sequence[ProtocolScript],
     *,
     condition_visibility: str = "full",
-) -> list:
-    """Exact transcript distributions: a per-world list for each of ``scripts``.
+) -> list[list[OutcomeDistribution]]:
+    """Exact transcript distributions: a per-pair list for each of ``scripts``.
 
-    A single script in place of ``scripts`` gets its per-world list alone.
-    Each round's instrument acts on the acting party's own boundary qubit;
-    every branch is followed, so zero-probability transcripts stay in the
-    support.  ``condition_visibility`` controls which prior outcomes a
+    Each round's instrument acts on the acting party's own qubit of the
+    pair; every branch is followed, so zero-probability transcripts stay in
+    the support.  ``condition_visibility`` controls which prior outcomes a
     conditioned round may see: ``"full"`` models an open classical channel,
     ``"own-party"`` withholds it.
 
-    The worlds' pairs are delivered first, by one :func:`deliver_pairs`
-    call.  All scripts and worlds share one enumeration.  Each round groups the
-    live ``(script, branch, world)`` states by instrument and target, runs
+    All scripts and pairs share one enumeration.  Each round groups the
+    live ``(script, branch, pair)`` states by instrument and target, runs
     each group as one stack, and checks every live post-state of the round
-    in one batch before the next round uses any.  A branch dead in a world
+    in one batch before the next round uses any.  A branch dead on a pair
     (probability at most :data:`PROB_FLOOR`) is not applied there and its
-    descendants get 0.0, so each script and world gets the bytes it would
+    descendants get 0.0, so each script and pair gets the bytes it would
     get alone.  Equal instrument specs share one instrument (see
     :mod:`locclab.protocols`), validated once per process.  Scripts whose
-    transcripts overflow physical memory raise ``CapacityError`` up front.
+    transcripts overflow physical memory raise ``CapacityError`` before
+    any instrument is applied.
     """
     if condition_visibility not in ("full", "own-party"):
         raise ValueError(f"unknown condition visibility {condition_visibility!r}")
-    if isinstance(scripts, ProtocolScript):
-        return accessible_distributions(worlds, [scripts], condition_visibility=condition_visibility)[0]
-    _check_capacity(scripts, len(worlds))
-    pairs = [pair.matrix for pair in deliver_pairs(worlds)]
-    # per script: (transcript, [probability, post-state or None] per world) of every branch so far
-    trees = [[((), [(1.0, m) for m in pairs])] for _ in scripts]
+    _check_capacity(scripts, len(pairs))
+    # per script: (transcript, [probability, post-state or None] per pair) of every branch so far
+    trees = [[((), [(1.0, pair.matrix) for pair in pairs])] for _ in scripts]
     for r in range(max((len(s.rounds) for s in scripts), default=0)):
         acting = [(s, script) for s, script in enumerate(scripts) if r < len(script.rounds)]
-        # the instrument of each (script, branch), and the live (script, branch, world)
+        # the instrument of each (script, branch), and the live (script, branch, pair)
         # entries grouped by (instrument, target), each group to run as one stack
         insts, groups = {}, {}
         for s, script in acting:
@@ -165,7 +161,7 @@ def accessible_distributions(
                 for w, (prob, state) in enumerate(cells):
                     if state is not None and prob > PROB_FLOOR:
                         groups.setdefault((inst, target), []).append((s, k, w))
-        children = {}  # (script, branch, world) -> a (probability, post-state) per outcome
+        children = {}  # (script, branch, pair) -> a (probability, post-state) per outcome
         live_posts = []
         for (inst, target), entries in groups.items():
             states = np.array([trees[s][k][1][w][1] for s, k, w in entries])
@@ -190,13 +186,6 @@ def accessible_distributions(
             for tree in trees]
 
 
-def accessible_distribution(
-    world: World, script: ProtocolScript, *, condition_visibility: str = "full"
-) -> OutcomeDistribution:
-    """:func:`accessible_distributions` of ``script`` on ``world`` alone."""
-    return accessible_distributions([world], script, condition_visibility=condition_visibility)[0]
-
-
 @dataclass(frozen=True)
 class SweepRow:
     lam: float
@@ -214,36 +203,35 @@ def indistinguishability_sweep(worlds: Sequence[World], script: ProtocolScript) 
 
     The worlds' couplings must ascend strictly from 0; the first row's
     distance is the zero-coupling limit and the remaining rows trace how
-    decoherence exposes the channel.
+    decoherence exposes the channel.  The worlds are delivered by one
+    :func:`deliver_pairs` call, and each row reads its world's pair.
     """
     couplings = [world.lam for world in worlds]
     if not couplings or couplings[0] != 0.0:
         raise ValueError("the worlds' couplings must start at 0")
     if any(b <= a for a, b in zip(couplings, couplings[1:])):
         raise ValueError("the worlds' couplings must be strictly ascending")
-    [*dists, er_dist] = accessible_distributions([*worlds, build_er_world()], script)
-    rows = []
-    for world, dist in zip(worlds, dists):
-        pair = deliver_pair(world)
-        rows.append(SweepRow(lam=world.lam, tvd_vs_er=total_variation(dist, er_dist),
-                             s_abs=exact_chsh(pair).s_abs, pair_purity=purity(pair)))
-    return rows
+    pairs = deliver_pairs(worlds)
+    [[*dists, er_dist]] = accessible_distributions([*pairs, singlet_density()], [script])
+    return [SweepRow(lam=world.lam, tvd_vs_er=total_variation(dist, er_dist),
+                     s_abs=exact_chsh(pair).s_abs, pair_purity=purity(pair))
+            for world, pair, dist in zip(worlds, pairs, dists)]
 
 
-def channel_size_check(worlds: Sequence[World], script: ProtocolScript) -> float:
-    """Max pairwise transcript distance across ``worlds``.
+def channel_size_check(pairs: Sequence[DensityMatrix], script: ProtocolScript) -> float:
+    """Max pairwise transcript distance across ``pairs``.
 
     At zero coupling the channel size (the number of environment qubits
     implementing it) and the rest of the environment are invisible to the
-    agents, so over worlds that differ only there the result is zero to
-    numerical precision; nonzero coupling exposes them only through
-    decoherence.
+    agents, so over the pairs of worlds that differ only there the result
+    is zero to numerical precision; nonzero coupling exposes them only
+    through decoherence.
     """
-    return _max_pairwise_tvd(accessible_distributions(worlds, script))
+    return _max_pairwise_tvd(accessible_distributions(pairs, [script])[0])
 
 
 def no_signaling_check(
-    world: World,
+    pair: DensityMatrix,
     alice_variants: Sequence[QuantumInstrument],
     bob_rounds: Sequence[ProtocolRound],
     *,
@@ -271,7 +259,7 @@ def no_signaling_check(
         ProtocolScript("no-signaling probe", (ProtocolRound("A", variant),) + bob_rounds)
         for variant in alice_variants
     ]
-    dists = accessible_distributions([world], scripts, condition_visibility=visibility)
+    dists = accessible_distributions([pair], scripts, condition_visibility=visibility)
     return _max_pairwise_tvd([dist.marginal(range(1, 1 + len(bob_rounds))) for [dist] in dists])
 
 
@@ -295,4 +283,4 @@ def frame_misalignment_demo(
     if not corrected:
         r = math.remainder(relative_angle, math.tau)
         config = replace(config, b=config.b + r, b_prime=config.b_prime + r)
-    return exact_chsh(deliver_pair(build_er_world()), config)
+    return exact_chsh(singlet_density(), config)

@@ -4,7 +4,9 @@ An **ER world** hands the agents a boundary qubit pair that is directly
 identified across their locations: the exact singlet, with zero environment
 channel degrees of freedom.  An **EPR world** routes the same pair through
 ``q_dim`` channel qubits inside the environment, whose complement
-(``qbar_dim`` rest qubits) couples to them with strength ``lam``.
+(``qbar_dim`` rest qubits) couples to them with strength ``lam``.  The
+agents see a world only through its pair, which :func:`deliver_pairs`
+computes on each call; nothing is cached on the world.
 
 The environment Hamiltonian is stored in factored form, because each of its
 parts is local or diagonal::
@@ -69,8 +71,9 @@ QUBIT_CAP = 14
 _REST_LOW, _REST_SPAN = np.array([-1.0, -1.0, -0.7, -0.7]), np.array([2.0, 2.0, 1.4, 1.4])
 
 
+@functools.cache
 def singlet_density() -> DensityMatrix:
-    """The canonical maximally entangled pair ``(|01> - |10>)/sqrt(2)``."""
+    """The canonical maximally entangled pair ``(|01> - |10>)/sqrt(2)``: built and checked once."""
     v = np.zeros(4, dtype=complex)
     v[1] = 1 / math.sqrt(2)
     v[2] = -1 / math.sqrt(2)
@@ -197,28 +200,22 @@ def _coherences(worlds: Sequence[World]) -> np.ndarray:
 
 
 def deliver_pairs(worlds: Sequence[World]) -> list[DensityMatrix]:
-    """:func:`deliver_pair` of each of ``worlds``, the undelivered ones delivered together.
+    """:func:`deliver_pair` of each of ``worlds``, delivered together.
 
-    The undelivered EPR worlds of each rest size get one :func:`_coherences` pass
-    and one :meth:`~locclab.linalg.DensityMatrix.stack` check; each pair is then
-    cached with its world, so it is computed once.
+    The EPR worlds of each rest size get one :func:`_coherences` pass and one
+    :meth:`~locclab.linalg.DensityMatrix.stack` check, and every ER world gets
+    :func:`singlet_density`; each pair has the bits its world delivers alone.
     """
-    groups: dict[int, dict[World, None]] = {}  # undelivered worlds by rest size; ER's is 0
-    for world in worlds:
-        if "_pair" not in vars(world):
-            groups.setdefault(world.qbar_dim, {})[world] = None
-    for qbar_dim, group in groups.items():
-        if qbar_dim == 0:
-            pairs = [singlet_density() for _ in group]
-        else:
-            c = _coherences(list(group))
-            rho = np.zeros((len(group), 4, 4), dtype=complex)
-            rho[:, 1, 1] = rho[:, 2, 2] = 0.5
-            rho[:, 1, 2], rho[:, 2, 1] = -0.5 * c, -0.5 * np.conj(c)
-            pairs = DensityMatrix.stack(rho)
-        for world, pair in zip(group, pairs):
-            vars(world)["_pair"] = pair
-    return [vars(world)["_pair"] for world in worlds]
+    pairs = [singlet_density()] * len(worlds)  # kept by the ER worlds, replaced for the others
+    for qbar_dim in dict.fromkeys(world.qbar_dim for world in worlds if world.qbar_dim):
+        at = [i for i, world in enumerate(worlds) if world.qbar_dim == qbar_dim]
+        c = _coherences([worlds[i] for i in at])
+        rho = np.zeros((len(at), 4, 4), dtype=complex)
+        rho[:, 1, 1] = rho[:, 2, 2] = 0.5
+        rho[:, 1, 2], rho[:, 2, 1] = -0.5 * c, -0.5 * np.conj(c)
+        for i, pair in zip(at, DensityMatrix.stack(rho)):
+            pairs[i] = pair
+    return pairs
 
 
 def deliver_pair(world: World) -> DensityMatrix:
@@ -232,7 +229,5 @@ def deliver_pair(world: World) -> DensityMatrix:
     :func:`pair_coherence`: diagonal ``1/2`` on ``|01>`` and ``|10>`` and
     ``rho[01, 10] = -c/2``.  Nothing is assumed at zero coupling: there
     ``c`` is computed like any other and comes out as 1 to rounding.
-
-    The pair is computed once per world, by :func:`deliver_pairs`, and shared.
     """
     return deliver_pairs([world])[0]

@@ -16,7 +16,7 @@ import numpy as np
 from locclab import (
     CHSHConfig,
     TSIRELSON_BOUND,
-    accessible_distribution,
+    accessible_distributions,
     apply_instrument,
     build_epr_world,
     build_er_world,
@@ -25,6 +25,7 @@ from locclab import (
     coarse_grain,
     channel_size_check,
     deliver_pair,
+    deliver_pairs,
     exact_chsh,
     frame_misalignment_demo,
     identity_instrument,
@@ -95,22 +96,20 @@ def test_criterion_2_state_level_indistinguishability():
 
 def test_criterion_3_operational_indistinguishability_and_sweep():
     t0 = time.perf_counter()
-    er = build_er_world()
-    epr0 = build_epr_world(2, 2, 0.0, seed=0)
+    er, epr0 = deliver_pairs([build_er_world(), build_epr_world(2, 2, 0.0, seed=0)])
     corpus = bundled_corpus()
     assert len(corpus) >= 10
     worst = 0.0
     for script in corpus:
-        tvd = total_variation(
-            accessible_distribution(epr0, script), accessible_distribution(er, script)
-        )
-        worst = max(worst, tvd)
+        [[p, q]] = accessible_distributions([epr0, er], [script])
+        worst = max(worst, total_variation(p, q))
     script = canonical_chsh_script()
-    er_dist = accessible_distribution(er, script)
+    [[er_dist]] = accessible_distributions([er], [script])
     sweep = {}
     for lam in (0.3, 0.6, 0.9):
-        world = build_epr_world(2, 2, lam, seed=0)
-        sweep[lam] = total_variation(accessible_distribution(world, script), er_dist)
+        pair = deliver_pair(build_epr_world(2, 2, lam, seed=0))
+        [[dist]] = accessible_distributions([pair], [script])
+        sweep[lam] = total_variation(dist, er_dist)
     elapsed = time.perf_counter() - t0
     increasing = 0.0 < sweep[0.3] < sweep[0.6] < sweep[0.9]
     frozen_ok = all(abs(sweep[lam] - FROZEN_SWEEP_TVD[lam]) <= 1e-8 for lam in sweep)
@@ -124,11 +123,11 @@ def test_criterion_3_operational_indistinguishability_and_sweep():
 
 def test_criterion_4_channel_size_invisibility():
     t0 = time.perf_counter()
-    worlds = [build_epr_world(q_dim, 2, 0.0, seed=0) for q_dim in (2, 3)]
+    pairs = deliver_pairs([build_epr_world(q_dim, 2, 0.0, seed=0) for q_dim in (2, 3)])
     worst = max(
-        channel_size_check(worlds, canonical_chsh_script()),
-        channel_size_check(worlds, load_bundled_script("zx")),
-        channel_size_check(worlds, load_bundled_script("adaptive_bob")),
+        channel_size_check(pairs, canonical_chsh_script()),
+        channel_size_check(pairs, load_bundled_script("zx")),
+        channel_size_check(pairs, load_bundled_script("adaptive_bob")),
     )
     elapsed = time.perf_counter() - t0
     check(
@@ -143,7 +142,7 @@ def test_criterion_5_no_signaling():
     variants = [measure_z(), measure_x(), identity_instrument()]
     bob = [ProtocolRound("B", measure_z()), ProtocolRound("B", measure_x())]
     worlds = [build_er_world(), build_epr_world(2, 2, 0.0, seed=0), build_epr_world(2, 2, 0.8, seed=0)]
-    worst = max(no_signaling_check(w, variants, bob) for w in worlds)
+    worst = max(no_signaling_check(pair, variants, bob) for pair in deliver_pairs(worlds))
     elapsed = time.perf_counter() - t0
     check(
         "criterion 5: Bob's marginals never move with Alice's choice (channel withheld)",
@@ -164,11 +163,11 @@ def test_criterion_6_frame_misalignment():
 
 def test_criterion_7_sampling_consistency():
     t0 = time.perf_counter()
-    world = build_er_world()
-    exact = exact_chsh(deliver_pair(world)).s_abs
+    pair = deliver_pair(build_er_world())
+    exact = exact_chsh(pair).s_abs
     good = 0
     for seed in range(100):
-        res = sample_chsh(world, CHSHConfig(trials=10**4, seed=seed))
+        res = sample_chsh(pair, CHSHConfig(trials=10**4, seed=seed))
         if abs(res.s_abs - exact) <= 5 * res.standard_error:
             good += 1
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,6 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from locclab import (
     EmptyCellError,
     TSIRELSON_BOUND,
     build_epr_world,
-    build_er_world,
     deliver_pair,
     exact_chsh,
     sample_chsh,
@@ -63,11 +61,11 @@ def exact_correlation(pair: DensityMatrix, angle_a: float, angle_b: float) -> fl
     return total.real
 
 
-def sampled_transcript(world, config: CHSHConfig, parallel_width: int = 1):
+def sampled_transcript(pair, config: CHSHConfig, parallel_width: int = 1):
     """``sample_chsh``'s result (None if a setting pair stays empty) and the bytes it wrote."""
     out = io.BytesIO()
     try:
-        res = sample_chsh(world, config, parallel_width, out)
+        res = sample_chsh(pair, config, parallel_width, out)
     except EmptyCellError:
         res = None
     return res, out.getvalue()
@@ -183,48 +181,46 @@ class TestExactChsh:
 
 class TestSampling:
     def test_er_world_converges_to_quantum_maximum(self):
-        res = sample_chsh(build_er_world(), CHSHConfig(trials=10**5, seed=7))
+        res = sample_chsh(SINGLET, CHSHConfig(trials=10**5, seed=7))
         assert abs(res.s_abs - TSIRELSON_BOUND) <= 5 * res.standard_error
 
     def test_single_trial_raises_empty_cell(self):
         with pytest.raises(EmptyCellError) as err:
-            sample_chsh(build_er_world(), CHSHConfig(trials=1, seed=0))
+            sample_chsh(SINGLET, CHSHConfig(trials=1, seed=0))
         assert "(" in str(err.value)  # names the empty setting pair
 
     def test_zero_coupling_transcript_identical_to_er(self):
         cfg = CHSHConfig(trials=20000, seed=7)
-        res_er, t_er = sampled_transcript(build_er_world(), cfg)
-        res_epr, t_epr = sampled_transcript(build_epr_world(2, 2, 0.0, seed=123), cfg)
+        res_er, t_er = sampled_transcript(SINGLET, cfg)
+        res_epr, t_epr = sampled_transcript(deliver_pair(build_epr_world(2, 2, 0.0, seed=123)), cfg)
         assert t_er == t_epr and len(t_er.splitlines()) == cfg.trials + 1
         assert res_er == res_epr
 
     def test_parallel_widths_agree_bitwise(self):
         cfg = CHSHConfig(trials=3 * B + 7, seed=13)
-        world = build_er_world()
-        one = sampled_transcript(world, cfg, parallel_width=1)
+        one = sampled_transcript(SINGLET, cfg, parallel_width=1)
         for width in (2, 3, 8):
-            assert sampled_transcript(world, cfg, parallel_width=width) == one
+            assert sampled_transcript(SINGLET, cfg, parallel_width=width) == one
 
     def test_setting_choice_uniformity(self):
         cfg = CHSHConfig(trials=40000, seed=21)
-        t = helpers.transcript_rows(sampled_transcript(build_er_world(), cfg)[1])
+        t = helpers.transcript_rows(sampled_transcript(SINGLET, cfg)[1])
         counts = np.zeros((2, 2))
         np.add.at(counts, (t[:, 1], t[:, 2]), 1)
         bound = 5 * math.sqrt(cfg.trials * 3 / 16)
         assert np.all(np.abs(counts - cfg.trials / 4) <= bound)
 
     def test_convergence_across_seeds(self):
-        world = build_er_world()
-        exact = exact_chsh(deliver_pair(world)).s_abs
+        exact = exact_chsh(SINGLET).s_abs
         good = 0
         for seed in range(20):
-            res = sample_chsh(world, CHSHConfig(trials=10**4, seed=seed))
+            res = sample_chsh(SINGLET, CHSHConfig(trials=10**4, seed=seed))
             if abs(res.s_abs - exact) <= 5 * res.standard_error:
                 good += 1
         assert good >= 19
 
     def test_sampled_statistic_respects_noise_allowance(self):
-        res = sample_chsh(build_er_world(), CHSHConfig(trials=5000, seed=2))
+        res = sample_chsh(SINGLET, CHSHConfig(trials=5000, seed=2))
         assert res.s_abs <= TSIRELSON_BOUND + 5 * res.standard_error
 
 
@@ -243,7 +239,7 @@ class TestEstimates:
         assert abs(res.s_abs - 2.0) < 1e-10
 
     def test_transcript_format(self):
-        _, text = sampled_transcript(build_er_world(), CHSHConfig(trials=12, seed=1))
+        _, text = sampled_transcript(SINGLET, CHSHConfig(trials=12, seed=1))
         lines = text.decode("ascii").strip().split("\n")
         assert lines[0] == TRANSCRIPT_HEADER
         assert len(lines) == 13
@@ -255,7 +251,7 @@ class TestEstimates:
 
 B = BLOCK_TRIALS
 C = bell._CHUNK_TRIALS
-EPR_WORLD = build_epr_world(3, 2, 0.7, seed=5)
+EPR_PAIR = deliver_pair(build_epr_world(3, 2, 0.7, seed=5))
 #: 9 and 10, 99 and 100, ..., 10**18 - 1: the last and first trial number of each digit count.
 POWER_OF_TEN_EDGES = [10**k + d for k in range(1, 19) for d in (-1, 0) if 10**k + d < 10**18]
 
@@ -276,12 +272,12 @@ class TestBlockSampler:
     )
     def test_export_matches_row_oracle(self, trials):
         cfg = CHSHConfig(trials=trials, seed=trials % 5)
-        res, text = sampled_transcript(EPR_WORLD, cfg)
+        res, text = sampled_transcript(EPR_PAIR, cfg)
         assert res is not None or trials < 12
         t = helpers.transcript_rows(text)
         assert t[:, 0].tolist() == list(range(trials))
         assert text == oracles.format_transcript_rows(t).encode("ascii")
-        a_plus, b_plus = bell._outcome_thresholds(EPR_WORLD, cfg)
+        a_plus, b_plus = bell._outcome_thresholds(EPR_PAIR, cfg)
         head = t[:300]
         codes = 8 * head[:, 1] + 4 * head[:, 2] + 2 * (head[:, 3] < 0) + (head[:, 4] < 0)
         assert codes.tolist() == oracles.sampled_codes(cfg.seed, range(len(head)), a_plus, b_plus)
@@ -306,7 +302,7 @@ class TestBlockSampler:
             assert straddle[k - 2 : k + 2].tolist() == want
 
     def test_block_codes_match_per_trial_oracle_on_a_world(self):
-        a_plus, b_plus = bell._outcome_thresholds(EPR_WORLD, CHSHConfig())
+        a_plus, b_plus = bell._outcome_thresholds(EPR_PAIR, CHSHConfig())
         a_t, b_t = bell._word_thresholds(a_plus), bell._word_thresholds(b_plus)
         got = block_codes(B - 300, B + 300, 4, a_t, b_t)
         assert got.tolist() == oracles.sampled_codes(4, range(B - 300, B + 300), a_plus, b_plus)
@@ -316,7 +312,7 @@ class TestBlockSampler:
         assert bell._word_thresholds(p).tolist() == [0, 0, 1, 1, 2**52, 2**53 - 1, 2**53, 2**53]
 
     def test_export_of_a_slice(self):
-        thresholds = bell._outcome_thresholds(build_er_world(), CHSHConfig())
+        thresholds = bell._outcome_thresholds(SINGLET, CHSHConfig())
         codes = block_codes(0, 120, 3, *map(bell._word_thresholds, thresholds))
         trials = np.arange(120)
         t = rows_of(trials, codes)
@@ -340,12 +336,12 @@ class TestBlockSampler:
         assert formatted(column, codes) == oracles.format_transcript_rows(rows_of(column, codes))
 
     @pytest.mark.parametrize("width", [1, 2, 3])
-    @pytest.mark.parametrize("world", [build_er_world(), EPR_WORLD], ids=["er", "epr"])
-    def test_streamed_estimate_equals_transcript_estimate(self, world, width):
+    @pytest.mark.parametrize("pair", [SINGLET, EPR_PAIR], ids=["er", "epr"])
+    def test_streamed_estimate_equals_transcript_estimate(self, pair, width):
         cfg = CHSHConfig(trials=3 * B + 7, seed=width)
-        res, text = sampled_transcript(world, cfg, parallel_width=width)
-        assert text == sampled_transcript(world, cfg)[1]
-        assert res == sample_chsh(world, cfg, parallel_width=width)
+        res, text = sampled_transcript(pair, cfg, parallel_width=width)
+        assert text == sampled_transcript(pair, cfg)[1]
+        assert res == sample_chsh(pair, cfg, parallel_width=width)
         t = helpers.transcript_rows(text)
         counts, products = oracles.chsh_counts(t)
         cells = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -354,16 +350,15 @@ class TestBlockSampler:
         se = math.sqrt(sum((1 - ex**2) / counts[x][y] for ex, (x, y) in zip(e, cells)))
         assert math.isclose(res.standard_error, se, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("world", [build_er_world(), EPR_WORLD], ids=["er", "epr"])
-    def test_transcript_holds_only_settings_and_outcomes(self, world):
-        _, text = sampled_transcript(world, CHSHConfig(trials=B + 5, seed=8))
+    @pytest.mark.parametrize("pair", [SINGLET, EPR_PAIR], ids=["er", "epr"])
+    def test_transcript_holds_only_settings_and_outcomes(self, pair):
+        _, text = sampled_transcript(pair, CHSHConfig(trials=B + 5, seed=8))
         t = helpers.transcript_rows(text)
         assert set(t[:, 1]) == set(t[:, 2]) == {0, 1}
         assert set(t[:, 3]) == set(t[:, 4]) == {-1, 1}
 
     def test_memory_independent_of_trial_count(self):
-        world = build_er_world()
-        sample_chsh(world, CHSHConfig(trials=2 * B, seed=1), 2)  # warm caches and imports
+        sample_chsh(SINGLET, CHSHConfig(trials=2 * B, seed=1), 2)  # warm caches and imports
         for width, export, trials in product((1, 2), (False, True), (3 * B + 7, 12 * B + C + 1)):
             # per worker: three times a chunk's Philox words (1.5 MiB at 2**14 trials a chunk),
             # and when exporting one block of rows of 6-digit trial numbers, 17 B each
@@ -371,7 +366,7 @@ class TestBlockSampler:
             with open(os.devnull, "wb") if export else contextlib.nullcontext() as sink:
                 tracemalloc.start()
                 try:
-                    res = sample_chsh(world, CHSHConfig(trials=trials, seed=1), width, sink)
+                    res = sample_chsh(SINGLET, CHSHConfig(trials=trials, seed=1), width, sink)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -469,12 +464,12 @@ ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
 class TestOutcomeTable:
     """The sampler's outcome table from the moment table, checked against the transcript oracle."""
 
-    def assert_matches_oracle(self, world, config: CHSHConfig):
-        a_plus, b_plus = bell._outcome_thresholds(world, config)
-        pair = np.array(deliver_pair(world).matrix)
+    def assert_matches_oracle(self, pair: DensityMatrix, config: CHSHConfig):
+        a_plus, b_plus = bell._outcome_thresholds(pair, config)
+        rho = np.array(pair.matrix)
         for x, angle_a in enumerate(config.alice_angles()):
             for y, angle_b in enumerate(config.bob_angles()):
-                dist = oracles.transcript_distribution(pair, [(0, oracles.dial(angle_a)), (1, oracles.dial(angle_b))])
+                dist = oracles.transcript_distribution(rho, [(0, oracles.dial(angle_a)), (1, oracles.dial(angle_b))])
                 k = 2 * x + y
                 p_a = [dist[(i, "0")] + dist[(i, "1")] for i in ("0", "1")]
                 assert abs(a_plus[k] - p_a[0]) <= 1e-12
@@ -482,17 +477,15 @@ class TestOutcomeTable:
                     assert abs(b_plus[2 * k + i] - dist[(str(i), "0")] / p_a[i]) <= 1e-12
 
     def test_er_pair_matches_the_per_branch_loop(self):
-        world = build_er_world()
-        got = bell._outcome_thresholds(world, CHSHConfig())
-        want = reference_outcome_thresholds(deliver_pair(world), CHSHConfig())
+        got = bell._outcome_thresholds(SINGLET, CHSHConfig())
+        want = reference_outcome_thresholds(SINGLET, CHSHConfig())
         for g, w in zip(got, want):
             assert_allclose(g, w, rtol=0, atol=1e-12)
 
     def test_dead_alice_branch_gives_exact_zeros(self):
         ket00 = np.zeros((4, 4), dtype=complex)
         ket00[0, 0] = 1.0
-        with mock.patch.object(bell, "deliver_pair", lambda world: DensityMatrix(ket00)):
-            a_plus, b_plus = bell._outcome_thresholds(None, CHSHConfig(a=0.0))
+        a_plus, b_plus = bell._outcome_thresholds(DensityMatrix(ket00), CHSHConfig(a=0.0))
         # Alice's z outcome -1 has probability 0: Bob's thresholds after it are +0.0
         assert a_plus[:2].tolist() == [1.0, 1.0]
         dead = b_plus[[1, 3]]
@@ -513,13 +506,13 @@ class TestOutcomeTable:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_epr_worlds_match_the_transcript_oracle(self, q_dim, qbar_dim, lam, t, seed, angles):
         world = build_epr_world(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
-        self.assert_matches_oracle(world, CHSHConfig(*angles))
+        self.assert_matches_oracle(deliver_pair(world), CHSHConfig(*angles))
 
     @pytest.mark.parametrize("config", [CHSHConfig(), CHSHConfig(0.3, -1.2, 2.0, 0.7)], ids=["optimal", "rotated"])
     @pytest.mark.parametrize(
-        "world",
-        [build_er_world(), EPR_WORLD, build_epr_world(2, 4, 2.5, seed=3, evolution_time=0.6)],
+        "pair",
+        [SINGLET, EPR_PAIR, deliver_pair(build_epr_world(2, 4, 2.5, seed=3, evolution_time=0.6))],
         ids=["er", "epr", "epr-strong"],
     )
-    def test_thresholds_match_the_transcript_oracle(self, world, config):
-        self.assert_matches_oracle(world, config)
+    def test_thresholds_match_the_transcript_oracle(self, pair, config):
+        self.assert_matches_oracle(pair, config)

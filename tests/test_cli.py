@@ -663,16 +663,31 @@ class TestMain:
         "args", [["distinguish"], ["sweep", "--lambda-grid", "0,0.5"], ["qecc"]]
     )
     def test_script_too_deep_to_enumerate_exit_code(self, tmp_path, capsys, monkeypatch, args):
-        # 4**40 transcripts: refused before any world delivers its pair
-        delivered = []
-        monkeypatch.setattr(distinguish, "deliver_pairs", lambda worlds: delivered.extend(worlds))
+        # 4**40 transcripts: refused before any kernel call
+        applied = []
+        apply_instrument = distinguish.apply_instrument
+        monkeypatch.setattr(distinguish, "apply_instrument",
+                            lambda *args: applied.append(args) or apply_instrument(*args))
         path = tmp_path / "deep.json"
         path.write_text(deep_script(40))
         assert main(args + ["--seed", "1", "--script", str(path)]) == EXIT_CAPACITY
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("capacity error: up to 1208925819614629174706176 transcripts")
-        assert delivered == []
+        assert applied == []
+
+    def test_transcript_on_the_payload_file_exit_code(self, tmp_path, capsys):
+        # the payload is written after the transcript, so it would overwrite it
+        path, link = tmp_path / "f", tmp_path / "link"
+        link.symlink_to(path)
+        for out in (path, tmp_path / "." / "f", link):
+            argv = ["chsh", "--seed", "1", "--trials", "100", "--out", str(out),
+                    "--transcript", str(path)]
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and err.count("\n") == 1
+            assert err.endswith("(key: transcript)\n")
+        assert not path.exists()
 
     def test_nine_round_script_still_runs(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

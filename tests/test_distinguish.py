@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from locclab import (
     CHSHConfig,
+    DensityMatrix,
     OutcomeDistribution,
     ProtocolRound,
     ProtocolScript,
     TSIRELSON_BOUND,
-    accessible_distribution,
     accessible_distributions,
     build_epr_world,
     build_er_world,
@@ -23,6 +23,7 @@ from locclab import (
     canonical_chsh_script,
     channel_size_check,
     deliver_pair,
+    deliver_pairs,
     frame_misalignment_demo,
     identity_instrument,
     load_bundled_script,
@@ -32,6 +33,7 @@ from locclab import (
     no_signaling_check,
     sample_chsh,
     settings_choice_instrument,
+    singlet_density,
     indistinguishability_sweep,
     total_variation,
 )
@@ -43,14 +45,28 @@ import helpers
 import oracles
 
 
+SINGLET = singlet_density()
+
+
 def dist_of(*pairs) -> OutcomeDistribution:
     return OutcomeDistribution(tuple(((k,), v) for k, v in pairs))
+
+
+def epr_pair(*args, **kwargs) -> DensityMatrix:
+    """The pair the EPR world ``build_epr_world(*args, **kwargs)`` delivers."""
+    return deliver_pair(build_epr_world(*args, **kwargs))
+
+
+def distribution(pair: DensityMatrix, script: ProtocolScript, **kwargs) -> OutcomeDistribution:
+    """``script``'s transcript distribution on ``pair`` alone."""
+    [[dist]] = accessible_distributions([pair], [script], **kwargs)
+    return dist
 
 
 class TestAccessibleDistribution:
     def test_single_z_round_on_er(self):
         script = ProtocolScript("a_z", (ProtocolRound("A", measure_z()),))
-        dist = accessible_distribution(build_er_world(), script).as_dict()
+        dist = distribution(SINGLET, script).as_dict()
         assert abs(dist[("0",)] - 0.5) < 1e-12
         assert abs(dist[("1",)] - 0.5) < 1e-12
 
@@ -58,7 +74,7 @@ class TestAccessibleDistribution:
         script = ProtocolScript(
             "zz", (ProtocolRound("A", measure_z()), ProtocolRound("B", measure_z()))
         )
-        dist = accessible_distribution(build_er_world(), script).as_dict()
+        dist = distribution(SINGLET, script).as_dict()
         assert set(dist) == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
         assert dist[("0", "0")] == 0.0
         assert dist[("1", "1")] == 0.0
@@ -70,7 +86,7 @@ class TestAccessibleDistribution:
         # recursion over embedded Kraus maps
         world = build_epr_world(2, 2, 0.6, seed=5)
         script = canonical_chsh_script()
-        ours = accessible_distribution(world, script).as_dict()
+        ours = distribution(deliver_pair(world), script).as_dict()
 
         h_rest = oracles.rest_hamiltonian(list(world.rest_terms))
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, world.evolution_time)
@@ -83,7 +99,7 @@ class TestAccessibleDistribution:
 
     def test_adaptive_script_uses_visible_transcript(self):
         script = load_bundled_script("adaptive_bob")
-        dist = accessible_distribution(build_er_world(), script).as_dict()
+        dist = distribution(SINGLET, script).as_dict()
         # Alice "0" steers Bob to |1>: measuring Z gives "1" always
         assert dist[("0", "1")] == pytest.approx(0.5, abs=1e-12)
         assert dist[("0", "0")] == pytest.approx(0.0, abs=1e-12)
@@ -93,7 +109,7 @@ class TestAccessibleDistribution:
 
     def test_empty_script_rejected(self):
         with pytest.raises(ValueError):
-            accessible_distribution(build_er_world(), ProtocolScript("none", ()))
+            distribution(SINGLET, ProtocolScript("none", ()))
 
     @pytest.mark.parametrize("conditioned", [False, True])
     def test_negative_weight_instrument_rejected(self, conditioned):
@@ -104,7 +120,7 @@ class TestAccessibleDistribution:
             bob = ProtocolRound("B", bad)
         script = ProtocolScript("bad", (ProtocolRound("A", measure_z()), bob))
         with pytest.raises(ContractError, match="invalid instrument"):
-            accessible_distribution(build_er_world(), script)
+            distribution(SINGLET, script)
 
     def test_instrument_on_dead_branches_only_is_not_applied(self):
         # Alice "0" steers Bob to |1>, so Bob's "0" branch is dead and the
@@ -117,7 +133,7 @@ class TestAccessibleDistribution:
                 ProtocolRound("A", measure_z(), {("0", "0"): bad}),
             ),
         )
-        dist = accessible_distribution(build_er_world(), script).as_dict()
+        dist = distribution(SINGLET, script).as_dict()
         assert dist[("0", "0", "0")] == dist[("0", "0", "1")] == 0.0
 
     def test_each_round_checked_in_one_batch_and_each_instrument_validated_once(
@@ -140,25 +156,30 @@ class TestAccessibleDistribution:
         # parsed afresh, specs included: the shared instruments were validated earlier
         protocols._spec_instrument.cache_clear()
         script = script_from_dict(json.loads(helpers.bundled_script_text("adaptive_three")))
-        world = build_epr_world(2, 2, 0.7, seed=3)
-        accessible_distribution(world, script)
-        accessible_distribution(world, script)
+        pair = epr_pair(2, 2, 0.7, seed=3)
+        distribution(pair, script)
+        distribution(pair, script)
         assert len(checked) == 2 * len(script.rounds)
         assert all(c[0] >= 1 and c[1:] == (4, 4) for c in checked)
         assert len(validated) == len(set(map(id, validated))) >= 3
 
     def test_distribution_normalized_across_corpus(self):
-        er = build_er_world()
         for script in bundled_corpus():
-            dist = accessible_distribution(er, script)
+            dist = distribution(SINGLET, script)
             assert abs(sum(dist.as_dict().values()) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("scripts", [[], [canonical_chsh_script()]])
-    def test_unknown_visibility_refused_before_any_pair_is_delivered(self, scripts):
-        world = build_epr_world(2, 2, 0.3, seed=1)
+    def test_unknown_visibility_refused_first(self, monkeypatch, scripts):
+        # refused before the capacity check and before any instrument acts
+        calls = []
+        for name in ("apply_instrument", "_check_capacity"):
+            fn = getattr(distinguish, name)
+            monkeypatch.setattr(distinguish, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        pair = epr_pair(2, 2, 0.3, seed=1)
         with pytest.raises(ValueError, match="unknown condition visibility 'bogus'"):
-            accessible_distributions([world], scripts, condition_visibility="bogus")
-        assert "pair" not in vars(world)  # the cached pair was never computed
+            accessible_distributions([pair], scripts, condition_visibility="bogus")
+        assert calls == []
 
 
 class TestTotalVariation:
@@ -175,11 +196,10 @@ class TestTotalVariation:
         assert abs(total_variation(a, b) - 0.25) < 1e-15
 
     def test_metric_properties_on_corpus(self):
-        er, epr = build_er_world(), build_epr_world(2, 2, 0.7, seed=3)
         script = canonical_chsh_script()
-        p = accessible_distribution(er, script)
-        q = accessible_distribution(epr, script)
-        r = accessible_distribution(build_epr_world(2, 2, 0.3, seed=3), script)
+        p = distribution(SINGLET, script)
+        q = distribution(epr_pair(2, 2, 0.7, seed=3), script)
+        r = distribution(epr_pair(2, 2, 0.3, seed=3), script)
         assert abs(total_variation(p, q) - total_variation(q, p)) < 1e-15
         assert total_variation(p, q) <= total_variation(p, r) + total_variation(r, q) + 1e-12
         assert total_variation(p, p) < 1e-15
@@ -219,44 +239,38 @@ class TestIndistinguishabilitySweep:
             indistinguishability_sweep(epr_worlds([0.0, 0.5, 0.5]), canonical_chsh_script())
 
     def test_corpus_indistinguishable_at_zero_coupling(self):
-        er = build_er_world()
-        epr = build_epr_world(2, 2, 0.0, seed=17)
+        epr = epr_pair(2, 2, 0.0, seed=17)
         corpus = bundled_corpus()
         assert len(corpus) >= 10
         for script in corpus:
             assert len(script.rounds) <= 3
-            tvd = total_variation(
-                accessible_distribution(epr, script), accessible_distribution(er, script)
-            )
+            tvd = total_variation(distribution(epr, script), distribution(SINGLET, script))
             assert tvd <= 1e-10, script.name
 
     def test_decoupling_witness_rest_rerandomization(self):
         # at zero coupling the rest Hamiltonian's draw is invisible
         script = canonical_chsh_script()
-        dists = [
-            accessible_distribution(build_epr_world(2, 2, 0.0, seed=s), script)
-            for s in (0, 11, 42)
-        ]
+        dists = [distribution(epr_pair(2, 2, 0.0, seed=s), script) for s in (0, 11, 42)]
         for other in dists[1:]:
             assert total_variation(dists[0], other) <= 1e-10
 
 
 class TestChannelSizeCheck:
     def test_sizes_two_three_at_zero(self):
-        worlds = [build_epr_world(q_dim, 2, 0.0, seed=9) for q_dim in (2, 3)]
-        assert channel_size_check(worlds, canonical_chsh_script()) <= 1e-10
+        pairs = [epr_pair(q_dim, 2, 0.0, seed=9) for q_dim in (2, 3)]
+        assert channel_size_check(pairs, canonical_chsh_script()) <= 1e-10
 
     def test_single_size_is_zero(self):
-        assert channel_size_check([build_epr_world(2, 2, 0.0, seed=9)], load_bundled_script("zz")) == 0.0
+        assert channel_size_check([epr_pair(2, 2, 0.0, seed=9)], load_bundled_script("zz")) == 0.0
 
     def test_coupling_reveals_size(self):
-        worlds = [build_epr_world(q_dim, 2, 0.7, seed=9) for q_dim in (2, 3)]
-        assert channel_size_check(worlds, canonical_chsh_script()) > 1e-6
+        pairs = [epr_pair(q_dim, 2, 0.7, seed=9) for q_dim in (2, 3)]
+        assert channel_size_check(pairs, canonical_chsh_script()) > 1e-6
 
     def test_additional_scripts_at_zero(self):
-        worlds = [build_epr_world(q_dim, 2, 0.0, seed=1) for q_dim in (2, 3)]
+        pairs = [epr_pair(q_dim, 2, 0.0, seed=1) for q_dim in (2, 3)]
         for name in ("zx", "adaptive_bob"):
-            assert channel_size_check(worlds, load_bundled_script(name)) <= 1e-10
+            assert channel_size_check(pairs, load_bundled_script(name)) <= 1e-10
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -272,12 +286,12 @@ class TestChannelSizeCheck:
     )
     def test_whole_environment_invisible_at_zero_coupling(self, specs):
         # channel size, rest size, rest draw and evolution time all vary at once
-        worlds = [build_er_world()] + [
+        pairs = deliver_pairs([build_er_world()] + [
             build_epr_world(q_dim, qbar_dim, 0.0, seed, evolution_time=t)
             for q_dim, qbar_dim, seed, t in specs
-        ]
+        ])
         for script in bundled_corpus():
-            assert channel_size_check(worlds, script) <= 1e-10, script.name
+            assert channel_size_check(pairs, script) <= 1e-10, script.name
 
 
 def bits(dist: OutcomeDistribution) -> list:
@@ -304,31 +318,29 @@ WORLD_SPECS = st.one_of(
 class TestStackedWorlds:
     @pytest.mark.parametrize("visibility", ["full", "own-party"])
     def test_each_world_gets_its_own_bytes_across_the_corpus(self, visibility):
-        worlds = [build_er_world(), build_epr_world(2, 2, 0.0, seed=21),
-                  build_epr_world(2, 2, 0.8, seed=21)]
+        pairs = [SINGLET, epr_pair(2, 2, 0.0, seed=21), epr_pair(2, 2, 0.8, seed=21)]
         names = bundled_script_names()
         assert len(names) == 13
         for name in names:
             script = load_bundled_script(name)
-            stacked = accessible_distributions(worlds, script, condition_visibility=visibility)
-            assert len(stacked) == len(worlds)
-            for world, dist in zip(worlds, stacked):
-                alone = accessible_distributions([world], script, condition_visibility=visibility)
-                assert bits(dist) == bits(alone[0]), name
+            [stacked] = accessible_distributions(pairs, [script], condition_visibility=visibility)
+            assert len(stacked) == len(pairs)
+            for pair, dist in zip(pairs, stacked):
+                alone = distribution(pair, script, condition_visibility=visibility)
+                assert bits(dist) == bits(alone), name
 
     @pytest.mark.parametrize("visibility", ["full", "own-party"])
     def test_every_script_at_once_equals_each_script_alone(self, visibility):
-        worlds = [build_er_world(), build_epr_world(2, 2, 0.0, seed=21),
-                  build_epr_world(2, 2, 0.8, seed=21)]
+        pairs = [SINGLET, epr_pair(2, 2, 0.0, seed=21), epr_pair(2, 2, 0.8, seed=21)]
         scripts = bundled_corpus()
         assert len(scripts) == 13
-        together = accessible_distributions(worlds, scripts, condition_visibility=visibility)
+        together = accessible_distributions(pairs, scripts, condition_visibility=visibility)
         assert len(together) == len(scripts)
         for script, dists in zip(scripts, together):
-            alone = accessible_distributions(worlds, [script], condition_visibility=visibility)
+            alone = accessible_distributions(pairs, [script], condition_visibility=visibility)
             assert [bits(d) for d in dists] == [bits(d) for d in alone[0]], script.name
-            for world, dist in zip(worlds, dists):
-                single = accessible_distribution(world, script, condition_visibility=visibility)
+            for pair, dist in zip(pairs, dists):
+                single = distribution(pair, script, condition_visibility=visibility)
                 assert bits(dist) == bits(single), script.name
 
     def test_corrupt_post_state_raises_before_the_next_round(self, monkeypatch):
@@ -349,13 +361,13 @@ class TestStackedWorlds:
             return probs, posts
 
         monkeypatch.setattr(distinguish, "apply_instrument", corrupting)
-        worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
+        pairs = [SINGLET, epr_pair(2, 2, 0.8, seed=5)]
         with pytest.raises(ValueError, match="density matrix"):
-            accessible_distributions(worlds, scripts)
+            accessible_distributions(pairs, scripts)
         assert len(calls) == first_groups
 
     def test_no_scripts_no_distributions(self):
-        assert accessible_distributions([build_er_world()], []) == []
+        assert accessible_distributions([SINGLET], []) == []
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -364,11 +376,11 @@ class TestStackedWorlds:
         visibility=st.sampled_from(["full", "own-party"]),
     )
     def test_stack_of_random_worlds_equals_each_world_alone(self, specs, name, visibility):
-        worlds = [make_world(spec) for spec in specs]
+        pairs = deliver_pairs([make_world(spec) for spec in specs])
         script = load_bundled_script(name)
-        stacked = accessible_distributions(worlds, script, condition_visibility=visibility)
-        for world, dist in zip(worlds, stacked):
-            alone = accessible_distribution(world, script, condition_visibility=visibility)
+        [stacked] = accessible_distributions(pairs, [script], condition_visibility=visibility)
+        for pair, dist in zip(pairs, stacked):
+            alone = distribution(pair, script, condition_visibility=visibility)
             assert bits(dist) == bits(alone)
 
     def test_branches_dead_only_in_er(self):
@@ -376,7 +388,7 @@ class TestStackedWorlds:
         # in ER (at most PROB_FLOOR, never negative) and live in a dephased world
         world = build_epr_world(2, 2, 0.8, seed=5)
         script = load_bundled_script("xx")
-        er, epr = accessible_distributions([build_er_world(), world], script)
+        [[er, epr]] = accessible_distributions([SINGLET, deliver_pair(world)], [script])
         for t in (("0", "0"), ("1", "1")):
             assert math.copysign(1.0, er.as_dict()[t]) == 1.0
             assert er.as_dict()[t] <= instruments.PROB_FLOOR
@@ -384,7 +396,7 @@ class TestStackedWorlds:
 
         # a dead branch's descendants get +0.0 in ER only
         longer = ProtocolScript("xx then z", script.rounds + (ProtocolRound("A", measure_z()),))
-        er3, epr3 = accessible_distributions([build_er_world(), world], longer)
+        [[er3, epr3]] = accessible_distributions([SINGLET, deliver_pair(world)], [longer])
         for t in (("0", "0", "0"), ("0", "0", "1"), ("1", "1", "0"), ("1", "1", "1")):
             assert er3.as_dict()[t].hex() == "0x0.0p+0"
             assert epr3.as_dict()[t] > 1e-3
@@ -414,8 +426,8 @@ class TestStackedWorlds:
     def test_invalid_instrument_on_branches_dead_in_every_world_is_not_applied(self):
         # Z outcomes of a dephased singlet stay anticorrelated: "00" is dead everywhere
         script = self.conditioned_on_00(measure_z())
-        worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
-        for dist in accessible_distributions(worlds, script):
+        pairs = [SINGLET, epr_pair(2, 2, 0.8, seed=5)]
+        for dist in accessible_distributions(pairs, [script])[0]:
             assert dist.as_dict()[("0", "0", "0")] == dist.as_dict()[("0", "0", "1")] == 0.0
 
     def test_branch_whose_product_falls_below_the_floor_is_dead(self):
@@ -431,23 +443,23 @@ class TestStackedWorlds:
                 ProtocolRound("B", measure_z(), {("0", "0", "1"): bad}),
             ),
         )
-        worlds = [build_er_world(), build_epr_world(2, 2, 0.8, seed=5)]
+        pairs = [SINGLET, epr_pair(2, 2, 0.8, seed=5)]
         prefix = ProtocolScript("prefix", script.rounds[:3])
-        for dist in accessible_distributions(worlds, prefix):
+        for dist in accessible_distributions(pairs, [prefix])[0]:
             assert 0.0 < dist.as_dict()[("0", "0", "1")] <= instruments.PROB_FLOOR
-        for dist in accessible_distributions(worlds, script):
+        for dist in accessible_distributions(pairs, [script])[0]:
             probs = dist.as_dict()
             assert probs[("0", "0", "1", "0")] == probs[("0", "0", "1", "1")] == 0.0
 
     def test_invalid_instrument_on_a_branch_live_in_one_world_raises(self):
         # X outcomes: "00" is dead in ER and live in the dephased world
         script = self.conditioned_on_00(measure_x())
-        accessible_distributions([build_er_world()], script)
+        accessible_distributions([SINGLET], [script])
         with pytest.raises(ContractError, match="invalid instrument"):
-            accessible_distributions([build_er_world(), build_epr_world(2, 2, 0.8, seed=5)], script)
+            accessible_distributions([SINGLET, epr_pair(2, 2, 0.8, seed=5)], [script])
 
     def test_no_worlds_no_distributions(self):
-        assert accessible_distributions([], canonical_chsh_script()) == []
+        assert accessible_distributions([], [canonical_chsh_script()]) == [[]]
 
 
 class TestCallCounts:
@@ -526,20 +538,20 @@ class TestCapacity:
 
     @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
     def test_bound_takes_each_rounds_most_outcomes(self, monkeypatch, spare, fits):
-        scripts, worlds = [self.SCRIPT, load_bundled_script("zz")], [build_er_world()] * 3
+        scripts, pairs = [self.SCRIPT, load_bundled_script("zz")], [SINGLET] * 3
         memory = (2 * 4 + 2 * 2) * 3 * distinguish._ENTRY_BYTES + spare  # per transcript and world
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(distinguish.os, "sysconf", pages.__getitem__)
         if fits:
-            assert len(accessible_distributions(worlds, scripts)) == 2
+            assert len(accessible_distributions(pairs, scripts)) == 2
         else:
             with pytest.raises(CapacityError, match="up to 12 transcripts on 3 worlds"):
-                accessible_distributions(worlds, scripts)
+                accessible_distributions(pairs, scripts)
 
     def test_charge_covers_what_an_entry_holds(self):
         # alternating four-outcome rounds on 2 worlds: the traced peak per (transcript, world)
         # entry at 7 rounds, and per entry added from 6 to 7 rounds, stay under the charge
-        worlds = [build_er_world()] * 2
+        pairs = [SINGLET] * 2
         choice = settings_choice_instrument(0.0, math.pi / 4)
 
         def script(rounds: int) -> ProtocolScript:
@@ -548,12 +560,12 @@ class TestCapacity:
         def peak(rounds: int) -> int:
             tracemalloc.start()
             try:
-                accessible_distributions(worlds, script(rounds))
+                accessible_distributions(pairs, [script(rounds)])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        accessible_distributions(worlds, script(2))  # each party's instrument cache, untraced
+        accessible_distributions(pairs, [script(2)])  # each party's instrument cache, untraced
         six, seven = peak(6), peak(7)
         entries = 2 * 4**7
         assert seven / entries <= distinguish._ENTRY_BYTES
@@ -567,14 +579,12 @@ class TestNoSignaling:
         return [measure_z(), measure_x(), identity_instrument()]
 
     def test_er_world(self):
-        max_tvd = no_signaling_check(
-            build_er_world(), self.variants(), [ProtocolRound("B", measure_z())]
-        )
+        max_tvd = no_signaling_check(SINGLET, self.variants(), [ProtocolRound("B", measure_z())])
         assert max_tvd <= 1e-10
 
     def test_decohered_world(self):
         max_tvd = no_signaling_check(
-            build_epr_world(2, 2, 0.8, seed=5),
+            epr_pair(2, 2, 0.8, seed=5),
             self.variants(),
             [ProtocolRound("B", measure_z())],
         )
@@ -585,25 +595,23 @@ class TestNoSignaling:
             ProtocolRound("B", measure_z()),
             ProtocolRound("B", measure_x(), {("1",): measure_z()}),
         ]
-        assert no_signaling_check(build_er_world(), self.variants(), bob) <= 1e-10
+        assert no_signaling_check(SINGLET, self.variants(), bob) <= 1e-10
 
     def test_classical_channel_flagged_and_distinguishing(self):
         # Bob conditions on Alice's broadcast outcome: marginals may shift
         bob = [ProtocolRound("B", measure_x(), {("0",): measure_z()})]
         variants = [measure_z(), identity_instrument()]
-        assert no_signaling_check(build_er_world(), variants, bob, classical_channel=True) > 1e-3
+        assert no_signaling_check(SINGLET, variants, bob, classical_channel=True) > 1e-3
         # withholding the channel closes the gap
-        assert no_signaling_check(build_er_world(), variants, bob) <= 1e-10
+        assert no_signaling_check(SINGLET, variants, bob) <= 1e-10
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            no_signaling_check(build_er_world(), [], [ProtocolRound("B", measure_z())])
+            no_signaling_check(SINGLET, [], [ProtocolRound("B", measure_z())])
         with pytest.raises(ValueError):
-            no_signaling_check(build_er_world(), self.variants(), [])
+            no_signaling_check(SINGLET, self.variants(), [])
         with pytest.raises(ValueError):
-            no_signaling_check(
-                build_er_world(), self.variants(), [ProtocolRound("A", measure_z())]
-            )
+            no_signaling_check(SINGLET, self.variants(), [ProtocolRound("A", measure_z())])
 
 
 class TestFrames:
@@ -631,11 +639,10 @@ class TestCrossModule:
     def test_transcript_frequencies_match_exact_distribution(self):
         # every (settings, outcomes) cell of the sampled run agrees with the
         # exact enumeration within 5 standard errors
-        world = build_er_world()
-        dist = accessible_distribution(world, canonical_chsh_script()).as_dict()
+        dist = distribution(SINGLET, canonical_chsh_script()).as_dict()
         trials = 10**4
         out = io.BytesIO()
-        sample_chsh(world, CHSHConfig(trials=trials, seed=11), transcript_out=out)
+        sample_chsh(SINGLET, CHSHConfig(trials=trials, seed=11), transcript_out=out)
         counts: dict[tuple[str, str], int] = {}
         for _, x, y, a, b in helpers.transcript_rows(out.getvalue()):
             key = (f"{x}{0 if a == 1 else 1}", f"{y}{0 if b == 1 else 1}")
@@ -646,14 +653,12 @@ class TestCrossModule:
             assert abs(freq - p) <= 5 * se, (key, freq, p)
 
     def test_sampled_frequencies_match_accessible_distribution(self):
-        world = build_er_world()
         script = canonical_chsh_script()
-        dist = accessible_distribution(world, script).as_dict()
-        res = sample_chsh(world, CHSHConfig(trials=10**4, seed=3))
-        exact_pair = deliver_pair(world)
+        dist = distribution(SINGLET, script).as_dict()
+        res = sample_chsh(SINGLET, CHSHConfig(trials=10**4, seed=3))
         from locclab import exact_chsh
 
-        assert abs(res.s_abs - exact_chsh(exact_pair).s_abs) <= 5 * res.standard_error
+        assert abs(res.s_abs - exact_chsh(SINGLET).s_abs) <= 5 * res.standard_error
         # the distribution's conditional correlations equal the exact ones
         for x, setting in ((0, "0"), (1, "1")):
             for y, bsetting in ((0, "0"), (1, "1")):

@@ -7,13 +7,13 @@ from locclab import (
     LayoutError,
     ProtocolRound,
     ProtocolScript,
-    accessible_distribution,
-    build_er_world,
+    accessible_distributions,
     bundled_corpus,
     bundled_script_names,
     load_bundled_script,
     measure_x,
     measure_z,
+    singlet_density,
     validate_instrument,
 )
 from locclab.instruments import InstrumentBranch, QuantumInstrument
@@ -22,7 +22,7 @@ from locclab.protocols import canonical_chsh_script, instrument_from_spec, scrip
 
 def transcript_lengths(script: ProtocolScript) -> set[int]:
     """Lengths of the transcripts ``script`` can produce: one outcome per round."""
-    dist = accessible_distribution(build_er_world(), script)
+    [[dist]] = accessible_distributions([singlet_density()], [script])
     return {len(t) for t, _ in dist.entries}
 
 

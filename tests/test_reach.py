@@ -33,7 +33,6 @@ UNREACHED = {
     "cli._Parser.error": "argument lists the parser refuses (exit 2), in test_cli and "
                          "test_main_property",
     "cli._read_config_file": "--config files; every golden passes its values as flags",
-    "distinguish.accessible_distribution": "the enumeration on one world, for library callers",
     "errors.ConfigError.__init__": "the configuration refusals (exit 2) of test_cli",
     "errors.EmptyCellError.__init__": "a setting pair with no trials (exit 5), in test_cli",
     "instruments.CoarseGrainingPartition.__post_init__": "coarse-graining, held by criterion 8",

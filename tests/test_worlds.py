@@ -225,14 +225,16 @@ class TestDeliverPair:
             else:
                 assert purity(deliver_pair(world)) < 1.0 - 1e-6
 
-    def test_pair_computed_once_per_world(self, monkeypatch):
+    def test_redelivery_gives_the_same_bytes(self, monkeypatch):
+        # nothing is cached on the world: each delivery computes the pair afresh
         calls = []
         kernel = worlds._coherences
         monkeypatch.setattr(worlds, "_coherences", lambda ws: calls.append(list(ws)) or kernel(ws))
         world = build_epr_world(2, 2, 0.4, seed=1)
-        assert deliver_pair(world) is deliver_pair(world)
-        assert deliver_pairs([world, world]) == [deliver_pair(world)] * 2
-        assert calls == [[world]]
+        first = deliver_pair(world).matrix.tobytes()
+        assert deliver_pair(world).matrix.tobytes() == first
+        assert [p.matrix.tobytes() for p in deliver_pairs([world, world])] == [first] * 2
+        assert calls == [[world], [world], [world, world]]
 
     def test_one_stacked_pass_per_rest_size(self, monkeypatch):
         calls = []
@@ -241,10 +243,10 @@ class TestDeliverPair:
         a, b, c = (build_epr_world(q, qbar, 0.3, seed=q) for q, qbar in ((2, 2), (3, 3), (4, 2)))
         er = build_er_world()
         pairs = deliver_pairs([a, er, b, c, a])
-        assert calls == [[a, c], [b]]
-        assert pairs[0] is pairs[4] is deliver_pair(a) and pairs[1] is deliver_pair(er)
-        assert deliver_pairs([c, b, a]) == [deliver_pair(c), deliver_pair(b), pairs[0]]
-        assert len(calls) == 2  # delivered pairs are cached with their worlds
+        assert calls == [[a, c, a], [b]]
+        assert pairs[1] is singlet_density() is deliver_pair(er)
+        want = [deliver_pair(w).matrix.tobytes() for w in (a, er, b, c, a)]
+        assert [p.matrix.tobytes() for p in pairs] == want
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
