@@ -7,18 +7,19 @@ Each runner builds its worlds and delivers their pairs once, and the
 experiments read those pairs.  Payload bytes depend only on the
 configuration and seed, never on the parallelism width or timing.
 
+One table, ``_OPTIONS``, is the key grammar of flags and config files: a
+flag ``--key value`` or ``--key=value`` gives its key the text a ``key =
+value`` line would, and ``--help`` is built from the same table.
+
 Exit codes: 0 success, 2 configuration error (including a refused argument
 list, an option that does not act in the run, an input file that cannot be
-read or parsed, an output file that cannot be written and a transcript that
-names the payload file), 3 capacity error, 4 built-in assertion failure, 5
-empty-cell estimation error.
+read or parsed, an output file that cannot be written and an output file
+that names an input file or the payload file), 3 capacity error, 4 built-in
+assertion failure, 5 empty-cell estimation error.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import functools
 import json
 import math
 import os
@@ -135,7 +136,7 @@ class _Option(NamedTuple):
     help: str  # ends with where the key acts
     echo: bool | Callable[[RunConfig], object] = True  # False, or the echoed value if not the field
     flag: str | None = None  # defaults to --key, with '-' for '_'
-    argparse: dict = {}  # further add_argument keywords
+    alone: str | None = None  # the text a flag without a value stands for; None needs a value
     repeats: bool = False  # a flag given twice is refused unless its values add up
 
 
@@ -177,8 +178,8 @@ _OPTIONS: dict[str, _Option] = {
     "mode": _Option("mode", str, _only("chsh", "nosignal"),
                     "world kind, er or epr (default er; chsh, nosignal)"),
     "exact": _Option("exact", _parse_bool, _only("chsh"),
-                     "exact expectations instead of sampling (chsh)",
-                     argparse={"nargs": "?", "const": "true"}),
+                     "exact expectations instead of sampling; alone means true (chsh)",
+                     alone="true"),
     "trials": _Option("trials", int, _sampled_chsh, "number of sampled trials (sampled chsh)"),
     "parallel": _Option("parallel", int, _sampled_chsh, "sampler threads, at most the core "
                         "count; payload bytes do not depend on it (sampled chsh)", echo=False),
@@ -207,6 +208,11 @@ _OPTIONS: dict[str, _Option] = {
     "offset": _Option("offset", float, _only("frames"), "frame offset in radians (frames)"),
 }
 
+#: Each flag's exact text -> the key it gives; ``--config`` names a file of keys instead.
+_FLAGS = {"--config": "config"} | {
+    opt.flag or "--" + key.replace("_", "-"): key for key, opt in _OPTIONS.items()
+}
+
 
 def _parse_value(key: str, text: str) -> object:
     try:
@@ -216,7 +222,8 @@ def _parse_value(key: str, text: str) -> object:
 
 
 def _read_config_file(path: str) -> dict:
-    values: dict[str, object] = {}
+    """The file's values, each key's text parsed in table order, as a flag's is."""
+    texts: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -232,10 +239,10 @@ def _read_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _OPTIONS:
             raise ConfigError("unknown configuration key", key=key)
-        if key in values:
+        if key in texts:
             raise ConfigError(f"line {lineno}: key set twice; its first value would not act", key=key)
-        values[key] = _parse_value(key, value)
-    return values
+        texts[key] = value
+    return {key: _parse_value(key, texts[key]) for key in _OPTIONS if key in texts}
 
 
 def parse_config(experiment: str, config_path: str | None, overrides: dict) -> RunConfig:
@@ -263,8 +270,8 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError(f"must be in [0, 2**128), got {cfg.seed}", key="seed")
     if cfg.mode not in ("er", "epr"):
         raise ConfigError(f"mode must be 'er' or 'epr', got {cfg.mode!r}", key="mode")
-    for key in values:
-        if not _OPTIONS[key].acts(cfg):
+    for key, opt in _OPTIONS.items():  # in table order, wherever each key was given
+        if key in values and not opt.acts(cfg):
             where = f"see where it acts in 'locclab {experiment} --help'"
             raise ConfigError(f"does not act in this {experiment} run; {where}", key=key)
     reals = [("lambda", cfg.lam), ("offset", cfg.offset), ("evolution_time", cfg.evolution_time)]
@@ -298,10 +305,19 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError("every channel size must be >= 2", key="q_dims")
     if len(set(cfg.q_dims)) < max(len(cfg.q_dims), 2):
         raise ConfigError("needs two or more channel sizes to compare, none repeated", key="q_dims")
-    transcript = cfg.transcript
-    if transcript and cfg.out != "-" and os.path.realpath(transcript) == os.path.realpath(cfg.out):
+    transcript, out = cfg.transcript, None if cfg.out == "-" else cfg.out
+    if transcript and out and os.path.realpath(transcript) == os.path.realpath(out):
         raise ConfigError("names the --out file, which the payload would overwrite",
                           key="transcript")
+    if transcript or out:
+        inputs = [config_path, *cfg.alice_instruments]
+        if cfg.script and cfg.script not in bundled_script_names():  # a bundled script is no file
+            inputs.append(cfg.script)
+        read = {os.path.realpath(path) for path in inputs if path}
+        for key, path in (("out", out), ("transcript", transcript)):
+            if path and os.path.realpath(path) in read:
+                raise ConfigError("names an input file of the run, which it would overwrite",
+                                  key=key)
     paths = cfg.alice_instruments
     if paths and len(set(map(os.path.realpath, paths))) < max(len(paths), 2):
         raise ConfigError("needs two or more distinct instrument files to compare",
@@ -382,7 +398,7 @@ def _run_chsh(cfg: RunConfig) -> _Outcome:
             ("exact identified-world run attains the quantum maximum",
              abs(res.s_abs - TSIRELSON_BOUND) <= _ZERO_ATOL)
         )
-    result = dataclasses.asdict(res)
+    result = dict(vars(res))
     return {"result": result}, [result], criteria
 
 
@@ -462,8 +478,8 @@ def _run_frames(cfg: RunConfig) -> _Outcome:
     payload = {
         "kind": "frames",
         "offset": cfg.offset,
-        "uncorrected": dataclasses.asdict(raw),
-        "corrected": dataclasses.asdict(fixed),
+        "uncorrected": dict(vars(raw)),
+        "corrected": dict(vars(fixed)),
     }
     rows = [{"variant": k, "s_abs": payload[k]["s_abs"]} for k in ("uncorrected", "corrected")]
     criteria = [
@@ -527,40 +543,75 @@ def run(cfg: RunConfig) -> RunReport:
     )
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose refusals are configuration errors, as a config file's are."""
-
-    def error(self, message: str):
-        raise ConfigError(message)
+_HELP_FLAGS = ("-h", "--help")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # no abbreviated flags: a flag is refused unless its text is the key's, as in the file
-    parser = _Parser(
-        prog="locclab", allow_abbrev=False,
-        description="Seeded two-agent LOCC experiments over identified or channel-delivered pairs.",
-    )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, spec in _EXPERIMENTS.items():
-        p = sub.add_parser(name, help=spec.help, description=spec.help,
-                           epilog=f"example: {spec.example}", allow_abbrev=False)
-        p.add_argument("--config", help="flat key-value config file ('key = value', # comments)")
-        # values stay text here and are parsed by the table, as config-file values are
-        for key, opt in _OPTIONS.items():
-            flag = opt.flag or "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, help=opt.help, **({"action": "append"} | opt.argparse))
-    return parser
+def _read_argv(argv: Sequence[str]) -> tuple[str | None, str | None, dict[str, list[str]] | None]:
+    """``argv`` as (experiment, --config path, {key: [text, ...]} in table order); no texts
+    ask for help.  A flag is a key's exact text, as ``--key value`` or ``--key=value``;
+    the item after it is its value as is, unless the flag has an ``alone`` text and the
+    item starts with '-'.  Unknown items are refused together, then a flag given twice."""
+    if not argv:
+        raise ConfigError("the following arguments are required: experiment")
+    experiment, *items = argv
+    if experiment in _HELP_FLAGS:
+        return None, None, None
+    if experiment not in _EXPERIMENTS:
+        choices = ", ".join(map(repr, _EXPERIMENTS))
+        raise ConfigError(f"argument experiment: invalid choice: {experiment!r} "
+                          f"(choose from {choices})")
+    given: dict[str, list[str]] = {}
+    unknown = []
+    items.reverse()  # popped from the end, so in order
+    while items:
+        item = items.pop()
+        if item in _HELP_FLAGS:
+            return experiment, None, None
+        flag, eq, text = item.partition("=")
+        key = _FLAGS.get(flag)
+        if key is None:
+            unknown.append(item)
+            continue
+        if not eq:
+            alone = key in _OPTIONS and _OPTIONS[key].alone
+            if items and not (alone and items[-1].startswith("-")):
+                text = items.pop()
+            elif alone:
+                text = alone
+            else:
+                raise ConfigError(f"argument {flag}: expected one argument")
+        given.setdefault(key, []).append(text)
+    if unknown:
+        raise ConfigError("unrecognized arguments: " + " ".join(unknown))
+    given = {key: given[key] for key in _FLAGS.values() if key in given}
+    for key, texts in given.items():
+        if len(texts) > 1 and not (key in _OPTIONS and _OPTIONS[key].repeats):
+            raise ConfigError("flag given more than once; only one value can act", key=key)
+    return experiment, given.pop("config", [None])[0], given
+
+
+def _help(experiment: str | None) -> str:
+    """The experiments, or an experiment's flags, each line ending where its key acts,
+    and its runnable example."""
+    lines = [f"usage: locclab {experiment or 'EXPERIMENT'} [--config FILE] [--KEY VALUE] ...",
+             "       locclab [EXPERIMENT] --help", ""]
+    if experiment is None:
+        lines.append("Seeded two-agent LOCC experiments over identified or channel-delivered pairs:")
+        lines += [f"  {name:<13}{spec.help}" for name, spec in _EXPERIMENTS.items()]
+        return "\n".join(lines) + "\n"
+    config = "file of 'key = value' lines and # comments, read as the flags are (every run)"
+    lines += [_EXPERIMENTS[experiment].help, ""]
+    lines += [f"  {flag:<20}{_OPTIONS[key].help if key in _OPTIONS else config}"
+              for flag, key in _FLAGS.items()]
+    return "\n".join(lines) + f"\n\nexample: {_EXPERIMENTS[experiment].example}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = vars(_build_parser().parse_args(argv))
-        experiment, config_path = args.pop("experiment"), args.pop("config")
-        given = {key: texts for key, texts in args.items() if texts is not None}
-        for key, texts in given.items():
-            if len(texts) > 1 and not _OPTIONS[key].repeats:
-                raise ConfigError("flag given more than once; only one value can act", key=key)
+        experiment, config_path, given = _read_argv(sys.argv[1:] if argv is None else argv)
+        if given is None:
+            sys.stdout.write(_help(experiment))
+            return EXIT_OK
         overrides = {key: _parse_value(key, ",".join(texts)) for key, texts in given.items()}
         cfg = parse_config(experiment, config_path, overrides)
         report = run(cfg)

@@ -549,6 +549,17 @@ class TestMain:
         assert capsys.readouterr().err == from_file
         assert from_file.count("\n") == 1 and from_file.endswith("(key: lambda)\n")
 
+    def test_flags_and_file_lines_are_checked_in_table_order(self, tmp_path, capsys):
+        # the same keys refused by the same first key, in whatever order they are given
+        path = tmp_path / "run.cfg"
+        errors = []
+        for order in ([("offset", "x"), ("seed", "y")], [("seed", "y"), ("offset", "x")]):
+            path.write_text("".join(f"{key} = {text}\n" for key, text in order))
+            for args in (["--config", str(path)], [f"--{key}={text}" for key, text in order]):
+                assert main(["frames", *args]) == EXIT_CONFIG
+                errors.append(capsys.readouterr().err)
+        assert errors == [errors[0]] * 4 and errors[0].endswith("(key: seed)\n")
+
     def test_repeated_config_file_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\n# set again below\nseed = 2\n")
@@ -585,6 +596,35 @@ class TestMain:
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("configuration error: " + message)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["frames", "--offset", "-inf"], "must be finite, got -inf (key: offset)"),
+            (["chsh", "--mode", "epr", "--exact", "--lambda", "-0.5"],
+             "must be nonnegative, got -0.5 (key: lambda)"),
+            (["chsh", "--trials", "--exact"], "bad value '--exact'"),
+            (["chsh", "--exact", "-1"], "unrecognized arguments: -1"),
+        ],
+    )
+    def test_flag_value_is_taken_as_is(self, capsys, args, message):
+        # the item after a flag is its value, whatever it starts with; only --exact,
+        # which stands alone, leaves an item that starts with '-' to be read as a flag
+        assert main([*args, "--seed", "1"]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("configuration error: " + message)
+
+    @pytest.mark.parametrize("args,exact", [(["--exact", "true"], True), (["--exact", "NO"], False),
+                                            (["--exact", "--mode", "er"], True)])
+    def test_exact_takes_a_next_item_that_is_no_flag(self, capsys, args, exact):
+        trials = [] if exact else ["--trials", "100"]
+        assert main(["chsh", "--seed", "1", *args, *trials]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["exact"] is exact
+
+    def test_negative_offset_after_its_flag_runs(self, capsys):
+        assert main(["frames", "--seed", "1", "--offset", "-1e5"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["offset"] == -1e5
+
     @pytest.mark.parametrize("flag,exact", [("--exact", True), ("--exact=Yes", True),
                                             ("--exact=0", False), ("--exact=false", False)])
     def test_exact_flag_text_parses_as_in_the_file(self, capsys, flag, exact):
@@ -619,6 +659,7 @@ class TestMain:
             (["frames", "--seed", "1", "--offset", "0.1", "--offset", "0.1"], "offset"),
             (["chsh", "--seed", "1", "--trials", "9", "--format", "columnar", "--trials", "8"],
              "trials"),
+            (["frames", "--config", "a.cfg", "--seed", "1", "--config", "b.cfg"], "config"),
         ],
     )
     def test_flag_given_twice_exit_code(self, capsys, args, key):
@@ -675,6 +716,42 @@ class TestMain:
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("capacity error: up to 1208925819614629174706176 transcripts")
         assert applied == []
+
+    @pytest.mark.parametrize(
+        "args,text,key",
+        [
+            (["chsh", "--exact", "--config", "IN", "--out", "OUT"], "seed = 1\n", "out"),
+            (["chsh", "--trials", "100", "--config", "IN", "--transcript", "OUT"], "seed = 1\n",
+             "transcript"),
+            (["distinguish", "--seed", "1", "--script", "IN", "--out", "OUT"], named_script("mine"),
+             "out"),
+            (["sweep", "--lambda-grid", "0,0.5", "--seed", "1", "--script", "IN", "--out", "OUT"],
+             named_script("mine"), "out"),
+            ([*NOSIGNAL_WITH_ONE, "--alice-instrument", "IN", "--seed", "1", "--out", "OUT"],
+             Z_TEXT, "out"),
+        ],
+        ids=["config-out", "config-transcript", "distinguish-script", "sweep-script",
+             "alice-instrument"],
+    )
+    def test_output_on_an_input_file_exit_code(self, tmp_path, capsys, args, text, key):
+        # the input is read before the output is written, so the output would replace it
+        path, link = tmp_path / "input", tmp_path / "link"
+        path.write_text(text)
+        link.symlink_to(path)
+        for out in (path, tmp_path / "." / "input", link):
+            argv = [{"IN": str(path), "OUT": str(out)}.get(a, a) for a in args]
+            assert main(argv) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("configuration error: ")
+            assert captured.err.endswith(f"(key: {key})\n")
+        assert path.read_text() == text
+
+    def test_output_beside_an_input_file_still_runs(self, tmp_path, capsys):
+        script, out = tmp_path / "mine.json", tmp_path / "out.json"
+        script.write_text(named_script("mine"))
+        assert main(["distinguish", "--seed", "1", "--script", str(script), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["scripts"][0]["script"] == "mine"
 
     def test_transcript_on_the_payload_file_exit_code(self, tmp_path, capsys):
         # the payload is written after the transcript, so it would overwrite it
@@ -751,19 +828,9 @@ class TestMain:
         expected = TSIRELSON_BOUND * abs(math.cos(math.remainder(offset, math.tau)))
         assert doc["results"]["uncorrected"]["s_abs"] == pytest.approx(expected, abs=1e-12)
 
-    def test_parser_built_once(self, capsys):
-        from locclab import cli
-
-        cli._build_parser.cache_clear()
-        for _ in range(2):
-            assert main(["frames", "--seed", "1"]) == EXIT_OK
-        assert cli._build_parser.cache_info().misses == 1
-
     def test_cached_parser_recovers_from_bad_argv(self, capsys):
-        from locclab import cli
-
+        # a refused argument list leaves nothing behind that changes the next run
         good = ["chsh", "--mode", "er", "--exact", "--seed", "3"]
-        cli._build_parser.cache_clear()
         assert main(good) == EXIT_OK
         fresh = capsys.readouterr().out
         assert main(["chsh", "--wibble", "many", "--alice-instrument", "x", "--seed", "1"]) == 2
@@ -778,18 +845,44 @@ class TestMain:
 
     def test_help_has_runnable_examples(self, capsys):
         for experiment in ("chsh", "sweep", "distinguish", "nosignal", "qecc", "frames"):
-            with pytest.raises(SystemExit) as exc:
-                main([experiment, "--help"])
-            assert exc.value.code == 0
+            assert main([experiment, "--help"]) == EXIT_OK
             (example,) = re.findall(r"^example: (.*)$", capsys.readouterr().out, re.M)
             prog, *argv = shlex.split(example)
             assert prog == "locclab" and argv[0] == experiment
             assert main(argv) == EXIT_OK, capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["--help"], ["-h"], ["--help", "chsh"]])
+    def test_help_lists_the_experiments(self, capsys, args):
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.startswith("usage: locclab EXPERIMENT")
+        for experiment in ("chsh", "sweep", "distinguish", "nosignal", "qecc", "frames"):
+            assert re.search(rf"^  {experiment} ", out.out, re.M)
+
+    @pytest.mark.parametrize(
+        "args", [["frames", "-h"], ["frames", "--wibble", "--seed", "x", "--help"]]
+    )
+    def test_help_lists_each_flag_with_where_it_acts(self, capsys, args):
+        # help is asked for by -h or --help in a flag's place, before any refusal
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.startswith("usage: locclab frames")
+        lines = re.findall(r"^  (--\S+) +(.*)$", out.out, re.M)
+        flags = {"--" + key.replace("_", "-") for keys in ACTS.values() for key in keys}
+        flags = flags - {"--alice-instruments"} | {"--alice-instrument"}
+        assert {flag for flag, _ in lines} == flags | {"--config"}
+        runs = {"every run", "chsh", "sampled chsh", "EPR chsh and nosignal", "nosignal", "sweep",
+                "distinguish", "qecc", "frames"}
+        for flag, text in lines:
+            where = re.fullmatch(r".*\(([^()]*)\)", text).group(1).split("; ")[-1]
+            assert set(where.split(", ")) <= runs, (flag, text)
+
     def test_import_leaves_the_thread_pool_unloaded(self):
         # only a threaded sampled run imports concurrent.futures, and the logging it pulls in
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, locclab.cli; print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))"
+        # and no argument list is read with argparse
+        loaded = "{'concurrent.futures', 'logging', 'argparse'} & sys.modules.keys()"
+        code = f"import sys, locclab.cli; print(sorted({loaded}))"
         proc = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, timeout=120, check=True,

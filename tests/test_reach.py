@@ -30,8 +30,7 @@ SRC = TESTS.parent / "src" / "locclab"
 #: Functions no golden config enters, each with the reason it stays.
 UNREACHED = {
     "bell.CHSHResult.correlations": "library accessor of the four correlations, read by test_bell",
-    "cli._Parser.error": "argument lists the parser refuses (exit 2), in test_cli and "
-                         "test_main_property",
+    "cli._help": "-h and --help, whose examples test_cli runs",
     "cli._read_config_file": "--config files; every golden passes its values as flags",
     "errors.ConfigError.__init__": "the configuration refusals (exit 2) of test_cli",
     "errors.EmptyCellError.__init__": "a setting pair with no trials (exit 5), in test_cli",
