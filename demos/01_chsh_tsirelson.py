@@ -25,15 +25,14 @@ import numpy as np
 from locclab import (
     CHSHConfig,
     TSIRELSON_BOUND,
-    build_er_world,
-    deliver_pair,
     exact_chsh,
     sample_chsh,
+    singlet_density,
 )
 
 
 def main():
-    pair = deliver_pair(build_er_world())
+    pair = singlet_density()
 
     exact = exact_chsh(pair)
     print("exact correlations:", [round(e, 6) for e in exact.correlations])

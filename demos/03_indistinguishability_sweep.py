@@ -17,20 +17,18 @@ on, the channel betrays itself exactly to the extent it decoheres.
 
 from locclab import (
     accessible_distributions,
-    build_epr_world,
-    build_er_world,
     bundled_corpus,
     canonical_chsh_script,
-    deliver_pairs,
+    epr_pairs,
     indistinguishability_sweep,
+    singlet_density,
     total_variation,
 )
 
 
 def main():
     # the agents hold only the pair each world delivers
-    epr0 = build_epr_world(q_dim=2, qbar_dim=2, lam=0.0, seed=0)
-    pairs = deliver_pairs([epr0, build_er_world()])
+    pairs = [*epr_pairs(q_dims=2, qbar_dim=2, lams=0.0, seed=0), singlet_density()]
     corpus = bundled_corpus()
 
     print("transcript distance at zero coupling, per bundled script:")
@@ -39,8 +37,8 @@ def main():
 
     print("\nsweeping the coupling with the randomized-settings CHSH script:")
     grid = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
-    worlds = [build_epr_world(q_dim=2, qbar_dim=2, lam=lam, seed=0) for lam in grid]
-    rows = indistinguishability_sweep(worlds, canonical_chsh_script())
+    pairs = epr_pairs(q_dims=2, qbar_dim=2, lams=grid, seed=0)
+    rows = indistinguishability_sweep(grid, pairs, canonical_chsh_script())
     print(f"  {'lambda':>6} {'tvd_vs_er':>10} {'|S|':>7} {'purity':>7}")
     for r in rows:
         print(f"  {r.lam:6.2f} {r.tvd_vs_er:10.2e} {r.s_abs:7.4f} {r.pair_purity:7.4f}")

@@ -16,17 +16,16 @@ show.
 """
 
 from locclab import (
-    build_epr_world,
     canonical_chsh_script,
     channel_size_check,
-    deliver_pairs,
+    epr_pairs,
     load_bundled_script,
 )
 
 
 def channel_pairs(q_dims, lam=0.0):
     """The pairs of one channel world per size, with the same rest of the environment."""
-    return deliver_pairs([build_epr_world(q_dim, 2, lam, seed=0) for q_dim in q_dims])
+    return epr_pairs(q_dims, 2, lam, seed=0)
 
 
 def main():

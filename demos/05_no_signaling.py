@@ -15,13 +15,12 @@ classical (causal) channel, which the run says it used.
 
 from locclab import (
     ProtocolRound,
-    build_epr_world,
-    build_er_world,
-    deliver_pair,
+    epr_pairs,
     identity_instrument,
     measure_x,
     measure_z,
     no_signaling_check,
+    singlet_density,
 )
 
 
@@ -29,20 +28,17 @@ def main():
     variants = [measure_z(), measure_x(), identity_instrument()]
     bob = [ProtocolRound("B", measure_z())]
 
-    worlds = {
-        "identified pair": build_er_world(),
-        "channel, lam=0": build_epr_world(2, 2, 0.0, seed=0),
-        "channel, lam=0.8": build_epr_world(2, 2, 0.8, seed=0),
-    }
+    quiet, loud = epr_pairs(2, 2, [0.0, 0.8], seed=0)
+    pairs = {"identified pair": singlet_density(), "channel, lam=0": quiet, "channel, lam=0.8": loud}
     print("max shift of Bob's marginal across Alice's choices (channel withheld):")
-    for name, world in worlds.items():
-        print(f"  {name:<17} {no_signaling_check(deliver_pair(world), variants, bob):.2e}")
+    for name, pair in pairs.items():
+        print(f"  {name:<17} {no_signaling_check(pair, variants, bob):.2e}")
 
     print("\nsame probe with Bob conditioning on Alice's broadcast outcome:")
     adaptive_bob = [ProtocolRound("B", measure_x(), {("0",): measure_z()})]
     classical_channel = True
     shift = no_signaling_check(
-        deliver_pair(build_er_world()), [measure_z(), identity_instrument()], adaptive_bob,
+        singlet_density(), [measure_z(), identity_instrument()], adaptive_bob,
         classical_channel=classical_channel,
     )
     print(f"  marginal shift = {shift:.3f}")

@@ -69,13 +69,6 @@ from .protocols import (
     load_bundled_script,
     load_script,
 )
-from .worlds import (
-    World,
-    build_epr_world,
-    build_er_world,
-    deliver_pair,
-    deliver_pairs,
-    singlet_density,
-)
+from .worlds import epr_pairs, singlet_density
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ from .protocols import (
     load_script,
 )
 from .linalg import DensityMatrix
-from .worlds import World, build_epr_world, build_er_world, deliver_pair, deliver_pairs
+from .worlds import epr_pairs, singlet_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -291,7 +291,7 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
         raise ConfigError(f"must be 'columnar' or 'structured', got {cfg.fmt!r}", key="format")
     if cfg.evolution_time <= 0:
         raise ConfigError("must be positive", key="evolution_time")
-    # the phases of pair_coherence are at most evolution_time * (lambda + 2) in size
+    # the phases of worlds._coherences are at most evolution_time * (lambda + 2) in size
     for key, lam in (("lambda", cfg.lam), ("lambda_grid", max(cfg.lambda_grid or (0.0,)))):
         if not math.isfinite((lam + 2) * cfg.evolution_time):
             raise ConfigError(f"phase {lam} * {cfg.evolution_time} overflows", key=key)
@@ -329,15 +329,11 @@ def parse_config(experiment: str, config_path: str | None, overrides: dict) -> R
     return cfg
 
 
-def _epr_world(cfg: RunConfig, lam: float | None = None, q_dim: int | None = None) -> World:
-    """The run's EPR world, at ``lam`` and ``q_dim`` where given in place of the config's."""
-    lam = cfg.lam if lam is None else lam
-    q_dim = cfg.q_dim if q_dim is None else q_dim
-    return build_epr_world(q_dim, cfg.qbar_dim, lam, cfg.seed, evolution_time=cfg.evolution_time)
-
-
-def _world_from_config(cfg: RunConfig) -> World:
-    return build_er_world() if cfg.mode == "er" else _epr_world(cfg)
+def _pairs(cfg: RunConfig, q_dims=None, lams=None) -> list[DensityMatrix]:
+    """The run's EPR pairs, one per ``q_dims`` and ``lams`` where given in place of the config's."""
+    q_dims = cfg.q_dim if q_dims is None else q_dims
+    lams = cfg.lam if lams is None else lams
+    return epr_pairs(q_dims, cfg.qbar_dim, lams, cfg.seed, evolution_time=cfg.evolution_time)
 
 
 def _load_file(loader, path: str, key: str):
@@ -389,7 +385,7 @@ def _columnar(rows: list[dict]) -> str:
 
 
 def _run_chsh(cfg: RunConfig) -> _Outcome:
-    pair = deliver_pair(_world_from_config(cfg))
+    [pair] = [singlet_density()] if cfg.mode == "er" else _pairs(cfg)
     res = exact_chsh(pair) if cfg.exact else _sample_chsh(pair, cfg)
     bound = TSIRELSON_BOUND + 5 * res.standard_error + 1e-9
     criteria = [("s_abs within quantum bound", res.s_abs <= bound)]
@@ -404,10 +400,10 @@ def _run_chsh(cfg: RunConfig) -> _Outcome:
 
 def _run_sweep(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
-    worlds = [_epr_world(cfg, lam=lam) for lam in cfg.lambda_grid]
+    grid = cfg.lambda_grid
     rows = [
         {"lambda": r.lam, "tvd_vs_er": r.tvd_vs_er, "s_abs": r.s_abs, "pair_purity": r.pair_purity}
-        for r in indistinguishability_sweep(worlds, script)
+        for r in indistinguishability_sweep(grid, _pairs(cfg, lams=grid), script)
     ]
     criteria = [("zero-coupling row indistinguishable", rows[0]["tvd_vs_er"] <= _ZERO_ATOL)]
     return {"kind": "indistinguishability_sweep", "rows": rows}, rows, criteria
@@ -417,7 +413,7 @@ def _run_distinguish(cfg: RunConfig) -> _Outcome:
     scripts = [_resolve_script(cfg.script)] if cfg.script else bundled_corpus()
     results = []
     criteria = []
-    pairs = deliver_pairs([_epr_world(cfg), build_er_world()])
+    pairs = [*_pairs(cfg), singlet_density()]
     for script, dists in zip(scripts, accessible_distributions(pairs, scripts)):
         tvd = total_variation(*dists)
         results.append({"script": script.name, "tvd_vs_er": tvd})
@@ -434,7 +430,7 @@ def _load_alice_instrument(path: str):
 
 
 def _run_nosignal(cfg: RunConfig) -> _Outcome:
-    pair = deliver_pair(_world_from_config(cfg))
+    [pair] = [singlet_density()] if cfg.mode == "er" else _pairs(cfg)
     if cfg.alice_instruments:
         key = "alice_instruments"
         loaded = [_load_file(_load_alice_instrument, p, key) for p in cfg.alice_instruments]
@@ -457,7 +453,7 @@ def _run_nosignal(cfg: RunConfig) -> _Outcome:
 
 def _run_qecc(cfg: RunConfig) -> _Outcome:
     script = _resolve_script(cfg.script)
-    pairs = deliver_pairs([_epr_world(cfg, q_dim=d) for d in cfg.q_dims])
+    pairs = _pairs(cfg, q_dims=cfg.q_dims)
     worst = channel_size_check(pairs, script)
     payload = {
         "kind": "qecc",

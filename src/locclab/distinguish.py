@@ -28,7 +28,7 @@ from .errors import CapacityError
 from .instruments import PROB_FLOOR, QuantumInstrument, apply_instrument
 from .linalg import DensityMatrix, check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
-from .worlds import World, deliver_pairs, singlet_density
+from .worlds import singlet_density
 
 __all__ = [
     "OutcomeDistribution",
@@ -198,24 +198,24 @@ def _max_pairwise_tvd(dists: Sequence[OutcomeDistribution]) -> float:
     return max((total_variation(p, q) for p, q in itertools.combinations(dists, 2)), default=0.0)
 
 
-def indistinguishability_sweep(worlds: Sequence[World], script: ProtocolScript) -> list[SweepRow]:
-    """Distinguishability of each channel world from the identified world.
+def indistinguishability_sweep(
+    lams: Sequence[float], pairs: Sequence[DensityMatrix], script: ProtocolScript
+) -> list[SweepRow]:
+    """Distinguishability of each channel world's pair from the identified world's.
 
-    The worlds' couplings must ascend strictly from 0; the first row's
-    distance is the zero-coupling limit and the remaining rows trace how
-    decoherence exposes the channel.  The worlds are delivered by one
-    :func:`deliver_pairs` call, and each row reads its world's pair.
+    ``pairs[i]`` is the pair of the world at coupling ``lams[i]``.  The
+    couplings must ascend strictly from 0; the first row's distance is the
+    zero-coupling limit and the remaining rows trace how decoherence
+    exposes the channel.
     """
-    couplings = [world.lam for world in worlds]
-    if not couplings or couplings[0] != 0.0:
+    if len(lams) == 0 or lams[0] != 0.0:
         raise ValueError("the worlds' couplings must start at 0")
-    if any(b <= a for a, b in zip(couplings, couplings[1:])):
+    if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("the worlds' couplings must be strictly ascending")
-    pairs = deliver_pairs(worlds)
     [[*dists, er_dist]] = accessible_distributions([*pairs, singlet_density()], [script])
-    return [SweepRow(lam=world.lam, tvd_vs_er=total_variation(dist, er_dist),
+    return [SweepRow(lam=lam, tvd_vs_er=total_variation(dist, er_dist),
                      s_abs=exact_chsh(pair).s_abs, pair_purity=purity(pair))
-            for world, pair, dist in zip(worlds, pairs, dists)]
+            for lam, pair, dist in zip(lams, pairs, dists, strict=True)]
 
 
 def channel_size_check(pairs: Sequence[DensityMatrix], script: ProtocolScript) -> float:

@@ -105,7 +105,10 @@ class DensityMatrix:
         m = np.asarray(self.matrix)
         if m.shape != (4, 4):
             raise LayoutError(f"a pair state is 4x4, got shape {m.shape}")
-        object.__setattr__(self, "matrix", DensityMatrix.stack(m[None])[0].matrix)
+        m = np.array(m, dtype=complex)
+        m.setflags(write=False)
+        check_density_stack(m[None])
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def stack(cls, ms: np.ndarray) -> list["DensityMatrix"]:

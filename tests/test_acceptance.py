@@ -18,14 +18,11 @@ from locclab import (
     TSIRELSON_BOUND,
     accessible_distributions,
     apply_instrument,
-    build_epr_world,
-    build_er_world,
     bundled_corpus,
     canonical_chsh_script,
     coarse_grain,
     channel_size_check,
-    deliver_pair,
-    deliver_pairs,
+    epr_pairs,
     exact_chsh,
     frame_misalignment_demo,
     identity_instrument,
@@ -81,9 +78,8 @@ def test_criterion_2_state_level_indistinguishability():
     target = singlet_density()
     worst = 0.0
     cases = 0
-    for q_dim in (2, 3):
-        for seed in (0, 1, 2, 3, 4):
-            pair = deliver_pair(build_epr_world(q_dim, 2, 0.0, seed=seed))
+    for seed in (0, 1, 2, 3, 4):
+        for pair in epr_pairs([2, 3], 2, 0.0, seed=seed):
             worst = max(worst, trace_distance(pair, target))
             cases += 1
     elapsed = time.perf_counter() - t0
@@ -96,7 +92,7 @@ def test_criterion_2_state_level_indistinguishability():
 
 def test_criterion_3_operational_indistinguishability_and_sweep():
     t0 = time.perf_counter()
-    er, epr0 = deliver_pairs([build_er_world(), build_epr_world(2, 2, 0.0, seed=0)])
+    er, [epr0] = singlet_density(), epr_pairs(2, 2, 0.0, seed=0)
     corpus = bundled_corpus()
     assert len(corpus) >= 10
     worst = 0.0
@@ -106,8 +102,7 @@ def test_criterion_3_operational_indistinguishability_and_sweep():
     script = canonical_chsh_script()
     [[er_dist]] = accessible_distributions([er], [script])
     sweep = {}
-    for lam in (0.3, 0.6, 0.9):
-        pair = deliver_pair(build_epr_world(2, 2, lam, seed=0))
+    for lam, pair in zip((0.3, 0.6, 0.9), epr_pairs(2, 2, [0.3, 0.6, 0.9], seed=0)):
         [[dist]] = accessible_distributions([pair], [script])
         sweep[lam] = total_variation(dist, er_dist)
     elapsed = time.perf_counter() - t0
@@ -123,7 +118,7 @@ def test_criterion_3_operational_indistinguishability_and_sweep():
 
 def test_criterion_4_channel_size_invisibility():
     t0 = time.perf_counter()
-    pairs = deliver_pairs([build_epr_world(q_dim, 2, 0.0, seed=0) for q_dim in (2, 3)])
+    pairs = epr_pairs([2, 3], 2, 0.0, seed=0)
     worst = max(
         channel_size_check(pairs, canonical_chsh_script()),
         channel_size_check(pairs, load_bundled_script("zx")),
@@ -141,8 +136,8 @@ def test_criterion_5_no_signaling():
     t0 = time.perf_counter()
     variants = [measure_z(), measure_x(), identity_instrument()]
     bob = [ProtocolRound("B", measure_z()), ProtocolRound("B", measure_x())]
-    worlds = [build_er_world(), build_epr_world(2, 2, 0.0, seed=0), build_epr_world(2, 2, 0.8, seed=0)]
-    worst = max(no_signaling_check(pair, variants, bob) for pair in deliver_pairs(worlds))
+    pairs = [singlet_density(), *epr_pairs(2, 2, [0.0, 0.8], seed=0)]
+    worst = max(no_signaling_check(pair, variants, bob) for pair in pairs)
     elapsed = time.perf_counter() - t0
     check(
         "criterion 5: Bob's marginals never move with Alice's choice (channel withheld)",
@@ -163,7 +158,7 @@ def test_criterion_6_frame_misalignment():
 
 def test_criterion_7_sampling_consistency():
     t0 = time.perf_counter()
-    pair = deliver_pair(build_er_world())
+    pair = singlet_density()
     exact = exact_chsh(pair).s_abs
     good = 0
     for seed in range(100):

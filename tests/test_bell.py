@@ -21,8 +21,7 @@ from locclab import (
     DensityMatrix,
     EmptyCellError,
     TSIRELSON_BOUND,
-    build_epr_world,
-    deliver_pair,
+    epr_pairs,
     exact_chsh,
     sample_chsh,
     singlet_density,
@@ -146,10 +145,8 @@ class TestExactChsh:
             assert res.s_abs <= TSIRELSON_BOUND + 1e-9
 
     def test_monotone_decoherence_in_coupling(self):
-        values = []
-        for lam in np.linspace(0.0, 1.2, 9):
-            pair = deliver_pair(build_epr_world(2, 2, float(lam), seed=4))
-            values.append(exact_chsh(pair).s_abs)
+        pairs = epr_pairs(2, 2, np.linspace(0.0, 1.2, 9), seed=4)
+        values = [exact_chsh(pair).s_abs for pair in pairs]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
 
@@ -192,7 +189,7 @@ class TestSampling:
     def test_zero_coupling_transcript_identical_to_er(self):
         cfg = CHSHConfig(trials=20000, seed=7)
         res_er, t_er = sampled_transcript(SINGLET, cfg)
-        res_epr, t_epr = sampled_transcript(deliver_pair(build_epr_world(2, 2, 0.0, seed=123)), cfg)
+        res_epr, t_epr = sampled_transcript(epr_pairs(2, 2, 0.0, seed=123)[0], cfg)
         assert t_er == t_epr and len(t_er.splitlines()) == cfg.trials + 1
         assert res_er == res_epr
 
@@ -251,7 +248,7 @@ class TestEstimates:
 
 B = BLOCK_TRIALS
 C = bell._CHUNK_TRIALS
-EPR_PAIR = deliver_pair(build_epr_world(3, 2, 0.7, seed=5))
+[EPR_PAIR] = epr_pairs(3, 2, 0.7, seed=5)
 #: 9 and 10, 99 and 100, ..., 10**18 - 1: the last and first trial number of each digit count.
 POWER_OF_TEN_EDGES = [10**k + d for k in range(1, 19) for d in (-1, 0) if 10**k + d < 10**18]
 
@@ -505,13 +502,13 @@ class TestOutcomeTable:
     )
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_epr_worlds_match_the_transcript_oracle(self, q_dim, qbar_dim, lam, t, seed, angles):
-        world = build_epr_world(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
-        self.assert_matches_oracle(deliver_pair(world), CHSHConfig(*angles))
+        [pair] = epr_pairs(q_dim, qbar_dim, lam, seed=seed, evolution_time=t)
+        self.assert_matches_oracle(pair, CHSHConfig(*angles))
 
     @pytest.mark.parametrize("config", [CHSHConfig(), CHSHConfig(0.3, -1.2, 2.0, 0.7)], ids=["optimal", "rotated"])
     @pytest.mark.parametrize(
         "pair",
-        [SINGLET, EPR_PAIR, deliver_pair(build_epr_world(2, 4, 2.5, seed=3, evolution_time=0.6))],
+        [SINGLET, EPR_PAIR, *epr_pairs(2, 4, 2.5, seed=3, evolution_time=0.6)],
         ids=["er", "epr", "epr-strong"],
     )
     def test_thresholds_match_the_transcript_oracle(self, pair, config):

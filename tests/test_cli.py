@@ -7,8 +7,10 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from locclab import ConfigError, TSIRELSON_BOUND, distinguish
@@ -377,6 +379,26 @@ class TestComparedSetsHoldTwo:
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("capacity error: world of 18 qubits (2 boundary + 14 channel")
+
+    @pytest.mark.parametrize(
+        "args,qubits",
+        [(["qecc", "--q-dims", "2,3"], 100000000000004),
+         (["sweep", "--lambda-grid", "0,0.5"], 100000000000003)],
+    )
+    def test_capacity_is_decided_before_any_draw_exit_code(self, monkeypatch, capsys, args, qubits):
+        # a run's largest world is refused by its qubit count: nothing is drawn or allocated
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *seed: draws.append(seed))
+        tracemalloc.start()
+        try:
+            code = main([*args, "--seed", "1", "--qbar-dim", "99999999999999"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAPACITY and draws == [] and peak < 2**20
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith(f"capacity error: world of {qubits} qubits (2 boundary + ")
 
 
 class TestMain:
@@ -891,8 +913,8 @@ class TestMain:
 
 
 class TestSingleDelivery:
-    """Each world's pair is computed once per run, however many times it is read,
-    and one stacked coherence pass serves all of a run's EPR worlds."""
+    """Each world's pair is computed once per run, however many times it is read:
+    one draw of rest terms and one stacked coherence pass serve all of a run's EPR worlds."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -900,7 +922,12 @@ class TestSingleDelivery:
 
         calls = []
         kernel = worlds._coherences
-        monkeypatch.setattr(worlds, "_coherences", lambda ws: calls.append(list(ws)) or kernel(ws))
+
+        def spy(terms, q_dims, lams, t):
+            calls.append(len(q_dims))
+            return kernel(terms, q_dims, lams, t)
+
+        monkeypatch.setattr(worlds, "_coherences", spy)
         return calls
 
     @pytest.mark.parametrize(
@@ -915,9 +942,22 @@ class TestSingleDelivery:
     )
     def test_one_kernel_call_per_epr_world(self, kernel_calls, capsys, args, worlds_built):
         assert main(args + ["--seed", "3"]) == EXIT_OK
-        [stack] = kernel_calls
-        assert len(stack) == worlds_built
-        assert len({id(w) for w in stack}) == worlds_built
+        assert kernel_calls == [worlds_built]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["sweep", "--lambda-grid", "0,0.3,0.6,0.9"],
+         ["qecc", "--q-dims", "2,3,4", "--lambda", "0.5"],
+         ["distinguish", "--lambda", "0.4"]],
+    )
+    def test_one_draw_per_run(self, monkeypatch, capsys, args):
+        # the worlds of a run share the seed and the rest size, so one draw serves them all
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: draws.append(seed) or default_rng(seed))
+        assert main(args + ["--seed", "3"]) == EXIT_OK
+        assert draws == [3]
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,14 +17,11 @@ from locclab import (
     ProtocolScript,
     TSIRELSON_BOUND,
     accessible_distributions,
-    build_epr_world,
-    build_er_world,
     bundled_corpus,
     bundled_script_names,
     canonical_chsh_script,
     channel_size_check,
-    deliver_pair,
-    deliver_pairs,
+    epr_pairs,
     frame_misalignment_demo,
     identity_instrument,
     load_bundled_script,
@@ -37,7 +35,7 @@ from locclab import (
     indistinguishability_sweep,
     total_variation,
 )
-from locclab import CapacityError, ContractError, distinguish, instruments, protocols
+from locclab import CapacityError, ContractError, distinguish, instruments, protocols, worlds
 from locclab.cli import EXIT_OK, main
 from locclab.protocols import script_from_dict
 
@@ -53,8 +51,9 @@ def dist_of(*pairs) -> OutcomeDistribution:
 
 
 def epr_pair(*args, **kwargs) -> DensityMatrix:
-    """The pair the EPR world ``build_epr_world(*args, **kwargs)`` delivers."""
-    return deliver_pair(build_epr_world(*args, **kwargs))
+    """The one pair ``epr_pairs(*args, **kwargs)`` delivers."""
+    [pair] = epr_pairs(*args, **kwargs)
+    return pair
 
 
 def distribution(pair: DensityMatrix, script: ProtocolScript, **kwargs) -> OutcomeDistribution:
@@ -84,12 +83,11 @@ class TestAccessibleDistribution:
     def test_chsh_script_against_dense_oracle(self):
         # decohered world, full independent path: dense-evolved pair plus
         # recursion over embedded Kraus maps
-        world = build_epr_world(2, 2, 0.6, seed=5)
         script = canonical_chsh_script()
-        ours = distribution(deliver_pair(world), script).as_dict()
+        ours = distribution(epr_pair(2, 2, 0.6, seed=5), script).as_dict()
 
-        h_rest = oracles.rest_hamiltonian(list(world.rest_terms))
-        pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, world.evolution_time)
+        h_rest = oracles.rest_hamiltonian(list(worlds._rest_terms(2, 5)))
+        pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, 1.0)
         rounds = []
         for party, rnd in zip((0, 1), script.rounds):
             branches = [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches]
@@ -205,38 +203,41 @@ class TestTotalVariation:
         assert total_variation(p, p) < 1e-15
 
 
-def epr_worlds(grid, q_dim=2, seed=0):
-    """EPR worlds with two rest qubits at each coupling of ``grid``."""
-    return [build_epr_world(q_dim, 2, lam, seed) for lam in grid]
+def sweep(grid, q_dim=2, seed=0):
+    """The canonical CHSH script's sweep over EPR worlds with two rest qubits at ``grid``."""
+    return indistinguishability_sweep(grid, epr_pairs(q_dim, 2, grid, seed), canonical_chsh_script())
 
 
 class TestIndistinguishabilitySweep:
     def test_zero_grid(self):
-        rows = indistinguishability_sweep(epr_worlds([0.0]), canonical_chsh_script())
+        rows = sweep([0.0])
         assert rows[0].tvd_vs_er <= 1e-10
         assert abs(rows[0].s_abs - TSIRELSON_BOUND) < 1e-10
         assert abs(rows[0].pair_purity - 1.0) < 1e-10
 
     def test_strictly_increasing_distance(self):
-        rows = indistinguishability_sweep(epr_worlds([0.0, 0.5, 1.0], seed=4), canonical_chsh_script())
+        rows = sweep([0.0, 0.5, 1.0], seed=4)
         tvds = [r.tvd_vs_er for r in rows]
         assert tvds[0] <= 1e-10
         assert tvds[0] < tvds[1] < tvds[2]
 
     def test_channel_size_invisible_at_zero(self):
         for q_dim in (2, 3):
-            rows = indistinguishability_sweep(
-                epr_worlds([0.0], q_dim=q_dim, seed=2), canonical_chsh_script()
-            )
+            rows = sweep([0.0], q_dim=q_dim, seed=2)
             assert rows[0].tvd_vs_er <= 1e-10
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            indistinguishability_sweep([], canonical_chsh_script())
+            indistinguishability_sweep([], [], canonical_chsh_script())
+        with pytest.raises(ValueError, match="must start at 0"):
+            indistinguishability_sweep(np.array([]), [], canonical_chsh_script())
         with pytest.raises(ValueError):
-            indistinguishability_sweep(epr_worlds([0.1, 0.5]), canonical_chsh_script())
+            sweep([0.1, 0.5])
         with pytest.raises(ValueError):
-            indistinguishability_sweep(epr_worlds([0.0, 0.5, 0.5]), canonical_chsh_script())
+            sweep([0.0, 0.5, 0.5])
+        # a coupling for each pair
+        with pytest.raises(ValueError):
+            indistinguishability_sweep([0.0, 0.5], [SINGLET], canonical_chsh_script())
 
     def test_corpus_indistinguishable_at_zero_coupling(self):
         epr = epr_pair(2, 2, 0.0, seed=17)
@@ -274,7 +275,7 @@ class TestChannelSizeCheck:
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            build_epr_world(1, 2, 0.0, seed=0)
+            epr_pairs(1, 2, 0.0, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -286,10 +287,10 @@ class TestChannelSizeCheck:
     )
     def test_whole_environment_invisible_at_zero_coupling(self, specs):
         # channel size, rest size, rest draw and evolution time all vary at once
-        pairs = deliver_pairs([build_er_world()] + [
-            build_epr_world(q_dim, qbar_dim, 0.0, seed, evolution_time=t)
+        pairs = [SINGLET] + [
+            epr_pair(q_dim, qbar_dim, 0.0, seed, evolution_time=t)
             for q_dim, qbar_dim, seed, t in specs
-        ])
+        ]
         for script in bundled_corpus():
             assert channel_size_check(pairs, script) <= 1e-10, script.name
 
@@ -299,11 +300,11 @@ def bits(dist: OutcomeDistribution) -> list:
     return [(t, p.hex()) for t, p in dist.entries]
 
 
-def make_world(spec):
-    return build_er_world() if spec is None else build_epr_world(*spec)
+def make_pair(spec):
+    return SINGLET if spec is None else epr_pair(*spec)
 
 
-#: An ER world or ``(q_dim, qbar_dim, lam, seed)`` of an EPR world.
+#: The ER pair, or ``(q_dim, qbar_dim, lam, seed)`` of an EPR world's pair.
 WORLD_SPECS = st.one_of(
     st.none(),
     st.tuples(
@@ -376,7 +377,7 @@ class TestStackedWorlds:
         visibility=st.sampled_from(["full", "own-party"]),
     )
     def test_stack_of_random_worlds_equals_each_world_alone(self, specs, name, visibility):
-        pairs = deliver_pairs([make_world(spec) for spec in specs])
+        pairs = [make_pair(spec) for spec in specs]
         script = load_bundled_script(name)
         [stacked] = accessible_distributions(pairs, [script], condition_visibility=visibility)
         for pair, dist in zip(pairs, stacked):
@@ -386,9 +387,8 @@ class TestStackedWorlds:
     def test_branches_dead_only_in_er(self):
         # X outcomes of the singlet anticorrelate, so "00" and "11" are dead
         # in ER (at most PROB_FLOOR, never negative) and live in a dephased world
-        world = build_epr_world(2, 2, 0.8, seed=5)
         script = load_bundled_script("xx")
-        [[er, epr]] = accessible_distributions([SINGLET, deliver_pair(world)], [script])
+        [[er, epr]] = accessible_distributions([SINGLET, epr_pair(2, 2, 0.8, seed=5)], [script])
         for t in (("0", "0"), ("1", "1")):
             assert math.copysign(1.0, er.as_dict()[t]) == 1.0
             assert er.as_dict()[t] <= instruments.PROB_FLOOR
@@ -396,13 +396,13 @@ class TestStackedWorlds:
 
         # a dead branch's descendants get +0.0 in ER only
         longer = ProtocolScript("xx then z", script.rounds + (ProtocolRound("A", measure_z()),))
-        [[er3, epr3]] = accessible_distributions([SINGLET, deliver_pair(world)], [longer])
+        [[er3, epr3]] = accessible_distributions([SINGLET, epr_pair(2, 2, 0.8, seed=5)], [longer])
         for t in (("0", "0", "0"), ("0", "0", "1"), ("1", "1", "0"), ("1", "1", "1")):
             assert er3.as_dict()[t].hex() == "0x0.0p+0"
             assert epr3.as_dict()[t] > 1e-3
 
-        h_rest = oracles.rest_hamiltonian(list(world.rest_terms))
-        pair = oracles.dense_world_pair(h_rest, 2, 2, 0.8, world.evolution_time)
+        h_rest = oracles.rest_hamiltonian(list(worlds._rest_terms(2, 5)))
+        pair = oracles.dense_world_pair(h_rest, 2, 2, 0.8, 1.0)
         rounds = [
             (party, [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches])
             for party, rnd in zip((0, 1), script.rounds)

@@ -97,6 +97,17 @@ class TestValidation:
         with pytest.raises(LayoutError, match="4, 4"):
             DensityMatrix.stack(good[0])
 
+    def test_single_state_is_one_checked_copy(self, monkeypatch):
+        # one state is checked as a stack of one, with no second state built
+        monkeypatch.setattr(DensityMatrix, "stack", None)
+        source = np.diag([0.1, 0.2, 0.3, 0.4])
+        rho = DensityMatrix(source)
+        source[0, 0] = 2.0
+        assert rho.matrix.dtype == complex and not rho.matrix.flags.writeable
+        assert rho.matrix.tobytes() == np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex).tobytes()
+        with pytest.raises(ValueError, match="PSD"):
+            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
+
     def test_matrices_are_frozen(self):
         rho = ket_density("00")
         with pytest.raises(ValueError):

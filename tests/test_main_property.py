@@ -10,9 +10,10 @@ given a config file that is not UTF-8, one given an unknown or abbreviated
 flag, one given an empty ``--alice-instrument`` list, which is refused by
 its key, and one that would compare fewer than two distinct channel sizes
 or instrument files.  Every drawn value is bounded: at most 10^4 trials, at
-most 8 environment qubits and at most 2 sampler threads.  Values are passed
-as ``--flag=value``, the form that lets a value such as ``-inf`` start with
-a dash.
+most 8 environment qubits and at most 2 sampler threads.  Each value is
+passed as one item, ``--flag=value``, or as two, ``--flag value``, drawn
+per flag: the item after a flag is its value as is, so a value such as
+``-inf`` or an empty one reaches the same checks in either form.
 """
 
 import io
@@ -52,7 +53,7 @@ UNKNOWN_FLAGS = st.one_of(
 )
 
 #: The two spellings of an empty instrument list that the property draws.
-EMPTY_INSTRUMENTS = ("--alice-instrument=", "--alice-instrument=,")
+EMPTY_INSTRUMENTS = ("", ",")
 
 REALS = st.one_of(
     st.floats(-3.0, 3.0),
@@ -82,7 +83,15 @@ def files(tmp_path_factory):
 @st.composite
 def argv(draw, files):
     """An argument list, the key of a flag in it that does not act in its run, if any,
-    and whether the run must be refused (exit 2)."""
+    whether the run must be refused (exit 2), and whether its first refusal is that of an
+    empty instrument list."""
+
+    def items(flag, value):
+        """``flag`` alone for a bare flag, else ``flag`` and its value as one item or two."""
+        if value is None:
+            return [flag]
+        return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
     experiment = draw(st.sampled_from(EXPERIMENTS))
     mode, exact = draw(st.sampled_from(["er", "epr"])), draw(st.booleans())
     acting = ACTS[run_kind(experiment, mode, exact)]
@@ -129,29 +138,29 @@ def argv(draw, files):
     if draw(st.integers(0, 5)) == 5:  # a stray flag in about a sixth of the runs
         stray = draw(st.sampled_from(sorted(f for f in options if FLAG_KEYS[f] not in acting)))
         flags.add(stray)
-    args = [experiment, f"--seed={seed}"]
-    refused = stray is not None
+    args = [experiment, *items("--seed", str(seed))]
+    # the argument list and the config file are read, and refused, before any value is parsed
+    unread = False
     if draw(st.integers(0, 9)) == 9:  # a config file that is not UTF-8 in about a tenth
-        args.append(f"--config={files['not_utf8']}")
-        refused = True
+        args += items("--config", files["not_utf8"])
+        unread = True
     if draw(st.integers(0, 9)) == 9:  # an unknown or abbreviated flag in about a tenth
         args.append(f"{draw(UNKNOWN_FLAGS)}=1")
-        refused = True
-    for flag in sorted(flags):
-        value = draw(options[flag])
-        args.append(flag if value is None else f"{flag}={value}")
-    refused |= any(a in EMPTY_INSTRUMENTS for a in args)
-    for flag, value in (a.split("=", 1) for a in args[2:] if "=" in a):
-        items = value.split(",")
-        if flag in ("--q-dims", "--alice-instrument") and len(set(items)) < max(len(items), 2):
-            refused = True
-    return args, stray and FLAG_KEYS[stray], refused
+        unread = True
+    values = {flag: draw(options[flag]) for flag in sorted(flags)}
+    for flag, value in values.items():
+        args += items(flag, value)
+    empty = values.get("--alice-instrument") in EMPTY_INSTRUMENTS
+    refused = unread or empty or stray is not None
+    for listed in (values[f].split(",") for f in ("--q-dims", "--alice-instrument") if f in values):
+        refused |= len(set(listed)) < max(len(listed), 2)
+    return args, stray and FLAG_KEYS[stray], refused, empty and not unread
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_exit_code_and_stderr_are_documented(files, data):
-    args, stray, refused = data.draw(argv(files), label="argv")
+    args, stray, refused, empty = data.draw(argv(files), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -161,7 +170,7 @@ def test_exit_code_and_stderr_are_documented(files, data):
     # an earlier error (a seed out of range, a value that does not parse) may
     # end the run before the refusal, but never with another exit code
     assert not refused or code == 2
-    if any(a in EMPTY_INSTRUMENTS for a in args):
+    if empty:
         assert lines[0].endswith("(key: alice_instruments)"), lines
     if any("does not act" in line for line in lines):
         assert stray is not None and lines[0].endswith(f"(key: {stray})"), lines

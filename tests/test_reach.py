@@ -42,7 +42,6 @@ UNREACHED = {
     "linalg.trace_distance": "state distance, held by criterion 2",
     "protocols.canonical_chsh_script": "sweep and qecc without --script; each golden names one",
     "protocols.load_script": "--script files; every golden uses a bundled script",
-    "worlds.pair_coherence": "the coherence of one world, checked by test_worlds",
 }
 
 
