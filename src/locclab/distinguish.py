@@ -8,9 +8,8 @@ them in total variation distance, and packages the standard experiments:
 coupling-strength sweeps, channel-size comparisons at zero coupling,
 no-signaling checks with the classical channel withheld, and
 measurement-frame misalignment.  Each experiment reads delivered pairs;
-only the sweep, whose rows (``SweepRow``s) carry each world's coupling,
-takes built worlds and delivers them itself.  Building and delivering a
-run's worlds and writing payloads is the CLI's job.
+building and delivering a run's worlds and writing payloads is the CLI's
+job.
 """
 
 from __future__ import annotations
@@ -91,8 +90,9 @@ def total_variation(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in keys)
 
 
-def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int, mode: str) -> tuple[str, ...]:
-    if mode == "full":
+def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int,
+             classical_channel: bool) -> tuple[str, ...]:
+    if classical_channel:
         return transcript
     party = script.rounds[r].party
     return tuple(transcript[j] for j in range(r) if script.rounds[j].party == party)
@@ -122,66 +122,59 @@ def accessible_distributions(
     pairs: Sequence[DensityMatrix],
     scripts: Sequence[ProtocolScript],
     *,
-    condition_visibility: str = "full",
+    classical_channel: bool = True,
 ) -> list[list[OutcomeDistribution]]:
     """Exact transcript distributions: a per-pair list for each of ``scripts``.
 
     Each round's instrument acts on the acting party's own qubit of the
     pair; every branch is followed, so zero-probability transcripts stay in
-    the support.  ``condition_visibility`` controls which prior outcomes a
-    conditioned round may see: ``"full"`` models an open classical channel,
-    ``"own-party"`` withholds it.
+    the support.  With ``classical_channel`` set (the default) a
+    conditioned round sees every prior outcome; unset, it sees only its
+    own party's.
 
-    All scripts and pairs share one enumeration.  Each round groups the
-    live ``(script, branch, pair)`` states by instrument and target, runs
-    each group as one stack, and checks every live post-state of the round
-    in one batch before the next round uses any.  A branch dead on a pair
-    (probability at most :data:`PROB_FLOOR`) is not applied there and its
-    descendants get 0.0, so each script and pair gets the bytes it would
-    get alone.  Equal instrument specs share one instrument (see
+    All scripts and pairs share one enumeration, whose trees grow in one
+    pass per round.  Each branch gets its children as soon as its
+    instrument is resolved, and its live pairs are queued by instrument
+    and target.  Each queue then runs as one stack and writes the
+    children's cells in place, and every live post-state of the round is
+    checked in one batch before the next round uses any.  A branch dead on
+    a pair (probability at most :data:`PROB_FLOOR`) is not applied there
+    and its descendants get 0.0, so each script and pair gets the bytes it
+    would get alone.  Equal instrument specs share one instrument (see
     :mod:`locclab.protocols`), validated once per process.  Scripts whose
     transcripts overflow physical memory raise ``CapacityError`` before
     any instrument is applied.
     """
-    if condition_visibility not in ("full", "own-party"):
-        raise ValueError(f"unknown condition visibility {condition_visibility!r}")
     _check_capacity(scripts, len(pairs))
-    # per script: (transcript, [probability, post-state or None] per pair) of every branch so far
+    # per script: (transcript, [(probability, post-state or None) per pair]) of every branch so far
     trees = [[((), [(1.0, pair.matrix) for pair in pairs])] for _ in scripts]
     for r in range(max((len(s.rounds) for s in scripts), default=0)):
-        acting = [(s, script) for s, script in enumerate(scripts) if r < len(script.rounds)]
-        # the instrument of each (script, branch), and the live (script, branch, pair)
-        # entries grouped by (instrument, target), each group to run as one stack
-        insts, groups = {}, {}
-        for s, script in acting:
+        # the live (probability, state, children, pair) entries grouped by (instrument,
+        # target), each group to run as one stack and to write its children in place
+        groups = {}
+        for s, script in enumerate(scripts):
+            if r >= len(script.rounds):
+                continue
             rnd = script.rounds[r]
             target = "q_A" if rnd.party == "A" else "q_B"
-            for k, (t, cells) in enumerate(trees[s]):
-                inst = insts[s, k] = rnd.resolve(_visible(t, script, r, condition_visibility))
+            grown = []
+            for t, cells in trees[s]:
+                inst = rnd.resolve(_visible(t, script, r, classical_channel))
+                kids = [[(0.0, None)] * len(cells) for _ in inst.outcomes]
+                grown.extend(zip((t + (o,) for o in inst.outcomes), kids))
                 for w, (prob, state) in enumerate(cells):
                     if state is not None and prob > PROB_FLOOR:
-                        groups.setdefault((inst, target), []).append((s, k, w))
-        children = {}  # (script, branch, pair) -> a (probability, post-state) per outcome
+                        groups.setdefault((inst, target), []).append((prob, state, kids, w))
+            trees[s] = grown
         live_posts = []
         for (inst, target), entries in groups.items():
-            states = np.array([trees[s][k][1][w][1] for s, k, w in entries])
-            probs, posts = apply_instrument(inst, target, states)
+            probs, posts = apply_instrument(inst, target, np.array([e[1] for e in entries]))
             live_posts.append(posts[probs > PROB_FLOOR])
-            for (s, k, w), ps, outs in zip(entries, probs.T.tolist(), posts.swapaxes(0, 1)):
-                prob = trees[s][k][1][w][0]
-                children[s, k, w] = [
-                    (prob * p, post if p > PROB_FLOOR else None) for p, post in zip(ps, outs)
-                ]
+            for (prob, _, kids, w), ps, outs in zip(entries, probs.T.tolist(), posts.swapaxes(0, 1)):
+                for kid, p, post in zip(kids, ps, outs):
+                    kid[w] = (prob * p, post if p > PROB_FLOOR else None)
         if live_posts:
             check_density_stack(np.concatenate(live_posts))
-        for s, _ in acting:
-            grown = []
-            for k, (transcript, cells) in enumerate(trees[s]):
-                outcomes = insts[s, k].outcomes
-                dead = [(0.0, None)] * len(outcomes)
-                per_outcome = zip(*(children.get((s, k, w), dead) for w in range(len(cells))))
-                grown.extend(zip((transcript + (o,) for o in outcomes), per_outcome))
-            trees[s] = grown
     return [[OutcomeDistribution(tuple((t, c[w][0]) for t, c in tree)) for w in range(len(pairs))]
             for tree in trees]
 
@@ -254,12 +247,11 @@ def no_signaling_check(
     for r in bob_rounds:
         if r.party != "B":
             raise ValueError("bob_rounds must all act as party B")
-    visibility = "full" if classical_channel else "own-party"
     scripts = [
         ProtocolScript("no-signaling probe", (ProtocolRound("A", variant),) + bob_rounds)
         for variant in alice_variants
     ]
-    dists = accessible_distributions([pair], scripts, condition_visibility=visibility)
+    dists = accessible_distributions([pair], scripts, classical_channel=classical_channel)
     return _max_pairwise_tvd([dist.marginal(range(1, 1 + len(bob_rounds))) for [dist] in dists])
 
 

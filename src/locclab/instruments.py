@@ -146,12 +146,6 @@ class QuantumInstrument:
         """The stack extended to the pair, and its adjoint, keyed by target qubit."""
         return {}
 
-    def branch(self, outcome: str) -> InstrumentBranch:
-        for b in self.branches:
-            if b.outcome == outcome:
-                return b
-        raise KeyError(outcome)
-
 
 @dataclass(frozen=True)
 class CoarseGrainingPartition:
@@ -173,9 +167,6 @@ class CoarseGrainingPartition:
             if overlap:
                 raise ValueError(f"outcomes {sorted(overlap)} appear in more than one group")
             seen.update(members)
-
-    def covered(self) -> set[str]:
-        return {m for _, members in self.groups for m in members}
 
 
 @dataclass(frozen=True)
@@ -269,22 +260,19 @@ def coarse_grain(inst: QuantumInstrument, partition: CoarseGrainingPartition) ->
     Summing CP maps is a Kraus-list union, so the group branch simply
     concatenates the member operator lists.
     """
-    covered = partition.covered()
-    have = set(inst.outcomes)
+    by_outcome = dict(zip(inst.outcomes, inst.branches))
+    covered = {m for _, members in partition.groups for m in members}
+    have = set(by_outcome)
     if covered != have:
         raise ValueError(
             f"partition does not cover outcomes exactly: missing {sorted(have - covered)}, "
             f"unknown {sorted(covered - have)}"
         )
     branches = []
-    for group_label, members in partition.groups:
-        kraus: list[np.ndarray] = []
-        weights: list[float] = []
-        for m in members:
-            b = inst.branch(m)
-            kraus.extend(b.kraus)
-            weights.extend(b.weights)
-        branches.append(InstrumentBranch(group_label, tuple(kraus), tuple(weights)))
+    for label, members in partition.groups:
+        group = [by_outcome[m] for m in members]
+        kraus, weights = [k for b in group for k in b.kraus], [w for b in group for w in b.weights]
+        branches.append(InstrumentBranch(label, kraus, weights))
     return QuantumInstrument(tuple(branches))
 
 
@@ -407,52 +395,34 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
     if lines[1].split() != ["dimension", "2"]:
         raise ValueError(f"second line must be 'dimension <d>' with d = 2, got {lines[1]!r}")
 
-    branches: list[InstrumentBranch] = []
-    outcome: str | None = None
-    ops: list[np.ndarray] = []
-    rows: list[list[complex]] = []
-    in_op = False
-
-    def close_op():
-        nonlocal in_op, rows
-        if in_op:
-            if len(rows) != 2:
-                raise ValueError(f"operator has {len(rows)} rows, expected 2")
-            ops.append(np.array(rows, dtype=complex))
-            rows = []
-            in_op = False
-
-    def close_branch():
-        nonlocal outcome, ops
-        close_op()
-        if outcome is not None:
-            if not ops:
-                raise ValueError(f"branch {outcome!r} has no operators")
-            branches.append(InstrumentBranch(outcome, tuple(ops)))
-            outcome, ops = None, []
-
+    parsed: list[tuple[str, list[list[list[complex]]]]] = []  # (outcome, [rows of each op])
     for line in lines[2:-1]:
         parts = line.split(maxsplit=1)
         if parts[0] == "branch":
-            close_branch()
             if len(parts) != 2:
                 raise ValueError("branch line needs an outcome label")
-            outcome = parts[1]
+            parsed.append((parts[1], []))
         elif line == "op":
-            if outcome is None:
+            if not parsed:
                 raise ValueError("'op' before any 'branch'")
-            close_op()
-            in_op = True
+            parsed[-1][1].append([])
         else:
-            if not in_op:
+            if not (parsed and parsed[-1][1]):
                 raise ValueError(f"unexpected line {line!r}")
             entries = [_parse_complex(tok) for tok in line.split()]
             if len(entries) != 2:
                 raise ValueError(f"row has {len(entries)} entries, expected 2")
-            rows.append(entries)
-    close_branch()
-    if not branches:
+            parsed[-1][1][-1].append(entries)
+    if not parsed:
         raise ValueError("no branches defined")
+    branches = []
+    for outcome, ops in parsed:
+        if not ops:
+            raise ValueError(f"branch {outcome!r} has no operators")
+        for rows in ops:
+            if len(rows) != 2:
+                raise ValueError(f"operator has {len(rows)} rows, expected 2")
+        branches.append(InstrumentBranch(outcome, ops))
     return name, QuantumInstrument(tuple(branches))
 
 

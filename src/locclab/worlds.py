@@ -84,14 +84,15 @@ def epr_pairs(q_dims, qbar_dim: int, lams, seed: int, *,
     the real and imaginary off-diagonal parts from U(-0.7, 0.7)), and
     evolves for ``evolution_time``; a scalar ``q_dims`` and ``lams`` give one
     pair.  A world of more than ``QUBIT_CAP`` qubits, the two boundary
-    qubits included, is refused before anything is drawn.  In each world
-    the singlet is prepared on the two carrier channel qubits, the
-    environment evolves, and everything but the carriers is traced out; by
-    the factored form of the Hamiltonian (see the module docstring) this
-    leaves the singlet with its coherence block scaled by ``c``: diagonal
-    ``1/2`` on ``|01>`` and ``|10>`` and ``rho[01, 10] = -c/2``.  Nothing is
-    assumed at zero coupling: there ``c`` is computed like any other and
-    comes out as 1 to rounding.
+    qubits included, is refused before anything is drawn, and so are
+    ``q_dims`` without an integer dtype.  In each world the singlet is
+    prepared on the two carrier channel qubits, the environment evolves,
+    and everything but the carriers is traced out; by the factored form of
+    the Hamiltonian (see the module docstring) this leaves the singlet with
+    its coherence block scaled by ``c``: diagonal ``1/2`` on ``|01>`` and
+    ``|10>`` and ``rho[01, 10] = -c/2``.  Nothing is assumed at zero
+    coupling: there ``c`` is computed like any other and comes out as 1 to
+    rounding.
     """
     q_dims, lams = np.broadcast_arrays(np.atleast_1d(q_dims), np.atleast_1d(lams).astype(float))
     q_dim = int(q_dims.max(initial=0))
@@ -100,6 +101,8 @@ def epr_pairs(q_dims, qbar_dim: int, lams, seed: int, *,
             f"world of {2 + q_dim + qbar_dim} qubits (2 boundary + {q_dim} channel + "
             f"{qbar_dim} rest) exceeds the cap of {QUBIT_CAP} qubits (dimension {2**QUBIT_CAP})"
         )
+    if q_dims.size and not np.issubdtype(q_dims.dtype, np.integer):
+        raise ValueError(f"q_dims must have an integer dtype, got {q_dims.dtype}")
     if (q_dims < 2).any():
         raise ValueError(f"EPR worlds need q_dim >= 2 to carry the pair, got {q_dims.min()}")
     if qbar_dim < 1:

@@ -166,19 +166,6 @@ class TestAccessibleDistribution:
             dist = distribution(SINGLET, script)
             assert abs(sum(dist.as_dict().values()) - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("scripts", [[], [canonical_chsh_script()]])
-    def test_unknown_visibility_refused_first(self, monkeypatch, scripts):
-        # refused before the capacity check and before any instrument acts
-        calls = []
-        for name in ("apply_instrument", "_check_capacity"):
-            fn = getattr(distinguish, name)
-            monkeypatch.setattr(distinguish, name,
-                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-        pair = epr_pair(2, 2, 0.3, seed=1)
-        with pytest.raises(ValueError, match="unknown condition visibility 'bogus'"):
-            accessible_distributions([pair], scripts, condition_visibility="bogus")
-        assert calls == []
-
 
 class TestTotalVariation:
     def test_identical_is_zero(self):
@@ -317,31 +304,31 @@ WORLD_SPECS = st.one_of(
 
 
 class TestStackedWorlds:
-    @pytest.mark.parametrize("visibility", ["full", "own-party"])
-    def test_each_world_gets_its_own_bytes_across_the_corpus(self, visibility):
+    @pytest.mark.parametrize("channel", [True, False], ids=["full", "own-party"])
+    def test_each_world_gets_its_own_bytes_across_the_corpus(self, channel):
         pairs = [SINGLET, epr_pair(2, 2, 0.0, seed=21), epr_pair(2, 2, 0.8, seed=21)]
         names = bundled_script_names()
         assert len(names) == 13
         for name in names:
             script = load_bundled_script(name)
-            [stacked] = accessible_distributions(pairs, [script], condition_visibility=visibility)
+            [stacked] = accessible_distributions(pairs, [script], classical_channel=channel)
             assert len(stacked) == len(pairs)
             for pair, dist in zip(pairs, stacked):
-                alone = distribution(pair, script, condition_visibility=visibility)
+                alone = distribution(pair, script, classical_channel=channel)
                 assert bits(dist) == bits(alone), name
 
-    @pytest.mark.parametrize("visibility", ["full", "own-party"])
-    def test_every_script_at_once_equals_each_script_alone(self, visibility):
+    @pytest.mark.parametrize("channel", [True, False], ids=["full", "own-party"])
+    def test_every_script_at_once_equals_each_script_alone(self, channel):
         pairs = [SINGLET, epr_pair(2, 2, 0.0, seed=21), epr_pair(2, 2, 0.8, seed=21)]
         scripts = bundled_corpus()
         assert len(scripts) == 13
-        together = accessible_distributions(pairs, scripts, condition_visibility=visibility)
+        together = accessible_distributions(pairs, scripts, classical_channel=channel)
         assert len(together) == len(scripts)
         for script, dists in zip(scripts, together):
-            alone = accessible_distributions(pairs, [script], condition_visibility=visibility)
+            alone = accessible_distributions(pairs, [script], classical_channel=channel)
             assert [bits(d) for d in dists] == [bits(d) for d in alone[0]], script.name
             for pair, dist in zip(pairs, dists):
-                single = distribution(pair, script, condition_visibility=visibility)
+                single = distribution(pair, script, classical_channel=channel)
                 assert bits(dist) == bits(single), script.name
 
     def test_corrupt_post_state_raises_before_the_next_round(self, monkeypatch):
@@ -374,14 +361,14 @@ class TestStackedWorlds:
     @given(
         specs=st.lists(WORLD_SPECS, min_size=1, max_size=4),
         name=st.sampled_from(bundled_script_names()),
-        visibility=st.sampled_from(["full", "own-party"]),
+        channel=st.sampled_from([True, False]),
     )
-    def test_stack_of_random_worlds_equals_each_world_alone(self, specs, name, visibility):
+    def test_stack_of_random_worlds_equals_each_world_alone(self, specs, name, channel):
         pairs = [make_pair(spec) for spec in specs]
         script = load_bundled_script(name)
-        [stacked] = accessible_distributions(pairs, [script], condition_visibility=visibility)
+        [stacked] = accessible_distributions(pairs, [script], classical_channel=channel)
         for pair, dist in zip(pairs, stacked):
-            alone = distribution(pair, script, condition_visibility=visibility)
+            alone = distribution(pair, script, classical_channel=channel)
             assert bits(dist) == bits(alone)
 
     def test_branches_dead_only_in_er(self):
@@ -488,6 +475,39 @@ class TestCallCounts:
     def test_sweep_and_qecc_check_each_round_once(self, checked, capsys, argv):
         assert main([*argv, "--script", "adaptive_three"]) == EXIT_OK
         assert len(checked) == len(load_bundled_script("adaptive_three").rounds)
+
+    @pytest.mark.parametrize("argv, calls, states", [
+        (["distinguish", "--seed", "3", "--lambda", "0.8", "--q-dim", "3"], 18, 92),
+        (["nosignal", "--seed", "2", "--mode", "epr", "--lambda", "0.8"], 4, 8),
+        (["sweep", "--seed", "3", "--lambda-grid", "0,0.4,0.9,1.3", "--script", "adaptive_three"],
+         5, 30),
+    ])
+    def test_kernel_runs_once_per_instrument_and_target_a_round(
+        self, monkeypatch, capsys, argv, calls, states
+    ):
+        # parsed afresh: equal specs share one instrument, whatever earlier tests cached
+        protocols.load_bundled_script.cache_clear()
+        protocols._spec_instrument.cache_clear()
+        # each round's ((instrument, target), stack size) per kernel call; a check ends the round
+        rounds = [[]]
+        apply_instrument = distinguish.apply_instrument
+        check_density_stack = distinguish.check_density_stack
+
+        def apply(inst, target, stack):
+            rounds[-1].append(((inst, target), len(stack)))
+            return apply_instrument(inst, target, stack)
+
+        def check(m):
+            rounds.append([])
+            return check_density_stack(m)
+
+        monkeypatch.setattr(distinguish, "apply_instrument", apply)
+        monkeypatch.setattr(distinguish, "check_density_stack", check)
+        assert main(argv) == EXIT_OK
+        for rnd in rounds:
+            assert len({key for key, _ in rnd}) == len(rnd)
+        assert sum(map(len, rounds)) == calls
+        assert sum(n for rnd in rounds for _, n in rnd) == states
 
     def test_second_run_validates_nothing(self, monkeypatch, capsys):
         protocols.load_bundled_script.cache_clear()

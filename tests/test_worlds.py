@@ -89,6 +89,15 @@ class TestEprConstruction:
             epr_pairs(2, 10**14, 0.0, seed=0)
         assert draws == []
 
+    @pytest.mark.parametrize("q_dims", [2.5, [2, 3.5], np.array([2.0])])
+    def test_non_integer_channel_size_refused_before_any_draw(self, monkeypatch, q_dims):
+        # 2.5 % 2 is 0.5, which would shift every rest field by 0.125 lambda
+        draws = []
+        monkeypatch.setattr(worlds, "_rest_terms", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="q_dims must have an integer dtype, got float64"):
+            epr_pairs(q_dims, 2, 0.5, seed=1)
+        assert draws == []
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             epr_pairs(1, 1, 0.0, seed=0)
