@@ -19,7 +19,6 @@ from .bell import (
     sample_chsh,
 )
 from .distinguish import (
-    OutcomeDistribution,
     SweepRow,
     accessible_distributions,
     channel_size_check,

@@ -3,8 +3,9 @@
 Everything an agent pair can access is the classical transcript
 distribution of a protocol script run on the pair its world delivers.
 This module computes those distributions exactly (branch enumeration, no
-sampling; every script and pair of an experiment in one pass), compares
-them in total variation distance, and packages the standard experiments:
+sampling; every script and pair of an experiment in one pass) as plain
+dicts, checked where they are made, compares them in total variation
+distance, and packages the standard experiments:
 coupling-strength sweeps, channel-size comparisons at zero coupling,
 no-signaling checks with the classical channel withheld, and
 measurement-frame misalignment.  Each experiment reads delivered pairs;
@@ -18,19 +19,18 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bell import CHSHConfig, CHSHResult, exact_chsh
-from .errors import CapacityError
+from .errors import CapacityError, ContractError
 from .instruments import PROB_FLOOR, QuantumInstrument, apply_instrument
 from .linalg import DensityMatrix, check_density_stack, purity
 from .protocols import ProtocolRound, ProtocolScript
 from .worlds import singlet_density
 
 __all__ = [
-    "OutcomeDistribution",
     "SweepRow",
     "accessible_distributions",
     "total_variation",
@@ -40,54 +40,22 @@ __all__ = [
     "frame_misalignment_demo",
 ]
 
+#: Slack on a distribution's total, before its rounds' completeness defects.
 _NORMALIZATION_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Exact probabilities over classical transcripts.
+def total_variation(p: Mapping[tuple[str, ...], float],
+                    q: Mapping[tuple[str, ...], float]) -> float:
+    """``0.5 * sum |p_t - q_t|`` over the union of the supports, added left to right.
 
-    Transcripts are tuples of per-round outcome strings.  Entries with
-    probability zero are kept so that supports stay comparable across
-    worlds.
+    The terms are added in sorted order, and not by the builtin ``sum``: set
+    order follows string hashing, which changes between processes, and
+    ``sum`` compensates float rounding from CPython 3.12 on.
     """
-
-    entries: tuple[tuple[tuple[str, ...], float], ...]
-
-    def __post_init__(self):
-        keys, probs = zip(*self.entries) if self.entries else ((), ())
-        keys, probs = tuple(map(tuple, keys)), tuple(map(float, probs))
-        object.__setattr__(self, "entries", tuple(zip(keys, probs)))
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate transcripts in distribution")
-        if any(map((-PROB_FLOOR).__gt__, probs)):
-            raise ValueError("negative probability in distribution")
-        total = sum(probs)
-        if abs(total - 1.0) > _NORMALIZATION_ATOL:
-            raise ValueError(f"distribution not normalized (sum {total!r})")
-
-    def as_dict(self) -> dict[tuple[str, ...], float]:
-        return dict(self.entries)
-
-    def marginal(self, round_indices: Sequence[int]) -> "OutcomeDistribution":
-        """Distribution of the outcomes at the given round positions."""
-        keep = tuple(round_indices)
-        acc: dict[tuple[str, ...], float] = {}
-        for t, p in self.entries:
-            key = tuple(t[i] for i in keep)
-            acc[key] = acc.get(key, 0.0) + p
-        return OutcomeDistribution(tuple(sorted(acc.items())))
-
-
-def total_variation(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
-    """``0.5 * sum |p_i - q_i|`` over the union of supports.
-
-    The sum runs over the sorted union: set order follows string hashing,
-    which changes between processes, and so would the rounding of the sum.
-    """
-    pd, qd = p.as_dict(), q.as_dict()
-    keys = sorted(set(pd) | set(qd))
-    return 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in keys)
+    acc = 0.0
+    for k in sorted(p.keys() | q.keys()):
+        acc += abs(p.get(k, 0.0) - q.get(k, 0.0))
+    return 0.5 * acc
 
 
 def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int,
@@ -103,15 +71,20 @@ def _visible(transcript: tuple[str, ...], script: ProtocolScript, r: int,
 _ENTRY_BYTES = 512
 
 
+def _variants(rnd: ProtocolRound) -> tuple[QuantumInstrument, ...]:
+    """The round's instrument and its condition variants."""
+    return (rnd.instrument, *(rnd.condition or {}).values())
+
+
 def _check_capacity(scripts: Sequence[ProtocolScript], n_worlds: int) -> None:
     """Refuse scripts whose transcripts, at ``_ENTRY_BYTES`` per world, overflow memory.
 
     A script has at most the product over its rounds of the most outcomes among
     the round's instrument and its condition variants as transcripts.
     """
-    transcripts = sum(math.prod(
-        max(len(inst.outcomes) for inst in (r.instrument, *(r.condition or {}).values()))
-        for r in script.rounds) for script in scripts)
+    # the builtin sum adds integers here, so no rounding enters
+    transcripts = sum(math.prod(max(len(inst.outcomes) for inst in _variants(r))
+                                for r in script.rounds) for script in scripts)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if transcripts * n_worlds * _ENTRY_BYTES > memory:
         raise CapacityError(f"up to {transcripts} transcripts on {n_worlds} worlds need more "
@@ -123,8 +96,10 @@ def accessible_distributions(
     scripts: Sequence[ProtocolScript],
     *,
     classical_channel: bool = True,
-) -> list[list[OutcomeDistribution]]:
-    """Exact transcript distributions: a per-pair list for each of ``scripts``.
+) -> list[list[dict[tuple[str, ...], float]]]:
+    """Exact transcript distributions: for each of ``scripts``, one dict per pair
+    from each transcript (a tuple of per-round outcomes, in enumeration order)
+    to its probability.
 
     Each round's instrument acts on the acting party's own qubit of the
     pair; every branch is followed, so zero-probability transcripts stay in
@@ -143,7 +118,10 @@ def accessible_distributions(
     would get alone.  Equal instrument specs share one instrument (see
     :mod:`locclab.protocols`), validated once per process.  Scripts whose
     transcripts overflow physical memory raise ``CapacityError`` before
-    any instrument is applied.
+    any instrument is applied.  Each script's distributions are checked
+    once, after the last round: a probability below ``-PROB_FLOOR``, or a
+    total off 1 by more than 1e-10 plus each round's completeness defect,
+    raises ``ContractError``.
     """
     _check_capacity(scripts, len(pairs))
     # per script: (transcript, [(probability, post-state or None) per pair]) of every branch so far
@@ -175,8 +153,24 @@ def accessible_distributions(
                     kid[w] = (prob * p, post if p > PROB_FLOOR else None)
         if live_posts:
             check_density_stack(np.concatenate(live_posts))
-    return [[OutcomeDistribution(tuple((t, c[w][0]) for t, c in tree)) for w in range(len(pairs))]
-            for tree in trees]
+    dists = [[{t: cells[w][0] for t, cells in tree} for w in range(len(pairs))] for tree in trees]
+    for script, per_pair in zip(scripts, dists):
+        for dist in per_pair:
+            if min(dist.values()) < -PROB_FLOOR:
+                raise ContractError(f"script {script.name!r}: negative probability")
+            miss = abs(sum(dist.values()) - 1.0)  # the builtin sum feeds only this tolerance test
+            if miss > _NORMALIZATION_ATOL and miss > _slack(script):
+                raise ContractError(f"script {script.name!r}: distribution misses 1 by {miss!r}")
+    return dists
+
+
+def _slack(script: ProtocolScript) -> float:
+    """How far a total of ``script`` may miss 1: 1e-10, plus for each round the largest
+    completeness defect (at most ``TP_ATOL``) of its instrument and condition variants.
+    An instrument that failed validation never acts, so it adds nothing."""
+    return _NORMALIZATION_ATOL + math.fsum(max(
+        (i.report.completeness_defect for i in _variants(rnd) if i.report.passed), default=0.0)
+        for rnd in script.rounds)
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ class SweepRow:
     pair_purity: float
 
 
-def _max_pairwise_tvd(dists: Sequence[OutcomeDistribution]) -> float:
+def _max_pairwise_tvd(dists: Sequence[Mapping[tuple[str, ...], float]]) -> float:
     return max((total_variation(p, q) for p, q in itertools.combinations(dists, 2)), default=0.0)
 
 
@@ -244,15 +238,16 @@ def no_signaling_check(
     bob_rounds = tuple(bob_rounds)
     if not bob_rounds:
         raise ValueError("Bob needs at least one round")
-    for r in bob_rounds:
-        if r.party != "B":
-            raise ValueError("bob_rounds must all act as party B")
-    scripts = [
-        ProtocolScript("no-signaling probe", (ProtocolRound("A", variant),) + bob_rounds)
-        for variant in alice_variants
-    ]
+    if any(r.party != "B" for r in bob_rounds):
+        raise ValueError("bob_rounds must all act as party B")
+    scripts = [ProtocolScript("no-signaling probe", (ProtocolRound("A", variant),) + bob_rounds)
+               for variant in alice_variants]
+    marginals = [{} for _ in scripts]  # Bob's, summed in transcript order
     dists = accessible_distributions([pair], scripts, classical_channel=classical_channel)
-    return _max_pairwise_tvd([dist.marginal(range(1, 1 + len(bob_rounds))) for [dist] in dists])
+    for bob, [dist] in zip(marginals, dists):
+        for t, p in dist.items():
+            bob[t[1:]] = bob.get(t[1:], 0.0) + p
+    return _max_pairwise_tvd(marginals)
 
 
 def frame_misalignment_demo(

@@ -186,6 +186,7 @@ class Violation:
 class ValidationReport:
     passed: bool
     violations: tuple[Violation, ...]
+    completeness_defect: float  # as measured, within TP_ATOL or not
 
 
 def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
@@ -209,7 +210,8 @@ def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
     defect = float(np.linalg.norm(total - ID2, ord=2))
     if defect > TP_ATOL:
         violations.append(Violation(None, "completeness", defect))
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    return ValidationReport(passed=not violations, violations=tuple(violations),
+                            completeness_defect=defect)
 
 
 def apply_instrument(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import io
+import math
 from importlib import resources
 
 import numpy as np
@@ -74,6 +76,22 @@ def sign_flip_one_term(inst: QuantumInstrument) -> QuantumInstrument:
     return QuantumInstrument((bad,) + inst.branches[1:])
 
 
+#: A valid instrument file: branch 0's 1.0000000004 leaves a completeness defect of
+#: 8e-10, inside TP_ATOL but eight times the 1e-10 a distribution's total may miss 1 by alone.
+LEAKY_INSTRUMENT = """instrument leaky
+dimension 2
+branch 0
+op
+1.0000000004+0i 0+0i
+0+0i 0+0i
+branch 1
+op
+0+0i 0+0i
+0+0i 1+0i
+end
+"""
+
+
 def bundled_script_text(name: str) -> str:
     """JSON text of the script ``name`` shipped with the package."""
     return resources.files("locclab").joinpath(f"data/scripts/{name}.json").read_text("utf-8")
@@ -82,3 +100,35 @@ def bundled_script_text(name: str) -> str:
 def transcript_rows(text: bytes) -> np.ndarray:
     """The ``(trial, x, y, a, b)`` integer rows of CHSH transcript text with at least one trial."""
     return np.loadtxt(io.BytesIO(text), dtype=np.int64, skiprows=1, ndmin=2)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 and later add floats: Neumaier's compensated summation.
+
+    A copy of the float path of ``builtin_sum_impl`` in CPython 3.12's
+    ``Python/bltinmodule.c``.  An int ``start`` is added to the first item
+    uncompensated, as the int path hands over to the float path there.  A
+    non-float item, or a start that is neither int nor float, sends the
+    whole sum to the interpreter's own ``sum``.
+    """
+    items = list(iterable)
+    if type(start) not in (int, float) or any(type(x) is not float for x in items):
+        return _BUILTIN_SUM(items, start)
+    if type(start) is int:
+        if not items:
+            return start
+        start, items = start + items[0], items[1:]
+    total, c = start, 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    if c and math.isfinite(c):
+        total += c
+    return total

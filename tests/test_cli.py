@@ -26,6 +26,7 @@ from locclab.cli import (
     run,
 )
 
+import helpers
 import oracles
 
 
@@ -701,6 +702,24 @@ class TestMain:
             args += ["--alice-instrument", str(path)]
         assert main(args) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["results"]["variants"] == ["x0", "x1", "x2"]
+
+    def test_instrument_within_its_completeness_tolerance_fails_only_the_criterion(self, tmp_path):
+        # the leaky file passes validation, so the run computes Bob's marginals and its
+        # no-signaling criterion (1e-10) fails on the 2e-10 they differ by
+        leaky, plain = tmp_path / "leaky.inst", tmp_path / "plain.inst"
+        leaky.write_text(helpers.LEAKY_INSTRUMENT)
+        plain.write_text(helpers.LEAKY_INSTRUMENT.replace("1.0000000004+0i", "1+0i"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locclab.cli", "nosignal", "--seed", "1",
+             "--alice-instrument", f"{leaky},{plain}"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_ASSERTION, proc.stderr
+        assert json.loads(proc.stdout)["results"]["max_tvd"] == pytest.approx(2e-10, rel=1e-6)
+        fail = "criterion Bob's marginals independent of Alice's choice: FAIL\n"
+        assert proc.stderr.startswith(fail)
+        assert "Traceback" not in proc.stderr
 
     def test_config_file_that_is_not_utf8_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

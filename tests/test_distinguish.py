@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from locclab import (
     CHSHConfig,
     DensityMatrix,
-    OutcomeDistribution,
     ProtocolRound,
     ProtocolScript,
     TSIRELSON_BOUND,
@@ -29,13 +28,14 @@ from locclab import (
     measure_x,
     measure_z,
     no_signaling_check,
+    parse_instrument,
     sample_chsh,
     settings_choice_instrument,
     singlet_density,
     indistinguishability_sweep,
     total_variation,
 )
-from locclab import CapacityError, ContractError, distinguish, instruments, protocols, worlds
+from locclab import CapacityError, ContractError, distinguish, instruments, worlds
 from locclab.cli import EXIT_OK, main
 from locclab.protocols import script_from_dict
 
@@ -46,8 +46,8 @@ import oracles
 SINGLET = singlet_density()
 
 
-def dist_of(*pairs) -> OutcomeDistribution:
-    return OutcomeDistribution(tuple(((k,), v) for k, v in pairs))
+def dist_of(*pairs) -> dict:
+    return {(k,): v for k, v in pairs}
 
 
 def epr_pair(*args, **kwargs) -> DensityMatrix:
@@ -56,7 +56,7 @@ def epr_pair(*args, **kwargs) -> DensityMatrix:
     return pair
 
 
-def distribution(pair: DensityMatrix, script: ProtocolScript, **kwargs) -> OutcomeDistribution:
+def distribution(pair: DensityMatrix, script: ProtocolScript, **kwargs) -> dict:
     """``script``'s transcript distribution on ``pair`` alone."""
     [[dist]] = accessible_distributions([pair], [script], **kwargs)
     return dist
@@ -65,7 +65,7 @@ def distribution(pair: DensityMatrix, script: ProtocolScript, **kwargs) -> Outco
 class TestAccessibleDistribution:
     def test_single_z_round_on_er(self):
         script = ProtocolScript("a_z", (ProtocolRound("A", measure_z()),))
-        dist = distribution(SINGLET, script).as_dict()
+        dist = distribution(SINGLET, script)
         assert abs(dist[("0",)] - 0.5) < 1e-12
         assert abs(dist[("1",)] - 0.5) < 1e-12
 
@@ -73,7 +73,7 @@ class TestAccessibleDistribution:
         script = ProtocolScript(
             "zz", (ProtocolRound("A", measure_z()), ProtocolRound("B", measure_z()))
         )
-        dist = distribution(SINGLET, script).as_dict()
+        dist = distribution(SINGLET, script)
         assert set(dist) == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
         assert dist[("0", "0")] == 0.0
         assert dist[("1", "1")] == 0.0
@@ -84,7 +84,7 @@ class TestAccessibleDistribution:
         # decohered world, full independent path: dense-evolved pair plus
         # recursion over embedded Kraus maps
         script = canonical_chsh_script()
-        ours = distribution(epr_pair(2, 2, 0.6, seed=5), script).as_dict()
+        ours = distribution(epr_pair(2, 2, 0.6, seed=5), script)
 
         h_rest = oracles.rest_hamiltonian(list(worlds._rest_terms(2, 5)))
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, 1.0)
@@ -97,7 +97,7 @@ class TestAccessibleDistribution:
 
     def test_adaptive_script_uses_visible_transcript(self):
         script = load_bundled_script("adaptive_bob")
-        dist = distribution(SINGLET, script).as_dict()
+        dist = distribution(SINGLET, script)
         # Alice "0" steers Bob to |1>: measuring Z gives "1" always
         assert dist[("0", "1")] == pytest.approx(0.5, abs=1e-12)
         assert dist[("0", "0")] == pytest.approx(0.0, abs=1e-12)
@@ -131,11 +131,11 @@ class TestAccessibleDistribution:
                 ProtocolRound("A", measure_z(), {("0", "0"): bad}),
             ),
         )
-        dist = distribution(SINGLET, script).as_dict()
+        dist = distribution(SINGLET, script)
         assert dist[("0", "0", "0")] == dist[("0", "0", "1")] == 0.0
 
     def test_each_round_checked_in_one_batch_and_each_instrument_validated_once(
-        self, monkeypatch
+        self, monkeypatch, fresh_protocol_caches
     ):
         checked, validated = [], []
         check_density_stack = distinguish.check_density_stack
@@ -151,8 +151,7 @@ class TestAccessibleDistribution:
 
         monkeypatch.setattr(distinguish, "check_density_stack", check)
         monkeypatch.setattr(instruments, "validate_instrument", validate)
-        # parsed afresh, specs included: the shared instruments were validated earlier
-        protocols._spec_instrument.cache_clear()
+        # parsed afresh (the fixture): the shared instruments were validated earlier
         script = script_from_dict(json.loads(helpers.bundled_script_text("adaptive_three")))
         pair = epr_pair(2, 2, 0.7, seed=3)
         distribution(pair, script)
@@ -161,10 +160,20 @@ class TestAccessibleDistribution:
         assert all(c[0] >= 1 and c[1:] == (4, 4) for c in checked)
         assert len(validated) == len(set(map(id, validated))) >= 3
 
+    def test_instrument_within_its_completeness_tolerance_over_four_rounds(self):
+        # each round may lift a total by its instrument's completeness defect, 8e-10 here
+        _, leaky = parse_instrument(helpers.LEAKY_INSTRUMENT)
+        assert leaky.report.passed
+        assert leaky.report.completeness_defect == pytest.approx(8e-10, rel=1e-6)
+        script = ProtocolScript("leaky", [ProtocolRound("AB"[r % 2], leaky) for r in range(4)])
+        [dists] = accessible_distributions([SINGLET, epr_pair(2, 2, 0.8, seed=5)], [script])
+        for dist in dists:
+            assert 1.0 + 1e-10 < sum(dist.values()) <= 1.0 + 1e-10 + 4 * 8e-10
+
     def test_distribution_normalized_across_corpus(self):
         for script in bundled_corpus():
             dist = distribution(SINGLET, script)
-            assert abs(sum(dist.as_dict().values()) - 1.0) < 1e-10
+            assert abs(sum(dist.values()) - 1.0) < 1e-10
 
 
 class TestTotalVariation:
@@ -282,9 +291,9 @@ class TestChannelSizeCheck:
             assert channel_size_check(pairs, script) <= 1e-10, script.name
 
 
-def bits(dist: OutcomeDistribution) -> list:
+def bits(dist: dict) -> list:
     """Entries with each probability as its exact bits, so that -0.0 differs from 0.0."""
-    return [(t, p.hex()) for t, p in dist.entries]
+    return [(t, p.hex()) for t, p in dist.items()]
 
 
 def make_pair(spec):
@@ -354,6 +363,26 @@ class TestStackedWorlds:
             accessible_distributions(pairs, scripts)
         assert len(calls) == first_groups
 
+    @pytest.mark.parametrize("corrupt, message", [
+        ("scaled", "distribution misses 1 by"), ("negative", "negative probability"),
+    ])
+    def test_corrupt_kernel_probabilities_raise(self, monkeypatch, corrupt, message):
+        # the checks made where distributions are made: every probability scaled by
+        # 1 - 1e-6, or one probability of -1e-9 from each kernel call
+        apply_instrument = distinguish.apply_instrument
+
+        def corrupting(inst, target, states):
+            probs, posts = apply_instrument(inst, target, states)
+            if corrupt == "scaled":
+                return probs * (1 - 1e-6), posts
+            probs = probs.copy()
+            probs[0, 0] = -1e-9
+            return probs, posts
+
+        monkeypatch.setattr(distinguish, "apply_instrument", corrupting)
+        with pytest.raises(ContractError, match=message):
+            accessible_distributions([SINGLET], [load_bundled_script("zz")])
+
     def test_no_scripts_no_distributions(self):
         assert accessible_distributions([SINGLET], []) == []
 
@@ -377,16 +406,16 @@ class TestStackedWorlds:
         script = load_bundled_script("xx")
         [[er, epr]] = accessible_distributions([SINGLET, epr_pair(2, 2, 0.8, seed=5)], [script])
         for t in (("0", "0"), ("1", "1")):
-            assert math.copysign(1.0, er.as_dict()[t]) == 1.0
-            assert er.as_dict()[t] <= instruments.PROB_FLOOR
-            assert epr.as_dict()[t] > 1e-3
+            assert math.copysign(1.0, er[t]) == 1.0
+            assert er[t] <= instruments.PROB_FLOOR
+            assert epr[t] > 1e-3
 
         # a dead branch's descendants get +0.0 in ER only
         longer = ProtocolScript("xx then z", script.rounds + (ProtocolRound("A", measure_z()),))
         [[er3, epr3]] = accessible_distributions([SINGLET, epr_pair(2, 2, 0.8, seed=5)], [longer])
         for t in (("0", "0", "0"), ("0", "0", "1"), ("1", "1", "0"), ("1", "1", "1")):
-            assert er3.as_dict()[t].hex() == "0x0.0p+0"
-            assert epr3.as_dict()[t] > 1e-3
+            assert er3[t].hex() == "0x0.0p+0"
+            assert epr3[t] > 1e-3
 
         h_rest = oracles.rest_hamiltonian(list(worlds._rest_terms(2, 5)))
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.8, 1.0)
@@ -395,8 +424,8 @@ class TestStackedWorlds:
             for party, rnd in zip((0, 1), script.rounds)
         ]
         oracle = oracles.transcript_distribution(pair, rounds)
-        assert set(oracle) == set(epr.as_dict())
-        for t, p in epr.entries:
+        assert set(oracle) == set(epr)
+        for t, p in epr.items():
             assert abs(p - oracle[t]) <= 1e-12, t
 
     @staticmethod
@@ -415,7 +444,7 @@ class TestStackedWorlds:
         script = self.conditioned_on_00(measure_z())
         pairs = [SINGLET, epr_pair(2, 2, 0.8, seed=5)]
         for dist in accessible_distributions(pairs, [script])[0]:
-            assert dist.as_dict()[("0", "0", "0")] == dist.as_dict()[("0", "0", "1")] == 0.0
+            assert dist[("0", "0", "0")] == dist[("0", "0", "1")] == 0.0
 
     def test_branch_whose_product_falls_below_the_floor_is_dead(self):
         # each step of "001" has probability about 1e-7, above PROB_FLOOR, but
@@ -433,9 +462,9 @@ class TestStackedWorlds:
         pairs = [SINGLET, epr_pair(2, 2, 0.8, seed=5)]
         prefix = ProtocolScript("prefix", script.rounds[:3])
         for dist in accessible_distributions(pairs, [prefix])[0]:
-            assert 0.0 < dist.as_dict()[("0", "0", "1")] <= instruments.PROB_FLOOR
+            assert 0.0 < dist[("0", "0", "1")] <= instruments.PROB_FLOOR
         for dist in accessible_distributions(pairs, [script])[0]:
-            probs = dist.as_dict()
+            probs = dist
             assert probs[("0", "0", "1", "0")] == probs[("0", "0", "1", "1")] == 0.0
 
     def test_invalid_instrument_on_a_branch_live_in_one_world_raises(self):
@@ -483,11 +512,9 @@ class TestCallCounts:
          5, 30),
     ])
     def test_kernel_runs_once_per_instrument_and_target_a_round(
-        self, monkeypatch, capsys, argv, calls, states
+        self, monkeypatch, capsys, fresh_protocol_caches, argv, calls, states
     ):
-        # parsed afresh: equal specs share one instrument, whatever earlier tests cached
-        protocols.load_bundled_script.cache_clear()
-        protocols._spec_instrument.cache_clear()
+        # parsed afresh (the fixture): equal specs share one instrument, whatever was cached
         # each round's ((instrument, target), stack size) per kernel call; a check ends the round
         rounds = [[]]
         apply_instrument = distinguish.apply_instrument
@@ -509,9 +536,7 @@ class TestCallCounts:
         assert sum(map(len, rounds)) == calls
         assert sum(n for rnd in rounds for _, n in rnd) == states
 
-    def test_second_run_validates_nothing(self, monkeypatch, capsys):
-        protocols.load_bundled_script.cache_clear()
-        protocols._spec_instrument.cache_clear()
+    def test_second_run_validates_nothing(self, monkeypatch, capsys, fresh_protocol_caches):
         validated = []
         validate_instrument = instruments.validate_instrument
 
@@ -527,13 +552,11 @@ class TestCallCounts:
         assert main(argv) == EXIT_OK
         assert len(validated) == first
 
-    def test_canonical_script_validated_once(self, monkeypatch, capsys):
+    def test_canonical_script_validated_once(self, monkeypatch, capsys, fresh_protocol_caches):
         # sweep without --script runs the canonical CHSH script: its two
         # settings_choice instruments are validated on the first run only
         assert canonical_chsh_script() is canonical_chsh_script()
         assert canonical_chsh_script() is load_bundled_script("chsh_canonical")
-        protocols.load_bundled_script.cache_clear()
-        protocols._spec_instrument.cache_clear()
         validated = []
         validate_instrument = instruments.validate_instrument
 
@@ -659,7 +682,7 @@ class TestCrossModule:
     def test_transcript_frequencies_match_exact_distribution(self):
         # every (settings, outcomes) cell of the sampled run agrees with the
         # exact enumeration within 5 standard errors
-        dist = distribution(SINGLET, canonical_chsh_script()).as_dict()
+        dist = distribution(SINGLET, canonical_chsh_script())
         trials = 10**4
         out = io.BytesIO()
         sample_chsh(SINGLET, CHSHConfig(trials=trials, seed=11), transcript_out=out)
@@ -674,7 +697,7 @@ class TestCrossModule:
 
     def test_sampled_frequencies_match_accessible_distribution(self):
         script = canonical_chsh_script()
-        dist = distribution(SINGLET, script).as_dict()
+        dist = distribution(SINGLET, script)
         res = sample_chsh(SINGLET, CHSHConfig(trials=10**4, seed=3))
         from locclab import exact_chsh
 

@@ -23,7 +23,7 @@ from locclab.protocols import canonical_chsh_script, instrument_from_spec, scrip
 def transcript_lengths(script: ProtocolScript) -> set[int]:
     """Lengths of the transcripts ``script`` can produce: one outcome per round."""
     [[dist]] = accessible_distributions([singlet_density()], [script])
-    return {len(t) for t, _ in dist.entries}
+    return {len(t) for t, _ in dist.items()}
 
 
 class TestDepth:

@@ -32,6 +32,7 @@ UNREACHED = {
     "bell.CHSHResult.correlations": "library accessor of the four correlations, read by test_bell",
     "cli._help": "-h and --help, whose examples test_cli runs",
     "cli._read_config_file": "--config files; every golden passes its values as flags",
+    "distinguish._slack": "a total off 1 by over 1e-10, from an instrument inside TP_ATOL",
     "errors.ConfigError.__init__": "the configuration refusals (exit 2) of test_cli",
     "errors.EmptyCellError.__init__": "a setting pair with no trials (exit 5), in test_cli",
     "instruments.CoarseGrainingPartition.__post_init__": "coarse-graining, held by criterion 8",
