@@ -4,11 +4,13 @@ Quantum instruments: validation, application, coarse-graining, files
 
 An instrument is a finite family of completely positive branch maps whose
 sum preserves trace; applying one yields classical outcomes paired with
-probabilities and post-measurement states.  This tour builds a few,
-validates them (including a deliberately broken one), applies them to
-Alice's qubit of the pair state |+>|0>, coarse-grains a measurement into
-full dephasing, and parses an instrument from the textual definition
-format.
+probabilities and post-measurement states.  An instrument is one stack of
+2x2 Kraus operators, built from an ``(outcome, ops)`` pair per branch, with
+the branch of each operator beside it.  This tour builds a few, validates
+them (including a deliberately broken one), applies them to Alice's qubit
+of the pair state |+>|0>, coarse-grains a measurement into full dephasing
+with a ``{label: members}`` mapping, and parses an instrument from the
+textual definition format.
 """
 
 import math
@@ -16,7 +18,6 @@ import math
 import numpy as np
 
 from locclab import (
-    CoarseGrainingPartition,
     apply_instrument,
     coarse_grain,
     measure_z,
@@ -24,7 +25,7 @@ from locclab import (
     unsharp_z,
     validate_instrument,
 )
-from locclab.instruments import PROB_FLOOR, InstrumentBranch, QuantumInstrument
+from locclab.instruments import PROB_FLOOR, QuantumInstrument
 from locclab.linalg import DensityMatrix, check_density_stack
 
 #: ``unsharp_z(0.8)`` in the instrument file format, as README shows it.
@@ -67,27 +68,21 @@ def main():
         print(f"  outcome {outcome}: p = {p:.3f}, |coherence| = {off_diag:.3f}")
 
     print("\nvalidation catches a broken instrument:")
-    leaky = QuantumInstrument(
-        (InstrumentBranch("only", (math.sqrt(0.5) * np.eye(2, dtype=complex),)),)
-    )
+    leaky = QuantumInstrument([("only", [math.sqrt(0.5) * np.eye(2, dtype=complex)])])
     report = validate_instrument(leaky)
     print(f"  passed = {report.passed}")
     for v in report.violations:
         print(f"  {v}")
 
     print("\ngrouping both outcomes of a Z measurement gives pure dephasing:")
-    part = CoarseGrainingPartition((("all", ("0", "1")),))
-    dephase = coarse_grain(measure_z(), part)
+    dephase = coarse_grain(measure_z(), {"all": ("0", "1")})
     ((_, _, post),) = outcomes(dephase, rho, "q_A")
     print(f"  post-state of |+>|0>:\n{np.round(post.real, 3)}")
 
     print("\ninstrument file format round-trip (17 significant digits, lossless):")
     print("  " + "\n  ".join(UNSHARP_Z_TEXT.splitlines()[:6]) + "\n  ...")
     name, back = parse_instrument(UNSHARP_Z_TEXT)
-    identical = all(
-        np.array_equal(a.kraus[0], b.kraus[0])
-        for a, b in zip(unsharp_z(0.8).branches, back.branches)
-    )
+    identical = np.array_equal(unsharp_z(0.8).kraus, back.kraus)
     print(f"  parsed back '{name}', operators bit-identical: {identical}")
 
 

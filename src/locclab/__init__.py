@@ -3,11 +3,12 @@
 A simulator for experiments two separated agents can run over a shared
 pair of boundary qubits ``(q_A, q_B)``.  The pair is the only state: every
 state is a 4x4 ``DensityMatrix``.  The package holds one-qubit quantum
-instruments, whose Kraus operators act on ``q_A`` or ``q_B`` through
-``extend_to_pair``, their coarse-grainings, CHSH experiments against the
-quantum bound, worlds that deliver the pair either by direct identification
-or through an environment of independent qubits, and exact
-transcript-distribution comparisons between the two.
+instruments, each one stack of 2x2 Kraus operators that act on ``q_A`` or
+``q_B`` through ``extend_to_pair``, their coarse-grainings by ``{label:
+members}`` mappings, CHSH experiments against the quantum bound, worlds
+that deliver the pair either by direct identification or through an
+environment of independent qubits, and exact transcript-distribution
+comparisons between the two.
 """
 
 from .bell import (
@@ -35,8 +36,6 @@ from .errors import (
     LayoutError,
 )
 from .instruments import (
-    CoarseGrainingPartition,
-    InstrumentBranch,
     QuantumInstrument,
     ValidationReport,
     apply_instrument,

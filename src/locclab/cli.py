@@ -161,6 +161,12 @@ def _parse_paths(text: str) -> tuple[str, ...]:
     return paths
 
 
+def _parse_script(text: str) -> str:
+    if not text:
+        raise ValueError("expected a bundled script name or a script file")
+    return text
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
         raise ValueError("expected true/false, yes/no or 1/0")
@@ -197,7 +203,7 @@ _OPTIONS: dict[str, _Option] = {
                            _only("sweep"), "comma-separated ascending grid from 0 (sweep)"),
     "q_dims": _Option("q_dims", lambda s: tuple(int(x) for x in s.split(",")), _only("qecc"),
                       "comma-separated channel sizes to compare (qecc)"),
-    "script": _Option("script", str, _only("sweep", "distinguish", "qecc"),
+    "script": _Option("script", _parse_script, _only("sweep", "distinguish", "qecc"),
                       "bundled script name or script JSON file (sweep, distinguish, qecc)",
                       echo=lambda cfg: cfg.script or _EXPERIMENTS[cfg.experiment].script),
     "alice_instruments": _Option(
@@ -425,7 +431,7 @@ def _run_distinguish(cfg: RunConfig) -> _Outcome:
 def _load_alice_instrument(path: str):
     name, inst = load_instrument(path)
     if not inst.report.passed:
-        raise ValueError("invalid instrument: " + "; ".join(map(str, inst.report.violations)))
+        raise ValueError(inst.report.message)
     return name, inst
 
 

@@ -1,24 +1,26 @@
 """Quantum instruments: finite families of CP branch maps with TP sum.
 
 An instrument maps a density operator to a list of classical outcomes, each
-with its probability and normalized post-measurement state.  Branches are
-stored in Kraus form because Kraus collections compose and coarse-grain
-cheaply.  On first use an instrument lays out all its Kraus operators as one
-flat ``(K, 2, 2)`` stack, with the branch and weight of each; the validator
-and the kernel read only that stack.  The report of
+with its probability and normalized post-measurement state.  An instrument
+is its Kraus stack: it is built from one ``(outcome, ops)`` or ``(outcome,
+ops, weights)`` per branch and holds every Kraus operator, branch by
+branch, as one read-only ``(K, 2, 2)`` array, with the branch and weight of
+each.  Kraus collections compose and coarse-grain cheaply:
+:func:`coarse_grain` takes a ``{label: members}`` mapping and gives each
+group its members' rows of the stack.  The report of
 :func:`validate_instrument` is kept with the frozen instrument, and so is
 its stack extended to each pair qubit it is applied on.  One kernel,
 :func:`apply_instrument`, applies the stack to a whole stack of pair states
 at once; transcript enumeration in :mod:`locclab.distinguish` runs it on
 each round.  The kernel does not check the post-states it returns, so every
 caller checks the live ones with :func:`~locclab.linalg.check_density_stack`.
-Every instrument acts on one qubit: a branch refuses any Kraus operator that
-is not 2x2 when it is built, so no caller checks for one.
+Every instrument acts on one qubit: the constructor refuses any Kraus
+operator that is not 2x2, so no caller checks for one.
 
-Branches carry signed real weights on their Kraus terms.  With all weights
-+1 (the default) a branch is automatically completely positive;
-negative weights let callers construct *invalid* instruments on purpose,
-which is what makes the validator's CP check falsifiable.
+Kraus terms carry signed real weights.  With all weights +1 (the default)
+a branch is automatically completely positive; negative weights let callers
+construct *invalid* instruments on purpose, which is what makes the
+validator's CP check falsifiable.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -43,9 +45,7 @@ from .linalg import (
 __all__ = [
     "TP_ATOL",
     "PROB_FLOOR",
-    "InstrumentBranch",
     "QuantumInstrument",
-    "CoarseGrainingPartition",
     "Violation",
     "ValidationReport",
     "validate_instrument",
@@ -58,6 +58,7 @@ __all__ = [
     "depolarizing_kraus",
     "unsharp_z",
     "settings_choice_instrument",
+    "depolarize_then_measure",
     "parse_instrument",
     "load_instrument",
 ]
@@ -70,63 +71,51 @@ PROB_FLOOR = 1e-12
 CP_ATOL = 1e-9
 
 
-def _as_operator_tuple(ops: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
-    out = []
-    for op in ops:
-        m = np.array(op, dtype=complex, copy=True)
-        if m.shape != (2, 2):
-            raise LayoutError(f"a Kraus operator acts on one qubit and is 2x2, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("Kraus operator contains non-finite entries")
-        m.setflags(write=False)
-        out.append(m)
-    if not out:
-        raise ValueError("branch needs at least one Kraus operator")
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class InstrumentBranch:
-    """One outcome of an instrument: a CP map in weighted Kraus form on one qubit.
-
-    ``weights`` holds one float per Kraus operator; left empty, every weight is +1.
-    """
-
-    outcome: str
-    kraus: tuple[np.ndarray, ...]
-    weights: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "kraus", _as_operator_tuple(self.kraus))
-        w = tuple(float(x) for x in self.weights) or (1.0,) * len(self.kraus)
-        if len(w) != len(self.kraus):
-            raise ValueError("weights length must match Kraus operator count")
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QuantumInstrument:
-    """A finite family of CP branch maps whose sum is trace preserving.
+    """A finite family of CP branch maps whose sum is trace preserving, as one Kraus stack.
 
-    ``report`` validates the instrument on first use and keeps the result;
-    the flat Kraus stack, and that stack extended to each pair qubit it is
-    applied on, are kept the same way.
+    Built from one ``(outcome, ops)`` or ``(outcome, ops, weights)`` per
+    branch; left out, every weight is +1.  ``kraus`` holds every operator,
+    branch by branch, ``branch`` the index of its branch and ``weight`` its
+    signed weight; the arrays are read-only and no field can be rebound.
+    Instruments compare and hash by identity.  ``report`` validates the
+    instrument on first use and keeps the result; the stack extended to each
+    pair qubit it is applied on is kept the same way.
     """
 
-    branches: tuple[InstrumentBranch, ...]
+    outcomes: tuple[str, ...]
+    kraus: np.ndarray  # (K, 2, 2) complex
+    branch: np.ndarray  # (K,) index into outcomes
+    weight: np.ndarray  # (K,) float
 
-    def __post_init__(self):
-        branches = tuple(self.branches)
-        object.__setattr__(self, "branches", branches)
-        if not branches:
-            raise ValueError("instrument needs at least one branch")
-        outcomes = [b.outcome for b in branches]
+    def __init__(self, branches: Iterable[tuple]):
+        outcomes, kraus, branch, weight = [], [], [], []
+        for i, (outcome, ops, *rest) in enumerate(branches):
+            ops = [np.asarray(k, dtype=complex) for k in ops]
+            (weights,) = rest or ([1.0] * len(ops),)
+            for k in ops:
+                if k.shape != (2, 2):
+                    raise LayoutError(f"a one-qubit Kraus operator is 2x2, got shape {k.shape}")
+            if not ops:
+                raise ValueError(f"branch {outcome!r} has no operators")
+            if len(weights) != len(ops):
+                raise ValueError("weights length must match Kraus operator count")
+            outcomes.append(outcome)
+            kraus += ops
+            branch += [i] * len(ops)
+            weight += map(float, weights)
+        if not outcomes:
+            raise ValueError("no branches defined")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError(f"duplicate outcome labels: {outcomes}")
-
-    @cached_property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(b.outcome for b in self.branches)
+        kraus, branch, weight = np.array(kraus), np.array(branch), np.array(weight)
+        if not np.isfinite(kraus).all():
+            raise ValueError("Kraus operator contains non-finite entries")
+        for array in (kraus, branch, weight):
+            array.setflags(write=False)
+        # set past the frozen __setattr__, as a generated __init__ sets a frozen class's fields
+        self.__dict__.update(outcomes=tuple(outcomes), kraus=kraus, branch=branch, weight=weight)
 
     @cached_property
     def report(self) -> "ValidationReport":
@@ -134,39 +123,9 @@ class QuantumInstrument:
         return validate_instrument(self)
 
     @cached_property
-    def _stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(kraus, branch, weight)``: every Kraus operator, branch by branch, as one
-        ``(K, 2, 2)`` stack, with the index of its branch and its weight."""
-        kraus = np.stack([k for b in self.branches for k in b.kraus])
-        branch = np.repeat(np.arange(len(self.branches)), [len(b.kraus) for b in self.branches])
-        return kraus, branch, np.array([w for b in self.branches for w in b.weights])
-
-    @cached_property
     def _embedded(self) -> dict:
         """The stack extended to the pair, and its adjoint, keyed by target qubit."""
         return {}
-
-
-@dataclass(frozen=True)
-class CoarseGrainingPartition:
-    """Disjoint grouping of outcome labels covering an instrument's outcomes."""
-
-    groups: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        groups = tuple((str(g), tuple(str(m) for m in members)) for g, members in self.groups)
-        object.__setattr__(self, "groups", groups)
-        labels = [g for g, _ in groups]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate group labels: {labels}")
-        seen: set[str] = set()
-        for g, members in groups:
-            if not members:
-                raise ValueError(f"group {g!r} is empty")
-            overlap = seen.intersection(members)
-            if overlap:
-                raise ValueError(f"outcomes {sorted(overlap)} appear in more than one group")
-            seen.update(members)
 
 
 @dataclass(frozen=True)
@@ -188,6 +147,11 @@ class ValidationReport:
     violations: tuple[Violation, ...]
     completeness_defect: float  # as measured, within TP_ATOL or not
 
+    @property
+    def message(self) -> str:
+        """The refusal of an instrument that failed: every violation, in order."""
+        return "invalid instrument: " + "; ".join(map(str, self.violations))
+
 
 def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
     """Check complete positivity per branch and total trace preservation, from the stack.
@@ -197,13 +161,13 @@ def validate_instrument(inst: QuantumInstrument) -> ValidationReport:
     ``sum_k w_k K_k^dag K_k`` equals the identity within :data:`TP_ATOL`
     (spectral norm).  Violations name the failing branch and the defect magnitude.
     """
-    kraus, branch, weight = inst._stack
+    kraus, branch, weight = inst.kraus, inst.branch, inst.weight
     vec = kraus.swapaxes(-1, -2).reshape(-1, 4)
-    choi = np.zeros((len(inst.branches), 4, 4), dtype=complex)
+    choi = np.zeros((len(inst.outcomes), 4, 4), dtype=complex)
     np.add.at(choi, branch, weight[:, None, None] * np.einsum("ki,kj->kij", vec, vec.conj()))
     violations = [
-        Violation(b.outcome, "cp", -min_eig)
-        for b, min_eig in zip(inst.branches, np.linalg.eigvalsh(choi)[:, 0].tolist())
+        Violation(outcome, "cp", -min_eig)
+        for outcome, min_eig in zip(inst.outcomes, np.linalg.eigvalsh(choi)[:, 0].tolist())
         if min_eig < -CP_ATOL
     ]
     total = np.einsum("k,kji,kjl->il", weight, kraus.conj(), kraus)
@@ -235,20 +199,19 @@ def apply_instrument(
     (``posts[probs > PROB_FLOOR]``) to :func:`~locclab.linalg.check_density_stack`,
     as :func:`~locclab.distinguish.accessible_distributions` does once per round.
     """
-    kraus, branch, weight = inst._stack
     if target not in inst._embedded:
-        e = extend_to_pair(kraus, target)
+        e = extend_to_pair(inst.kraus, target)
         inst._embedded[target] = e, e.conj().swapaxes(-1, -2)
     e, e_dag = inst._embedded[target]
     if not inst.report.passed:
-        raise ContractError("invalid instrument: " + "; ".join(map(str, inst.report.violations)))
+        raise ContractError(inst.report.message)
     out = np.einsum("rnij,rjk->rnik", np.einsum("rij,njk->rnik", e, states), e_dag)
     # one Kraus operator of weight 1 per branch: E rho E^dagger itself is the output, since
     # adding it to zeros and multiplying by 1 would change only the sign of an exact zero
-    if len(branch) > len(inst.branches) or (weight != 1.0).any():
-        terms, out = out, np.zeros((len(inst.branches),) + states.shape, dtype=complex)
-        terms *= weight[:, None, None, None]
-        np.add.at(out, branch, terms)
+    if len(inst.branch) > len(inst.outcomes) or (inst.weight != 1.0).any():
+        terms, out = out, np.zeros((len(inst.outcomes),) + states.shape, dtype=complex)
+        terms *= inst.weight[:, None, None, None]
+        np.add.at(out, inst.branch, terms)
     probs = np.trace(out, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     posts = np.zeros_like(out)
@@ -256,26 +219,32 @@ def apply_instrument(
     return np.where(live, probs, np.maximum(probs, 0.0)), posts
 
 
-def coarse_grain(inst: QuantumInstrument, partition: CoarseGrainingPartition) -> QuantumInstrument:
-    """Merge outcome groups; a group's branch map is the sum of its members'.
+def coarse_grain(inst: QuantumInstrument, groups: Mapping[str, Iterable[str]]) -> QuantumInstrument:
+    """Merge the outcomes of each ``{label: members}`` group; its branch map is the members' sum.
 
-    Summing CP maps is a Kraus-list union, so the group branch simply
-    concatenates the member operator lists.
+    Summing CP maps is a Kraus-list union, so a group's rows of the stack are
+    its members' rows, member by member in the order given.  Raises
+    ``ValueError`` for an empty group, an outcome in two groups, and groups
+    that miss an outcome or name an unknown one.
     """
-    by_outcome = dict(zip(inst.outcomes, inst.branches))
-    covered = {m for _, members in partition.groups for m in members}
-    have = set(by_outcome)
+    groups = {label: tuple(members) for label, members in groups.items()}
+    covered: set[str] = set()
+    for label, members in groups.items():
+        if not members:
+            raise ValueError(f"group {label!r} is empty")
+        overlap = covered.intersection(members)
+        if overlap:
+            raise ValueError(f"outcomes {sorted(overlap)} appear in more than one group")
+        covered.update(members)
+    have = set(inst.outcomes)
     if covered != have:
         raise ValueError(
             f"partition does not cover outcomes exactly: missing {sorted(have - covered)}, "
             f"unknown {sorted(covered - have)}"
         )
-    branches = []
-    for label, members in partition.groups:
-        group = [by_outcome[m] for m in members]
-        kraus, weights = [k for b in group for k in b.kraus], [w for b in group for w in b.weights]
-        branches.append(InstrumentBranch(label, kraus, weights))
-    return QuantumInstrument(tuple(branches))
+    own = {o: np.flatnonzero(inst.branch == i) for i, o in enumerate(inst.outcomes)}
+    rows = {label: np.concatenate([own[m] for m in members]) for label, members in groups.items()}
+    return QuantumInstrument((label, inst.kraus[r], inst.weight[r]) for label, r in rows.items())
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +259,7 @@ def projector(angle: float, sign: int) -> np.ndarray:
 
 def measure_angle(angle: float) -> QuantumInstrument:
     """Projective measurement of cos(a)Z + sin(a)X; outcome "0" is the +1 branch."""
-    return QuantumInstrument(
-        (
-            InstrumentBranch("0", (projector(angle, +1),)),
-            InstrumentBranch("1", (projector(angle, -1),)),
-        )
-    )
+    return QuantumInstrument([("0", [projector(angle, +1)]), ("1", [projector(angle, -1)])])
 
 
 def measure_z() -> QuantumInstrument:
@@ -307,7 +271,7 @@ def measure_x() -> QuantumInstrument:
 
 
 def identity_instrument() -> QuantumInstrument:
-    return QuantumInstrument((InstrumentBranch("id", (ID2,)),))
+    return QuantumInstrument([("id", [ID2])])
 
 
 def depolarizing_kraus(p: float) -> tuple[np.ndarray, ...]:
@@ -329,9 +293,7 @@ def unsharp_z(sharpness: float = 0.8) -> QuantumInstrument:
     s, u = math.sqrt(sharpness), math.sqrt(1 - sharpness)
     k0 = np.array([[s, 0], [0, u]], dtype=complex)
     k1 = np.array([[u, 0], [0, s]], dtype=complex)
-    return QuantumInstrument(
-        (InstrumentBranch("0", (k0,)), InstrumentBranch("1", (k1,)))
-    )
+    return QuantumInstrument([("0", [k0]), ("1", [k1])])
 
 
 def settings_choice_instrument(angle0: float, angle1: float) -> QuantumInstrument:
@@ -342,13 +304,20 @@ def settings_choice_instrument(angle0: float, angle1: float) -> QuantumInstrumen
     1/sqrt(2), so the four branch maps sum to a trace-preserving whole.
     """
     r = 1 / math.sqrt(2)
-    branches = []
-    for s_bit, angle in ((0, angle0), (1, angle1)):
-        for o_bit, sign in ((0, +1), (1, -1)):
-            branches.append(
-                InstrumentBranch(f"{s_bit}{o_bit}", (r * projector(angle, sign),))
-            )
-    return QuantumInstrument(tuple(branches))
+    return QuantumInstrument(
+        (f"{s_bit}{o_bit}", [r * projector(angle, sign)])
+        for s_bit, angle in ((0, angle0), (1, angle1))
+        for o_bit, sign in ((0, +1), (1, -1))
+    )
+
+
+def depolarize_then_measure(p: float, angle: float = 0.0) -> QuantumInstrument:
+    """Depolarize with strength ``p``, then measure projectively at ``angle``."""
+    dk = depolarizing_kraus(p)
+    return QuantumInstrument(
+        (outcome, [np.einsum("ij,jk->ik", pi, d) for d in dk])
+        for outcome, pi in (("0", projector(angle, +1)), ("1", projector(angle, -1)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +384,11 @@ def parse_instrument(text: str) -> tuple[str, QuantumInstrument]:
             if len(entries) != 2:
                 raise ValueError(f"row has {len(entries)} entries, expected 2")
             parsed[-1][1][-1].append(entries)
-    if not parsed:
-        raise ValueError("no branches defined")
-    branches = []
-    for outcome, ops in parsed:
-        if not ops:
-            raise ValueError(f"branch {outcome!r} has no operators")
+    for _, ops in parsed:
         for rows in ops:
             if len(rows) != 2:
                 raise ValueError(f"operator has {len(rows)} rows, expected 2")
-        branches.append(InstrumentBranch(outcome, ops))
-    return name, QuantumInstrument(tuple(branches))
+    return name, QuantumInstrument(parsed)
 
 
 def load_instrument(path) -> tuple[str, QuantumInstrument]:

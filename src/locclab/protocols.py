@@ -25,17 +25,13 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 from .instruments import (
-    InstrumentBranch,
     QuantumInstrument,
-    depolarizing_kraus,
+    depolarize_then_measure,
     identity_instrument,
     measure_angle,
     measure_x,
     measure_z,
-    projector,
     settings_choice_instrument,
     unsharp_z,
 )
@@ -119,16 +115,6 @@ class ProtocolScript:
 # }
 #
 # Condition keys are the visible prior outcomes joined with ",".
-
-
-def depolarize_then_measure(p: float, angle: float = 0.0) -> QuantumInstrument:
-    """Depolarize with strength ``p``, then measure projectively at ``angle``."""
-    dk = depolarizing_kraus(p)
-    branches = []
-    for outcome, sign in (("0", +1), ("1", -1)):
-        pi = projector(angle, sign)
-        branches.append(InstrumentBranch(outcome, tuple(np.einsum("ij,jk->ik", pi, d) for d in dk)))
-    return QuantumInstrument(tuple(branches))
 
 
 def instrument_from_spec(spec: Mapping) -> QuantumInstrument:

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 
 from locclab import PAIR_LABELS, DensityMatrix, apply_instrument
-from locclab.instruments import PROB_FLOOR, InstrumentBranch, QuantumInstrument
+from locclab.instruments import PROB_FLOOR, QuantumInstrument
 from locclab.linalg import check_density_stack
 
 
@@ -41,11 +41,10 @@ def random_instrument(
     g = rng.normal(size=(k_total * 2, 2)) + 1j * rng.normal(size=(k_total * 2, 2))
     isometry, _ = np.linalg.qr(g)
     blocks = [isometry[i * 2 : (i + 1) * 2, :] for i in range(k_total)]
-    branches = []
-    for j in range(n_outcomes):
-        ops = tuple(blocks[j * kraus_per_branch + k] for k in range(kraus_per_branch))
-        branches.append(InstrumentBranch(str(j), ops))
-    return QuantumInstrument(tuple(branches))
+    return QuantumInstrument(
+        (str(j), blocks[j * kraus_per_branch : (j + 1) * kraus_per_branch])
+        for j in range(n_outcomes)
+    )
 
 
 def apply_to_state(
@@ -64,16 +63,22 @@ def apply_to_state(
 
 def branches_of(inst: QuantumInstrument) -> list:
     """``inst`` as the ``(outcome, [2x2 kraus arrays])`` pairs of ``oracles.instrument_text``."""
-    return [(b.outcome, list(b.kraus)) for b in inst.branches]
+    return [(outcome, ops) for outcome, ops, _ in weighted_branches_of(inst)]
+
+
+def weighted_branches_of(inst: QuantumInstrument) -> list:
+    """``inst`` as ``(outcome, [2x2 kraus arrays], [weights])`` triples, the constructor's input."""
+    return [
+        (o, list(inst.kraus[inst.branch == i]), inst.weight[inst.branch == i].tolist())
+        for i, o in enumerate(inst.outcomes)
+    ]
 
 
 def sign_flip_one_term(inst: QuantumInstrument) -> QuantumInstrument:
     """Invalid variant: the first branch's first Kraus contribution negated."""
-    first = inst.branches[0]
-    weights = list(first.weights)
-    weights[0] = -weights[0]
-    bad = InstrumentBranch(first.outcome, first.kraus, tuple(weights))
-    return QuantumInstrument((bad,) + inst.branches[1:])
+    branches = weighted_branches_of(inst)
+    branches[0][2][0] = -branches[0][2][0]
+    return QuantumInstrument(branches)
 
 
 #: A valid instrument file: branch 0's 1.0000000004 leaves a completeness defect of

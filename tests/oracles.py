@@ -199,11 +199,11 @@ def chsh_from_correlation(corr) -> float:
     return corr(a, b) + corr(a, bp) + corr(ap, b) - corr(ap, bp)
 
 
-def branch_choi(branch) -> np.ndarray:
-    """Choi matrix ``sum_k w_k vec(K_k) vec(K_k)^dag`` of a branch's ``weights`` and
-    ``kraus``, with ``vec`` stacking columns, entry by entry."""
+def branch_choi(kraus, weights) -> np.ndarray:
+    """Choi matrix ``sum_k w_k vec(K_k) vec(K_k)^dag`` of a branch's 2x2 ``kraus`` operators
+    and their ``weights``, with ``vec`` stacking columns, entry by entry."""
     choi = np.zeros((4, 4), dtype=complex)
-    for w, k in zip(branch.weights, branch.kraus):
+    for w, k in zip(weights, kraus):
         for (i, j), (m, n) in product(np.ndindex(2, 2), repeat=2):
             choi[i + 2 * j, m + 2 * n] += w * k[i, j] * np.conj(k[m, n])
     return choi

@@ -37,7 +37,7 @@ from locclab import (
     validate_instrument,
 )
 from locclab.cli import EXIT_OK, main, parse_config, run
-from locclab.instruments import PROB_FLOOR, CoarseGrainingPartition
+from locclab.instruments import PROB_FLOOR, QuantumInstrument
 from locclab.linalg import check_density_stack
 from locclab.protocols import ProtocolRound
 
@@ -202,13 +202,11 @@ def test_criterion_8_instrument_law_suite():
             failures.append(f"{i}: invalid post-state")
         if n_out >= 2:
             cut = int(rng.integers(1, n_out))
-            part = CoarseGrainingPartition(
-                (
-                    ("g0", tuple(str(k) for k in range(cut))),
-                    ("g1", tuple(str(k) for k in range(cut, n_out))),
-                )
-            )
-            merged_inst = coarse_grain(inst, part)
+            groups = {
+                "g0": tuple(str(k) for k in range(cut)),
+                "g1": tuple(str(k) for k in range(cut, n_out)),
+            }
+            merged_inst = coarse_grain(inst, groups)
             merged, merged_posts = apply_instrument(merged_inst, target, rho.matrix[None])
             p0 = sum(p for o, p in zip(inst.outcomes, probs.tolist()) if int(o) < cut)
             if abs(merged[0, 0] - p0) > 1e-10:
@@ -221,11 +219,7 @@ def test_criterion_8_instrument_law_suite():
             if report.passed or not any(v.kind == "cp" for v in report.violations):
                 failures.append(f"{i}: CP violation not detected")
             shrunk = helpers.random_instrument(rng, 1)
-            from locclab.instruments import InstrumentBranch, QuantumInstrument
-
-            leaky = QuantumInstrument(
-                (InstrumentBranch("only", tuple(0.9 * k for k in shrunk.branches[0].kraus)),)
-            )
+            leaky = QuantumInstrument([("only", 0.9 * shrunk.kraus)])
             report = validate_instrument(leaky)
             if report.passed or not any(v.kind == "completeness" for v in report.violations):
                 failures.append(f"{i}: TP violation not detected")

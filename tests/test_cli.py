@@ -744,6 +744,21 @@ class TestMain:
     @pytest.mark.parametrize(
         "args", [["distinguish"], ["sweep", "--lambda-grid", "0,0.5"], ["qecc"]]
     )
+    def test_empty_script_exit_code(self, tmp_path, capsys, args):
+        # the key was given, so running the bundled corpus or the canonical script would ignore it
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nscript =\n")
+        for given in (["--seed", "1", "--script="], ["--seed", "1", "--script", ""],
+                      ["--config", str(path)]):
+            assert main([*args, *given]) == EXIT_CONFIG
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.count("\n") == 1
+            assert out.err.startswith("configuration error: bad value ''")
+            assert out.err.endswith("(key: script)\n")
+
+    @pytest.mark.parametrize(
+        "args", [["distinguish"], ["sweep", "--lambda-grid", "0,0.5"], ["qecc"]]
+    )
     def test_script_too_deep_to_enumerate_exit_code(self, tmp_path, capsys, monkeypatch, args):
         # 4**40 transcripts: refused before any kernel call
         applied = []

@@ -90,8 +90,7 @@ class TestAccessibleDistribution:
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.6, 1.0)
         rounds = []
         for party, rnd in zip((0, 1), script.rounds):
-            branches = [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches]
-            rounds.append((party, branches))
+            rounds.append((party, helpers.branches_of(rnd.instrument)))
         oracle = oracles.transcript_distribution(pair, rounds)
         assert oracles.tvd(ours, oracle) < 1e-10
 
@@ -420,8 +419,7 @@ class TestStackedWorlds:
         h_rest = oracles.rest_hamiltonian(list(worlds._rest_terms(2, 5)))
         pair = oracles.dense_world_pair(h_rest, 2, 2, 0.8, 1.0)
         rounds = [
-            (party, [(b.outcome, list(b.kraus)) for b in rnd.instrument.branches])
-            for party, rnd in zip((0, 1), script.rounds)
+            (party, helpers.branches_of(rnd.instrument)) for party, rnd in zip((0, 1), script.rounds)
         ]
         oracle = oracles.transcript_distribution(pair, rounds)
         assert set(oracle) == set(epr)

@@ -3,13 +3,13 @@
 import dataclasses
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from locclab import (
-    CoarseGrainingPartition,
     ContractError,
     DensityMatrix,
     LayoutError,
@@ -25,7 +25,6 @@ from locclab import (
 from locclab import instruments
 from locclab.instruments import (
     PROB_FLOOR,
-    InstrumentBranch,
     QuantumInstrument,
     measure_angle,
     settings_choice_instrument,
@@ -56,9 +55,7 @@ class TestValidate:
         assert report.passed and not report.violations
 
     def test_half_identity_fails_with_defect(self):
-        inst = QuantumInstrument(
-            (InstrumentBranch("only", (math.sqrt(0.5) * np.eye(2, dtype=complex),)),)
-        )
+        inst = QuantumInstrument([("only", [math.sqrt(0.5) * np.eye(2, dtype=complex)])])
         report = validate_instrument(inst)
         assert not report.passed
         (violation,) = report.violations
@@ -70,7 +67,7 @@ class TestValidate:
         # direct completeness oracle
         total = sum(k.conj().T @ k for k in ops)
         assert_allclose(total, np.eye(2), atol=1e-12)
-        inst = QuantumInstrument((InstrumentBranch("d", ops),))
+        inst = QuantumInstrument([("d", ops)])
         assert validate_instrument(inst).passed
 
     def test_sign_flip_caught_as_cp_violation(self):
@@ -88,27 +85,23 @@ class TestValidate:
                 rng, n_outcomes=int(rng.integers(1, 4)), kraus_per_branch=2
             )
             # valid: all weights positive, every Choi PSD
-            for b in inst.branches:
-                direct = all(w > 0 for w in b.weights)
-                choi_ok = float(np.linalg.eigvalsh(oracles.branch_choi(b))[0]) > -1e-9
+            for _, ops, weights in helpers.weighted_branches_of(inst):
+                direct = all(w > 0 for w in weights)
+                choi = oracles.branch_choi(ops, weights)
+                choi_ok = float(np.linalg.eigvalsh(choi)[0]) > -1e-9
                 assert direct == choi_ok
             bad = helpers.sign_flip_one_term(inst)
-            flipped = bad.branches[0]
-            assert any(w < 0 for w in flipped.weights)
-            min_eig = float(np.linalg.eigvalsh(oracles.branch_choi(flipped))[0])
+            outcome, ops, weights = helpers.weighted_branches_of(bad)[0]
+            assert any(w < 0 for w in weights)
+            min_eig = float(np.linalg.eigvalsh(oracles.branch_choi(ops, weights))[0])
             assert min_eig < -1e-9
             # the validator's Choi matrices, built from the flat Kraus stack, agree
             (cp,) = [v for v in validate_instrument(bad).violations if v.kind == "cp"]
-            assert cp.branch == flipped.outcome and abs(cp.magnitude + min_eig) < 1e-12
+            assert cp.branch == outcome and abs(cp.magnitude + min_eig) < 1e-12
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(LayoutError):
-            QuantumInstrument(
-                (
-                    InstrumentBranch("a", (np.eye(2, dtype=complex),)),
-                    InstrumentBranch("b", (np.eye(4, dtype=complex),)),
-                )
-            )
+            QuantumInstrument([("a", [np.eye(2)]), ("b", [np.eye(4)])])
 
 
 class TestApply:
@@ -140,9 +133,7 @@ class TestApply:
             assert_allclose(bob, expected, atol=1e-12)
 
     def test_invalid_instrument_rejected(self):
-        inst = QuantumInstrument(
-            (InstrumentBranch("only", (math.sqrt(0.5) * np.eye(2, dtype=complex),)),)
-        )
+        inst = QuantumInstrument([("only", [math.sqrt(0.5) * np.eye(2, dtype=complex)])])
         with pytest.raises(ContractError):
             apply_instrument(inst, "q_A", plus_density().matrix[None])
 
@@ -162,17 +153,18 @@ class TestApply:
             assert abs(sum(probs.tolist()) - 1.0) < 1e-10
 
 
-def per_operator_oracle(inst, rho, target):
-    """Each branch one Kraus operator at a time, each extended on its own by loops.
+def per_operator_oracle(branches, rho, target):
+    """Each of the ``(outcome, ops, weights)`` branches one Kraus operator at a time, each
+    extended on its own by loops.
 
     ``E rho E^dagger`` is contracted in the kernel's order: ``E rho`` first,
     each entry summed over the shared index in ascending order.
     """
     position = ("q_A", "q_B").index(target)
     probs, posts = [], []
-    for b in inst.branches:
+    for _, ops, weights in branches:
         out = np.zeros_like(rho.matrix)
-        for w, k in zip(b.weights, b.kraus):
+        for w, k in zip(weights, ops):
             big = oracles.embed_by_loops(k, [2, 2], [position])
             out += w * matrix_product(matrix_product(big, rho.matrix), big.conj().T)
         probs.append(float(np.real(np.trace(out))))
@@ -193,10 +185,7 @@ def uneven_instrument(p: float = 0.3) -> QuantumInstrument:
     """Valid two-branch instrument whose branches hold one and two Kraus operators."""
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     return QuantumInstrument(
-        (
-            InstrumentBranch("0", (math.sqrt(p) * p0,)),
-            InstrumentBranch("1", (math.sqrt(p) * p1, math.sqrt(1 - p) * np.eye(2))),
-        )
+        [("0", [math.sqrt(p) * p0]), ("1", [math.sqrt(p) * p1, math.sqrt(1 - p) * np.eye(2)])]
     )
 
 
@@ -246,7 +235,8 @@ class TestBranchKernel:
         inst = helpers.random_instrument(rng, 3, kraus_per_branch=kraus_per_branch)
         rho = helpers.random_density(rng)
         probs, posts = apply_instrument(inst, target, rho.matrix[None])
-        oracle_probs, oracle_posts = per_operator_oracle(inst, rho, target)
+        branches = helpers.weighted_branches_of(inst)
+        oracle_probs, oracle_posts = per_operator_oracle(branches, rho, target)
         assert probs[:, 0].tolist() == oracle_probs
         for post, oracle in zip(posts[:, 0], oracle_posts):
             assert post.tobytes() == oracle.tobytes()
@@ -256,7 +246,8 @@ class TestBranchKernel:
         # branches of one and two Kraus operators: the second position runs on one row only
         rho = helpers.random_density(np.random.default_rng(8))
         probs, posts = apply_to_state(uneven_instrument(), rho.matrix, target)
-        oracle_probs, oracle_posts = per_operator_oracle(uneven_instrument(), rho, target)
+        branches = helpers.weighted_branches_of(uneven_instrument())
+        oracle_probs, oracle_posts = per_operator_oracle(branches, rho, target)
         assert probs.tolist() == oracle_probs
         for post, oracle in zip(posts, oracle_posts):
             assert post.tobytes() == oracle.tobytes()
@@ -266,13 +257,35 @@ class TestBranchKernel:
     def test_weighted_branch_matches_per_operator_embedding(self, doubled, target):
         # a valid branch whose weights are not 1: K twice at 0.25 and 0.75, or 2K at 0.25
         rng = np.random.default_rng(9)
-        inst = helpers.random_instrument(rng, 2)
-        (k,) = inst.branches[0].kraus
-        ops, weights = ((2 * k,), (0.25,)) if doubled else ((k, k), (0.25, 0.75))
-        weighted = QuantumInstrument((InstrumentBranch("0", ops, weights), inst.branches[1]))
+        branches = helpers.weighted_branches_of(helpers.random_instrument(rng, 2))
+        (k,) = branches[0][1]
+        branches[0] = ("0", [2 * k], [0.25]) if doubled else ("0", [k, k], [0.25, 0.75])
         rho = helpers.random_density(rng)
-        probs, posts = apply_to_state(weighted, rho.matrix, target)
-        oracle_probs, oracle_posts = per_operator_oracle(weighted, rho, target)
+        probs, posts = apply_to_state(QuantumInstrument(branches), rho.matrix, target)
+        oracle_probs, oracle_posts = per_operator_oracle(branches, rho, target)
+        assert probs.tolist() == oracle_probs
+        for post, oracle in zip(posts, oracle_posts):
+            assert post.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("target", ["q_A", "q_B"])
+    def test_coarse_grained_weighted_matches_per_operator_embedding(self, target):
+        # groups list their members out of outcome order: a group's operators, and so the
+        # order its terms are added in, follow its members' order, each member's in stack order
+        rng = np.random.default_rng(10)
+        fine = helpers.weighted_branches_of(helpers.random_instrument(rng, 4, kraus_per_branch=2))
+        outcome, (k1, k2), _ = fine[2]
+        fine[2] = (outcome, [k1, k1, k2], [0.25, 0.75, 1.0])
+        groups = {"x": ("2", "0"), "y": ("3", "1")}
+        by_outcome = {o: (ops, weights) for o, ops, weights in fine}
+        merged = [
+            (label, [k for m in members for k in by_outcome[m][0]],
+             [w for m in members for w in by_outcome[m][1]])
+            for label, members in groups.items()
+        ]
+        inst = coarse_grain(QuantumInstrument(fine), groups)
+        rho = helpers.random_density(rng)
+        probs, posts = apply_to_state(inst, rho.matrix, target)
+        oracle_probs, oracle_posts = per_operator_oracle(merged, rho, target)
         assert probs.tolist() == oracle_probs
         for post, oracle in zip(posts, oracle_posts):
             assert post.tobytes() == oracle.tobytes()
@@ -292,8 +305,31 @@ class TestBranchKernel:
         apply_instrument(inst, "q_B", rho.matrix[None])
         assert sorted(inst._embedded) == ["q_A", "q_B"]
 
-    def test_extension_cache_is_not_a_field(self):
-        assert [f.name for f in dataclasses.fields(QuantumInstrument)] == ["branches"]
+    def test_caches_are_the_only_state_beside_the_stack(self):
+        inst = helpers.random_instrument(np.random.default_rng(11), 2)
+        apply_instrument(inst, "q_A", singlet_density().matrix[None])
+        fields = [f.name for f in dataclasses.fields(QuantumInstrument)]
+        assert fields == ["outcomes", "kraus", "branch", "weight"]
+        assert sorted(vars(inst)) == sorted(fields + ["report", "_embedded"])
+
+    def test_stack_is_read_only_and_fields_cannot_be_rebound(self):
+        ops = [np.eye(2, dtype=complex), np.diag([0.0, 1.0]).astype(complex)]
+        inst = QuantumInstrument([("a", ops[:1], [0.5]), ("b", ops, [0.5, 0.5])])
+        ops[0][0, 0] = 7.0  # the instrument holds its own copy
+        assert inst.kraus[0].tolist() == np.eye(2).tolist()
+        assert inst.branch.tolist() == [0, 1, 1] and inst.weight.tolist() == [0.5] * 3
+        for name in ("kraus", "branch", "weight"):
+            array = getattr(inst, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, name, array.copy())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.outcomes = ("b", "a")
+        # weakly referenced and hashed by identity: an equal stack is another instrument
+        assert weakref.ref(inst)() is inst
+        twin = QuantumInstrument(helpers.weighted_branches_of(inst))
+        assert twin != inst and len({inst, twin, inst}) == 2
 
     def test_stack_matches_one_state_at_a_time_bytes(self):
         rng = np.random.default_rng(7)
@@ -315,7 +351,7 @@ class TestBranchKernel:
     def test_wrong_dimension_rejected(self):
         # a two-qubit instrument cannot be built, so it never reaches the kernel
         with pytest.raises(LayoutError, match="2x2"):
-            InstrumentBranch("id", (np.eye(4, dtype=complex),))
+            QuantumInstrument([("id", [np.eye(4, dtype=complex)])])
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -338,7 +374,7 @@ class TestBranchKernel:
 class TestOneWayLocal:
     def test_tp_map_does_not_alter_outcome_probabilities(self):
         # marginalization oracle: a TP map on Bob cannot move Alice's probabilities
-        bob_tp = QuantumInstrument((InstrumentBranch("tp", depolarizing_kraus(0.2)),))
+        bob_tp = QuantumInstrument([("tp", depolarizing_kraus(0.2))])
         assert validate_instrument(bob_tp).passed
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -354,9 +390,8 @@ class TestOneWayLocal:
 class TestCoarseGrain:
     def test_singleton_partition_is_identity(self):
         inst = measure_z()
-        part = CoarseGrainingPartition((("0", ("0",)), ("1", ("1",))))
         rng = np.random.default_rng(6)
-        out = coarse_grain(inst, part)
+        out = coarse_grain(inst, {"0": ("0",), "1": ("1",)})
         for _ in range(5):
             rho, target = helpers.random_density(rng), helpers.random_target(rng)
             a, _ = apply_to_state(inst, rho.matrix, target)
@@ -366,8 +401,7 @@ class TestCoarseGrain:
                 assert abs(pa - pb) < 1e-12
 
     def test_full_group_is_dephasing(self):
-        part = CoarseGrainingPartition((("all", ("0", "1")),))
-        out = coarse_grain(measure_z(), part)
+        out = coarse_grain(measure_z(), {"all": ("0", "1")})
         (p,), (post,) = apply_to_state(out, plus_density().matrix, "q_A")
         assert abs(p - 1.0) < 1e-12
         assert_allclose(post, np.kron(np.eye(2) / 2, ZERO), atol=1e-12)
@@ -375,8 +409,7 @@ class TestCoarseGrain:
     def test_probabilities_add_on_three_outcomes(self):
         rng = np.random.default_rng(7)
         inst = helpers.random_instrument(rng, n_outcomes=3)
-        part = CoarseGrainingPartition((("01", ("0", "1")), ("2", ("2",))))
-        grouped = coarse_grain(inst, part)
+        grouped = coarse_grain(inst, {"01": ("0", "1"), "2": ("2",)})
         for _ in range(10):
             rho, target = helpers.random_density(rng), helpers.random_target(rng)
             fine, _ = apply_to_state(inst, rho.matrix, target)
@@ -392,16 +425,14 @@ class TestCoarseGrain:
             inst = helpers.random_instrument(rng, n_out)
             rho, target = helpers.random_density(rng), helpers.random_target(rng)
             cut = int(rng.integers(1, n_out)) if n_out > 1 else 1
-            part = CoarseGrainingPartition(
-                (
-                    ("g0", tuple(str(i) for i in range(cut))),
-                    ("g1", tuple(str(i) for i in range(cut, n_out))),
-                )
-            )
-            coarse = coarse_grain(inst, part)
+            groups = {
+                "g0": tuple(str(i) for i in range(cut)),
+                "g1": tuple(str(i) for i in range(cut, n_out)),
+            }
+            coarse = coarse_grain(inst, groups)
             coarse_probs, coarse_posts = apply_to_state(coarse, rho.matrix, target)
             fine = list(zip(inst.outcomes, *apply_to_state(inst, rho.matrix, target)))
-            for q, post, (_, members) in zip(coarse_probs, coarse_posts, part.groups):
+            for q, post, members in zip(coarse_probs, coarse_posts, groups.values()):
                 chunk = [(p, fine_post) for o, p, fine_post in fine if o in members]
                 total = sum(p for p, _ in chunk)
                 assert abs(q - total) < 1e-10
@@ -409,11 +440,21 @@ class TestCoarseGrain:
                     mix = sum(p * fine_post for p, fine_post in chunk) / total
                     assert_allclose(post, mix, atol=1e-10)
 
+    def test_members_keep_their_order_in_the_stack(self):
+        inst = helpers.random_instrument(np.random.default_rng(12), 3, kraus_per_branch=2)
+        merged = coarse_grain(inst, {"b": ("2", "0"), "a": ("1",)})
+        assert merged.outcomes == ("b", "a") and merged.branch.tolist() == [0, 0, 0, 0, 1, 1]
+        assert merged.kraus.tobytes() == inst.kraus[[4, 5, 0, 1, 2, 3]].tobytes()
+
     def test_non_partition_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            coarse_grain(measure_z(), CoarseGrainingPartition((("g", ("0",)),)))
-        with pytest.raises(ValueError, match="more than one group"):
-            CoarseGrainingPartition((("g", ("0", "1")), ("h", ("1",))))
+        for groups, match in [
+            ({"g": ("0",)}, "cover outcomes exactly: missing ['1'], unknown []"),
+            ({"g": ("0", "1", "2")}, "cover outcomes exactly: missing [], unknown ['2']"),
+            ({"g": ("0", "1"), "h": ("1",)}, "outcomes ['1'] appear in more than one group"),
+            ({"g": (), "h": ("0", "1")}, "group 'g' is empty"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(match)):
+                coarse_grain(measure_z(), groups)
 
 
 class TestFileFormat:
@@ -424,15 +465,13 @@ class TestFileFormat:
         name, back = parse_instrument(text)
         assert name == "roundtrip"
         assert back.outcomes == inst.outcomes
-        for b_in, b_out in zip(inst.branches, back.branches):
-            for k_in, k_out in zip(b_in.kraus, b_out.kraus):
-                assert np.array_equal(k_in, k_out)  # 17 significant digits: exact
+        assert np.array_equal(back.branch, inst.branch)
+        assert np.array_equal(back.kraus, inst.kraus)  # 17 significant digits: exact
 
     def test_settings_choice_round_trip(self):
         inst = settings_choice_instrument(0.0, math.pi / 2)
         _, back = parse_instrument(oracles.instrument_text("choice", helpers.branches_of(inst)))
-        for b_in, b_out in zip(inst.branches, back.branches):
-            assert np.array_equal(b_in.kraus[0], b_out.kraus[0])
+        assert np.array_equal(back.kraus, inst.kraus)
 
     def test_comments_and_blank_lines_ignored(self):
         text = oracles.instrument_text("commented", helpers.branches_of(unsharp_z(0.8)))
@@ -455,10 +494,10 @@ class TestFileFormat:
 
     def test_only_unit_weights_have_a_file_form(self):
         # the format has no weights: a parsed branch's are all +1
-        explicit = QuantumInstrument((InstrumentBranch("id", (np.eye(2),), (1.0,)),))
+        explicit = QuantumInstrument([("id", [np.eye(2)], [1.0])])
         _, back = parse_instrument(oracles.instrument_text("id", helpers.branches_of(explicit)))
-        assert back.branches[0].weights == explicit.branches[0].weights == (1.0,)
-        assert np.array_equal(back.branches[0].kraus[0], explicit.branches[0].kraus[0])
+        assert back.weight.tolist() == explicit.weight.tolist() == [1.0]
+        assert np.array_equal(back.kraus, explicit.kraus)
 
     @pytest.mark.parametrize("entry", ["1e999+0i", "1-1e999i"])
     def test_non_finite_entry_rejected(self, entry):

@@ -16,7 +16,7 @@ from locclab import (
     singlet_density,
     validate_instrument,
 )
-from locclab.instruments import InstrumentBranch, QuantumInstrument
+from locclab.instruments import QuantumInstrument
 from locclab.protocols import canonical_chsh_script, instrument_from_spec, script_from_dict
 
 
@@ -57,9 +57,9 @@ class TestRounds:
             ProtocolRound("C", measure_z())
 
     def test_two_qubit_instrument_rejected(self):
-        # refused when its branch is built, before any round can hold it
+        # refused when the instrument is built, before any round can hold it
         with pytest.raises(LayoutError):
-            ProtocolRound("A", QuantumInstrument((InstrumentBranch("id", (np.eye(4),)),)))
+            ProtocolRound("A", QuantumInstrument([("id", [np.eye(4)])]))
 
     def test_condition_resolution(self):
         rnd = ProtocolRound("B", measure_z(), {("1",): measure_x()})
@@ -84,7 +84,7 @@ class TestCorpus:
             assert 1 <= len(script.rounds) <= 3
             assert {r.party for r in script.rounds} <= {"A", "B"}
             for rnd in script.rounds:
-                assert all(k.shape == (2, 2) for b in rnd.instrument.branches for k in b.kraus)
+                assert rnd.instrument.kraus.shape[1:] == (2, 2)
                 assert validate_instrument(rnd.instrument).passed
                 if rnd.condition:
                     for variant in rnd.condition.values():
@@ -119,7 +119,7 @@ class TestCorpus:
         script = script_from_dict(doc)
         assert script.name == "tiny"
         variant = script.rounds[1].resolve(("0",))
-        assert all(k.shape == (2, 2) for b in variant.branches for k in b.kraus)
+        assert variant.kraus.shape[1:] == (2, 2)
 
     def test_equal_specs_share_one_instrument(self):
         a = instrument_from_spec({"kind": "measure_angle", "angle": 0.25})

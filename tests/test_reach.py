@@ -35,7 +35,7 @@ UNREACHED = {
     "distinguish._slack": "a total off 1 by over 1e-10, from an instrument inside TP_ATOL",
     "errors.ConfigError.__init__": "the configuration refusals (exit 2) of test_cli",
     "errors.EmptyCellError.__init__": "a setting pair with no trials (exit 5), in test_cli",
-    "instruments.CoarseGrainingPartition.__post_init__": "coarse-graining, held by criterion 8",
+    "instruments.ValidationReport.message": "a failed validation's refusal, in test_instruments",
     "instruments.Violation.__str__": "a failed validation's ContractError message, and demo 07",
     "instruments.coarse_grain": "coarse-graining, held by criterion 8",
     "linalg.trace_distance": "state distance, held by criterion 2",
